@@ -34,6 +34,18 @@ func FuzzRestoreStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(snap)
+	// An inner location holding an inner color past to_outer: a checkpoint
+	// Restore once accepted, whose first Push then indexed out of range.
+	var m map[string]any
+	if err := json.Unmarshal(snap, &m); err != nil {
+		f.Fatal(err)
+	}
+	m["inner"].(map[string]any)["loc_color"].([]any)[0] = 999
+	bad, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad)
 	// A truncation, a splice, and non-checkpoint bytes.
 	f.Add(snap[:len(snap)/2])
 	f.Add(append(append([]byte{}, snap[len(snap)/3:]...), snap[:len(snap)/3]...))

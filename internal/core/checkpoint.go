@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rrsched/internal/model"
 )
@@ -31,9 +32,10 @@ type ColorCheckpoint struct {
 	Seen     bool        `json:"seen,omitempty"`
 }
 
-// Checkpoint captures the tracker's state. Trackers with super-epoch
-// accounting enabled are not checkpointable (the streaming scheduler, the
-// only checkpointed driver, never enables it).
+// Checkpoint captures the tracker's state; the slots are already in
+// ascending color order. Trackers with super-epoch accounting enabled are
+// not checkpointable (the streaming scheduler, the only user that
+// checkpoints a tracker, never enables it).
 func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
 	if t.super != nil {
 		return nil, fmt.Errorf("core: tracker with super-epoch accounting is not checkpointable")
@@ -45,9 +47,13 @@ func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
 		EligibleDrops:   t.eligibleDrops,
 		IneligibleDrops: t.ineligibleDrops,
 	}
-	for c, cs := range t.states {
-		cc := ColorCheckpoint{
-			Color:    c,
+	if len(t.states) > 0 {
+		cp.Colors = make([]ColorCheckpoint, len(t.states)) // an empty tracker encodes "colors": null
+	}
+	for i := range t.states {
+		cs := &t.states[i]
+		cp.Colors[i] = ColorCheckpoint{
+			Color:    t.colors[i],
 			Delay:    cs.delay,
 			Cnt:      cs.cnt,
 			Deadline: cs.dd,
@@ -55,11 +61,9 @@ func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
 			Seen:     cs.seen,
 		}
 		if len(cs.wraps) > 0 {
-			cc.Wraps = append([]int64(nil), cs.wraps...)
+			cp.Colors[i].Wraps = append([]int64(nil), cs.wraps...)
 		}
-		cp.Colors = append(cp.Colors, cc)
 	}
-	sort.Slice(cp.Colors, func(i, j int) bool { return cp.Colors[i].Color < cp.Colors[j].Color })
 	return cp, nil
 }
 
@@ -90,9 +94,6 @@ func RestoreTracker(cp *TrackerCheckpoint) (*Tracker, error) {
 		if cc.Delay <= 0 {
 			return nil, fmt.Errorf("core: checkpoint color %v has non-positive delay %d", cc.Color, cc.Delay)
 		}
-		if _, ok := t.states[cc.Color]; ok {
-			return nil, fmt.Errorf("core: checkpoint repeats color %v", cc.Color)
-		}
 		if cc.Cnt < 0 || cc.Cnt >= cp.Delta {
 			return nil, fmt.Errorf("core: checkpoint color %v has counter %d outside [0,%d)", cc.Color, cc.Cnt, cp.Delta)
 		}
@@ -104,17 +105,23 @@ func RestoreTracker(cp *TrackerCheckpoint) (*Tracker, error) {
 				return nil, fmt.Errorf("core: checkpoint color %v has unsorted wraps", cc.Color)
 			}
 		}
-		// Register establishes the color's slot in the sorted order index;
-		// the restored state then replaces the blank one it created.
-		t.Register(cc.Color, cc.Delay)
-		t.states[cc.Color] = &colorState{
+	}
+	// Checkpoint writes the colors in ascending order; sorting a copy first
+	// keeps a reordered checkpoint valid and every slot insert an append.
+	colors := slices.Clone(cp.Colors)
+	slices.SortFunc(colors, func(a, b ColorCheckpoint) int { return cmp.Compare(a.Color, b.Color) })
+	for i, cc := range colors {
+		if i > 0 && cc.Color == colors[i-1].Color {
+			return nil, fmt.Errorf("core: checkpoint repeats color %v", cc.Color)
+		}
+		t.insert(i, cc.Color, colorState{
 			delay:    cc.Delay,
 			cnt:      cc.Cnt,
 			dd:       cc.Deadline,
 			eligible: cc.Eligible,
 			wraps:    append([]int64(nil), cc.Wraps...),
 			seen:     cc.Seen,
-		}
+		})
 	}
 	return t, nil
 }

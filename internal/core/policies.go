@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rrsched/internal/model"
 	"rrsched/internal/sim"
@@ -86,72 +87,77 @@ func (p *EDF) Tracker() *Tracker { return p.tracker }
 // the nonidle top-q entries that are missing into the cache, and evict
 // lowest-ranked unprotected colors while the cache exceeds capacity.
 //
-// All working storage is tracker-owned scratch, so the steady-state decision
-// path allocates nothing; the returned slice is valid only until the next
-// edfUpdate call on the same tracker (the sim.Policy.Target contract).
+// Set membership is a per-slot mark, and each candidate's EDF key (with its
+// idleness) is built once. All working storage is tracker-owned scratch, so
+// the steady-state decision path allocates nothing; the returned slice is
+// valid only until the next edfUpdate call on the same tracker (the
+// sim.Policy.Target contract).
 func edfUpdate(t *Tracker, v sim.View, cached, protected []model.Color, q int) []model.Color {
-	prot := t.protScratch
-	clear(prot)
+	marks := t.marks
+	clear(marks)
 	for _, c := range protected {
-		prot[c] = true
+		if i, ok := t.slotOf(c); ok {
+			marks[i] |= protMark
+		}
 	}
-	inCache := t.cacheScratch
-	clear(inCache)
-	set := t.setScratch[:0]
-	for _, c := range protected {
-		if !inCache[c] {
-			inCache[c] = true
+	set := t.setOut[:0]
+	// add appends c to the set unless it is already there. A cached color
+	// outside the universe (a restored stream can hold one) has no slot to
+	// mark; it is never ranked, and the protected and cached lists each hold
+	// distinct colors, so it is appended once.
+	add := func(c model.Color) {
+		i, ok := t.slotOf(c)
+		if !ok {
+			set = append(set, c)
+			return
+		}
+		if marks[i]&cacheMark == 0 {
+			marks[i] |= cacheMark
 			set = append(set, c)
 		}
+	}
+	for _, c := range protected {
+		add(c)
 	}
 	for _, c := range cached {
-		if !inCache[c] {
-			inCache[c] = true
-			set = append(set, c)
-		}
+		add(c)
 	}
 
 	// Rank eligible unprotected colors.
-	candidates := t.candScratch[:0]
-	for _, c := range t.eligibleColors() {
-		if !prot[c] {
-			candidates = append(candidates, c)
+	ranked := t.edfKeys[:0]
+	for i := range t.states {
+		if t.states[i].eligible && marks[i]&protMark == 0 {
+			ranked = append(ranked, t.edfKey(v, i))
 		}
 	}
-	t.candScratch = candidates
-	t.sortEDF(v, candidates)
-	ranked := candidates
+	t.edfKeys = ranked
+	slices.SortFunc(ranked, cmpEDF)
+	top := ranked[:min(q, len(ranked))]
 
 	// Bring in the nonidle top-q ranked colors that are missing.
-	top := ranked
-	if len(top) > q {
-		top = top[:q]
-	}
-	for _, c := range top {
-		if v.Pending(c) > 0 && !inCache[c] {
-			inCache[c] = true
-			set = append(set, c)
+	for _, k := range top {
+		if !k.idle && marks[k.slot]&cacheMark == 0 {
+			marks[k.slot] |= cacheMark
+			set = append(set, k.color)
 		}
 	}
 
 	// Evict lowest-ranked unprotected colors while over capacity.
 	capacity := v.Slots()
-	if len(set) > capacity {
-		for i := len(ranked) - 1; i >= 0 && len(set) > capacity; i-- {
-			c := ranked[i]
-			if !inCache[c] {
-				continue
-			}
-			inCache[c] = false
-			set = removeColor(set, c)
+	for i := len(ranked) - 1; i >= 0 && len(set) > capacity; i-- {
+		k := ranked[i]
+		if marks[k.slot]&cacheMark == 0 {
+			continue
 		}
+		marks[k.slot] &^= cacheMark
+		set = removeColor(set, k.color)
 	}
 	if len(set) > capacity {
 		// Cannot happen: protected ≤ capacity/2 and everything else is
 		// evictable. Guard against silent corruption.
 		panic(fmt.Sprintf("core: cache overflow: %d colors, capacity %d", len(set), capacity))
 	}
-	t.setScratch = set
+	t.setOut = set
 	return set
 }
 

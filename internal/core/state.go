@@ -25,17 +25,22 @@ type colorState struct {
 	cnt      int64
 	dd       int64
 	eligible bool
-	wraps    []int64 // wrap rounds, most recent last (bounded by the tracker's depth)
 	seen     bool    // a job of this color has arrived (epoch 0 started)
+	wraps    []int64 // wrap rounds, most recent last (bounded by the tracker's depth)
 }
 
 // wrap records a counter-wrapping event in round k, retaining at most depth
-// entries.
+// entries. The first wrap sizes the slice for depth entries and the oldest
+// entries shift out in place, so a color's wraps allocate once.
 func (cs *colorState) wrap(k int64, depth int) {
-	cs.wraps = append(cs.wraps, k)
-	if len(cs.wraps) > depth {
-		cs.wraps = cs.wraps[len(cs.wraps)-depth:]
+	if len(cs.wraps) >= depth {
+		keep := depth - 1
+		copy(cs.wraps, cs.wraps[len(cs.wraps)-keep:])
+		cs.wraps = cs.wraps[:keep]
+	} else if cap(cs.wraps) < depth {
+		cs.wraps = append(make([]int64, 0, depth), cs.wraps...)
 	}
+	cs.wraps = append(cs.wraps, k)
 }
 
 // lastWrap returns the most recent wrap round (ok == false if none).
@@ -71,10 +76,23 @@ func (cs *colorState) timestamp(now int64) int64 { return cs.timestampK(now, 1) 
 // Tracker maintains the shared per-color state for the Section 3 policies
 // and the epoch / drop-classification accounting used by the analysis
 // (epochs per Section 3.2, eligible vs ineligible drops per Lemma 3.2/3.4).
+//
+// The decision path runs every round for every served tenant, so the state
+// is laid out densely, the way the sim engine lays out its own: per-color
+// state lives in slots of one slice, kept in ascending color order (the
+// paper's "consistent order of colors"), and every per-round phase ranges
+// over the slots directly. A color is mapped to its slot (slotOf) only where
+// one enters from outside: Register, the public getters, checkpoint/restore,
+// and the arrivals, drops and cached set a round hands in. The rankings
+// compute each candidate's sort key once per round into reused key slices
+// and sort the keys; both keys are total orders, so the result is the
+// permutation the spec's stable sort would give. The golden digests in
+// golden_test.go and internal/stream pin the decisions across versions of
+// this code.
 type Tracker struct {
 	delta  int64
-	states map[model.Color]*colorState
-	order  []model.Color // registered colors in ascending order
+	colors []model.Color // slot -> color, ascending
+	states []colorState  // slot -> state
 	tsK    int           // timestamp depth K (1 = the paper's ΔLRU)
 
 	completedEpochs int64
@@ -93,14 +111,19 @@ type Tracker struct {
 	// Per-round scratch, reused across calls so the steady-state decision
 	// path allocates nothing. Slices returned from the helpers below alias
 	// these buffers and are valid only until the next tracker call.
-	countScratch map[model.Color]int64
-	eligScratch  []model.Color
-	lruScratch   []model.Color
-	protScratch  map[model.Color]bool
-	cacheScratch map[model.Color]bool
-	setScratch   []model.Color
-	candScratch  []model.Color
+	counts  []int64 // per-slot arrivals of the current ArrivalPhase
+	marks   []uint8 // per-slot protMark/cacheMark bits of the current edfUpdate
+	tsKeys  []tsKey
+	edfKeys []edfRank
+	lruOut  []model.Color
+	setOut  []model.Color
 }
+
+// Per-slot mark bits of edfUpdate.
+const (
+	protMark  uint8 = 1 << iota // the color is an LRU-color (never evicted here)
+	cacheMark                   // the color is in the cache set being built
+)
 
 // NewTracker returns a Tracker for the given environment. The core policies
 // require batched arrivals (jobs of color ℓ arrive at integral multiples of
@@ -135,14 +158,7 @@ func NewDynamicTracker(delta int64) *Tracker {
 	if delta <= 0 {
 		panic("core: non-positive reconfiguration cost")
 	}
-	return &Tracker{
-		delta:        delta,
-		states:       make(map[model.Color]*colorState),
-		tsK:          1,
-		countScratch: make(map[model.Color]int64),
-		protScratch:  make(map[model.Color]bool),
-		cacheScratch: make(map[model.Color]bool),
-	}
+	return &Tracker{delta: delta, tsK: 1}
 }
 
 // SetTimestampK sets the timestamp depth K (>= 1): topByTimestamp then ranks
@@ -155,6 +171,17 @@ func (t *Tracker) SetTimestampK(k int) {
 	t.tsK = k
 }
 
+// slotOf returns the slot of color c (ok == false for colors outside the
+// universe). A universe of colors 0..N-1 — every stream tracker, and the
+// generated workloads — holds color c in slot c, which the first test finds
+// without a search.
+func (t *Tracker) slotOf(c model.Color) (int, bool) {
+	if c >= 0 && int(c) < len(t.colors) && t.colors[c] == c {
+		return int(c), true
+	}
+	return slices.BinarySearch(t.colors, c)
+}
+
 // Register adds a color with its delay bound to the universe; registering an
 // existing color with the same delay is a no-op, with a different delay a
 // panic.
@@ -162,15 +189,25 @@ func (t *Tracker) Register(c model.Color, delay int64) {
 	if delay <= 0 {
 		panic("core: non-positive delay bound")
 	}
-	if cs, ok := t.states[c]; ok {
-		if cs.delay != delay {
-			panic(fmt.Sprintf("core: color %v re-registered with delay %d (was %d)", c, delay, cs.delay))
+	i, ok := t.slotOf(c)
+	if ok {
+		if d := t.states[i].delay; d != delay {
+			panic(fmt.Sprintf("core: color %v re-registered with delay %d (was %d)", c, delay, d))
 		}
 		return
 	}
-	t.states[c] = &colorState{delay: delay}
-	i, _ := slices.BinarySearch(t.order, c)
-	t.order = slices.Insert(t.order, i, c)
+	t.insert(i, c, colorState{delay: delay})
+}
+
+// insert places color c with state cs at slot i, shifting later slots up.
+// Colors registered in ascending order (every caller in this repository)
+// append at the end. The per-slot scratch only needs the new length: it
+// carries no state between calls.
+func (t *Tracker) insert(i int, c model.Color, cs colorState) {
+	t.colors = slices.Insert(t.colors, i, c)
+	t.states = slices.Insert(t.states, i, cs)
+	t.counts = append(t.counts, 0)
+	t.marks = append(t.marks, 0)
 }
 
 // ComputeTarget runs the ΔLRU-EDF reconfiguration scheme (Section 3.1.3)
@@ -184,17 +221,23 @@ func ComputeTarget(t *Tracker, v sim.View, lruSlots int) []model.Color {
 }
 
 // state returns the colorState of c; colors outside the universe map to nil.
-func (t *Tracker) state(c model.Color) *colorState { return t.states[c] }
+func (t *Tracker) state(c model.Color) *colorState {
+	i, ok := t.slotOf(c)
+	if !ok {
+		return nil
+	}
+	return &t.states[i]
+}
 
 // Eligible reports whether color c is currently eligible.
 func (t *Tracker) Eligible(c model.Color) bool {
-	cs := t.states[c]
+	cs := t.state(c)
 	return cs != nil && cs.eligible
 }
 
 // Deadline returns ℓ.dd of color c.
 func (t *Tracker) Deadline(c model.Color) int64 {
-	cs := t.states[c]
+	cs := t.state(c)
 	if cs == nil {
 		return 0
 	}
@@ -203,7 +246,7 @@ func (t *Tracker) Deadline(c model.Color) int64 {
 
 // Timestamp returns the ΔLRU timestamp of color c at round now.
 func (t *Tracker) Timestamp(c model.Color, now int64) int64 {
-	cs := t.states[c]
+	cs := t.state(c)
 	if cs == nil {
 		return 0
 	}
@@ -216,8 +259,8 @@ func (t *Tracker) Timestamp(c model.Color, now int64) int64 {
 // start ineligible and epoch 0 starts with the color's first job).
 func (t *Tracker) NumEpochs() int64 {
 	n := t.completedEpochs
-	for _, cs := range t.states {
-		if cs.seen {
+	for i := range t.states {
+		if t.states[i].seen {
 			n++ // the current (possibly incomplete) epoch
 		}
 	}
@@ -237,7 +280,7 @@ func (t *Tracker) IneligibleDrops() int64 { return t.ineligibleDrops }
 // not cached, make ℓ ineligible and zero its counter, ending its epoch.
 func (t *Tracker) DropPhase(v sim.View, dropped map[model.Color]int) {
 	for c, n := range dropped {
-		cs := t.states[c]
+		cs := t.state(c)
 		if cs == nil {
 			continue
 		}
@@ -248,23 +291,25 @@ func (t *Tracker) DropPhase(v sim.View, dropped map[model.Color]int) {
 		}
 	}
 	k := v.Round()
-	for _, c := range t.order {
-		cs := t.states[c]
-		if k%cs.delay != 0 {
+	for i := range t.states {
+		cs := &t.states[i]
+		if !cs.eligible || k%cs.delay != 0 {
 			continue
 		}
-		if cs.eligible && !v.Cached(c) {
-			cs.eligible = false
-			cs.cnt = 0
-			t.completedEpochs++
-			if t.super != nil {
-				// The epoch of c ends here and its successor begins
-				// immediately (Section 3.2).
-				t.super.onEpochStart(c)
-			}
-			if t.sink != nil {
-				t.sink.Emit(obs.Event{Kind: obs.EventEpochEnd, Round: k, Color: c, Resource: -1, N: t.completedEpochs})
-			}
+		c := t.colors[i]
+		if v.Cached(c) {
+			continue
+		}
+		cs.eligible = false
+		cs.cnt = 0
+		t.completedEpochs++
+		if t.super != nil {
+			// The epoch of c ends here and its successor begins
+			// immediately (Section 3.2).
+			t.super.onEpochStart(c)
+		}
+		if t.sink != nil {
+			t.sink.Emit(obs.Event{Kind: obs.EventEpochEnd, Round: k, Color: c, Resource: -1, N: t.completedEpochs})
 		}
 	}
 }
@@ -274,23 +319,23 @@ func (t *Tracker) DropPhase(v sim.View, dropped map[model.Color]int) {
 // add this round's arrivals to its counter, and on reaching Δ wrap the
 // counter (recording the wrap round) and make the color eligible.
 func (t *Tracker) ArrivalPhase(v sim.View, arrivals []model.Job) {
-	counts := t.countScratch
+	counts := t.counts
 	clear(counts)
 	for _, j := range arrivals {
-		counts[j.Color]++
+		if i, ok := t.slotOf(j.Color); ok {
+			counts[i]++
+		}
 	}
 	k := v.Round()
-	t.observeArrivalForSuperEpochs(v, k)
-	for _, c := range t.order {
-		cs := t.states[c]
+	t.observeArrivalForSuperEpochs(k)
+	for i := range t.states {
+		cs := &t.states[i]
 		if k%cs.delay != 0 {
 			continue
 		}
 		cs.dd = k + cs.delay
-		if n := counts[c]; n > 0 {
-			if !cs.seen {
-				cs.seen = true
-			}
+		if n := counts[i]; n > 0 {
+			cs.seen = true
 			cs.cnt += n
 		}
 		if cs.cnt >= t.delta {
@@ -298,106 +343,126 @@ func (t *Tracker) ArrivalPhase(v sim.View, arrivals []model.Job) {
 			cs.wrap(k, t.tsK+1)
 			cs.eligible = true
 			if t.sink != nil {
-				t.sink.Emit(obs.Event{Kind: obs.EventEligible, Round: k, Color: c, Resource: -1, N: t.delta})
+				t.sink.Emit(obs.Event{Kind: obs.EventEligible, Round: k, Color: t.colors[i], Resource: -1, N: t.delta})
 			}
 		}
 	}
 }
 
-// eligibleColors returns the eligible colors in ascending color order (the
-// paper's "consistent order of colors"). The returned slice aliases tracker
-// scratch: it is valid only until the next eligibleColors call.
-func (t *Tracker) eligibleColors() []model.Color {
-	out := t.eligScratch[:0]
-	for _, c := range t.order {
-		if t.states[c].eligible {
-			out = append(out, c)
-		}
+// tsKey is the ΔLRU ranking key of one eligible color: its timestamp at the
+// round being decided and its slot (ascending slots are ascending colors).
+type tsKey struct {
+	ts   int64
+	slot int32
+}
+
+// cmpTS orders newer timestamps first, ties broken by the consistent color
+// order. Distinct slots never compare equal, so the order is total.
+func cmpTS(a, b tsKey) int {
+	switch {
+	case a.ts > b.ts:
+		return -1
+	case a.ts < b.ts:
+		return 1
 	}
-	t.eligScratch = out
-	return out
+	return int(a.slot) - int(b.slot)
 }
 
 // topByTimestamp returns the (at most q) eligible colors with the most
 // recent timestamps at round now, ties broken by the consistent color order.
-// The ranking key is a total order (no two distinct colors compare equal), so
-// the unstable sort below produces the same result the spec's stable sort
-// would. The returned slice aliases tracker scratch, valid until the next
-// topByTimestamp call.
+// Each eligible color's timestamp is computed once into a key and the keys
+// are sorted; the key order is total, so the unstable sort produces the same
+// result the spec's stable sort would. The returned slice aliases tracker
+// scratch, valid until the next topByTimestamp call.
 func (t *Tracker) topByTimestamp(now int64, q int) []model.Color {
-	elig := append(t.lruScratch[:0], t.eligibleColors()...)
-	t.lruScratch = elig
-	slices.SortFunc(elig, func(a, b model.Color) int {
-		ta := t.states[a].timestampK(now, t.tsK)
-		tb := t.states[b].timestampK(now, t.tsK)
-		if ta != tb {
-			if ta > tb {
-				return -1
-			}
-			return 1
+	keys := t.tsKeys[:0]
+	for i := range t.states {
+		cs := &t.states[i]
+		if cs.eligible {
+			keys = append(keys, tsKey{ts: cs.timestampK(now, t.tsK), slot: int32(i)})
 		}
-		if a < b {
-			return -1
-		}
-		return 1
-	})
-	if len(elig) > q {
-		elig = elig[:q]
 	}
-	return elig
+	t.tsKeys = keys
+	slices.SortFunc(keys, cmpTS)
+	if len(keys) > q {
+		keys = keys[:q]
+	}
+	out := t.lruOut[:0]
+	for _, k := range keys {
+		out = append(out, t.colors[k.slot])
+	}
+	t.lruOut = out
+	return out
 }
 
 // edfRank is the EDF ranking key of Section 3.1.2: nonidle colors first,
 // then ascending deadline, then ascending delay bound, then the consistent
-// order of colors. Smaller compares first (better rank).
+// order of colors. Smaller compares first (better rank). slot locates the
+// color's state and takes no part in the order.
 type edfRank struct {
 	idle  bool
 	dd    int64
 	delay int64
 	color model.Color
+	slot  int32
 }
 
-func (a edfRank) less(b edfRank) bool {
-	if a.idle != b.idle {
-		return !a.idle // nonidle first
-	}
-	if a.dd != b.dd {
-		return a.dd < b.dd
-	}
-	if a.delay != b.delay {
-		return a.delay < b.delay
-	}
-	return a.color < b.color
-}
-
-// rankEDF returns a copy of the given colors sorted by the EDF ranking at the
-// current view state (idleness comes from the live pending counts).
-func (t *Tracker) rankEDF(v sim.View, colors []model.Color) []model.Color {
-	ranked := make([]model.Color, len(colors))
-	copy(ranked, colors)
-	t.sortEDF(v, ranked)
-	return ranked
-}
-
-// sortEDF sorts colors in place by the EDF ranking. The edfRank key is a
-// total order (the color field breaks every tie), so the unstable sort
-// produces the same permutation a stable sort would.
-func (t *Tracker) sortEDF(v sim.View, colors []model.Color) {
-	slices.SortFunc(colors, func(a, b model.Color) int {
-		ca, cb := t.states[a], t.states[b]
-		ka := edfRank{idle: v.Pending(a) == 0, dd: ca.dd, delay: ca.delay, color: a}
-		kb := edfRank{idle: v.Pending(b) == 0, dd: cb.dd, delay: cb.delay, color: b}
-		if ka.less(kb) {
+// cmpEDF is the three-way form of the EDF order. The color field breaks
+// every tie, so the order is total over distinct colors.
+func cmpEDF(a, b edfRank) int {
+	switch {
+	case a.idle != b.idle:
+		if !a.idle {
+			return -1 // nonidle first
+		}
+		return 1
+	case a.dd != b.dd:
+		if a.dd < b.dd {
 			return -1
 		}
 		return 1
-	})
+	case a.delay != b.delay:
+		if a.delay < b.delay {
+			return -1
+		}
+		return 1
+	case a.color != b.color:
+		if a.color < b.color {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// edfKey builds the EDF key of the color in slot i: one Pending call.
+func (t *Tracker) edfKey(v sim.View, i int) edfRank {
+	cs := &t.states[i]
+	c := t.colors[i]
+	return edfRank{idle: v.Pending(c) == 0, dd: cs.dd, delay: cs.delay, color: c, slot: int32(i)}
+}
+
+// rankEDF returns a copy of the given distinct registered colors sorted by
+// the EDF ranking at the current view state (idleness comes from the live
+// pending counts), through the keys and order edfUpdate ranks by.
+func (t *Tracker) rankEDF(v sim.View, colors []model.Color) []model.Color {
+	keys := make([]edfRank, 0, len(colors))
+	for _, c := range colors {
+		i, _ := t.slotOf(c)
+		keys = append(keys, t.edfKey(v, i))
+	}
+	slices.SortFunc(keys, cmpEDF)
+	ranked := make([]model.Color, len(keys))
+	for i, k := range keys {
+		ranked[i] = k.color
+	}
+	return ranked
 }
 
 // DelayBoundOf returns the registered delay bound of color c (0 if the
 // color is unknown).
 func (t *Tracker) DelayBoundOf(c model.Color) int64 {
-	cs := t.states[c]
+	cs := t.state(c)
 	if cs == nil {
 		return 0
 	}

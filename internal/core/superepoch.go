@@ -2,7 +2,6 @@ package core
 
 import (
 	"rrsched/internal/model"
-	"rrsched/internal/sim"
 )
 
 // SuperEpochStats summarizes the Section 3.4 accounting of one run: the
@@ -111,15 +110,16 @@ func (t *Tracker) SuperEpochs() SuperEpochStats {
 // arrival phase: at a multiple k of D_ℓ, the visible timestamp of ℓ changes
 // exactly when the last counter wrap happened in the preceding period.
 // Called before this round's wrap processing.
-func (t *Tracker) observeArrivalForSuperEpochs(v sim.View, k int64) {
+func (t *Tracker) observeArrivalForSuperEpochs(k int64) {
 	if t.super == nil {
 		return
 	}
-	for _, c := range t.order {
-		cs := t.states[c]
+	for i := range t.states {
+		cs := &t.states[i]
 		if k%cs.delay != 0 {
 			continue
 		}
+		c := t.colors[i]
 		if cs.seen {
 			t.super.touch(c)
 		}
@@ -127,5 +127,4 @@ func (t *Tracker) observeArrivalForSuperEpochs(v sim.View, k int64) {
 			t.super.onTimestampUpdate(c)
 		}
 	}
-	_ = v
 }

@@ -45,7 +45,10 @@ func Scenarios() []Scenario {
 		policyScenario("policy/dlru-edf/n512", 512, 256, 1, 6),
 		ringScenario(),
 		bucketScenario(),
-		streamPushScenario(),
+		streamPushScenario("stream/push", "streaming scheduler round loop: Push per round plus final Drain",
+			16, 8, func() ([][]model.Job, error) { return streamJobs(benchRounds), nil }),
+		streamPushScenario("stream/push/n128", "streaming scheduler round loop on one dense tenant (n=128, 96 colors, delays 4..64, load 0.6)",
+			denseDelta, 128, func() ([][]model.Job, error) { return denseStreamJobs(benchRounds) }),
 		streamCheckpointScenario(),
 		sweepScenario(),
 	}
@@ -293,15 +296,43 @@ func streamJobs(rounds int64) [][]model.Job {
 	return out
 }
 
-func streamPushScenario() Scenario {
+// denseStreamJobs builds the per-round arrivals of one dense tenant, the
+// shape the end-to-end benchmark's dense workload serves: 96 colors with
+// delay bounds 4..64, load 0.6, general (unbatched) arrivals under Δ = 4.
+// About 58 jobs arrive per round, so ΔLRU-EDF ranks a large eligible set
+// every round.
+func denseStreamJobs(rounds int64) ([][]model.Job, error) {
+	seq, err := workload.RandomGeneral(workload.RandomConfig{
+		Seed: 1, Delta: denseDelta, Colors: 96, Rounds: rounds,
+		MinDelayExp: 2, MaxDelayExp: 6, Load: 0.6,
+	})
+	if err != nil {
+		return nil, err
+	}
+	seq = seq.Canonical()
+	out := make([][]model.Job, rounds)
+	for r := range out {
+		out[r] = seq.Request(int64(r))
+	}
+	return out, nil
+}
+
+const denseDelta = 4
+
+// streamPushScenario measures the streaming scheduler's round loop: a fresh
+// scheduler, one Push per round of the given arrivals, then a final Drain.
+func streamPushScenario(name, doc string, delta int64, n int, arrivalsOf func() ([][]model.Job, error)) Scenario {
 	return Scenario{
-		Name:   "stream/push",
-		Doc:    "streaming scheduler round loop: Push per round plus final Drain",
+		Name:   name,
+		Doc:    doc,
 		Rounds: benchRounds,
 		Setup: func() (func() error, error) {
-			arrivals := streamJobs(benchRounds)
+			arrivals, err := arrivalsOf()
+			if err != nil {
+				return nil, err
+			}
 			return func() error {
-				s, err := stream.New(stream.Config{Delta: 16, Resources: 8})
+				s, err := stream.New(stream.Config{Delta: delta, Resources: n})
 				if err != nil {
 					return err
 				}

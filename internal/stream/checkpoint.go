@@ -7,7 +7,6 @@ import (
 
 	"rrsched/internal/core"
 	"rrsched/internal/model"
-	"rrsched/internal/queue"
 )
 
 // checkpoint is the JSON image of a Scheduler: every piece of outer and inner
@@ -125,13 +124,12 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 		cp.Delays = append(cp.Delays, colorDelayCP{Color: c, Delay: d})
 	}
 	sort.Slice(cp.Delays, func(i, j int) bool { return cp.Delays[i].Color < cp.Delays[j].Color })
-	for c, q := range s.pendingByColor {
-		if q.Len() == 0 {
+	for _, cq := range s.pendingOrder {
+		if cq.q.Len() == 0 {
 			continue
 		}
-		cp.Pending = append(cp.Pending, outerPendingCP{Color: c, Jobs: toJobCPs(q.Items())})
+		cp.Pending = append(cp.Pending, outerPendingCP{Color: cq.color, Jobs: toJobCPs(cq.q.Items())})
 	}
-	sort.Slice(cp.Pending, func(i, j int) bool { return cp.Pending[i].Color < cp.Pending[j].Color })
 	for r, jobs := range s.futureReleases {
 		cp.Releases = append(cp.Releases, releaseCP{Round: r, Jobs: toJobCPs(jobs)})
 	}
@@ -149,17 +147,16 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 		cp.Inner.Subcolors = append(cp.Inner.Subcolors, subcolorCP{Outer: k.outer, Bucket: k.j, Inner: ic})
 	}
 	sort.Slice(cp.Inner.Subcolors, func(i, j int) bool { return cp.Inner.Subcolors[i].Inner < cp.Inner.Subcolors[j].Inner })
-	for c, q := range st.pending {
-		if q.Len() == 0 {
-			continue
+	for c := range st.pending {
+		if q := &st.pending[c]; q.Len() > 0 {
+			cp.Inner.Pending = append(cp.Inner.Pending, innerPendingCP{Color: model.Color(c), Deadlines: q.Items()})
 		}
-		cp.Inner.Pending = append(cp.Inner.Pending, innerPendingCP{Color: c, Deadlines: q.Items()})
 	}
-	sort.Slice(cp.Inner.Pending, func(i, j int) bool { return cp.Inner.Pending[i].Color < cp.Inner.Pending[j].Color })
 	for c, locs := range st.colorLocs {
-		cp.Inner.ColorLocs = append(cp.Inner.ColorLocs, colorLocsCP{Color: c, Locs: locs})
+		if len(locs) > 0 {
+			cp.Inner.ColorLocs = append(cp.Inner.ColorLocs, colorLocsCP{Color: model.Color(c), Locs: locs})
+		}
 	}
-	sort.Slice(cp.Inner.ColorLocs, func(i, j int) bool { return cp.Inner.ColorLocs[i].Color < cp.Inner.ColorLocs[j].Color })
 
 	return json.MarshalIndent(cp, "", "  ")
 }
@@ -209,7 +206,7 @@ func Restore(data []byte) (*Scheduler, error) {
 		if _, ok := s.pendingByColor[p.Color]; ok {
 			return nil, fmt.Errorf("stream: checkpoint repeats pending color %v", p.Color)
 		}
-		q := &queue.Ring[model.Job]{}
+		q := s.queueOf(p.Color)
 		for _, j := range fromJobCPs(p.Jobs) {
 			if err := j.Validate(); err != nil {
 				return nil, fmt.Errorf("stream: checkpoint pending job: %w", err)
@@ -220,7 +217,6 @@ func Restore(data []byte) (*Scheduler, error) {
 			s.inflight[j.ID] = true
 			q.Push(j)
 		}
-		s.pendingByColor[p.Color] = q
 	}
 	for _, r := range cp.Releases {
 		if _, ok := s.futureReleases[r.Round]; ok {
@@ -232,10 +228,21 @@ func Restore(data []byte) (*Scheduler, error) {
 	st := s.inner
 	st.now = cp.Inner.Now
 	st.toOuter = append([]model.Color(nil), cp.Inner.ToOuter...)
+	// Every per-inner-color slice is sized by the inner colors the checkpoint
+	// lists, never by a color value it holds: a color at or past len(to_outer)
+	// is rejected wherever one appears.
+	nInner := len(st.toOuter)
+	st.setColors(nInner)
+	innerColor := func(c model.Color) bool { return c >= 0 && int(c) < nInner }
+	for loc, c := range cp.Inner.LocColor {
+		if c != model.Black && !innerColor(c) {
+			return nil, fmt.Errorf("stream: checkpoint inner location %d holds color %v outside the %d inner colors", loc, c, nInner)
+		}
+	}
 	copy(st.locColor, cp.Inner.LocColor)
 	st.freeLocs = append(st.freeLocs[:0], cp.Inner.FreeLocs...)
 	for _, sc := range cp.Inner.Subcolors {
-		if sc.Inner < 0 || int(sc.Inner) >= len(st.toOuter) {
+		if !innerColor(sc.Inner) {
 			return nil, fmt.Errorf("stream: checkpoint subcolor %v out of range", sc.Inner)
 		}
 		if st.toOuter[sc.Inner] != sc.Outer {
@@ -251,20 +258,29 @@ func Restore(data []byte) (*Scheduler, error) {
 	if len(st.inner) != len(st.toOuter) {
 		return nil, fmt.Errorf("stream: checkpoint has %d subcolor keys for %d inner colors", len(st.inner), len(st.toOuter))
 	}
+	seenPending := make([]bool, nInner)
 	for _, p := range cp.Inner.Pending {
-		if _, ok := st.pending[p.Color]; ok {
+		if !innerColor(p.Color) {
+			return nil, fmt.Errorf("stream: checkpoint inner pending color %v outside the %d inner colors", p.Color, nInner)
+		}
+		if seenPending[p.Color] {
 			return nil, fmt.Errorf("stream: checkpoint repeats inner pending color %v", p.Color)
 		}
-		q := &queue.Ring[int64]{}
+		seenPending[p.Color] = true
 		for _, d := range p.Deadlines {
-			q.Push(d)
+			st.pending[p.Color].Push(d)
 		}
-		st.pending[p.Color] = q
 	}
 	seenLoc := make([]bool, cp.Resources)
 	for _, cl := range cp.Inner.ColorLocs {
-		if _, ok := st.colorLocs[cl.Color]; ok {
+		if !innerColor(cl.Color) {
+			return nil, fmt.Errorf("stream: checkpoint caches color %v outside the %d inner colors", cl.Color, nInner)
+		}
+		if len(st.colorLocs[cl.Color]) > 0 {
 			return nil, fmt.Errorf("stream: checkpoint repeats cached color %v", cl.Color)
+		}
+		if len(cl.Locs) == 0 {
+			return nil, fmt.Errorf("stream: checkpoint caches color %v on no location", cl.Color)
 		}
 		for _, loc := range cl.Locs {
 			if loc < 0 || loc >= cp.Resources {
@@ -294,6 +310,11 @@ func Restore(data []byte) (*Scheduler, error) {
 	tracker, err := core.RestoreTracker(cp.Inner.Tracker)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restoring checkpoint: %w", err)
+	}
+	for _, cc := range cp.Inner.Tracker.Colors {
+		if !innerColor(cc.Color) {
+			return nil, fmt.Errorf("stream: checkpoint tracker color %v outside the %d inner colors", cc.Color, nInner)
+		}
 	}
 	st.tracker = tracker
 	for _, sc := range cp.Inner.Subcolors {

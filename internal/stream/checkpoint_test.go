@@ -226,9 +226,20 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		t.Fatalf("round-trip of a valid snapshot failed: %v", err)
 	}
 
-	corrupt := func(mutate func(map[string]any)) []byte {
+	// warm has inner colors, cached inner colors and tracker state for the
+	// inner-color cases to corrupt.
+	for r := int64(1); r < 4; r++ {
+		if _, err := s.Push(r, []model.Job{{ID: 2 * r, Color: 0, Arrival: r, Delay: 2}, {ID: 2*r + 1, Color: 1, Arrival: r, Delay: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptSnap := func(base []byte, mutate func(map[string]any)) []byte {
 		var m map[string]any
-		if err := json.Unmarshal(snap, &m); err != nil {
+		if err := json.Unmarshal(base, &m); err != nil {
 			t.Fatal(err)
 		}
 		mutate(m)
@@ -238,6 +249,8 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		}
 		return out
 	}
+	corrupt := func(mutate func(map[string]any)) []byte { return corruptSnap(snap, mutate) }
+	corruptWarm := func(mutate func(map[string]any)) []byte { return corruptSnap(warm, mutate) }
 	cases := []struct {
 		name string
 		data []byte
@@ -255,6 +268,29 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			inner := m["inner"].(map[string]any)
 			inner["tracker"] = nil
 		}), "tracker"},
+		// Inner colors index dense per-color slices: one at or past
+		// len(to_outer) is refused wherever it appears, so it can neither
+		// crash a later Push nor size an allocation.
+		{"inner location color out of range", corruptWarm(func(m map[string]any) {
+			inner := m["inner"].(map[string]any)
+			inner["loc_color"].([]any)[0] = 999.0
+		}), "inner location 0 holds color c999"},
+		{"inner pending color out of range", corruptWarm(func(m map[string]any) {
+			inner := m["inner"].(map[string]any)
+			inner["pending"] = []any{map[string]any{"color": 999.0, "deadlines": []any{3.0}}}
+		}), "inner pending color c999"},
+		{"cached color out of range", corruptWarm(func(m map[string]any) {
+			inner := m["inner"].(map[string]any)
+			inner["color_locs"].([]any)[0].(map[string]any)["color"] = 999.0
+		}), "caches color c999"},
+		{"cached color on no location", corruptWarm(func(m map[string]any) {
+			inner := m["inner"].(map[string]any)
+			inner["color_locs"].([]any)[0].(map[string]any)["locs"] = []any{}
+		}), "on no location"},
+		{"tracker color out of range", corruptWarm(func(m map[string]any) {
+			tr := m["inner"].(map[string]any)["tracker"].(map[string]any)
+			tr["colors"] = append(tr["colors"].([]any), map[string]any{"color": 2e9, "delay": 1.0, "cnt": 0.0, "deadline": 0.0, "eligible": false})
+		}), "tracker color c2000000000"},
 	}
 	for _, c := range cases {
 		if _, err := Restore(c.data); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"sort"
-
 	"rrsched/internal/core"
 	"rrsched/internal/model"
 	"rrsched/internal/queue"
@@ -14,6 +12,10 @@ import (
 // location assignment (two locations per cached inner color), and the
 // ΔLRU-EDF tracker. The outer scheduler projects the inner location colors
 // back to outer colors each round.
+//
+// Inner colors are dense (subcolor mints them as 0, 1, 2, ...), so every
+// per-color structure is a slice indexed by inner color, and the per-round
+// scratch is reused across rounds.
 type innerState struct {
 	delta int64
 	n     int
@@ -24,12 +26,20 @@ type innerState struct {
 	toOuter []model.Color
 	inner   map[subKey]model.Color
 
-	pending   map[model.Color]*queue.Ring[int64] // inner color -> deadlines
+	pending   []queue.Ring[int64] // inner color -> deadlines
 	locColor  []model.Color
-	colorLocs map[model.Color][]int
+	colorLocs [][]int // inner color -> its locations; empty when not cached
 	freeLocs  []int
 
 	now int64
+	v   innerView // the sim.View of this state, handed to the tracker
+
+	// Per-round scratch.
+	dropped  map[model.Color]int   // DropPhase argument
+	rank     map[model.Color]int64 // jobs of each outer color released so far this round
+	arrivals []model.Job           // this round's inner arrivals
+	want     []bool                // inner color -> in this round's target (place)
+	cached   []model.Color         // CachedColors result
 }
 
 type subKey struct {
@@ -39,13 +49,14 @@ type subKey struct {
 
 func newInnerState(cfg Config) *innerState {
 	st := &innerState{
-		delta:     cfg.Delta,
-		n:         cfg.Resources,
-		tracker:   core.NewDynamicTracker(cfg.Delta),
-		inner:     map[subKey]model.Color{},
-		pending:   map[model.Color]*queue.Ring[int64]{},
-		colorLocs: map[model.Color][]int{},
+		delta:   cfg.Delta,
+		n:       cfg.Resources,
+		tracker: core.NewDynamicTracker(cfg.Delta),
+		inner:   map[subKey]model.Color{},
+		dropped: map[model.Color]int{},
+		rank:    map[model.Color]int64{},
 	}
+	st.v = innerView{st: st}
 	st.locColor = make([]model.Color, cfg.Resources)
 	st.freeLocs = make([]int, cfg.Resources)
 	for i := range st.locColor {
@@ -53,6 +64,13 @@ func newInnerState(cfg Config) *innerState {
 		st.freeLocs[i] = cfg.Resources - 1 - i
 	}
 	return st
+}
+
+// setColors sizes the per-inner-color slices for k inner colors.
+func (st *innerState) setColors(k int) {
+	st.pending = make([]queue.Ring[int64], k)
+	st.colorLocs = make([][]int, k)
+	st.want = make([]bool, k)
 }
 
 // outerOf maps an inner color back to its outer color.
@@ -70,6 +88,9 @@ func (st *innerState) subcolor(outer model.Color, j, h int64) model.Color {
 	ic := model.Color(len(st.toOuter))
 	st.inner[k] = ic
 	st.toOuter = append(st.toOuter, outer)
+	st.pending = append(st.pending, queue.Ring[int64]{})
+	st.colorLocs = append(st.colorLocs, nil)
+	st.want = append(st.want, false)
 	st.tracker.Register(ic, h)
 	return ic
 }
@@ -82,11 +103,13 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 	st.now = r
 
 	// Drop phase.
-	dropped := map[model.Color]int{}
-	for ic, q := range st.pending {
+	dropped := st.dropped
+	clear(dropped)
+	for ic := range st.pending {
+		q := &st.pending[ic]
 		for q.Len() > 0 && q.Peek() <= r {
 			q.Pop()
-			dropped[ic]++
+			dropped[model.Color(ic)]++
 		}
 	}
 	st.tracker.DropPhase(st.view(), dropped)
@@ -97,20 +120,27 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 	// appearance — exactly the order reduce.DistributeSequence uses, so the
 	// streaming inner instance is identical to the batch pipeline's,
 	// including the "consistent order of colors" tie-breaks.
-	var arrivals []model.Job
-	rank := map[model.Color]int64{}
-	for _, j := range released {
-		h := reduce.BatchedDelay(j.Delay)
-		ic := st.subcolor(j.Color, rank[j.Color]/h, h)
-		rank[j.Color]++
-		q := st.pending[ic]
-		if q == nil {
-			q = &queue.Ring[int64]{}
-			st.pending[ic] = q
+	// A run of same-colored jobs (one color has one delay bound) shares h
+	// and its rank counter, and looks a subcolor up once per bucket.
+	arrivals := st.arrivals[:0]
+	rank := st.rank
+	clear(rank)
+	for i := 0; i < len(released); {
+		outer := released[i].Color
+		h := reduce.BatchedDelay(released[i].Delay)
+		n := rank[outer]
+		ic, bucket := model.Black, int64(-1)
+		for ; i < len(released) && released[i].Color == outer; i++ {
+			if b := n / h; b != bucket {
+				ic, bucket = st.subcolor(outer, b, h), b
+			}
+			n++
+			st.pending[ic].Push(r + h)
+			arrivals = append(arrivals, model.Job{Color: ic, Arrival: r, Delay: h})
 		}
-		q.Push(r + h)
-		arrivals = append(arrivals, model.Job{Color: ic, Arrival: r, Delay: h})
+		rank[outer] = n
 	}
+	st.arrivals = arrivals
 	st.tracker.ArrivalPhase(st.view(), arrivals)
 
 	// Reconfiguration phase: ΔLRU-EDF target, then minimal placement.
@@ -124,8 +154,7 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 		if c == model.Black {
 			continue
 		}
-		q := st.pending[c]
-		if q != nil && q.Len() > 0 {
+		if q := &st.pending[c]; q.Len() > 0 {
 			q.Pop()
 		}
 	}
@@ -134,28 +163,23 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 
 // place realizes the target inner color set with two locations per color,
 // mirroring the batch engine's placement (evict in color order, reuse
-// still-colored free locations).
+// still-colored free locations). target must hold distinct colors.
 func (st *innerState) place(target []model.Color) {
-	want := map[model.Color]bool{}
 	for _, c := range target {
-		want[c] = true
+		st.want[c] = true
 	}
-	var evicted []model.Color
-	for c := range st.colorLocs {
-		if !want[c] {
-			evicted = append(evicted, c)
+	for c, locs := range st.colorLocs {
+		if len(locs) > 0 && !st.want[c] {
+			st.freeLocs = append(st.freeLocs, locs...)
+			st.colorLocs[c] = locs[:0]
 		}
 	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
-	for _, c := range evicted {
-		st.freeLocs = append(st.freeLocs, st.colorLocs[c]...)
-		delete(st.colorLocs, c)
-	}
 	for _, c := range target {
-		if _, ok := st.colorLocs[c]; ok {
+		st.want[c] = false
+		if len(st.colorLocs[c]) > 0 {
 			continue
 		}
-		locs := make([]int, 0, 2)
+		locs := st.colorLocs[c][:0]
 		for i := 0; i < 2; i++ {
 			loc := st.takeFree(c)
 			st.locColor[loc] = c
@@ -181,7 +205,7 @@ func (st *innerState) takeFree(c model.Color) int {
 }
 
 // view adapts innerState to sim.View for the tracker and target computation.
-func (st *innerState) view() *innerView { return &innerView{st: st} }
+func (st *innerState) view() *innerView { return &st.v }
 
 type innerView struct{ st *innerState }
 
@@ -191,22 +215,25 @@ func (v *innerView) Resources() int { return v.st.n }
 func (v *innerView) Slots() int     { return v.st.n / 2 }
 func (v *innerView) Delta() int64   { return v.st.delta }
 func (v *innerView) Pending(c model.Color) int {
-	q := v.st.pending[c]
-	if q == nil {
+	if c < 0 || int(c) >= len(v.st.pending) {
 		return 0
 	}
-	return q.Len()
+	return v.st.pending[c].Len()
 }
 func (v *innerView) Cached(c model.Color) bool {
-	_, ok := v.st.colorLocs[c]
-	return ok
+	return c >= 0 && int(c) < len(v.st.colorLocs) && len(v.st.colorLocs[c]) > 0
 }
+
+// CachedColors returns the cached inner colors in ascending order. The slice
+// is reused: it is valid until the next call.
 func (v *innerView) CachedColors() []model.Color {
-	out := make([]model.Color, 0, len(v.st.colorLocs))
-	for c := range v.st.colorLocs {
-		out = append(out, c)
+	out := v.st.cached[:0]
+	for c, locs := range v.st.colorLocs {
+		if len(locs) > 0 {
+			out = append(out, model.Color(c))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	v.st.cached = out
 	return out
 }
 func (v *innerView) DelayBound(c model.Color) int64 {

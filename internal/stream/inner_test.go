@@ -72,6 +72,7 @@ func TestInnerRoundBookkeeping(t *testing.T) {
 
 func TestInnerPlacePrefersSameColor(t *testing.T) {
 	st := newInnerState(Config{Delta: 2, Resources: 4})
+	st.subcolor(0, 0, 2) // place takes minted inner colors
 	st.place([]model.Color{0})
 	locsBefore := append([]int(nil), st.colorLocs[0]...)
 	st.place([]model.Color{})  // evict

@@ -19,8 +19,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rrsched/internal/model"
 	"rrsched/internal/queue"
@@ -57,6 +58,7 @@ type Scheduler struct {
 
 	// Outer state.
 	pendingByColor map[model.Color]*queue.Ring[model.Job] // outer pending jobs (released or not — execution eligibility checked per job)
+	pendingOrder   []colorQueue                           // the entries of pendingByColor in ascending color order
 	delays         map[model.Color]int64                  // outer delay bounds
 	futureReleases map[int64][]model.Job                  // VarBatch-delayed jobs by release round
 	locColor       []model.Color                          // physical colors
@@ -69,6 +71,18 @@ type Scheduler struct {
 	pushedJobs   int
 	maxScheduled int64          // highest job ID accepted so far (-1 before the first)
 	inflight     map[int64]bool // IDs of accepted jobs not yet executed or dropped
+
+	// Scratch reused across rounds.
+	batchSeen map[int64]bool      // IDs of the batch being validated
+	recs      []model.Reconfigure // this round's reconfigurations, before the caller's copy
+	execs     []model.Execution   // this round's executions, before the caller's copy
+	drops     []int64             // this round's dropped IDs, before the caller's copy
+}
+
+// colorQueue is one outer color's pending queue.
+type colorQueue struct {
+	color model.Color
+	q     *queue.Ring[model.Job]
 }
 
 // New returns a streaming scheduler.
@@ -88,6 +102,7 @@ func New(cfg Config) (*Scheduler, error) {
 		inner:          newInnerState(cfg),
 		maxScheduled:   -1,
 		inflight:       map[int64]bool{},
+		batchSeen:      map[int64]bool{},
 	}
 	for i := range s.locColor {
 		s.locColor[i] = model.Black
@@ -117,7 +132,8 @@ func (s *Scheduler) Push(r int64, jobs []model.Job) (Decision, error) {
 	if r < s.round {
 		return Decision{}, fmt.Errorf("stream: round %d already processed (next is %d)", r, s.round)
 	}
-	batchSeen := make(map[int64]bool, len(jobs))
+	batchSeen := s.batchSeen
+	clear(batchSeen)
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return Decision{}, err
@@ -175,32 +191,25 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 	// Outer drop phase: drop jobs whose deadline is r. Colors are visited in
 	// ascending order so the decision trace is deterministic (and therefore
 	// reproducible across checkpoint/restore).
-	dropColors := make([]model.Color, 0, len(s.pendingByColor))
-	for c := range s.pendingByColor {
-		dropColors = append(dropColors, c)
-	}
-	sort.Slice(dropColors, func(i, j int) bool { return dropColors[i] < dropColors[j] })
-	for _, c := range dropColors {
-		q := s.pendingByColor[c]
+	drops := s.drops[:0]
+	for _, cq := range s.pendingOrder {
+		q := cq.q
 		for q.Len() > 0 && q.Peek().Deadline() <= r {
 			j := q.Pop()
 			delete(s.inflight, j.ID)
-			dec.Dropped = append(dec.Dropped, j.ID)
+			drops = append(drops, j.ID)
 			s.dropped++
 			s.cost.Drop++
 		}
 	}
+	s.drops = drops
+	dec.Dropped = owned(drops)
 
 	// Outer arrival phase: admit jobs, register delay bounds, and schedule
 	// their VarBatch releases.
 	for _, j := range arrivals {
 		s.delays[j.Color] = j.Delay
-		q := s.pendingByColor[j.Color]
-		if q == nil {
-			q = &queue.Ring[model.Job]{}
-			s.pendingByColor[j.Color] = q
-		}
-		q.Push(j)
+		s.queueOf(j.Color).Push(j)
 		s.inflight[j.ID] = true
 		if j.ID > s.maxScheduled {
 			s.maxScheduled = j.ID
@@ -231,6 +240,7 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 	// uses the job's ORIGINAL window [arrival, deadline): the VarBatch delay
 	// constrains only the inner bookkeeping, and executing an already
 	// arrived job early is always legal and never worse.
+	execs := s.execs[:0]
 	for loc := 0; loc < s.cfg.Resources; loc++ {
 		c := s.locColor[loc]
 		if c == model.Black {
@@ -242,10 +252,34 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 		}
 		j := q.Pop()
 		delete(s.inflight, j.ID)
-		dec.Executions = append(dec.Executions, model.Execution{Round: r, Resource: loc, JobID: j.ID})
+		execs = append(execs, model.Execution{Round: r, Resource: loc, JobID: j.ID})
 		s.executed++
 	}
+	s.execs = execs
+	dec.Executions = owned(execs)
 	return dec, nil
+}
+
+// queueOf returns the pending queue of outer color c, creating it (and its
+// place in pendingOrder) on first use.
+func (s *Scheduler) queueOf(c model.Color) *queue.Ring[model.Job] {
+	if q := s.pendingByColor[c]; q != nil {
+		return q
+	}
+	q := &queue.Ring[model.Job]{}
+	s.pendingByColor[c] = q
+	i, _ := slices.BinarySearchFunc(s.pendingOrder, c, func(cq colorQueue, c model.Color) int { return cmp.Compare(cq.color, c) })
+	s.pendingOrder = slices.Insert(s.pendingOrder, i, colorQueue{color: c, q: q})
+	return q
+}
+
+// owned returns a copy of a round's scratch for the Decision the caller
+// keeps: one exact-size allocation, and nil when the round had none.
+func owned[T any](scratch []T) []T {
+	if len(scratch) == 0 {
+		return nil
+	}
+	return slices.Clone(scratch)
 }
 
 // releaseRound is the VarBatch release round of a job: the start of the
@@ -263,7 +297,7 @@ func releaseRound(j model.Job) int64 {
 // location unchanged (the physical resource keeps its color, as in the
 // paper's model).
 func (s *Scheduler) project(r int64) []model.Reconfigure {
-	var recs []model.Reconfigure
+	recs := s.recs[:0]
 	for loc := 0; loc < s.cfg.Resources; loc++ {
 		ic := s.inner.locColor[loc]
 		if ic == model.Black {
@@ -277,5 +311,6 @@ func (s *Scheduler) project(r int64) []model.Reconfigure {
 		recs = append(recs, model.Reconfigure{Round: r, Resource: loc, To: want})
 		s.cost.Reconfig += s.cfg.Delta
 	}
-	return recs
+	s.recs = recs
+	return owned(recs)
 }
