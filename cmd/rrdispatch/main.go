@@ -11,8 +11,9 @@
 //	rrdispatch -addr 127.0.0.1:0 -heartbeat 250ms -miss-budget 3 -state ./cpdir
 //
 // The dispatcher itself is restartable: with -state, accepted checkpoints are
-// persisted per shard and a restarted dispatcher regrants from them; workers
-// re-register automatically when their heartbeats start answering 404.
+// persisted per shard (one binary file each, rrdispatch-state/v2) and a
+// restarted dispatcher regrants from them; workers re-register automatically
+// when their heartbeats start answering 404.
 package main
 
 import (
@@ -61,7 +62,6 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		delta      = fs.Int64("delta", 4, "reconfiguration cost Δ")
 		watermark  = fs.Int("watermark", 1<<16, "per-shard backlog watermark: batches beyond it get 429")
 		record     = fs.Bool("record-decisions", false, "workers keep per-tenant decision streams (and carry them through failovers)")
-		bundles    = fs.Bool("checkpoint-bundles", false, "workers push incremental checkpoint bundles (manifest + changed chunks) instead of full state")
 		heartbeat  = fs.Duration("heartbeat", time.Second, "worker heartbeat interval")
 		missBudget = fs.Int("miss-budget", 3, "heartbeat intervals a worker may miss before its shards fail over")
 		state      = fs.String("state", "", "state dir for checkpoint durability across dispatcher restarts; empty keeps checkpoints in memory only")
@@ -76,12 +76,11 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 
 	d, err := dispatch.New(dispatch.Config{
 		Service: dispatch.ServiceConfig{
-			Shards:            *shards,
-			Resources:         *n,
-			Delta:             *delta,
-			Watermark:         *watermark,
-			RecordDecisions:   *record,
-			CheckpointBundles: *bundles,
+			Shards:          *shards,
+			Resources:       *n,
+			Delta:           *delta,
+			Watermark:       *watermark,
+			RecordDecisions: *record,
 		},
 		HeartbeatEvery: *heartbeat,
 		MissBudget:     *missBudget,

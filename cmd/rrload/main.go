@@ -11,9 +11,9 @@
 //	rrload -addr http://127.0.0.1:8080 -wire binary -min-rate 400000
 //	rrload -addr http://127.0.0.1:8080 -sparse 100000 -rounds 64 -out stats.json
 //
-// -wire selects the submit codec: auto (default) negotiates the rrserve/v2
-// binary framing and falls back to JSON against older servers, json and
-// binary pin one format for A/B throughput comparisons.
+// -wire selects the submit codec: binary (default) speaks the rrserve/v2
+// framing, json the rrserve/v1 debugging format — the pair the CI wire A/B
+// compares.
 //
 // In virtual-time mode (the default, -tick=true) rrload owns the clock: each
 // round it submits every tenant's arrivals concurrently, then advances the
@@ -139,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		quick    = fs.Bool("quick", false, "small preset for smoke runs (-tenants 4 -rounds 48 -colors 6)")
 		out      = fs.String("out", "", "write the final /v1/stats JSON to this file")
 		minRate  = fs.Float64("min-rate", 0, "fail unless sustained accepted-jobs/s meets this rate (0 disables)")
-		wireFlag = fs.String("wire", "auto", "wire format: auto (binary with JSON fallback), json, or binary")
+		wireFlag = fs.String("wire", "binary", "wire format: json or binary")
 		reshardF = fs.String("reshard", "", "ROUND:SHARDS — issue one live reshard to SHARDS at the ROUND boundary mid-run (works in both server and -dispatcher modes)")
 		classesF = fs.String("classes", "", "comma list of QoS class names; tenants cycle across them and stamp every submit (server must be booted with matching -classes)")
 		sparseN  = fs.Int("sparse", 0, "high-cardinality paging scenario: this many one-burst tenants instead of the generated streams (pair with a server booted with -state and -evict-after; 0 disables)")

@@ -6,12 +6,11 @@ import (
 	"sort"
 )
 
-// A bundle is the dispatcher-wire form of an incremental checkpoint: the
-// shard's manifest plus whichever chunks the receiver has not acknowledged
-// yet. It replaces pushing the full flattened shard state each checkpoint —
-// a steady-state push carries only the dirty tenants' delta chunks and a
-// small manifest. The bundle magic is distinct from '{', so a receiver can
-// sniff a push body and fall back to the legacy JSON checkpoint unchanged.
+// A bundle is the hosted tier's checkpoint: a shard's manifest plus chunks.
+// A push carries only the chunks the receiver has not acknowledged yet — a
+// steady-state push is the dirty tenants' delta chunks and a small manifest —
+// while a handoff or a stored checkpoint carries every chunk its manifest
+// needs.
 
 // bundleMagic opens every encoded bundle.
 const bundleMagic = "rrcb"
@@ -29,12 +28,6 @@ const maxBundleChunks = 1 << 24
 type Bundle struct {
 	Manifest []byte            // encoded manifest (not yet validated)
 	Chunks   map[uint64][]byte // encoded chunks by content address, all verified
-}
-
-// IsBundle reports whether data starts like an encoded bundle. It reads only
-// the magic, so it is safe to call on arbitrary push bodies.
-func IsBundle(data []byte) bool {
-	return len(data) >= len(bundleMagic)+1 && string(data[:len(bundleMagic)]) == bundleMagic
 }
 
 // EncodeBundle serializes a manifest and a set of encoded chunks. Chunks are
@@ -80,7 +73,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	if len(data) > MaxBundleLen {
 		return nil, fmt.Errorf("ckptstore: bundle of %d bytes exceeds the %d-byte bound", len(data), MaxBundleLen)
 	}
-	if !IsBundle(data) {
+	if len(data) < len(bundleMagic)+1 || string(data[:len(bundleMagic)]) != bundleMagic {
 		return nil, fmt.Errorf("ckptstore: not a bundle (bad magic)")
 	}
 	if v := data[len(bundleMagic)]; v != bundleVersion {

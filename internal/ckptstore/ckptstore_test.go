@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -448,11 +449,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBundle(enc) {
-		t.Fatal("encoded bundle fails the sniff")
-	}
-	if IsBundle(manifest) {
-		t.Fatal("JSON sniffs as a bundle")
+	if _, err := DecodeBundle(manifest); err == nil || !strings.Contains(err.Error(), "not a bundle") {
+		t.Fatalf("JSON decoded as a bundle: %v", err)
 	}
 	b, err := DecodeBundle(enc)
 	if err != nil {
@@ -516,5 +514,18 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 	}
 	if err := m.Add(id, enc); err != nil {
 		t.Fatal(err)
+	}
+	// A clone shares chunks but not the index: pruning or adding on one side
+	// leaves the other as it was.
+	c := m.Clone()
+	c.Prune(map[uint64]bool{})
+	if c.Len() != 0 || m.Len() != 2 {
+		t.Fatalf("after pruning the clone: clone %d chunks, original %d, want 0 and 2", c.Len(), m.Len())
+	}
+	if err := c.Add(id, enc); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(id); !ok || string(got) != string(enc) {
+		t.Fatal("clone lost an added chunk")
 	}
 }

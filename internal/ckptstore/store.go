@@ -162,8 +162,8 @@ func (s *Store) Resolve(id uint64) ([]byte, int, error) {
 }
 
 // resolveFrom walks a chunk's delta chain through an arbitrary fetcher,
-// applying deltas child-last. Shared by the disk store, the in-memory pool,
-// and bundle flattening.
+// applying deltas child-last. Shared by the disk store and the in-memory
+// pool.
 func resolveFrom(get func(uint64) ([]byte, error), id uint64) ([]byte, int, error) {
 	// Collect the chain root-last, bounded against parent cycles.
 	var chain []*Chunk
@@ -297,10 +297,11 @@ func (s *Store) List() ([]uint64, error) {
 }
 
 // MemStore is the in-memory chunk pool of the hosted tier: the worker side
-// accumulates cut chunks in one, and the dispatcher merges pushed bundle
-// chunks into another before flattening. Same addressing and chain rules as
-// the disk store, no durability. Not safe for concurrent use; both owners
-// already serialize access (the shard goroutine, the dispatcher mutex).
+// accumulates cut chunks in one, and the dispatcher keeps pushed bundle
+// chunks in another so the next push's deltas resolve. Same addressing and
+// chain rules as the disk store, no durability. Not safe for concurrent use;
+// both owners already serialize access (the shard goroutine, the dispatcher
+// mutex).
 type MemStore struct {
 	chunks   map[uint64][]byte
 	maxChain int
@@ -313,6 +314,17 @@ func NewMemStore(maxChain int) *MemStore {
 		maxChain = DefaultMaxChain
 	}
 	return &MemStore{chunks: map[uint64][]byte{}, maxChain: maxChain}
+}
+
+// Clone returns a pool holding the same chunks. Chunk bytes are immutable
+// and shared; only the index is copied, so a receiver can stage a bundle's
+// chunks in the clone and keep the original if the bundle is rejected.
+func (m *MemStore) Clone() *MemStore {
+	c := &MemStore{chunks: make(map[uint64][]byte, len(m.chunks)), maxChain: m.maxChain}
+	for id, data := range m.chunks {
+		c.chunks[id] = data
+	}
+	return c
 }
 
 // Len returns the number of pooled chunks.

@@ -2,29 +2,24 @@ package dispatch
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-
-	"rrsched/internal/serve"
 )
 
-// TestCheckpointPushBinaryRoundTrip holds the binary checkpoint codec to the
-// JSON one: both round-trip the same push to the same value, and the binary
-// decoder runs the same validation.
+// TestCheckpointPushBinaryRoundTrip pins the checkpoint push codec: a push
+// round-trips through its binary frame to the same value, the decoded data
+// does not alias the frame, and the encoder refuses what the decoder would.
 func TestCheckpointPushBinaryRoundTrip(t *testing.T) {
-	cp := &CheckpointPush{Schema: WireSchema, Worker: "w1", Shard: 1, Epoch: 2, Round: 9,
-		Final: true, Data: json.RawMessage(`{"round":9}`)}
-	frame, err := EncodeCheckpointPushBinary(cp)
+	cp := &CheckpointPush{Worker: "w1", Shard: 1, Epoch: 2, Round: 9,
+		Final: true, Data: testBundle(t, 1, 2, 9, "alpha")}
+	frame, err := EncodeCheckpointPush(cp)
 	if err != nil {
-		t.Fatalf("EncodeCheckpointPushBinary: %v", err)
+		t.Fatalf("EncodeCheckpointPush: %v", err)
 	}
-	got, err := DecodeCheckpointPushBinary(frame)
+	got, err := DecodeCheckpointPush(frame)
 	if err != nil {
-		t.Fatalf("DecodeCheckpointPushBinary: %v", err)
+		t.Fatalf("DecodeCheckpointPush: %v", err)
 	}
 	if got.Worker != cp.Worker || got.Shard != cp.Shard || got.Epoch != cp.Epoch ||
 		got.Round != cp.Round || !got.Final || !bytes.Equal(got.Data, cp.Data) {
@@ -36,18 +31,20 @@ func TestCheckpointPushBinaryRoundTrip(t *testing.T) {
 		t.Fatal("decoded checkpoint data aliases the input frame")
 	}
 
-	// Validation parity with the JSON decoder.
 	bad := []*CheckpointPush{
-		{Schema: WireSchema, Worker: "w", Shard: MaxShards, Epoch: 1, Round: 0, Data: json.RawMessage(`{}`)},
-		{Schema: WireSchema, Worker: "w", Shard: 0, Epoch: -1, Round: 0, Data: json.RawMessage(`{}`)},
+		{Worker: "w", Shard: MaxShards, Epoch: 1, Round: 0, Data: []byte("x")},
+		{Worker: "w", Shard: 0, Epoch: -1, Round: 0, Data: []byte("x")},
+		{Worker: "w", Shard: 0, Epoch: 1, Round: -1, Data: []byte("x")},
+		{Worker: "", Shard: 0, Epoch: 1, Round: 0, Data: []byte("x")},
+		{Worker: "w", Shard: 0, Epoch: 1, Round: 0},
 	}
 	for _, cp := range bad {
-		if _, err := EncodeCheckpointPushBinary(cp); err == nil {
-			t.Errorf("binary encoder accepted invalid push %+v", cp)
+		if _, err := EncodeCheckpointPush(cp); err == nil {
+			t.Errorf("encoder accepted invalid push %+v", cp)
 		}
 	}
-	if _, err := DecodeCheckpointPushBinary([]byte("not a frame")); err == nil {
-		t.Error("binary decoder accepted garbage")
+	if _, err := DecodeCheckpointPush([]byte("not a frame")); err == nil {
+		t.Error("decoder accepted garbage")
 	}
 }
 
@@ -74,10 +71,10 @@ func registerAndLease(t *testing.T, c *Client, worker string) []LeaseInfo {
 	return nil
 }
 
-// TestCheckpointPushBinaryHTTP pushes a checkpoint through the real HTTP
-// stack with the default (auto) client: the push travels as a binary frame,
-// lands, and a stale-epoch binary push is fenced with the same 409 the JSON
-// path gets — without triggering the JSON fallback.
+// TestCheckpointPushBinaryHTTP pushes a checkpoint bundle through the real
+// HTTP stack: the push travels as a binary frame and lands, a stale-epoch
+// push is fenced with 409, and the landed bundle comes back in the next
+// grant of the shard.
 func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	d, _ := newTestDispatcher(t, testConfig())
 	srv := httptest.NewServer(d.Handler())
@@ -86,23 +83,16 @@ func TestCheckpointPushBinaryHTTP(t *testing.T) {
 
 	held := registerAndLease(t, c, "w1")
 	lease := held[0]
+	bundle := testBundle(t, lease.Shard, 4, 1, "alpha")
 	if err := c.PushCheckpoint(&CheckpointPush{
-		Schema: WireSchema, Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch,
-		Round: 1, Data: json.RawMessage(`{"round":1}`),
+		Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch, Round: 1, Data: bundle,
 	}); err != nil {
-		t.Fatalf("binary checkpoint push: %v", err)
-	}
-	if c.jsonLatched.Load() {
-		t.Fatal("auto client latched to JSON against a binary-capable dispatcher")
+		t.Fatalf("checkpoint push: %v", err)
 	}
 	if err := c.PushCheckpoint(&CheckpointPush{
-		Schema: WireSchema, Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch - 1,
-		Round: 2, Data: json.RawMessage(`{"round":2}`),
+		Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch - 1, Round: 2, Data: testBundle(t, lease.Shard, 4, 2),
 	}); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale binary push err=%v, want ErrStale", err)
-	}
-	if c.jsonLatched.Load() {
-		t.Fatal("a 409 fence latched the client to JSON (only decode rejects may)")
+		t.Fatalf("stale push err=%v, want ErrStale", err)
 	}
 	// The landed push is visible in the placement table's round.
 	p, err := c.Placement()
@@ -112,53 +102,26 @@ func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	if p.Shards[lease.Shard].Round != 1 {
 		t.Fatalf("shard %d stored round %d, want 1", lease.Shard, p.Shards[lease.Shard].Round)
 	}
-}
-
-// TestCheckpointPushFallsBackOnJSONOnlyDispatcher: against a dispatcher that
-// predates the binary frame (emulated by re-labeling frames as JSON so they
-// hit the JSON decoder, exactly as an old build would), the auto client
-// latches and resends as JSON — the checkpoint lands exactly once.
-func TestCheckpointPushFallsBackOnJSONOnlyDispatcher(t *testing.T) {
-	d, _ := newTestDispatcher(t, testConfig())
-	var binarySeen atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if serve.IsBinaryContent(r.Header.Get("Content-Type")) {
-			binarySeen.Add(1)
-			r.Header.Set("Content-Type", "application/json")
-		}
-		d.Handler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	held := registerAndLease(t, c, "w1")
-	lease := held[0]
-	push := func(round int64) error {
-		return c.PushCheckpoint(&CheckpointPush{
-			Schema: WireSchema, Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch,
-			Round: round, Data: json.RawMessage(`{"round":1}`),
-		})
+	// A restarted worker gets every shard regranted; the pushed shard's grant
+	// carries the stored bundle (already folded, so byte-identical) through
+	// the JSON heartbeat.
+	if _, err := c.Register("w1", "http://127.0.0.1:1"); err != nil {
+		t.Fatalf("re-register: %v", err)
 	}
-	if err := push(1); err != nil {
-		t.Fatalf("push through fallback: %v", err)
-	}
-	if !c.jsonLatched.Load() {
-		t.Fatal("client did not latch to JSON")
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("old dispatcher saw %d binary frames, want exactly 1", n)
-	}
-	if err := push(2); err != nil {
-		t.Fatalf("post-latch push: %v", err)
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("latched client sent another binary frame (%d total)", n)
-	}
-	p, err := c.Placement()
+	resp, err := c.Heartbeat(&HeartbeatRequest{Schema: WireSchema, Worker: "w1"}, 0)
 	if err != nil {
-		t.Fatalf("placement: %v", err)
+		t.Fatalf("heartbeat: %v", err)
 	}
-	if p.Shards[lease.Shard].Round != 2 {
-		t.Fatalf("shard %d stored round %d, want 2", lease.Shard, p.Shards[lease.Shard].Round)
+	found := false
+	for _, g := range resp.Grants {
+		if g.Shard == lease.Shard {
+			found = true
+			if g.Round != 1 || !bytes.Equal(g.Checkpoint, bundle) {
+				t.Fatalf("regrant of shard %d: round %d, checkpoint %d bytes; want round 1 and the pushed bundle", g.Shard, g.Round, len(g.Checkpoint))
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("shard %d not regranted: %+v", lease.Shard, resp)
 	}
 }

@@ -3,61 +3,21 @@ package dispatch
 import (
 	"encoding/json"
 	"io"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"rrsched/internal/ckptstore"
 )
 
-// startBundleFleet mirrors startFleet with incremental checkpoint bundles on:
-// workers push ckptstore bundles per tick and the dispatcher flattens them
-// into its lease table.
-func startBundleFleet(t *testing.T) (*Dispatcher, *Worker, *Worker, *Driver, string) {
-	t.Helper()
-	d, err := New(Config{
-		Service: ServiceConfig{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
-			RecordDecisions: true, CheckpointBundles: true},
-		HeartbeatEvery: 50 * time.Millisecond,
-		MissBudget:     2,
-	})
-	if err != nil {
-		t.Fatalf("New dispatcher: %v", err)
-	}
-	t.Cleanup(d.Close)
-	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(srv.Close)
-
-	w1, err := StartWorker("w1", srv.URL, "127.0.0.1:0", io.Discard)
-	if err != nil {
-		t.Fatalf("StartWorker w1: %v", err)
-	}
-	t.Cleanup(w1.Kill)
-	w2, err := StartWorker("w2", srv.URL, "127.0.0.1:0", io.Discard)
-	if err != nil {
-		t.Fatalf("StartWorker w2: %v", err)
-	}
-	t.Cleanup(w2.Kill)
-
-	waitAssigned(t, d, 4)
-
-	driver, err := NewDriver(srv.URL, DriverConfig{Attempts: 400, RetryEvery: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
-	return d, w1, w2, driver, srv.URL
-}
-
 // TestBundleFailoverPreservesDecisionStreams re-runs the fleet failover
-// property with incremental checkpoint bundles enabled: a worker dies right
-// after landing a round's admissions, its shards regrant from the flattened
-// bundle state, and every tenant's final decision stream is still
-// byte-identical to a bare scheduler. Afterwards the lease table must show
-// the bundle path actually engaged — every shard's chunk pool absorbed
-// pushes, and every stored checkpoint is flat legacy JSON, never a raw
-// bundle.
+// property with an eye on the checkpoint store: a worker dies right after
+// landing a round's admissions, its shards regrant from the stored bundles,
+// and every tenant's final decision stream is still byte-identical to a bare
+// scheduler. Afterwards the lease table must show the bundle path engaged —
+// every shard's chunk pool kept the last push's closure, and every stored
+// checkpoint is a folded bundle: one full chunk per tenant.
 func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
-	d, w1, _, driver, baseURL := startBundleFleet(t)
+	d, w1, _, driver, baseURL := startFleet(t)
 	svc := d.cfg.Service
 	tenants := failoverFixture(t, 77)
 
@@ -90,19 +50,31 @@ func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 	defer d.mu.Unlock()
 	for i := range d.leases {
 		l := &d.leases[i]
-		if l.pool == nil {
-			t.Errorf("shard %d: lease never absorbed a checkpoint bundle", i)
+		if l.pool == nil || l.pool.Len() == 0 {
+			t.Errorf("shard %d: lease pool holds no chunks", i)
+		}
+		b, err := ckptstore.DecodeBundle(l.checkpoint)
+		if err != nil {
+			t.Errorf("shard %d: stored checkpoint is not a bundle: %v", i, err)
 			continue
 		}
-		if len(l.checkpoint) == 0 {
-			t.Errorf("shard %d: no checkpoint stored", i)
+		m, err := ckptstore.DecodeManifest(b.Manifest)
+		if err != nil {
+			t.Errorf("shard %d: stored manifest: %v", i, err)
 			continue
 		}
-		if ckptstore.IsBundle(l.checkpoint) {
-			t.Errorf("shard %d: stored checkpoint is a raw bundle, want flattened JSON", i)
+		if m.Round != l.round || len(b.Chunks) != len(m.Tenants) {
+			t.Errorf("shard %d: stored bundle at round %d with %d chunks for %d tenants, lease round %d",
+				i, m.Round, len(b.Chunks), len(m.Tenants), l.round)
 		}
-		if !json.Valid(l.checkpoint) {
-			t.Errorf("shard %d: flattened checkpoint is not valid JSON: %.120s", i, l.checkpoint)
+		for _, ref := range m.Tenants {
+			id, err := ref.ChunkID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, err := ckptstore.DecodeChunk(b.Chunks[id]); err != nil || c.Kind != ckptstore.KindFull || ref.Chain != 0 {
+				t.Errorf("shard %d tenant %s: stored chunk is not folded (err %v)", i, ref.Name, err)
+			}
 		}
 	}
 }
@@ -114,16 +86,15 @@ func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 // heals the shard.
 func TestBundlePushRejectionKeepsLastGood(t *testing.T) {
 	d, err := New(Config{
-		Service: ServiceConfig{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 16,
-			RecordDecisions: true, CheckpointBundles: true},
-		HeartbeatEvery: time.Hour, // no live workers; exercise pushCheckpoint directly
+		Service:        ServiceConfig{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true},
+		HeartbeatEvery: time.Hour, // no live workers; exercise storeCheckpoint directly
 	})
 	if err != nil {
 		t.Fatalf("New dispatcher: %v", err)
 	}
 	defer d.Close()
 
-	// Build two bundles over the same tenant frame: one carrying its full
+	// Build two bundles over the same tenant chunk: one carrying its full
 	// chunk closure, one referencing the chunk without carrying it (what a
 	// sender whose acks outlived a receiver restart would push).
 	full := makeBundle(t, true)
@@ -134,71 +105,98 @@ func TestBundlePushRejectionKeepsLastGood(t *testing.T) {
 	d.mu.Unlock()
 
 	// An orphan bundle against an empty pool must be rejected and leave no
-	// trace: no checkpoint stored.
-	push := func(round int64, data []byte) error {
-		return d.storeCheckpoint(&CheckpointPush{
-			Schema: WireSchema, Worker: "w1", Shard: 0, Epoch: 0, Round: round, Data: data,
-		})
+	// trace: no checkpoint stored, no pool.
+	push := func(data []byte) error {
+		return d.storeCheckpoint(&CheckpointPush{Worker: "w1", Shard: 0, Epoch: 0, Round: 3, Data: data})
 	}
-	if err := push(3, orphan); err == nil {
+	if err := push(orphan); err == nil {
 		t.Fatal("orphan bundle accepted against an empty pool")
 	}
 	d.mu.Lock()
-	if d.leases[0].checkpoint != nil {
-		t.Fatalf("rejected push stored a checkpoint: %.120s", d.leases[0].checkpoint)
+	if d.leases[0].checkpoint != nil || d.leases[0].pool != nil {
+		t.Fatalf("rejected push stored a checkpoint or a pool: %.120q", d.leases[0].checkpoint)
 	}
 	d.mu.Unlock()
 
 	// The full closure heals the shard; the orphan reference then resolves
-	// from the pool the first push populated.
-	if err := push(3, full); err != nil {
+	// from the pool the first push left.
+	if err := push(full); err != nil {
 		t.Fatalf("full-closure push rejected: %v", err)
 	}
 	d.mu.Lock()
-	cp := append([]byte(nil), d.leases[0].checkpoint...)
+	stored := d.leases[0].checkpoint
 	d.mu.Unlock()
-	if len(cp) == 0 || ckptstore.IsBundle(cp) || !json.Valid(cp) {
-		t.Fatalf("stored checkpoint after full push is not flat JSON: %.120s", cp)
+	if _, err := ckptstore.DecodeBundle(stored); err != nil {
+		t.Fatalf("stored checkpoint after full push is not a bundle: %v", err)
 	}
-	if err := push(4, orphan); err != nil {
+	if err := push(orphan); err != nil {
 		t.Fatalf("orphan push after full closure rejected: %v", err)
 	}
 }
 
-// makeBundle builds an encoded bundle holding one tenant frame the serve
-// flattener accepts; withChunks controls whether the frame's chunk rides in
-// the bundle or is only referenced by the manifest.
+// TestClosedRoundReadsManifest pins where a graceful handoff's round comes
+// from: the close bundle's own manifest, which the dispatcher checks the push
+// against. Bytes that are not a bundle are an error, never round 0.
+func TestClosedRoundReadsManifest(t *testing.T) {
+	if round, err := closedRound(testBundle(t, 2, 4, 37, "alpha")); err != nil || round != 37 {
+		t.Fatalf("closedRound = %d, %v; want 37", round, err)
+	}
+	for _, bad := range [][]byte{nil, []byte(`{"round":5}`), testBundle(t, 0, 1, 5)[:12]} {
+		if round, err := closedRound(bad); err == nil {
+			t.Fatalf("closedRound(%q) = %d, want an error", bad, round)
+		}
+	}
+}
+
+// makeBundle builds an encoded bundle holding one tenant chunk the fold
+// accepts; withChunks controls whether the chunk rides in the bundle or is
+// only referenced by the manifest.
 func makeBundle(t *testing.T, withChunks bool) []byte {
 	t.Helper()
-	pool := ckptstore.NewMemStore(0)
-	payload, err := json.Marshal(map[string]any{
-		"round":  3,
-		"tenant": map[string]any{"name": "tn-0", "epoch": 3},
-	})
-	if err != nil {
-		t.Fatalf("frame payload: %v", err)
+	m, chunks := bundleParts(t, 0, 1, 3, "tn-0")
+	if !withChunks {
+		chunks = nil
 	}
-	res, err := pool.Put(payload, ckptstore.Ref{})
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	m := &ckptstore.Manifest{
-		Schema: ckptstore.ManifestSchema, Shard: 0, Shards: 1, Round: 3,
-		Tenants: []ckptstore.TenantRef{{Name: "tn-0", Chunk: ckptstore.FormatChunkID(res.Ref.ID)}},
-	}
-	carry := map[uint64][]byte{}
-	if withChunks {
-		data, ok := pool.Get(res.Ref.ID)
-		if !ok {
-			t.Fatalf("chunk %016x missing from scratch pool", res.Ref.ID)
+	return encodeBundle(t, m, chunks)
+}
+
+// testBundle builds a self-contained, folded checkpoint bundle for shard of
+// shards at round: one minimal full chunk per named tenant, the shape a
+// dispatcher stores.
+func testBundle(t *testing.T, shard, shards int, round int64, tenants ...string) []byte {
+	t.Helper()
+	m, chunks := bundleParts(t, shard, shards, round, tenants...)
+	return encodeBundle(t, m, chunks)
+}
+
+// bundleParts builds a manifest and its full chunks; each tenant's chunk
+// payload is a minimal tenant image cut at round.
+func bundleParts(t *testing.T, shard, shards int, round int64, tenants ...string) (*ckptstore.Manifest, map[uint64][]byte) {
+	t.Helper()
+	m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shard: shard, Shards: shards, Round: round}
+	chunks := map[uint64][]byte{}
+	for _, name := range tenants {
+		payload, err := json.Marshal(map[string]any{
+			"round":  round,
+			"tenant": map[string]any{"name": name, "epoch": round},
+		})
+		if err != nil {
+			t.Fatalf("chunk payload: %v", err)
 		}
-		carry[res.Ref.ID] = data
+		enc, id := ckptstore.EncodeFull(payload)
+		chunks[id] = enc
+		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})
 	}
+	return m, chunks
+}
+
+func encodeBundle(t *testing.T, m *ckptstore.Manifest, chunks map[uint64][]byte) []byte {
+	t.Helper()
 	manifest, err := ckptstore.EncodeManifest(m)
 	if err != nil {
 		t.Fatalf("EncodeManifest: %v", err)
 	}
-	bundle, err := ckptstore.EncodeBundle(manifest, carry)
+	bundle, err := ckptstore.EncodeBundle(manifest, chunks)
 	if err != nil {
 		t.Fatalf("EncodeBundle: %v", err)
 	}

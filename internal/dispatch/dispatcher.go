@@ -1,7 +1,7 @@
 package dispatch
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +28,11 @@ type Config struct {
 	// Workers apply the same budget to fence themselves when they cannot
 	// reach the dispatcher. Default 3.
 	MissBudget int
-	// StateDir, when set, persists every accepted checkpoint to one file per
-	// shard (tmp+rename), so a restarted dispatcher regrants shards from the
-	// last state it had rather than from scratch. Empty disables durability.
+	// StateDir, when set, persists every accepted checkpoint to one binary
+	// file per shard (tmp+rename, schema rrdispatch-state/v2), so a restarted
+	// dispatcher regrants shards from the last state it had rather than
+	// starting them empty. A state dir of rrdispatch-state/v1 files
+	// (shard-*.json) is refused. Empty disables durability.
 	StateDir string
 }
 
@@ -61,12 +63,14 @@ type lease struct {
 	round    int64  // round of the stored checkpoint
 	revoking bool   // graceful revoke issued; awaiting the final checkpoint
 
-	checkpoint []byte // latest accepted checkpoint (nil = open fresh)
-	// pool absorbs the content-addressed chunks of incremental checkpoint
-	// bundles pushed for this shard (workers running with checkpoint
-	// bundling). Bundles are flattened to legacy checkpoint JSON on arrival,
-	// so everything downstream — persistence, grants, reshards — sees flat
-	// state; the pool only persists un-superseded chunks between pushes.
+	// checkpoint is the latest accepted checkpoint, folded into a
+	// self-contained bundle (nil = open fresh). It is what is persisted,
+	// granted, and resharded; it is replaced whole, never modified in place.
+	checkpoint []byte
+	// pool holds the raw chunks of the last push's closure, which the
+	// worker's next delta push may reference. Memory only: after a
+	// dispatcher restart a push that references a lost chunk is refused, and
+	// the worker resends its full closure.
 	pool *ckptstore.MemStore
 	// deadSinceNs is non-zero while the shard awaits reassignment after its
 	// holder died; cleared (and observed into the failover-latency histogram)
@@ -350,11 +354,7 @@ func (d *Dispatcher) heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error
 		}
 		l.worker = req.Worker
 		l.epoch++
-		grant := LeaseGrant{Shard: i, Epoch: l.epoch, Round: l.round}
-		if len(l.checkpoint) > 0 {
-			grant.Checkpoint = append(json.RawMessage(nil), l.checkpoint...)
-		}
-		resp.Grants = append(resp.Grants, grant)
+		resp.Grants = append(resp.Grants, LeaseGrant{Shard: i, Epoch: l.epoch, Round: l.round, Checkpoint: l.checkpoint})
 		d.met.LeaseGrants.Inc()
 		d.met.ShardsAssigned.Add(1)
 		if l.deadSinceNs != 0 {
@@ -370,14 +370,24 @@ func (d *Dispatcher) heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error
 // errStaleEpoch marks a checkpoint push fenced by a newer lease epoch.
 var errStaleEpoch = fmt.Errorf("dispatch: stale lease epoch")
 
+// errBadCheckpoint marks a checkpoint push whose bundle is malformed, cannot
+// be resolved, or contradicts the push that carries it. The lease is left
+// exactly as it was.
+var errBadCheckpoint = fmt.Errorf("dispatch: bad checkpoint")
+
 // storeCheckpoint accepts a checkpoint push: the freshest state of one shard,
-// fenced by lease epoch. A final push on a revoking lease completes the
-// graceful handoff and frees the shard for regranting.
+// fenced by lease epoch. The bundle is validated and folded against the
+// lease's chunk pool (serve.FoldBundle) and must agree with the push: same
+// shard, the fleet's shard count, the pushed round. A refused push changes
+// nothing; a bundle referencing a chunk the pool lost (a dispatcher restart)
+// is refused too, and the worker resends its full closure. A final push on a
+// revoking lease completes the graceful handoff and frees the shard for
+// regranting.
 func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if req.Shard >= len(d.leases) {
-		return fmt.Errorf("dispatch: checkpoint names shard %d of %d", req.Shard, len(d.leases))
+		return fmt.Errorf("%w: push names shard %d of %d", errBadCheckpoint, req.Shard, len(d.leases))
 	}
 	l := &d.leases[req.Shard]
 	if l.worker != req.Worker || l.epoch != req.Epoch {
@@ -385,22 +395,20 @@ func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 		return fmt.Errorf("%w: shard %d epoch %d from %q, lease is epoch %d held by %q",
 			errStaleEpoch, req.Shard, req.Epoch, req.Worker, l.epoch, l.worker)
 	}
-	data := req.Data
-	if ckptstore.IsBundle(data) {
-		// An incremental bundle: absorb its chunks and flatten to legacy
-		// checkpoint JSON. A failure (e.g. a reference to a chunk a restarted
-		// dispatcher no longer holds) rejects the push — the worker resets its
-		// acks and resends the full closure.
-		if l.pool == nil {
-			l.pool = ckptstore.NewMemStore(0)
-		}
-		flat, err := serve.FlattenBundle(data, l.pool)
-		if err != nil {
-			return fmt.Errorf("dispatch: shard %d bundle: %w", req.Shard, err)
-		}
-		data = flat
+	folded, m, pool, err := serve.FoldBundle(req.Data, l.pool)
+	if err != nil {
+		return fmt.Errorf("%w: shard %d: %v", errBadCheckpoint, req.Shard, err)
 	}
-	l.checkpoint = append([]byte(nil), data...)
+	switch {
+	case m.Shard != req.Shard:
+		return fmt.Errorf("%w: push for shard %d carries shard %d's manifest", errBadCheckpoint, req.Shard, m.Shard)
+	case m.Shards != len(d.leases):
+		return fmt.Errorf("%w: shard %d manifest was cut under %d shards, the fleet has %d", errBadCheckpoint, req.Shard, m.Shards, len(d.leases))
+	case m.Round != req.Round:
+		return fmt.Errorf("%w: shard %d push claims round %d, its manifest is at round %d", errBadCheckpoint, req.Shard, req.Round, m.Round)
+	}
+	l.checkpoint = folded
+	l.pool = pool
 	l.round = req.Round
 	d.met.Checkpoints.Inc()
 	d.met.CheckpointBytes.Observe(int64(len(req.Data)))
@@ -418,8 +426,8 @@ func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 }
 
 // Reshard resizes the fleet to newShards at the current round boundary: it
-// transforms the stored checkpoint set through serve.ReshardCheckpoints
-// (splitting or merging per the consistent-hash ring of the new count), fences
+// splits or merges the stored bundle set through reshardBundles (per the
+// consistent-hash ring of the new count), fences
 // every outstanding lease epoch, bumps the config epoch so workers rebuild
 // their hosted services before claiming anything, and rebuilds the lease table
 // so the next heartbeats grant the migrated shards.
@@ -464,11 +472,7 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 			olds[i] = d.leases[i].checkpoint
 		}
 		var err error
-		newData, err = serve.ReshardCheckpoints(olds, newShards)
-		if err != nil {
-			return nil, err
-		}
-		if moved, err = movedTenants(olds, old, newShards); err != nil {
+		if newData, moved, err = reshardBundles(olds, newShards); err != nil {
 			return nil, err
 		}
 		for i := range newData {
@@ -524,29 +528,73 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 	}, nil
 }
 
-// movedTenants counts the tenants whose shard assignment changes between the
-// old and new ring — the migration volume a reshard reports.
-func movedTenants(olds [][]byte, oldShards, newShards int) (int, error) {
-	oldRing, err := serve.NewRing(oldShards)
-	if err != nil {
-		return 0, err
+// reshardBundles splits or merges a complete set of stored shard bundles into
+// newShards bundles: serve.ReshardManifests re-routes every tenant reference
+// through the new ring (keeping the round, bumping the placement epoch), and
+// each new bundle carries the chunks its manifest needs. moved is the number
+// of tenants whose shard changes. Used by the live Reshard and by a boot into
+// a new shard count.
+func reshardBundles(olds [][]byte, newShards int) (news [][]byte, moved int, err error) {
+	ms := make([]*ckptstore.Manifest, len(olds))
+	chunks := ckptstore.NewMemStore(0)
+	for i, data := range olds {
+		b, err := ckptstore.DecodeBundle(data)
+		if err != nil {
+			return nil, 0, fmt.Errorf("dispatch: shard %d checkpoint: %w", i, err)
+		}
+		if ms[i], err = ckptstore.DecodeManifest(b.Manifest); err != nil {
+			return nil, 0, fmt.Errorf("dispatch: shard %d checkpoint: %w", i, err)
+		}
+		for id, chunk := range b.Chunks {
+			if err := chunks.Add(id, chunk); err != nil {
+				return nil, 0, err
+			}
+		}
 	}
-	newRing, err := serve.NewRing(newShards)
+	out, err := serve.ReshardManifests(ms, newShards)
+	if err != nil {
+		return nil, 0, err
+	}
+	news = make([][]byte, newShards)
+	for i, m := range out {
+		manifest, err := ckptstore.EncodeManifest(m)
+		if err != nil {
+			return nil, 0, err
+		}
+		roots, err := m.Roots()
+		if err != nil {
+			return nil, 0, err
+		}
+		closure, err := chunks.Closure(roots)
+		if err != nil {
+			return nil, 0, fmt.Errorf("dispatch: resharded shard %d: %w", i, err)
+		}
+		own := make(map[uint64][]byte, len(closure))
+		for id := range closure {
+			own[id], _ = chunks.Get(id)
+		}
+		if news[i], err = ckptstore.EncodeBundle(manifest, own); err != nil {
+			return nil, 0, err
+		}
+	}
+	if moved, err = movedTenants(ms, newShards); err != nil {
+		return nil, 0, err
+	}
+	return news, moved, nil
+}
+
+// movedTenants counts the tenants whose shard changes under the newShards
+// ring — the migration volume a reshard reports. Names come from the
+// manifests, each of which lists its own shard's tenants.
+func movedTenants(ms []*ckptstore.Manifest, newShards int) (int, error) {
+	ring, err := serve.NewRing(newShards)
 	if err != nil {
 		return 0, err
 	}
 	moved := 0
-	for i, data := range olds {
-		var cp struct {
-			Tenants []struct {
-				Name string `json:"name"`
-			} `json:"tenants"`
-		}
-		if err := json.Unmarshal(data, &cp); err != nil {
-			return 0, fmt.Errorf("dispatch: decoding shard %d checkpoint for reshard accounting: %w", i, err)
-		}
-		for _, tn := range cp.Tenants {
-			if oldRing.ShardOf(tn.Name) != newRing.ShardOf(tn.Name) {
+	for _, m := range ms {
+		for _, t := range m.Tenants {
+			if ring.ShardOf(t.Name) != m.Shard {
 				moved++
 			}
 		}
@@ -627,51 +675,50 @@ func (d *Dispatcher) Stats() *StatsResponse {
 // Metrics returns a snapshot of the dispatcher's metric registry.
 func (d *Dispatcher) Metrics() *obs.Snapshot { return d.reg.Snapshot() }
 
-// stateSchema versions the persisted per-shard checkpoint wrapper.
-const stateSchema = "rrdispatch-state/v1"
-
-// shardState is the on-disk wrapper around one shard's checkpoint. Shards
-// records the fleet size the checkpoint was taken under (0 in files written
-// before resizing existed, which are read as "the configured count"); a boot
-// that finds a different count reshards the persisted set before granting.
-type shardState struct {
-	Schema string          `json:"schema"`
-	Shard  int             `json:"shard"`
-	Shards int             `json:"shards,omitempty"`
-	Epoch  int64           `json:"epoch"`
-	Round  int64           `json:"round"`
-	Data   json.RawMessage `json:"data"`
-}
+// stateSchema versions the persisted per-shard state file: the schema line,
+// the lease epoch as 8 little-endian bytes, then the shard's folded bundle
+// verbatim. Shard index, shard count, and round live in the bundle's
+// manifest. legacyStateSchema names the JSON wrapper earlier versions wrote
+// to shard-NNNN.json; those files are refused, not read.
+const (
+	stateSchema       = "rrdispatch-state/v2"
+	legacyStateSchema = "rrdispatch-state/v1"
+)
 
 func (d *Dispatcher) statePath(shard int) string {
-	return filepath.Join(d.cfg.StateDir, fmt.Sprintf("shard-%04d.json", shard))
+	return filepath.Join(d.cfg.StateDir, fmt.Sprintf("shard-%04d.state", shard))
 }
 
-// persistLocked writes one shard's stored checkpoint atomically (tmp+rename).
+// persistLocked writes one shard's stored checkpoint atomically (tmp+rename),
+// in one binary write: header plus bundle, no re-encoding of the state.
 // Caller holds d.mu.
 func (d *Dispatcher) persistLocked(shard int) error {
 	if err := os.MkdirAll(d.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("dispatch: creating state dir: %w", err)
 	}
 	l := &d.leases[shard]
-	data, err := json.Marshal(shardState{
-		Schema: stateSchema, Shard: shard, Shards: len(d.leases),
-		Epoch: l.epoch, Round: l.round, Data: l.checkpoint,
-	})
-	if err != nil {
-		return fmt.Errorf("dispatch: encoding shard %d state: %w", shard, err)
-	}
-	if err := atomicio.WriteFile(d.statePath(shard), data, 0o644); err != nil {
+	buf := make([]byte, 0, len(stateSchema)+9+len(l.checkpoint))
+	buf = append(buf, stateSchema+"\n"...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.epoch))
+	buf = append(buf, l.checkpoint...)
+	if err := atomicio.WriteFile(d.statePath(shard), buf, 0o644); err != nil {
 		return fmt.Errorf("dispatch: writing shard %d state: %w", shard, err)
 	}
 	return nil
+}
+
+// shardState is one persisted shard file, decoded and validated.
+type shardState struct {
+	epoch    int64
+	bundle   []byte
+	manifest *ckptstore.Manifest
 }
 
 // loadState seeds the lease table from persisted checkpoints. When the
 // persisted shard count matches the configured one, absent files are fine —
 // shards that never checkpointed start fresh. When the counts differ (the
 // dispatcher was rebooted into a new size), the complete persisted set is
-// transformed through serve.ReshardCheckpoints at boot, exactly like a live
+// split or merged through reshardBundles at boot, exactly like a live
 // reshard: the old epochs are fenced and the migrated set is persisted before
 // any worker registers.
 func (d *Dispatcher) loadState() error {
@@ -689,32 +736,25 @@ func (d *Dispatcher) loadState() error {
 		if err != nil {
 			return err
 		}
-		if st.Shards != 0 {
-			if diskShards == 0 {
-				diskShards = st.Shards
-			} else if st.Shards != diskShards {
-				return fmt.Errorf("dispatch: state files disagree on the shard count (%d vs %d)", diskShards, st.Shards)
-			}
+		if diskShards == 0 {
+			diskShards = st.manifest.Shards
+		} else if st.manifest.Shards != diskShards {
+			return fmt.Errorf("dispatch: state files disagree on the shard count (%d vs %d)", diskShards, st.manifest.Shards)
 		}
 		states[i] = st
-	}
-	if diskShards == 0 {
-		// Files from before fleet resizing recorded no count; they were only
-		// ever written under the configured one.
-		diskShards = len(d.leases)
 	}
 	if last := idxs[len(idxs)-1]; last >= diskShards {
 		return fmt.Errorf("dispatch: state file for shard %d exceeds the persisted shard count %d", last, diskShards)
 	}
 	if diskShards == len(d.leases) {
 		for i, st := range states {
-			d.leases[i] = lease{epoch: st.Epoch, round: st.Round, checkpoint: st.Data}
+			d.leases[i] = lease{epoch: st.epoch, round: st.manifest.Round, checkpoint: st.bundle}
 		}
 		return nil
 	}
 	// Shard-count change across a restart: a partial set cannot be resharded
 	// (a missing shard's tenants would silently vanish), so every old file
-	// must be present, non-empty, and at one common round.
+	// must be present and at one common round.
 	old := make([][]byte, diskShards)
 	var round, maxEpoch int64
 	for i := 0; i < diskShards; i++ {
@@ -722,20 +762,17 @@ func (d *Dispatcher) loadState() error {
 		if !ok {
 			return fmt.Errorf("dispatch: resizing %d persisted shards to %d needs the full set; shard %d state is missing", diskShards, len(d.leases), i)
 		}
-		if len(st.Data) == 0 {
-			return fmt.Errorf("dispatch: resizing %d persisted shards to %d: shard %d has no checkpoint", diskShards, len(d.leases), i)
-		}
 		if i == 0 {
-			round = st.Round
-		} else if st.Round != round {
-			return fmt.Errorf("dispatch: resizing persisted state: shard rounds diverge (shard 0 at %d, shard %d at %d)", round, i, st.Round)
+			round = st.manifest.Round
+		} else if st.manifest.Round != round {
+			return fmt.Errorf("dispatch: resizing persisted state: shard rounds diverge (shard 0 at %d, shard %d at %d)", round, i, st.manifest.Round)
 		}
-		if st.Epoch > maxEpoch {
-			maxEpoch = st.Epoch
+		if st.epoch > maxEpoch {
+			maxEpoch = st.epoch
 		}
-		old[i] = st.Data
+		old[i] = st.bundle
 	}
-	newData, err := serve.ReshardCheckpoints(old, len(d.leases))
+	newData, _, err := reshardBundles(old, len(d.leases))
 	if err != nil {
 		return fmt.Errorf("dispatch: resizing %d persisted shards to %d: %w", diskShards, len(d.leases), err)
 	}
@@ -753,7 +790,9 @@ func (d *Dispatcher) loadState() error {
 
 // scanStateDir lists the shard indices persisted in the state directory, in
 // increasing order (empty when the directory is absent or holds no state
-// files).
+// files). A state dir holding rrdispatch-state/v1 files is refused: their
+// checkpoints are in a format this version no longer reads, and booting
+// empty beside them would silently drop every tenant they hold.
 func (d *Dispatcher) scanStateDir() ([]int, error) {
 	entries, err := os.ReadDir(d.cfg.StateDir)
 	if os.IsNotExist(err) {
@@ -765,10 +804,14 @@ func (d *Dispatcher) scanStateDir() ([]int, error) {
 	var idxs []int
 	for _, e := range entries {
 		var i int
-		if n, err := fmt.Sscanf(e.Name(), "shard-%d.json", &i); err != nil || n != 1 {
+		if n, err := fmt.Sscanf(e.Name(), "shard-%d.json", &i); err == nil && n == 1 && e.Name() == fmt.Sprintf("shard-%04d.json", i) {
+			return nil, fmt.Errorf("dispatch: state dir %s holds %s, an %s file this version cannot read (it reads %s); move it aside to boot fresh",
+				d.cfg.StateDir, e.Name(), legacyStateSchema, stateSchema)
+		}
+		if n, err := fmt.Sscanf(e.Name(), "shard-%d.state", &i); err != nil || n != 1 {
 			continue
 		}
-		if e.Name() != fmt.Sprintf("shard-%04d.json", i) {
+		if e.Name() != fmt.Sprintf("shard-%04d.state", i) {
 			continue // tmp files and other near-misses are not state
 		}
 		idxs = append(idxs, i)
@@ -777,25 +820,29 @@ func (d *Dispatcher) scanStateDir() ([]int, error) {
 	return idxs, nil
 }
 
-// readShardState reads and validates one persisted shard file. The error is
-// os.IsNotExist-preserving so callers can distinguish absent from corrupt.
+// readShardState reads and validates one persisted shard file: the header,
+// and the bundle through the same fold a push goes through (folding a folded
+// bundle reproduces it), so a corrupt file is refused at boot rather than at
+// the next grant.
 func (d *Dispatcher) readShardState(i int) (*shardState, error) {
 	data, err := os.ReadFile(d.statePath(i))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, err
-		}
 		return nil, fmt.Errorf("dispatch: reading shard %d state: %w", i, err)
 	}
-	var st shardState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("dispatch: decoding shard %d state: %w", i, err)
+	hdr := stateSchema + "\n"
+	if len(data) < len(hdr)+8 || string(data[:len(hdr)]) != hdr {
+		return nil, fmt.Errorf("dispatch: shard %d state is not an %s file", i, stateSchema)
 	}
-	if st.Schema != stateSchema {
-		return nil, fmt.Errorf("dispatch: shard %d state schema %q, want %q", i, st.Schema, stateSchema)
+	epoch := int64(binary.LittleEndian.Uint64(data[len(hdr):]))
+	if epoch < 0 {
+		return nil, fmt.Errorf("dispatch: shard %d state has negative lease epoch %d", i, epoch)
 	}
-	if st.Shard != i {
-		return nil, fmt.Errorf("dispatch: state file for shard %d claims shard %d", i, st.Shard)
+	bundle, m, _, err := serve.FoldBundle(data[len(hdr)+8:], nil)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: shard %d state: %w", i, err)
 	}
-	return &st, nil
+	if m.Shard != i {
+		return nil, fmt.Errorf("dispatch: state file for shard %d holds shard %d's checkpoint", i, m.Shard)
+	}
+	return &shardState{epoch: epoch, bundle: bundle, manifest: m}, nil
 }

@@ -1,10 +1,11 @@
 package dispatch
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -104,9 +105,9 @@ func TestGrantsAndRebalance(t *testing.T) {
 				epoch = l.Epoch
 			}
 		}
-		if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
+		if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
 			Shard: shard, Epoch: epoch, Round: 0, Final: true,
-			Data: json.RawMessage(`{"round":0}`)}); err != nil {
+			Data: testBundle(t, shard, 4, 0)}); err != nil {
 			t.Fatalf("final checkpoint for shard %d: %v", shard, err)
 		}
 	}
@@ -161,8 +162,8 @@ func TestDeadWorkerFailover(t *testing.T) {
 		if l.Shard == w2Held[0].Shard || l.Shard == w2Held[1].Shard {
 			worker = "w2"
 		}
-		if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: worker,
-			Shard: l.Shard, Epoch: l.Epoch, Round: 7, Data: json.RawMessage(`{"round":7}`)}); err != nil {
+		if err := d.storeCheckpoint(&CheckpointPush{Worker: worker,
+			Shard: l.Shard, Epoch: l.Epoch, Round: 7, Data: testBundle(t, l.Shard, 4, 7)}); err != nil {
 			t.Fatalf("checkpoint shard %d: %v", l.Shard, err)
 		}
 	}
@@ -196,8 +197,8 @@ func TestDeadWorkerFailover(t *testing.T) {
 	}
 
 	// The dead worker's late checkpoint push is fenced.
-	err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
-		Shard: w1Held[0].Shard, Epoch: w1Held[0].Epoch, Round: 9, Data: json.RawMessage(`{"round":9}`)})
+	err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
+		Shard: w1Held[0].Shard, Epoch: w1Held[0].Epoch, Round: 9, Data: testBundle(t, w1Held[0].Shard, 4, 9)})
 	if !errors.Is(err, errStaleEpoch) {
 		t.Fatalf("zombie checkpoint: err = %v, want stale epoch", err)
 	}
@@ -260,7 +261,8 @@ func TestHeartbeatUnknownWorker(t *testing.T) {
 
 // TestStatePersistence pins the dispatcher's own durability: accepted
 // checkpoints survive a dispatcher restart via the state dir and seed
-// regrants, epochs intact.
+// regrants, epochs intact; each push costs one binary file holding the stored
+// bundle verbatim; and corrupt or rrdispatch-state/v1 state refuses to load.
 func TestStatePersistence(t *testing.T) {
 	cfg := testConfig()
 	cfg.StateDir = t.TempDir()
@@ -268,15 +270,25 @@ func TestStatePersistence(t *testing.T) {
 	d.register(&RegisterRequest{Schema: WireSchema, Worker: "w1", Addr: "http://h1"})
 	resp := mustHeartbeat(t, d, &HeartbeatRequest{Schema: WireSchema, Worker: "w1"})
 	held := heldFromGrants(nil, resp)
-	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
-		Shard: held[1].Shard, Epoch: held[1].Epoch, Round: 12,
-		Data: json.RawMessage(`{"round":12,"tenants":["alpha"]}`)}); err != nil {
+	bundle := testBundle(t, held[1].Shard, 4, 12, "alpha")
+	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
+		Shard: held[1].Shard, Epoch: held[1].Epoch, Round: 12, Data: bundle}); err != nil {
 		t.Fatalf("storeCheckpoint: %v", err)
 	}
 	d.Close()
 
-	if _, err := os.Stat(filepath.Join(cfg.StateDir, "shard-0001.json")); err != nil {
+	files, err := filepath.Glob(filepath.Join(cfg.StateDir, "*"))
+	if err != nil || len(files) != 1 || filepath.Base(files[0]) != "shard-0001.state" {
+		t.Fatalf("state dir holds %v (err %v), want exactly shard-0001.state", files, err)
+	}
+	persisted, err := os.ReadFile(files[0])
+	if err != nil {
 		t.Fatalf("persisted state file: %v", err)
+	}
+	if !bytes.HasPrefix(persisted, []byte(stateSchema+"\n")) || !bytes.HasSuffix(persisted, bundle) ||
+		len(persisted) != len(stateSchema)+1+8+len(bundle) {
+		t.Fatalf("state file is %d bytes, want the %s header, the epoch, and the %d-byte bundle verbatim",
+			len(persisted), stateSchema, len(bundle))
 	}
 
 	d2, _ := newTestDispatcher(t, cfg)
@@ -297,11 +309,33 @@ func TestStatePersistence(t *testing.T) {
 		}
 	}
 
-	// Corrupt state must refuse to load.
-	if err := os.WriteFile(filepath.Join(cfg.StateDir, "shard-0000.json"), []byte("{broken"), 0o644); err != nil {
+	// Corrupt state must refuse to load: a torn bundle, then a file from
+	// another format.
+	torn := filepath.Join(cfg.StateDir, "shard-0000.state")
+	if err := os.WriteFile(torn, persisted[:len(persisted)-5], 0o644); err != nil {
+		t.Fatalf("corrupting state: %v", err)
+	}
+	if _, err := newDispatcher(cfg, (&fakeClock{}).now); err == nil {
+		t.Fatal("dispatcher loaded a torn state file")
+	}
+	if err := os.WriteFile(torn, []byte("{broken"), 0o644); err != nil {
 		t.Fatalf("corrupting state: %v", err)
 	}
 	if _, err := newDispatcher(cfg, (&fakeClock{}).now); err == nil {
 		t.Fatal("dispatcher loaded a corrupt state file")
+	}
+	if err := os.Remove(torn); err != nil {
+		t.Fatal(err)
+	}
+
+	// An rrdispatch-state/v1 file is refused by name and schema, not read
+	// and not skipped.
+	legacy := filepath.Join(cfg.StateDir, "shard-0002.json")
+	if err := os.WriteFile(legacy, []byte(`{"schema":"rrdispatch-state/v1","shard":2,"epoch":1,"round":3,"data":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = newDispatcher(cfg, (&fakeClock{}).now)
+	if err == nil || !strings.Contains(err.Error(), "rrdispatch-state/v1") || !strings.Contains(err.Error(), "shard-0002.json") {
+		t.Fatalf("v1 state dir: err = %v, want a refusal naming the file and the schema", err)
 	}
 }

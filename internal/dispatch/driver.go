@@ -21,8 +21,8 @@ type DriverConfig struct {
 	// RetryEvery is the wait between attempts. Default 100ms.
 	RetryEvery time.Duration
 	// Wire selects the wire format the driver's per-worker serve clients
-	// speak. The zero value (WireAuto) tries binary and falls back to JSON
-	// per worker, so mixed fleets mid-upgrade keep working.
+	// speak. The zero value is the binary wire; WireJSON is the explicit
+	// debugging format.
 	Wire serve.WireMode
 }
 

@@ -13,15 +13,17 @@ import (
 // tiny; anything near the cap is hostile.
 const maxControlBody = 1 << 20
 
-// maxCheckpointBody caps one checkpoint push. Checkpoints carry full shard
-// state including recorded decision histories, so the bound is generous.
+// maxCheckpointBody caps one checkpoint push. A push after a lost ack or a
+// fresh open carries a shard's whole chunk closure, including recorded
+// decision histories, so the bound is generous.
 const maxCheckpointBody = 64 << 20
 
 // Handler returns the dispatcher's HTTP API:
 //
 //	POST /v1/register    worker registration (RegisterRequest → RegisterResponse)
 //	POST /v1/heartbeat   lease renewal + grant/revoke exchange
-//	POST /v1/checkpoint  per-tick shard checkpoint push (409 on a stale epoch)
+//	POST /v1/checkpoint  per-tick checkpoint bundle push, binary frames only
+//	                     (409 on a stale epoch, 400 on a bad bundle, 415 on JSON)
 //	POST /v1/reshard     fleet resize at the round boundary (409 when refused)
 //	GET  /v1/placement   shard→worker placement table for drivers
 //	GET  /v1/stats       dispatcher stats (workers, lease counts)
@@ -104,21 +106,22 @@ func (d *Dispatcher) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req *CheckpointPush
-	var err error
-	if ct := r.Header.Get("Content-Type"); ct != "" && serve.IsBinaryContent(ct) {
-		req, err = DecodeCheckpointPushBinary(body)
-	} else {
-		req, err = DecodeCheckpointPush(body)
+	if !serve.IsBinaryContent(r.Header.Get("Content-Type")) {
+		writeError(w, http.StatusUnsupportedMediaType, "checkpoint pushes travel as "+serve.ContentTypeBinary+" frames")
+		return
 	}
+	req, err := DecodeCheckpointPush(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := d.storeCheckpoint(req); err != nil {
-		if errors.Is(err, errStaleEpoch) {
+		switch {
+		case errors.Is(err, errStaleEpoch):
 			writeError(w, http.StatusConflict, err.Error())
-		} else {
+		case errors.Is(err, errBadCheckpoint):
+			writeError(w, http.StatusBadRequest, err.Error())
+		default:
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}
 		return

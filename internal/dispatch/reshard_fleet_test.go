@@ -1,7 +1,7 @@
 package dispatch
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -207,18 +207,13 @@ func TestDispatcherRestartAcrossShardCounts(t *testing.T) {
 	verifyStreams(t, driver2, tenants, cfg2.Service)
 }
 
-// reshardStateFile writes one persisted shard file with an empty-tenant serve
-// checkpoint, the raw material of the boot-resize refusal tests.
+// reshardStateFile writes one persisted shard file holding an empty-tenant
+// bundle, the raw material of the boot-resize refusal tests.
 func reshardStateFile(t *testing.T, dir string, shard, shards int, epoch, round int64) {
 	t.Helper()
-	cp := fmt.Sprintf(`{"schema":"rrserve-state/v1","shard":%d,"shards":%d,"round":%d,"tenants":[]}`, shard, shards, round)
-	st, err := json.Marshal(shardState{
-		Schema: stateSchema, Shard: shard, Shards: shards, Epoch: epoch, Round: round, Data: json.RawMessage(cp),
-	})
-	if err != nil {
-		t.Fatalf("encoding state file: %v", err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("shard-%04d.json", shard))
+	st := append([]byte(stateSchema+"\n"), binary.LittleEndian.AppendUint64(nil, uint64(epoch))...)
+	st = append(st, testBundle(t, shard, shards, round)...)
+	path := filepath.Join(dir, fmt.Sprintf("shard-%04d.state", shard))
 	if err := os.WriteFile(path, st, 0o644); err != nil {
 		t.Fatalf("writing %s: %v", path, err)
 	}
@@ -314,10 +309,10 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 
 	// One stored checkpoint of two: the set is incomplete.
 	held := heldFromGrants(nil, resp)
-	cp := func(shard int, round int64) json.RawMessage {
-		return json.RawMessage(fmt.Sprintf(`{"schema":"rrserve-state/v1","shard":%d,"shards":2,"round":%d,"tenants":[]}`, shard, round))
+	cp := func(shard int, round int64) []byte {
+		return testBundle(t, shard, 2, round)
 	}
-	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
+	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
 		Shard: 0, Epoch: held[0].Epoch, Round: 1, Data: cp(0, 1)}); err != nil {
 		t.Fatalf("storeCheckpoint shard 0: %v", err)
 	}
@@ -326,7 +321,7 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 	}
 
 	// Complete but mid-round: stored rounds diverge.
-	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
+	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
 		Shard: 1, Epoch: held[1].Epoch, Round: 2, Data: cp(1, 2)}); err != nil {
 		t.Fatalf("storeCheckpoint shard 1: %v", err)
 	}
@@ -335,7 +330,7 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 	}
 
 	// Aligned rounds reshard cleanly and fence every outstanding lease.
-	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
+	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
 		Shard: 0, Epoch: held[0].Epoch, Round: 2, Data: cp(0, 2)}); err != nil {
 		t.Fatalf("re-storing shard 0: %v", err)
 	}
@@ -348,7 +343,7 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 	}
 	// The old lease epochs are all fenced: a push under the pre-reshard epoch
 	// bounces.
-	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
+	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
 		Shard: 0, Epoch: held[0].Epoch, Round: 3, Data: cp(0, 3)}); err == nil {
 		t.Fatal("pre-reshard epoch push was accepted after the reshard")
 	}

@@ -5,11 +5,11 @@
 // the old holder pushed after every tick.
 //
 // The determinism contract of the serve layer survives the tier: checkpoints
-// carry full per-shard scheduler state (and, when recording, the decision
-// history), lease epochs fence stale writers, and clients resend idempotently
-// across a failover — so a tenant's decision stream is byte-identical whether
-// its shard lived on one worker throughout or was killed and restored
-// mid-run.
+// are ckptstore bundles carrying full per-shard scheduler state (and, when
+// recording, the decision history), lease epochs fence stale writers, and
+// clients resend idempotently across a failover — so a tenant's decision
+// stream is byte-identical whether its shard lived on one worker throughout
+// or was killed and restored mid-run.
 package dispatch
 
 import (
@@ -20,8 +20,9 @@ import (
 )
 
 // WireSchema versions every dispatcher wire message; requests carrying any
-// other schema string are rejected so format evolution stays explicit.
-const WireSchema = "rrdispatch/v1"
+// other schema string are rejected so format evolution stays explicit. v2
+// carries checkpoints only as bundles: binary push frames, base64 in grants.
+const WireSchema = "rrdispatch/v2"
 
 // Wire-format bounds, sized to refuse hostile payloads before they pin
 // memory, like the serve wire bounds.
@@ -45,14 +46,12 @@ type ServiceConfig struct {
 	Delta     int64 `json:"delta"`
 	Watermark int   `json:"watermark"`
 	// RecordDecisions turns on per-tenant decision recording on every worker,
-	// with histories embedded in checkpoints so they survive failover
-	// (serve.Config.CheckpointDecisions). Determinism tests depend on it.
+	// with histories embedded in checkpoints so they survive failover.
+	// Determinism tests depend on it.
 	RecordDecisions bool `json:"record_decisions,omitempty"`
-	// CheckpointBundles makes workers push incremental checkpoint bundles
-	// (manifest + unacknowledged content-addressed chunks) instead of flat
-	// checkpoint JSON. The dispatcher flattens on arrival, so stored state is
-	// identical either way; the wire cost drops to what changed.
-	CheckpointBundles bool `json:"checkpoint_bundles,omitempty"`
+	// Deprecated: bundles are the only checkpoint format; nothing reads this
+	// field and it does not travel on the wire.
+	CheckpointBundles bool `json:"-"`
 }
 
 func (c ServiceConfig) validate() error {
@@ -117,13 +116,14 @@ type HeartbeatRequest struct {
 }
 
 // LeaseGrant hands a shard to the heartbeating worker. Checkpoint carries the
-// shard's last stored state (empty means open fresh at round 0); Round echoes
-// the round that checkpoint was taken at.
+// shard's last stored state as a self-contained bundle (base64 in JSON; empty
+// means open fresh at round 0); Round echoes the round that checkpoint was
+// taken at.
 type LeaseGrant struct {
-	Shard      int             `json:"shard"`
-	Epoch      int64           `json:"epoch"`
-	Round      int64           `json:"round"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	Shard      int    `json:"shard"`
+	Epoch      int64  `json:"epoch"`
+	Round      int64  `json:"round"`
+	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat: new leases granted to this
@@ -142,18 +142,21 @@ type HeartbeatResponse struct {
 	Config      *ServiceConfig `json:"config,omitempty"`
 }
 
-// CheckpointPush is the body of POST /v1/checkpoint: one shard's state as of
-// Round, pushed by the worker after every tick (and once more, with Final
-// set, when closing a revoked shard). Epoch fences the push: the dispatcher
-// rejects epochs older than the shard's current lease with 409.
+// CheckpointPush is the body of POST /v1/checkpoint: one shard's checkpoint
+// bundle as of Round, pushed by the worker after every tick (and once more,
+// with Final set, when closing a revoked shard). It travels only as an
+// rrserve/v2 checkpoint frame (serve.ContentTypeBinary), because a bundle is
+// not JSON. Epoch fences the push: the dispatcher rejects epochs older than
+// the shard's current lease with 409, and a bundle that is malformed or
+// contradicts the push (another shard, another shard count, another round)
+// with 400.
 type CheckpointPush struct {
-	Schema string          `json:"schema"`
-	Worker string          `json:"worker"`
-	Shard  int             `json:"shard"`
-	Epoch  int64           `json:"epoch"`
-	Round  int64           `json:"round"`
-	Final  bool            `json:"final,omitempty"`
-	Data   json.RawMessage `json:"data"`
+	Worker string
+	Shard  int
+	Epoch  int64
+	Round  int64
+	Final  bool
+	Data   []byte
 }
 
 // PlacementEntry is one row of the placement table: which worker currently
@@ -270,31 +273,10 @@ func validateHeartbeat(req *HeartbeatRequest) error {
 	return nil
 }
 
-// DecodeCheckpointPush parses and validates a checkpoint push.
-func DecodeCheckpointPush(data []byte) (*CheckpointPush, error) {
-	var req CheckpointPush
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("dispatch: decoding checkpoint push: %w", err)
-	}
-	if err := validateCheckpointPush(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// EncodeCheckpointPush validates and serializes a checkpoint push.
+// EncodeCheckpointPush validates and serializes a checkpoint push as an
+// rrserve/v2 checkpoint frame: the bundle travels as raw bytes in a
+// length-prefixed field.
 func EncodeCheckpointPush(req *CheckpointPush) ([]byte, error) {
-	if err := validateCheckpointPush(req); err != nil {
-		return nil, err
-	}
-	return json.Marshal(req)
-}
-
-// EncodeCheckpointPushBinary validates and serializes a checkpoint push as
-// an rrserve/v2 checkpoint frame: the shard state travels as raw bytes in a
-// length-prefixed field instead of being re-parsed as embedded JSON, which
-// is where the JSON path spends most of its time on large shards.
-func EncodeCheckpointPushBinary(req *CheckpointPush) ([]byte, error) {
 	if err := validateCheckpointPush(req); err != nil {
 		return nil, err
 	}
@@ -308,22 +290,21 @@ func EncodeCheckpointPushBinary(req *CheckpointPush) ([]byte, error) {
 	})
 }
 
-// DecodeCheckpointPushBinary parses a binary checkpoint frame and runs the
-// same validation as the JSON decoder, so the two codecs cannot drift.
-func DecodeCheckpointPushBinary(data []byte) (*CheckpointPush, error) {
+// DecodeCheckpointPush parses a checkpoint frame and runs the same validation
+// as the encoder. It never panics on arbitrary bytes (FuzzDecodeDispatch).
+func DecodeCheckpointPush(data []byte) (*CheckpointPush, error) {
 	f, err := serve.DecodeCheckpointFrame(data)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: decoding binary checkpoint frame: %w", err)
+		return nil, fmt.Errorf("dispatch: decoding checkpoint frame: %w", err)
 	}
 	req := &CheckpointPush{
-		Schema: WireSchema,
 		Worker: f.Worker,
 		Shard:  f.Shard,
 		Epoch:  f.Epoch,
 		Round:  f.Round,
 		Final:  f.Final,
 		// Copy: the frame's Data aliases the request body buffer.
-		Data: json.RawMessage(append([]byte(nil), f.Data...)),
+		Data: append([]byte(nil), f.Data...),
 	}
 	if err := validateCheckpointPush(req); err != nil {
 		return nil, err
@@ -332,9 +313,6 @@ func DecodeCheckpointPushBinary(data []byte) (*CheckpointPush, error) {
 }
 
 func validateCheckpointPush(req *CheckpointPush) error {
-	if req.Schema != WireSchema {
-		return fmt.Errorf("dispatch: checkpoint schema %q, want %q", req.Schema, WireSchema)
-	}
 	if err := ValidateWorker(req.Worker); err != nil {
 		return err
 	}
@@ -372,17 +350,15 @@ func ValidateWorker(worker string) error {
 }
 
 // serveConfig expands the wire config into the hosted serve.Config every
-// worker runs, with decision histories embedded in checkpoints whenever
-// recording is on — a migrated shard must not forget its past.
+// worker runs. A hosted service that records decisions embeds them in its
+// checkpoints — a migrated shard must not forget its past.
 func (c ServiceConfig) serveConfig() serve.Config {
 	return serve.Config{
-		Shards:              c.Shards,
-		Resources:           c.Resources,
-		Delta:               c.Delta,
-		Watermark:           c.Watermark,
-		Hosted:              true,
-		RecordDecisions:     c.RecordDecisions,
-		CheckpointDecisions: c.RecordDecisions,
-		CheckpointBundles:   c.CheckpointBundles,
+		Shards:          c.Shards,
+		Resources:       c.Resources,
+		Delta:           c.Delta,
+		Watermark:       c.Watermark,
+		Hosted:          true,
+		RecordDecisions: c.RecordDecisions,
 	}
 }

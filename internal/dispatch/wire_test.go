@@ -2,9 +2,10 @@ package dispatch
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"rrsched/internal/serve"
 )
 
 func TestWireRoundTrips(t *testing.T) {
@@ -37,8 +38,8 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("heartbeat round trip: %+v != %+v", hb2, hb)
 	}
 
-	cp := &CheckpointPush{Schema: WireSchema, Worker: "w1", Shard: 1, Epoch: 2, Round: 9,
-		Final: true, Data: json.RawMessage(`{"round":9}`)}
+	cp := &CheckpointPush{Worker: "w1", Shard: 1, Epoch: 2, Round: 9,
+		Final: true, Data: []byte("rrcb bundle bytes")}
 	data, err = EncodeCheckpointPush(cp)
 	if err != nil {
 		t.Fatalf("EncodeCheckpointPush: %v", err)
@@ -62,24 +63,28 @@ func TestWireRejections(t *testing.T) {
 	}{
 		{"register bad schema", `{"schema":"nope","worker":"w","addr":"a"}`,
 			func(b []byte) error { _, err := DecodeRegister(b); return err }, "schema"},
-		{"register empty worker", `{"schema":"rrdispatch/v1","worker":"","addr":"a"}`,
+		{"register v1 schema", `{"schema":"rrdispatch/v1","worker":"w","addr":"a"}`,
+			func(b []byte) error { _, err := DecodeRegister(b); return err }, "schema"},
+		{"register empty worker", `{"schema":"rrdispatch/v2","worker":"","addr":"a"}`,
 			func(b []byte) error { _, err := DecodeRegister(b); return err }, "empty worker"},
-		{"register control-byte worker", "{\"schema\":\"rrdispatch/v1\",\"worker\":\"w\\u0001\",\"addr\":\"a\"}",
+		{"register control-byte worker", "{\"schema\":\"rrdispatch/v2\",\"worker\":\"w\\u0001\",\"addr\":\"a\"}",
 			func(b []byte) error { _, err := DecodeRegister(b); return err }, "control byte"},
-		{"register no addr", `{"schema":"rrdispatch/v1","worker":"w","addr":""}`,
+		{"register no addr", `{"schema":"rrdispatch/v2","worker":"w","addr":""}`,
 			func(b []byte) error { _, err := DecodeRegister(b); return err }, "no address"},
-		{"heartbeat unsorted held", `{"schema":"rrdispatch/v1","worker":"w","held":[{"shard":2},{"shard":1}]}`,
+		{"heartbeat unsorted held", `{"schema":"rrdispatch/v2","worker":"w","held":[{"shard":2},{"shard":1}]}`,
 			func(b []byte) error { _, err := DecodeHeartbeat(b); return err }, "strictly increasing"},
-		{"heartbeat negative epoch", `{"schema":"rrdispatch/v1","worker":"w","held":[{"shard":0,"epoch":-1}]}`,
+		{"heartbeat negative epoch", `{"schema":"rrdispatch/v2","worker":"w","held":[{"shard":0,"epoch":-1}]}`,
 			func(b []byte) error { _, err := DecodeHeartbeat(b); return err }, "negative epoch"},
-		{"heartbeat shard out of range", `{"schema":"rrdispatch/v1","worker":"w","held":[{"shard":5000}]}`,
+		{"heartbeat shard out of range", `{"schema":"rrdispatch/v2","worker":"w","held":[{"shard":5000}]}`,
 			func(b []byte) error { _, err := DecodeHeartbeat(b); return err }, "out of range"},
-		{"checkpoint no data", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"epoch":0,"round":0}`,
-			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "no data"},
-		{"checkpoint negative round", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"round":-1,"data":{}}`,
+		{"checkpoint negative round", string(checkpointFrame(t, "w", 0, 1, -1)),
 			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "negative round"},
-		{"checkpoint not json", `{broken`,
-			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "decoding"},
+		{"checkpoint shard out of range", string(checkpointFrame(t, "w", MaxShards, 1, 0)),
+			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "out of range"},
+		{"checkpoint control-byte worker", string(checkpointFrame(t, "w\x01", 0, 1, 0)),
+			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "control byte"},
+		{"checkpoint JSON push", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"round":0,"data":{}}`,
+			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "decoding checkpoint frame"},
 	}
 	for _, tc := range cases {
 		err := tc.dec([]byte(tc.data))
@@ -87,6 +92,17 @@ func TestWireRejections(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// checkpointFrame encodes a checkpoint frame directly, bypassing the push
+// encoder's validation, so decoder refusals can be tested on real frames.
+func checkpointFrame(t *testing.T, worker string, shard int, epoch, round int64) []byte {
+	t.Helper()
+	frame, err := serve.EncodeCheckpointFrame(&serve.CheckpointFrame{Worker: worker, Shard: shard, Epoch: epoch, Round: round, Data: []byte("x")})
+	if err != nil {
+		t.Fatalf("EncodeCheckpointFrame: %v", err)
+	}
+	return frame
 }
 
 func TestServiceConfigValidation(t *testing.T) {
@@ -108,13 +124,24 @@ func TestServiceConfigValidation(t *testing.T) {
 	}
 }
 
-// FuzzDecodeDispatch pins that no dispatcher wire decoder panics on arbitrary
-// bytes, and that anything a decoder accepts re-encodes to bytes the decoder
-// accepts again (round-trip closure).
+// FuzzDecodeDispatch pins that no dispatcher wire decoder — the JSON control
+// messages and the binary checkpoint push frame — panics on arbitrary bytes,
+// and that anything a decoder accepts re-encodes to bytes the decoder accepts
+// again (round-trip closure).
 func FuzzDecodeDispatch(f *testing.F) {
-	f.Add([]byte(`{"schema":"rrdispatch/v1","worker":"w1","addr":"http://h:1"}`))
-	f.Add([]byte(`{"schema":"rrdispatch/v1","worker":"w1","held":[{"shard":0,"epoch":1,"round":2}]}`))
-	f.Add([]byte(`{"schema":"rrdispatch/v1","worker":"w1","shard":0,"epoch":1,"round":2,"data":{"x":1}}`))
+	f.Add([]byte(`{"schema":"rrdispatch/v2","worker":"w1","addr":"http://h:1"}`))
+	f.Add([]byte(`{"schema":"rrdispatch/v2","worker":"w1","held":[{"shard":0,"epoch":1,"round":2}]}`))
+	for _, cp := range []*CheckpointPush{
+		{Worker: "w1", Shard: 0, Epoch: 1, Round: 2, Data: []byte("rrcb\x01")},
+		{Worker: "w2", Shard: 3, Epoch: 7, Round: 40, Final: true, Data: bytes.Repeat([]byte{0xff}, 64)},
+	} {
+		frame, err := EncodeCheckpointPush(cp)
+		if err != nil {
+			f.Fatalf("seed frame: %v", err)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+	}
 	f.Add([]byte(`{broken`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -141,8 +168,13 @@ func FuzzDecodeDispatch(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
 			}
-			if _, err := DecodeCheckpointPush(enc); err != nil {
+			again, err := DecodeCheckpointPush(enc)
+			if err != nil {
 				t.Fatalf("re-encoded checkpoint rejected: %v", err)
+			}
+			if again.Worker != req.Worker || again.Shard != req.Shard || again.Epoch != req.Epoch ||
+				again.Round != req.Round || again.Final != req.Final || !bytes.Equal(again.Data, req.Data) {
+				t.Fatalf("checkpoint round trip changed the push: %+v != %+v", again, req)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"rrsched/internal/ckptstore"
 	"rrsched/internal/obs"
 	"rrsched/internal/serve"
 )
@@ -200,10 +200,7 @@ func (w *Worker) pushCheckpoint(shard int, round int64, data []byte) error {
 	if !held {
 		return fmt.Errorf("dispatch: shard %d ticked without a lease", shard)
 	}
-	return w.dc.PushCheckpoint(&CheckpointPush{
-		Schema: WireSchema, Worker: w.name, Shard: shard,
-		Epoch: epoch, Round: round, Data: data,
-	})
+	return w.dc.PushCheckpoint(&CheckpointPush{Worker: w.name, Shard: shard, Epoch: epoch, Round: round, Data: data})
 }
 
 // heartbeatLoop drives the lease protocol: heartbeat every interval, apply
@@ -318,23 +315,14 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 		delete(w.epochs, shard)
 		delete(w.rounds, shard)
 		w.mu.Unlock()
-		data, err := w.service().CloseShard(shard)
-		if err != nil {
-			// Already closed (a revoke for a lease this worker never applied);
-			// nothing to hand off.
-			continue
-		}
 		if !held {
+			// A revoke for a lease this worker never applied: nothing to hand off.
+			_, _ = w.service().CloseShard(shard) // discard: no lease, so no final checkpoint to push
 			continue
 		}
-		final := &CheckpointPush{
-			Schema: WireSchema, Worker: w.name, Shard: shard,
-			Epoch: epoch, Round: w.closedRound(data), Final: true, Data: data,
+		if w.handBack(shard, epoch) {
+			w.logf("rrworker %s: released shard %d", w.name, shard)
 		}
-		if err := w.dc.PushCheckpoint(final); err != nil && !errors.Is(err, ErrStale) {
-			w.logf("rrworker %s: final checkpoint for shard %d failed: %v", w.name, shard, err)
-		}
-		w.logf("rrworker %s: released shard %d", w.name, shard)
 	}
 	for _, g := range resp.Grants {
 		w.mu.Lock()
@@ -388,21 +376,40 @@ func (w *Worker) rebuild(cfg ServiceConfig, epoch int64) error {
 	return nil
 }
 
-// closedRound extracts the round from a close checkpoint via the recorded
-// rounds map — CloseShard returns state as of the shard's current round,
-// which pushCheckpoint tracked at the last tick. Fresh shards close at their
-// open round.
-func (w *Worker) closedRound(data []byte) int64 {
-	// The checkpoint payload itself carries the authoritative round; the
-	// dispatcher reads it only for placement display, so the tracked value
-	// suffices and saves a decode of an opaque (to this layer) payload.
-	var cp struct {
-		Round int64 `json:"round"`
+// handBack closes a held shard and pushes the close bundle to the dispatcher
+// as the final checkpoint under epoch. It reports whether the shard was open.
+// A stale-epoch refusal is expected (the dispatcher already moved the lease
+// on); other failures are logged, and the dispatcher regrants from its last
+// stored checkpoint.
+func (w *Worker) handBack(shard int, epoch int64) bool {
+	data, err := w.service().CloseShard(shard)
+	if err != nil {
+		return false // already closed: nothing to hand off
 	}
-	if err := json.Unmarshal(data, &cp); err == nil {
-		return cp.Round
+	round, err := closedRound(data)
+	if err != nil {
+		w.logf("rrworker %s: close checkpoint for shard %d unreadable: %v", w.name, shard, err)
+		return true
 	}
-	return 0
+	final := &CheckpointPush{Worker: w.name, Shard: shard, Epoch: epoch, Round: round, Final: true, Data: data}
+	if err := w.dc.PushCheckpoint(final); err != nil && !errors.Is(err, ErrStale) {
+		w.logf("rrworker %s: final checkpoint for shard %d failed: %v", w.name, shard, err)
+	}
+	return true
+}
+
+// closedRound reads the round a close handoff was cut at from its bundle's
+// manifest: the dispatcher refuses a push whose round disagrees with it.
+func closedRound(data []byte) (int64, error) {
+	b, err := ckptstore.DecodeBundle(data)
+	if err != nil {
+		return 0, err
+	}
+	m, err := ckptstore.DecodeManifest(b.Manifest)
+	if err != nil {
+		return 0, err
+	}
+	return m.Round, nil
 }
 
 // selfFence closes every held shard without handoff: the dispatcher is
@@ -448,17 +455,7 @@ func (w *Worker) Close() {
 		}
 		sort.Ints(shards)
 		for _, shard := range shards {
-			data, err := w.service().CloseShard(shard)
-			if err != nil {
-				continue
-			}
-			push := &CheckpointPush{
-				Schema: WireSchema, Worker: w.name, Shard: shard,
-				Epoch: held[shard], Round: w.closedRound(data), Final: true, Data: data,
-			}
-			if err := w.dc.PushCheckpoint(push); err != nil && !errors.Is(err, ErrStale) {
-				w.logf("rrworker %s: handing back shard %d failed: %v", w.name, shard, err)
-			}
+			w.handBack(shard, held[shard])
 		}
 		_ = w.srv.Close() // abrupt: held shards are handed back already
 		w.service().Close()

@@ -125,60 +125,9 @@ func jsonOnlyMiddleware(handler http.Handler, binarySeen *atomic.Int64) http.Han
 	})
 }
 
-// TestWireAutoFallsBackOnJSONOnlyServer: a WireAuto client against a server
-// that predates the binary wire retries the batch as JSON, latches, and never
-// sends another frame — and the batch lands exactly once.
-func TestWireAutoFallsBackOnJSONOnlyServer(t *testing.T) {
-	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16}
-	svc, _, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer svc.Close()
-	var binarySeen atomic.Int64
-	srv := httptest.NewServer(jsonOnlyMiddleware(svc.Handler(), &binarySeen))
-	defer srv.Close()
-
-	client := NewClient(srv.URL) // WireAuto
-	out, err := client.Submit(&SubmitRequest{
-		Schema: WireSchema, Tenant: "legacy", Jobs: []SubmitJob{{ID: 0, Delay: 4}},
-	})
-	if err != nil || !out.Accepted {
-		t.Fatalf("submit through fallback: out=%+v err=%v", out, err)
-	}
-	if !client.jsonLatched.Load() {
-		t.Fatal("client did not latch to JSON after the fallback")
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("old server saw %d binary frames, want exactly 1", n)
-	}
-	// Latched: the next submit goes straight to JSON.
-	out, err = client.Submit(&SubmitRequest{
-		Schema: WireSchema, Tenant: "legacy", Jobs: []SubmitJob{{ID: 1, Delay: 4}},
-	})
-	if err != nil || !out.Accepted {
-		t.Fatalf("post-latch submit: out=%+v err=%v", out, err)
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("latched client sent another binary frame (%d total)", n)
-	}
-	// Ticks survive the old server too: the binary tick carries its
-	// parameters in the query string as well, so no fallback is needed.
-	if _, err := client.Tick(1); err != nil {
-		t.Fatalf("tick against JSON-only server: %v", err)
-	}
-	// The tenant's state reflects exactly one admission of job 0 and 1.
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if st.Totals.Accepted != 2 {
-		t.Fatalf("accepted=%d after fallback, want 2 (no double submit)", st.Totals.Accepted)
-	}
-}
-
-// TestWireBinaryModeDoesNotFallBack: a client pinned to WireBinary surfaces
-// the old server's rejection instead of silently downgrading.
+// TestWireBinaryModeDoesNotFallBack: a default (binary) client surfaces a
+// JSON-only server's rejection instead of silently downgrading — there is no
+// fallback to JSON.
 func TestWireBinaryModeDoesNotFallBack(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16}
 	svc, _, err := New(cfg)
@@ -190,12 +139,15 @@ func TestWireBinaryModeDoesNotFallBack(t *testing.T) {
 	srv := httptest.NewServer(jsonOnlyMiddleware(svc.Handler(), &binarySeen))
 	defer srv.Close()
 
-	client := NewClientWire(srv.URL, SingleShot(), WireBinary)
+	client := NewClientPolicy(srv.URL, SingleShot())
 	_, err = client.Submit(&SubmitRequest{
 		Schema: WireSchema, Tenant: "pinned", Jobs: []SubmitJob{{ID: 0, Delay: 4}},
 	})
 	if err == nil {
-		t.Fatal("pinned binary client succeeded against a JSON-only server")
+		t.Fatal("binary client succeeded against a JSON-only server")
+	}
+	if n := binarySeen.Load(); n != 1 {
+		t.Fatalf("JSON-only server saw %d binary frames, want exactly 1 (no resend)", n)
 	}
 }
 
@@ -259,10 +211,10 @@ func TestBinaryFrameErrorsAreTyped400s(t *testing.T) {
 		if er.Error == "" {
 			t.Errorf("%s: empty error body", tc.name)
 		}
-		// Frame-level errors must not wear the JSON decoder's prefix, or a
-		// WireAuto client would misread them as "server speaks no binary".
+		// Frame-level errors must not wear the JSON decoder's prefix: the 400
+		// has to say which codec refused the request.
 		if strings.Contains(er.Error, "decoding submit request") {
-			t.Errorf("%s: frame error %q carries the JSON fallback sentinel", tc.name, er.Error)
+			t.Errorf("%s: frame error %q carries the JSON decoder's prefix", tc.name, er.Error)
 		}
 	}
 	waitPoolBalance(t)

@@ -8,56 +8,45 @@ import (
 	"rrsched/internal/stream"
 )
 
-// Hosted-tier incremental checkpoints. With Config.CheckpointBundles on, the
-// per-tick OnShardCheckpoint payload is a ckptstore bundle — the shard's
-// manifest plus only the chunks the receiver has not acknowledged — instead
-// of the full flattened checkpoint JSON. The shard keeps its chunks in an
-// in-memory pool (no disk in hosted mode) and tracks acknowledgements: a
-// successful hook call acks the manifest's closure, a failed one resets the
-// acks so the next push resends everything the receiver might have dropped.
-// The dispatcher sniffs push bodies (ckptstore.IsBundle) and flattens bundles
-// back to legacy checkpoint JSON, so everything downstream of its checkpoint
-// store — persistence, failover grants, reshards — is untouched.
+// Hosted-tier checkpoints are ckptstore bundles: the shard's manifest plus
+// content-addressed chunks. A shard keeps its chunks in an in-memory pool (no
+// disk in hosted mode) and pushes, after every tick, the manifest plus only
+// the chunks the receiver has not acknowledged: a successful hook call acks
+// the manifest's closure, a failed one resets the acks so the next push
+// resends everything the receiver might have dropped. The receiver folds each
+// push (FoldBundle) into a self-contained bundle — one full chunk per tenant —
+// which is what it stores, persists, and hands back to OpenShard, where it
+// seeds the new host's pool and restores through restoreManifest.
 
-// offerCheckpoint builds the shard's checkpoint payload (bundle or flat JSON)
-// and offers it to Config.OnShardCheckpoint. No-op without a hook.
+// offerCheckpoint cuts the shard into its chunk pool and offers the bundle of
+// unacknowledged chunks to Config.OnShardCheckpoint. No-op without a hook.
 func (sh *shard) offerCheckpoint() error {
 	if sh.cfg.OnShardCheckpoint == nil {
 		return nil
 	}
-	var data []byte
-	var err error
-	if sh.cfg.CheckpointBundles {
-		data, err = sh.buildBundle()
-	} else {
-		data, err = sh.checkpoint()
-	}
+	data, closure, err := sh.buildBundle(sh.acked)
 	if err != nil {
 		return err
 	}
 	if err := sh.cfg.OnShardCheckpoint(sh.idx, sh.round, data); err != nil {
-		if sh.cfg.CheckpointBundles {
-			// The push may have been lost: forget every ack so the next bundle
-			// carries the full closure again.
-			sh.acked = map[uint64]bool{}
-			sh.lastClosure = nil
-		}
+		// The push may have been lost: forget every ack so the next bundle
+		// carries the full closure again.
+		sh.acked = map[uint64]bool{}
 		return fmt.Errorf("serve: shard %d checkpoint hook: %w", sh.idx, err)
 	}
-	if sh.cfg.CheckpointBundles {
-		sh.commitBundleAck()
-	}
+	// The receiver holds the closure now; chunks superseded by newer cuts are
+	// no longer anyone's responsibility.
+	sh.acked = closure
+	sh.pool.Prune(closure)
 	return nil
 }
 
 // buildBundle cuts the shard into its in-memory chunk pool (dirty tenants
-// only; clean ones reuse their chunk) and encodes the manifest plus the
-// unacknowledged slice of its closure.
-func (sh *shard) buildBundle() ([]byte, error) {
-	if sh.pool == nil {
-		sh.pool = ckptstore.NewMemStore(sh.cfg.MaxChunkChain)
-		sh.acked = map[uint64]bool{}
-	}
+// only; clean ones reuse their chunk) and encodes the manifest plus the slice
+// of its closure outside acked. With acked nil the bundle is self-contained:
+// the handoff form CloseShard returns. The closure is returned so the caller
+// can ack it once the receiver holds the bundle.
+func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, error) {
 	m := &ckptstore.Manifest{
 		Schema: ckptstore.ManifestSchema,
 		Shard:  sh.idx,
@@ -68,7 +57,7 @@ func (sh *shard) buildBundle() ([]byte, error) {
 		tn := sh.tenants[name]
 		if tn.dirty || tn.chunk.ID == 0 {
 			if err := sh.putTenantChunk(tn); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		m.Tenants = append(m.Tenants, ckptstore.TenantRef{
@@ -79,128 +68,177 @@ func (sh *shard) buildBundle() ([]byte, error) {
 	}
 	manifest, err := ckptstore.EncodeManifest(m)
 	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d manifest: %w", sh.idx, err)
+		return nil, nil, fmt.Errorf("serve: shard %d manifest: %w", sh.idx, err)
 	}
 	roots, err := m.Roots()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	closure, err := sh.pool.Closure(roots)
 	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d bundle closure: %w", sh.idx, err)
+		return nil, nil, fmt.Errorf("serve: shard %d bundle closure: %w", sh.idx, err)
 	}
 	chunks := make(map[uint64][]byte)
 	for id := range closure {
-		if sh.acked[id] {
+		if acked[id] {
 			continue
 		}
 		data, ok := sh.pool.Get(id)
 		if !ok {
-			return nil, fmt.Errorf("serve: shard %d chunk %016x missing from pool", sh.idx, id)
+			return nil, nil, fmt.Errorf("serve: shard %d chunk %016x missing from pool", sh.idx, id)
 		}
 		chunks[id] = data
 	}
 	bundle, err := ckptstore.EncodeBundle(manifest, chunks)
 	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d bundle: %w", sh.idx, err)
+		return nil, nil, fmt.Errorf("serve: shard %d bundle: %w", sh.idx, err)
 	}
-	sh.lastClosure = closure
-	return bundle, nil
+	return bundle, closure, nil
 }
 
-// commitBundleAck records that the receiver holds the last bundle's closure,
-// then prunes the pool and the ack set down to it — chunks superseded by
-// newer cuts are no longer anyone's responsibility.
-func (sh *shard) commitBundleAck() {
-	if sh.lastClosure == nil {
-		return
-	}
-	for id := range sh.lastClosure {
-		sh.acked[id] = true
-	}
-	for id := range sh.acked {
-		if !sh.lastClosure[id] {
-			delete(sh.acked, id)
-		}
-	}
-	sh.pool.Prune(sh.lastClosure)
-	sh.lastClosure = nil
-}
-
-// FlattenBundle converts an incremental checkpoint bundle into flat legacy
-// checkpoint JSON, absorbing the bundle's chunks into pool (which persists
-// unacked state across pushes — the sender only resends what a failure makes
-// doubtful). A reference the pool cannot resolve is an error: the caller
-// should fail the push so the sender resets its acks and resends the full
-// closure. Embedded decision streams are padded from their chunk's round to
-// the manifest round with trivial decisions, which is exactly what the live
-// scheduler appended on those rounds for a clean tenant.
-func FlattenBundle(data []byte, pool *ckptstore.MemStore) ([]byte, error) {
+// restoreBundle seeds the shard's chunk pool from a checkpoint bundle and
+// restores the shard from the bundle's manifest, through the same
+// restoreManifest a state-dir boot uses. Called from handleOpen, before the
+// shard accepts work.
+func (sh *shard) restoreBundle(data []byte) error {
 	b, err := ckptstore.DecodeBundle(data)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("serve: shard %d checkpoint: %w", sh.idx, err)
 	}
 	m, err := ckptstore.DecodeManifest(b.Manifest)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("serve: shard %d checkpoint: %w", sh.idx, err)
 	}
 	for id, chunk := range b.Chunks {
-		if err := pool.Add(id, chunk); err != nil {
-			return nil, err
+		if err := sh.pool.Add(id, chunk); err != nil {
+			return err
 		}
 	}
-	cp := shardCheckpoint{
-		Schema:         StateSchema,
-		Shard:          m.Shard,
-		Shards:         m.Shards,
-		Round:          m.Round,
-		PlacementEpoch: m.PlacementEpoch,
+	return sh.restoreManifest(m, newHashRing(sh.cfg.Shards), sh.pool)
+}
+
+// FoldBundle is the receiving side of the hosted checkpoint protocol. It
+// validates a pushed bundle whose chunks resolve in the bundle itself or in
+// pool — the chunks the sender may assume the receiver kept from earlier
+// pushes — and folds it into a self-contained bundle: the manifest with every
+// tenant pointing at one full chunk. The folded bundle is what a receiver
+// stores, persists, and hands to OpenShard. next is pool plus the bundle's
+// chunks, pruned to the manifest's closure: what the sender's next delta push
+// may reference. pool itself is not modified, so a rejected push leaves the
+// receiver exactly as it was; a nil pool holds nothing.
+//
+// A bundle is rejected whole when it does not decode, pages a tenant out
+// (hosted shards cannot evict), references a chunk neither it nor pool
+// holds, or carries a tenant chunk that names another tenant, was cut outside
+// [0, manifest round], or records a decision history of the wrong length.
+func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptstore.Manifest, next *ckptstore.MemStore, err error) {
+	b, err := ckptstore.DecodeBundle(data)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	for i := range m.Tenants {
-		ref := &m.Tenants[i]
+	in, err := ckptstore.DecodeManifest(b.Manifest)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if pool == nil {
+		next = ckptstore.NewMemStore(0)
+	} else {
+		next = pool.Clone()
+	}
+	for id, chunk := range b.Chunks {
+		if err := next.Add(id, chunk); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	m = &ckptstore.Manifest{
+		Schema:         ckptstore.ManifestSchema,
+		Shard:          in.Shard,
+		Shards:         in.Shards,
+		Round:          in.Round,
+		PlacementEpoch: in.PlacementEpoch,
+	}
+	chunks := make(map[uint64][]byte, len(in.Tenants))
+	for i := range in.Tenants {
+		ref := &in.Tenants[i]
 		if ref.Evicted {
-			return nil, fmt.Errorf("serve: bundle manifest pages out tenant %q (hosted shards cannot evict)", ref.Name)
+			return nil, nil, nil, fmt.Errorf("serve: bundle manifest pages out tenant %q (hosted shards cannot evict)", ref.Name)
 		}
 		r, err := ref.Ref()
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		payload, _, err := pool.Resolve(r.ID)
+		payload, depth, err := next.Resolve(r.ID)
 		if err != nil {
-			return nil, fmt.Errorf("serve: flattening tenant %q: %w", ref.Name, err)
+			return nil, nil, nil, fmt.Errorf("serve: folding tenant %q: %w", ref.Name, err)
 		}
-		var tcp tenantChunkPayload
-		if err := json.Unmarshal(payload, &tcp); err != nil {
-			return nil, fmt.Errorf("serve: flattening tenant %q: %w", ref.Name, err)
+		if err := checkTenantChunk(ref.Name, payload, in.Round); err != nil {
+			return nil, nil, nil, err
 		}
-		if tcp.Tenant.Name != ref.Name {
-			return nil, fmt.Errorf("serve: tenant %q chunk holds tenant %q", ref.Name, tcp.Tenant.Name)
+		id := r.ID
+		enc, _ := next.Get(id)
+		if depth > 0 {
+			enc, id = ckptstore.EncodeFull(payload)
 		}
-		if tcp.Round < 0 || tcp.Round > m.Round {
-			return nil, fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", ref.Name, tcp.Round, m.Round)
-		}
-		if n := len(tcp.Tenant.Decisions); n > 0 {
-			if int64(n) != tcp.Round-tcp.Tenant.Epoch {
-				return nil, fmt.Errorf("serve: tenant %q chunk has %d decisions, want %d", ref.Name, n, tcp.Round-tcp.Tenant.Epoch)
-			}
-			for r := tcp.Round; r < m.Round; r++ {
-				tcp.Tenant.Decisions = append(tcp.Tenant.Decisions, stream.Decision{Round: r - tcp.Tenant.Epoch})
-			}
-		}
-		cp.Tenants = append(cp.Tenants, tcp.Tenant)
+		chunks[id] = enc
+		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: ref.Name, Chunk: ckptstore.FormatChunkID(id)})
 	}
-	out, err := json.MarshalIndent(cp, "", "  ")
+	manifest, err := ckptstore.EncodeManifest(m)
 	if err != nil {
-		return nil, fmt.Errorf("serve: flattening shard %d: %w", m.Shard, err)
+		return nil, nil, nil, err
 	}
-	roots, err := m.Roots()
+	if folded, err = ckptstore.EncodeBundle(manifest, chunks); err != nil {
+		return nil, nil, nil, err
+	}
+	roots, err := in.Roots()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	closure, err := pool.Closure(roots)
+	closure, err := next.Closure(roots)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	pool.Prune(closure)
-	return out, nil
+	next.Prune(closure)
+	return folded, m, next, nil
+}
+
+// checkTenantChunk applies FoldBundle's per-tenant checks to one resolved
+// chunk payload. It decodes only the fields it checks; restoreManifest
+// validates the rest when the bundle is opened.
+func checkTenantChunk(name string, payload []byte, round int64) error {
+	var tcp struct {
+		Round  int64 `json:"round"`
+		Tenant struct {
+			Name      string            `json:"name"`
+			Epoch     int64             `json:"epoch"`
+			Decisions []json.RawMessage `json:"decisions"`
+		} `json:"tenant"`
+	}
+	if err := json.Unmarshal(payload, &tcp); err != nil {
+		return fmt.Errorf("serve: folding tenant %q: %w", name, err)
+	}
+	if tcp.Tenant.Name != name {
+		return fmt.Errorf("serve: tenant %q chunk holds tenant %q", name, tcp.Tenant.Name)
+	}
+	if tcp.Round < 0 || tcp.Round > round {
+		return fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", name, tcp.Round, round)
+	}
+	if n := int64(len(tcp.Tenant.Decisions)); n > 0 && n != tcp.Round-tcp.Tenant.Epoch {
+		return fmt.Errorf("serve: tenant %q chunk has %d decisions, want %d", name, n, tcp.Round-tcp.Tenant.Epoch)
+	}
+	return nil
+}
+
+// padDecisions extends a restored tenant's recorded decision history from its
+// chunk's round to the manifest's. A clean tenant keeps its chunk while the
+// shard's round advances, and the live scheduler recorded one trivial
+// decision for every round in between; the restored scheduler fast-forwards
+// through those rounds without recording them. Histories that were not
+// embedded in the chunk (no recording, or a decision log) stay empty.
+func padDecisions(tn *tenant, from, to int64) {
+	if len(tn.decisions) == 0 {
+		return
+	}
+	for r := from; r < to; r++ {
+		tn.decisions = append(tn.decisions, stream.Decision{Round: r - tn.epoch})
+	}
 }

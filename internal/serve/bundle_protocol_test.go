@@ -59,8 +59,7 @@ func chunkCount(t *testing.T, data []byte) int {
 func TestBundleAckProtocol(t *testing.T) {
 	sink := &bundleSink{}
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, CheckpointDecisions: true,
-		Hosted: true, CheckpointBundles: true, OnShardCheckpoint: sink.hook})
+		RecordDecisions: true, Hosted: true, OnShardCheckpoint: sink.hook})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -87,7 +86,7 @@ func TestBundleAckProtocol(t *testing.T) {
 	}
 
 	// Push 1: three fresh tenants, jobs fully resolved — the bundle must be
-	// self-contained (a receiver with an empty pool can flatten it).
+	// self-contained (a receiver with an empty pool can fold it).
 	for _, tn := range []string{"pa", "pb", "pc"} {
 		submit(tn, 0)
 	}
@@ -98,7 +97,7 @@ func TestBundleAckProtocol(t *testing.T) {
 	if n := chunkCount(t, first); n < 3 {
 		t.Fatalf("first push carries %d chunks, want the full closure (>= 3)", n)
 	}
-	if _, err := FlattenBundle(first, ckptstore.NewMemStore(0)); err != nil {
+	if _, _, _, err := FoldBundle(first, nil); err != nil {
 		t.Fatalf("first push is not self-contained: %v", err)
 	}
 
@@ -113,7 +112,7 @@ func TestBundleAckProtocol(t *testing.T) {
 
 	// Push 3: one dirty tenant — only its new frame rides (as a delta chain
 	// link or a folded full frame, never the whole closure), and a fresh
-	// receiver cannot flatten it alone.
+	// receiver cannot fold it alone.
 	submit("pa", 1)
 	if err := tick(6); err != nil {
 		t.Fatalf("tick: %v", err)
@@ -122,8 +121,8 @@ func TestBundleAckProtocol(t *testing.T) {
 	if n := chunkCount(t, delta); n < 1 || n > 2 {
 		t.Fatalf("dirty-tenant push carries %d chunks, want 1..2", n)
 	}
-	if _, err := FlattenBundle(delta, ckptstore.NewMemStore(0)); err == nil {
-		t.Fatal("delta push flattened against an empty pool; it must need the acked chunks")
+	if _, _, _, err := FoldBundle(delta, nil); err == nil {
+		t.Fatal("delta push folded against an empty pool; it must need the acked chunks")
 	}
 
 	// Push 4 is rejected: the shard must surface the failure and forget its
@@ -146,23 +145,25 @@ func TestBundleAckProtocol(t *testing.T) {
 	if n := chunkCount(t, resend); n < 3 {
 		t.Fatalf("post-loss push carries %d chunks, want the full closure (>= 3)", n)
 	}
-	if _, err := FlattenBundle(resend, ckptstore.NewMemStore(0)); err != nil {
+	if _, _, _, err := FoldBundle(resend, nil); err != nil {
 		t.Fatalf("post-loss push is not self-contained: %v", err)
 	}
 }
 
-// TestBundleFlattenMatchesDrainCheckpoint pins receiver-side equivalence: a
-// dispatcher-style pool fed every successful bundle flattens to a checkpoint
-// that reopens into a shard whose decision streams are byte-identical to the
-// sender's.
-func TestBundleFlattenMatchesDrainCheckpoint(t *testing.T) {
+// TestBundleFoldMatchesSender pins receiver-side equivalence: a
+// dispatcher-style pool fed every successful push folds to a self-contained
+// bundle that is byte-identical to the fold of the sender's close handoff,
+// is smaller than the raw closure, holds one full chunk per tenant, and
+// reopens into a shard whose decision streams are byte-identical to the
+// sender's — including tenants that stayed clean for several rounds, whose
+// histories the restore pads.
+func TestBundleFoldMatchesSender(t *testing.T) {
 	sink := &bundleSink{}
 	cfg := Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, CheckpointDecisions: true, Hosted: true}
-	bundled := cfg
-	bundled.CheckpointBundles = true
-	bundled.OnShardCheckpoint = sink.hook
-	svc, _, err := New(bundled)
+		RecordDecisions: true, Hosted: true}
+	sender := cfg
+	sender.OnShardCheckpoint = sink.hook
+	svc, _, err := New(sender)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -174,10 +175,10 @@ func TestBundleFlattenMatchesDrainCheckpoint(t *testing.T) {
 		t.Fatalf("OpenShard: %v", err)
 	}
 
-	// A small multi-tenant run with staggered arrivals, flattening every
-	// push into the same persistent pool as the dispatcher would.
-	pool := ckptstore.NewMemStore(0)
-	var flat []byte
+	// A small multi-tenant run with staggered arrivals, folding every push
+	// against the pool the previous fold left, as the dispatcher does.
+	var pool *ckptstore.MemStore
+	var folded []byte
 	tenants := []string{"fa", "fb", "fc", "fd"}
 	nextID := map[string]int64{}
 	for r := 0; r < 12; r++ {
@@ -194,14 +195,50 @@ func TestBundleFlattenMatchesDrainCheckpoint(t *testing.T) {
 		if _, err := svc.TickShard(0, 1); err != nil {
 			t.Fatalf("tick %d: %v", r, err)
 		}
-		flat, err = FlattenBundle(sink.take(t), pool)
+		var m *ckptstore.Manifest
+		folded, m, pool, err = FoldBundle(sink.take(t), pool)
 		if err != nil {
-			t.Fatalf("FlattenBundle at round %d: %v", r, err)
+			t.Fatalf("FoldBundle at round %d: %v", r, err)
+		}
+		if m.Round != int64(r+1) {
+			t.Fatalf("folded manifest at round %d, want %d", m.Round, r+1)
+		}
+	}
+	b, err := ckptstore.DecodeBundle(folded)
+	if err != nil {
+		t.Fatalf("DecodeBundle(folded): %v", err)
+	}
+	if len(b.Chunks) != len(tenants) {
+		t.Fatalf("folded bundle carries %d chunks, want one per tenant (%d)", len(b.Chunks), len(tenants))
+	}
+	for id, chunk := range b.Chunks {
+		if c, err := ckptstore.DecodeChunk(chunk); err != nil || c.Kind != ckptstore.KindFull {
+			t.Fatalf("folded chunk %016x is not a full chunk (err %v)", id, err)
+		}
+	}
+	want := map[string][]byte{}
+	for _, tn := range tenants {
+		if want[tn], err = client.DecisionsRaw(tn); err != nil {
+			t.Fatalf("sender DecisionsRaw(%s): %v", tn, err)
 		}
 	}
 
-	// Reopen the final flattened state elsewhere; every tenant's stream must
-	// be byte-identical to the sender's.
+	// The close handoff is a self-contained raw closure; folded, it is the
+	// very bundle the pushes folded to.
+	handoff, err := svc.CloseShard(0)
+	if err != nil {
+		t.Fatalf("CloseShard: %v", err)
+	}
+	refold, _, _, err := FoldBundle(handoff, nil)
+	if err != nil {
+		t.Fatalf("FoldBundle(handoff): %v", err)
+	}
+	if !bytes.Equal(refold, folded) {
+		t.Fatal("folded close handoff differs from the folded push stream")
+	}
+
+	// Reopen the folded state elsewhere; every tenant's stream must be
+	// byte-identical to the sender's.
 	svc2, _, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New receiver: %v", err)
@@ -210,20 +247,16 @@ func TestBundleFlattenMatchesDrainCheckpoint(t *testing.T) {
 	srv2 := httptest.NewServer(svc2.Handler())
 	defer srv2.Close()
 	client2 := NewClientPolicy(srv2.URL, SingleShot())
-	if round, err := svc2.OpenShard(0, flat); err != nil || round != 12 {
-		t.Fatalf("reopen from flattened bundle: round=%d err=%v", round, err)
+	if round, err := svc2.OpenShard(0, folded); err != nil || round != 12 {
+		t.Fatalf("reopen from folded bundle: round=%d err=%v", round, err)
 	}
 	for _, tn := range tenants {
-		want, err := client.DecisionsRaw(tn)
-		if err != nil {
-			t.Fatalf("sender DecisionsRaw(%s): %v", tn, err)
-		}
 		got, err := client2.DecisionsRaw(tn)
 		if err != nil {
 			t.Fatalf("receiver DecisionsRaw(%s): %v", tn, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("tenant %s: flattened-bundle streams diverge\nsender:   %.200s\nreceiver: %.200s", tn, want, got)
+		if !bytes.Equal(got, want[tn]) {
+			t.Fatalf("tenant %s: folded-bundle streams diverge\nsender:   %.200s\nreceiver: %.200s", tn, want[tn], got)
 		}
 	}
 }

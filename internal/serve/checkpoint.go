@@ -9,26 +9,11 @@ import (
 	"rrsched/internal/stream"
 )
 
-// StateSchema versions the per-shard checkpoint files written on drain.
-const StateSchema = "rrserve-state/v1"
-
-// shardCheckpoint is the JSON image of one shard: the next round, and for
-// every tenant the embedded stream checkpoint plus the ingest-layer state the
-// stream scheduler does not know about (queued-but-unpushed jobs, the ID
-// high-water mark, and the inflight metadata the metrics layer needs).
-type shardCheckpoint struct {
-	Schema string `json:"schema"`
-	Shard  int    `json:"shard"`
-	Shards int    `json:"shards"`
-	Round  int64  `json:"round"`
-	// PlacementEpoch is the placement epoch the shard served under when the
-	// checkpoint was cut. Zero (and omitted) for a never-resharded service,
-	// which keeps pre-epoch checkpoint files decoding unchanged.
-	PlacementEpoch int64 `json:"placement_epoch,omitempty"`
-
-	Tenants []tenantCheckpoint `json:"tenants,omitempty"`
-}
-
+// tenantCheckpoint is the JSON image of one tenant: the embedded stream
+// checkpoint plus the ingest-layer state the stream scheduler does not know
+// about (queued-but-unpushed jobs, the ID high-water mark, and the inflight
+// metadata the metrics layer needs). It is the payload of a tenant's state
+// chunk and of a reshard migration frame.
 type tenantCheckpoint struct {
 	Name  string `json:"name"`
 	Epoch int64  `json:"epoch"`
@@ -41,10 +26,11 @@ type tenantCheckpoint struct {
 	Queued   []queuedJob     `json:"queued,omitempty"`
 	Inflight []inflightJob   `json:"inflight,omitempty"`
 	Snapshot json.RawMessage `json:"snapshot"`
-	// Decisions is the tenant's recorded decision stream, present only under
-	// Config.CheckpointDecisions: the dispatcher/worker tier embeds history in
-	// checkpoints so it survives a shard migration, whereas the classic drain
-	// protocol keeps recordings in memory only.
+	// Decisions is the tenant's recorded decision stream, present only in
+	// hosted services that record decisions (Config.embedsDecisions): the
+	// dispatcher/worker tier embeds history in checkpoints so it survives a
+	// shard migration, whereas classic services keep it in memory or in the
+	// decision log. Classic reshard frames carry it too.
 	Decisions []stream.Decision `json:"decisions,omitempty"`
 
 	// Reshard migration extensions. A frame carrying Chunk ships a reference
@@ -82,29 +68,8 @@ type inflightJob struct {
 	Arrival int64 `json:"arrival"`
 }
 
-// checkpoint serializes the shard. Runs on the shard goroutine, strictly
-// between round ticks, so the image is a consistent cut: every accepted job
-// is either inside a scheduler snapshot, in a queued list, or resolved.
-func (sh *shard) checkpoint() ([]byte, error) {
-	cp := shardCheckpoint{
-		Schema:         StateSchema,
-		Shard:          sh.idx,
-		Shards:         sh.nshards,
-		Round:          sh.round,
-		PlacementEpoch: sh.epoch,
-	}
-	for _, name := range sh.order {
-		tcp, err := sh.checkpointTenant(sh.tenants[name], sh.cfg.CheckpointDecisions)
-		if err != nil {
-			return nil, err
-		}
-		cp.Tenants = append(cp.Tenants, tcp)
-	}
-	return json.MarshalIndent(cp, "", "  ")
-}
-
-// checkpointTenant serializes one tenant. Shared by whole-shard checkpoints
-// and the reshard migration path, which ships single tenants between shards.
+// checkpointTenant serializes one tenant. Shared by tenant state chunks and
+// the reshard migration path, which ships single tenants between shards.
 func (sh *shard) checkpointTenant(tn *tenant, decisions bool) (tenantCheckpoint, error) {
 	snap, err := tn.sched.Snapshot()
 	if err != nil {
@@ -137,78 +102,10 @@ func (sh *shard) checkpointTenant(tn *tenant, decisions bool) (tenantCheckpoint,
 	return tcp, nil
 }
 
-// restoreShard rebuilds a shard's goroutine-owned state from checkpoint
-// bytes. Called before the shard goroutine starts, so plain field writes are
-// safe. Validation is field by field: a corrupted file is rejected with an
-// error rather than resumed into an inconsistent service.
-func (sh *shard) restoreShard(data []byte, ring hashRing) error {
-	cp, err := decodeShardCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	if cp.Shard != sh.idx {
-		return fmt.Errorf("serve: checkpoint is for shard %d, restoring shard %d", cp.Shard, sh.idx)
-	}
-	if cp.Shards != sh.cfg.Shards {
-		return fmt.Errorf("serve: checkpoint taken with %d shards, shard expects %d", cp.Shards, sh.cfg.Shards)
-	}
-	sh.round = cp.Round
-	if !sh.cfg.Hosted {
-		// A hosted shard's placement is the dispatcher's config epoch, not a
-		// worker-local ring epoch: leave it at zero there.
-		sh.epoch = cp.PlacementEpoch
-	}
-	for i := range cp.Tenants {
-		tcp := &cp.Tenants[i]
-		if _, dup := sh.tenants[tcp.Name]; dup {
-			return fmt.Errorf("serve: checkpoint repeats tenant %q", tcp.Name)
-		}
-		if got := ring.ShardOf(tcp.Name); got != sh.idx {
-			return fmt.Errorf("serve: checkpoint places tenant %q on shard %d, ring says %d", tcp.Name, sh.idx, got)
-		}
-		tn, err := sh.buildTenant(tcp, cp.Round)
-		if err != nil {
-			return err
-		}
-		sh.adoptTenant(tn)
-	}
-	sort.Strings(sh.order)
-	sh.setStateGauges()
-	return nil
-}
-
-// decodeShardCheckpoint parses and structurally validates one shard
-// checkpoint file: schema, round, and per-tenant shape (but not placement —
-// the caller decides which ring and shard index the file must agree with).
-func decodeShardCheckpoint(data []byte) (*shardCheckpoint, error) {
-	var cp shardCheckpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("serve: decoding shard checkpoint: %w", err)
-	}
-	if cp.Schema != StateSchema {
-		return nil, fmt.Errorf("serve: shard checkpoint schema %q, want %q", cp.Schema, StateSchema)
-	}
-	if cp.Round < 0 {
-		return nil, fmt.Errorf("serve: checkpoint has negative round %d", cp.Round)
-	}
-	if cp.Shard < 0 || cp.Shards < 1 || cp.Shard >= cp.Shards {
-		return nil, fmt.Errorf("serve: checkpoint names shard %d of %d", cp.Shard, cp.Shards)
-	}
-	if cp.PlacementEpoch < 0 {
-		return nil, fmt.Errorf("serve: checkpoint has negative placement epoch %d", cp.PlacementEpoch)
-	}
-	for i := range cp.Tenants {
-		if err := ValidateTenant(cp.Tenants[i].Name); err != nil {
-			return nil, fmt.Errorf("serve: checkpoint tenant: %w", err)
-		}
-	}
-	return &cp, nil
-}
-
 // buildTenant reconstructs one tenant from its checkpoint image, validating
-// field by field: a corrupted file is rejected with an error rather than
-// resumed into an inconsistent service. round is the owning checkpoint's
-// round (the bound on tenant epochs and decision history).
+// field by field: a corrupted checkpoint is rejected with an error rather
+// than resumed into an inconsistent service. round is the round the image was
+// cut at (the bound on tenant epochs and decision history).
 func (sh *shard) buildTenant(tcp *tenantCheckpoint, round int64) (*tenant, error) {
 	if tcp.Epoch < 0 || tcp.Epoch > round {
 		return nil, fmt.Errorf("serve: tenant %q has epoch %d outside [0, %d]", tcp.Name, tcp.Epoch, round)
@@ -279,9 +176,9 @@ func (sh *shard) restoreClass(name string) (int, bool) {
 }
 
 // adoptTenant installs a reconstructed tenant into the shard's state. The
-// caller is responsible for keeping sh.order sorted (restoreShard sorts once
-// at the end; the reshard inject path inserts in place) and for refreshing
-// the gauges via setStateGauges.
+// caller is responsible for keeping sh.order sorted (restoreManifest and the
+// reshard inject path sort once at the end) and for refreshing the gauges
+// via setStateGauges.
 func (sh *shard) adoptTenant(tn *tenant) {
 	sh.tenants[tn.name] = tn
 	sh.order = append(sh.order, tn.name)

@@ -16,9 +16,10 @@ import (
 // This file is the serve tier's side of the incremental checkpoint store:
 // delta cuts (only dirty tenants are re-serialized), cold-tenant paging
 // (quiescent tenants evict to the chunk store and fault back in on their next
-// submission), the streaming decision log, and the hosted-tier bundle
-// protocol. The disk formats live in internal/ckptstore; this file owns the
-// mapping between shard state and those formats.
+// submission), the streaming decision log, and the one restore path
+// (restoreManifest). The hosted-tier bundle protocol lives in bundle.go; the
+// formats live in internal/ckptstore; this file owns the mapping between
+// shard state and those formats.
 
 // tenantChunkPayload is what a tenant state chunk holds: the tenant's
 // checkpoint image plus the round it was cut at. The round must travel inside
@@ -79,7 +80,7 @@ func (sh *shard) setPagingGauges() {
 // encodeTenantChunk serializes one tenant as a chunk payload cut at the
 // shard's current round.
 func (sh *shard) encodeTenantChunk(tn *tenant) ([]byte, error) {
-	tcp, err := sh.checkpointTenant(tn, sh.cfg.CheckpointDecisions)
+	tcp, err := sh.checkpointTenant(tn, sh.cfg.embedsDecisions())
 	if err != nil {
 		return nil, err
 	}
@@ -350,14 +351,31 @@ func (sh *shard) decisionsFromLog(name string) decisionsResult {
 	}
 }
 
-// restoreManifest rebuilds a shard from its incremental checkpoint manifest:
-// resident tenants are resolved out of the chunk store and rebuilt at their
-// chunk's round (the next tick fast-forwards them to the manifest round);
-// evicted tenants restore as stubs without touching their chunks. Called
-// before the shard goroutine starts.
-func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
+// chunkSource resolves content-addressed chunks: the state dir's store on a
+// boot restore, a hosted shard's pool on OpenShard.
+type chunkSource interface {
+	Resolve(id uint64) ([]byte, int, error)
+}
+
+// restoreManifest rebuilds a shard from a checkpoint manifest: the one
+// restore path of both a state-dir boot and a hosted OpenShard. Resident
+// tenants are resolved out of chunks and rebuilt at their chunk's round (the
+// next tick fast-forwards them to the manifest round); evicted tenants
+// restore as stubs without touching their chunks, which needs the shard's
+// durable store to fault them back in from. Validation is field by field: a
+// corrupted or foreign checkpoint is rejected with an error rather than
+// resumed into an inconsistent shard. Called before the shard serves.
+func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks chunkSource) error {
+	if m.Shard != sh.idx {
+		return fmt.Errorf("serve: checkpoint is for shard %d, restoring shard %d", m.Shard, sh.idx)
+	}
+	if m.Shards != sh.cfg.Shards {
+		return fmt.Errorf("serve: checkpoint taken with %d shards, shard expects %d", m.Shards, sh.cfg.Shards)
+	}
 	sh.round = m.Round
 	if !sh.cfg.Hosted {
+		// A hosted shard's placement is the dispatcher's config epoch, not a
+		// worker-local ring epoch: leave it at zero there.
 		sh.epoch = m.PlacementEpoch
 	}
 	for i := range m.Tenants {
@@ -379,6 +397,9 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 			return err
 		}
 		if ref.Evicted {
+			if sh.store == nil {
+				return fmt.Errorf("serve: manifest pages out tenant %q, shard %d has no chunk store to fault it in from", ref.Name, sh.idx)
+			}
 			class, ok := sh.restoreClass(ref.Class)
 			if !ok {
 				return fmt.Errorf("serve: evicted tenant %q has unknown class %q", ref.Name, ref.Class)
@@ -389,7 +410,7 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 			sh.evicted[ref.Name] = evictedStub{chunk: r, epoch: ref.Epoch, class: class}
 			continue
 		}
-		payload, _, err := sh.store.Resolve(r.ID)
+		payload, _, err := chunks.Resolve(r.ID)
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q: %w", ref.Name, err)
 		}
@@ -407,6 +428,7 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		if err != nil {
 			return err
 		}
+		padDecisions(tn, tcp.Round, m.Round)
 		tn.chunk = r
 		sh.adoptTenant(tn)
 	}
@@ -416,11 +438,11 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 	return nil
 }
 
-// restoreManifests loads an incremental checkpoint set, if one exists.
-// Mirrors the legacy restore's contract: all manifests or none, set-internal
-// agreement on shards/round/epoch, and a count mismatch with the current
-// configuration re-routes references through the current ring instead of
-// refusing. Returns found=false when the state dir holds no manifests.
+// restoreManifests loads an incremental checkpoint set, if one exists: all
+// manifests or none, set-internal agreement on shards/round/epoch, and a
+// count mismatch with the current configuration re-routes references through
+// the current ring (ReshardManifests) instead of refusing. Returns
+// found=false when the state dir holds no manifests.
 func (s *Service) restoreManifests(pl *placement) (restored int, resharded, found bool, err error) {
 	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {
@@ -470,7 +492,7 @@ func (s *Service) restoreManifests(pl *placement) (restored int, resharded, foun
 		resharded = true
 	}
 	for i, sh := range pl.shards {
-		if err := sh.restoreManifest(byIdx[i], pl.ring); err != nil {
+		if err := sh.restoreManifest(byIdx[i], pl.ring, s.store); err != nil {
 			return 0, false, false, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		restored += len(sh.tenants) + len(sh.evicted)
@@ -482,10 +504,12 @@ func (s *Service) restoreManifests(pl *placement) (restored int, resharded, foun
 
 // ReshardManifests transforms a complete manifest set taken under one shard
 // count into an equivalent set for newShards: tenant references are re-routed
-// through the newShards ring and the placement epoch is bumped past the
-// input's. No chunk moves — references keep pointing into the shared store,
-// which is what makes resharding an incremental checkpoint set O(tenants)
-// instead of O(state bytes).
+// through the newShards ring, the round is kept, and the placement epoch is
+// bumped past the input's. No chunk moves — references keep pointing into
+// the shared store, which is what makes resharding an incremental checkpoint
+// set O(tenants) instead of O(state bytes). It is the one reshard transform:
+// a state-dir boot under a new shard count and the dispatcher's fleet resize
+// (live and at boot) both go through it.
 func ReshardManifests(old []*ckptstore.Manifest, newShards int) ([]*ckptstore.Manifest, error) {
 	if newShards < 1 || newShards > MaxShards {
 		return nil, fmt.Errorf("serve: reshard to %d shards out of range (1..%d)", newShards, MaxShards)

@@ -240,114 +240,29 @@ func shardManifestName(i int) string {
 	return fmt.Sprintf("manifest-%04d.json", i)
 }
 
-// TestLegacyFullStateFallback pins the upgrade path: a state dir holding only
-// the old per-shard full-state files (shard-*.json, as previous releases and
-// the hosted tier write them) must restore byte-for-byte — same round, same
-// tenants, same decision history — and the next checkpoint must replace the
-// legacy files with manifests.
-func TestLegacyFullStateFallback(t *testing.T) {
-	const cutRound, totalRounds = 17, 45
-	tenants := detFixture(t, 42)
-
-	// Uninterrupted baseline for the final stream comparison.
-	baseCfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true}
-	baseSvc, _, err := New(baseCfg)
-	if err != nil {
-		t.Fatalf("baseline New: %v", err)
-	}
-	defer baseSvc.Close()
-	baseSrv := httptest.NewServer(baseSvc.Handler())
-	defer baseSrv.Close()
-	baseClient := NewClient(baseSrv.URL)
-	driveService(t, baseClient, tenants, totalRounds)
-
-	// Incarnation 1 is hosted with embedded decision history — its CloseShard
-	// bytes ARE the legacy full-state format, so the fixture set is produced
-	// by the real writer, not handcrafted JSON.
-	hostedCfg := baseCfg
-	hostedCfg.Hosted = true
-	hostedCfg.CheckpointDecisions = true
-	svc1, _, err := New(hostedCfg)
-	if err != nil {
-		t.Fatalf("hosted New: %v", err)
-	}
-	for i := 0; i < hostedCfg.Shards; i++ {
-		if _, err := svc1.OpenShard(i, nil); err != nil {
-			t.Fatalf("OpenShard(%d): %v", i, err)
-		}
-	}
-	srv1 := httptest.NewServer(svc1.Handler())
-	client1 := NewClient(srv1.URL)
-	driveService(t, client1, tenants, cutRound)
+// TestLegacyOnlyStateDirRefusesBoot pins that a state dir holding only
+// full-state files from before incremental checkpoints (shard-*.json) refuses
+// to boot, naming the file, instead of silently booting empty beside the
+// tenants it holds — and leaves the files where they are.
+func TestLegacyOnlyStateDirRefusesBoot(t *testing.T) {
 	stateDir := t.TempDir()
-	for i := 0; i < hostedCfg.Shards; i++ {
-		data, err := svc1.CloseShard(i)
-		if err != nil {
-			t.Fatalf("CloseShard(%d): %v", i, err)
-		}
-		if err := os.WriteFile(filepath.Join(stateDir, shardStateName(i)), data, 0o644); err != nil {
-			t.Fatalf("write legacy file: %v", err)
-		}
+	legacy := []byte(`{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":3,"tenants":[{"name":"alpha"}]}`)
+	path := filepath.Join(stateDir, "shard-0000.json")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatalf("write legacy file: %v", err)
 	}
-	srv1.Close()
-	svc1.Close()
-
-	// Incarnation 2: a classic durable service restores through the legacy
-	// path and finishes the run.
-	cfg2 := baseCfg
-	cfg2.StateDir = stateDir
-	svc2, restored, err := New(cfg2)
-	if err != nil {
-		t.Fatalf("legacy restore New: %v", err)
+	_, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 64, StateDir: stateDir, RecordDecisions: true})
+	if err == nil {
+		t.Fatal("a legacy-only state dir booted")
 	}
-	defer svc2.Close()
-	if restored != len(tenants) {
-		t.Fatalf("restored %d tenants from legacy set, want %d", restored, len(tenants))
+	if !strings.Contains(err.Error(), "shard-0000.json") {
+		t.Fatalf("refusal does not name the legacy file: %v", err)
 	}
-	if svc2.Round() != cutRound {
-		t.Fatalf("legacy restore at round %d, want %d", svc2.Round(), cutRound)
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, legacy) {
+		t.Fatalf("refused boot touched the legacy file: %v", err)
 	}
-	srv2 := httptest.NewServer(svc2.Handler())
-	defer srv2.Close()
-	client2 := NewClient(srv2.URL)
-	driveTail(t, client2, tenants, cutRound, totalRounds)
-
-	// Full history: the embedded legacy decisions seeded the decision log, so
-	// every stream matches the uninterrupted baseline byte for byte.
-	for _, tn := range tenants {
-		got, err := client2.Decisions(tn.name)
-		if err != nil {
-			t.Fatalf("restored Decisions(%s): %v", tn.name, err)
-		}
-		want, err := baseClient.Decisions(tn.name)
-		if err != nil {
-			t.Fatalf("baseline Decisions(%s): %v", tn.name, err)
-		}
-		a, err := MarshalResponse(got.Decisions)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		b, err := MarshalResponse(want.Decisions)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("tenant %s: legacy restore diverges from baseline\ngot:  %s\nwant: %s",
-				tn.name, excerpt(a, b), excerpt(b, a))
-		}
-	}
-
-	// The next cut upgrades the layout: manifests in, legacy files out.
-	if err := svc2.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint after legacy restore: %v", err)
-	}
-	if m, _ := filepath.Glob(filepath.Join(stateDir, "shard-*.json")); len(m) != 0 {
-		t.Fatalf("legacy files survived the first incremental cut: %v", m)
-	}
-	for i := 0; i < cfg2.Shards; i++ {
-		if _, err := os.Stat(filepath.Join(stateDir, shardManifestName(i))); err != nil {
-			t.Fatalf("missing manifest %d after upgrade cut: %v", i, err)
-		}
+	if m, _ := filepath.Glob(filepath.Join(stateDir, "manifest-*.json")); len(m) != 0 {
+		t.Fatalf("refused boot wrote manifests: %v", m)
 	}
 }
 
@@ -521,9 +436,4 @@ func TestCutScalesWithDirtyNotResident(t *testing.T) {
 
 func tenantName(i int) string {
 	return "bulk-" + string(rune('a'+i/676%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i%26))
-}
-
-// shardStateName is a legacy full-state checkpoint's file name.
-func shardStateName(i int) string {
-	return fmt.Sprintf("shard-%04d.json", i)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,20 +11,18 @@ import (
 
 // Decision-log lifecycle for log mode (durable classic service with recording
 // on): per-shard streaming logs under StateDir/declog/shard-NNNN, rolled back
-// to the last committed manifest at boot, redistributed when the shard count
-// changes, and seeded from legacy embedded decision history exactly once.
+// to the last committed manifest at boot and redistributed when the shard
+// count changes.
 
 // setupDecLogs opens every shard's decision log and rolls it back to the
 // restored round (records past the last committed manifest describe rounds
 // the restore rewound). When the restore re-routed a checkpoint set taken
 // under a different shard count, the logs are first redistributed through the
-// new ring; when the restore came from legacy full-state files (or nothing),
-// the logs are wiped — without a committed manifest their content is
-// uncommitted — and rebuilt from any decision history the legacy checkpoint
-// embedded.
-func (s *Service) setupDecLogs(pl *placement, resharded, legacy bool) error {
+// new ring; when the state dir held no manifests, the logs are wiped —
+// without a committed manifest their content is uncommitted.
+func (s *Service) setupDecLogs(pl *placement, resharded, fresh bool) error {
 	root := filepath.Join(s.cfg.StateDir, "declog")
-	if legacy {
+	if fresh {
 		if err := os.RemoveAll(root); err != nil {
 			return fmt.Errorf("serve: wiping stale decision logs: %w", err)
 		}
@@ -44,32 +41,6 @@ func (s *Service) setupDecLogs(pl *placement, resharded, legacy bool) error {
 			return err
 		}
 		sh.declog = l
-	}
-	// A legacy checkpoint with CheckpointDecisions embedded full decision
-	// history; stream it into the log once so the resident copy can drop.
-	for _, sh := range pl.shards {
-		for _, name := range sh.order {
-			tn := sh.tenants[name]
-			if len(tn.decisions) == 0 {
-				continue
-			}
-			for _, dec := range tn.decisions {
-				if len(dec.Reconfigs) == 0 && len(dec.Executions) == 0 && len(dec.Dropped) == 0 {
-					continue
-				}
-				payload, err := json.Marshal(dec)
-				if err != nil {
-					return fmt.Errorf("serve: migrating decisions of tenant %q: %w", name, err)
-				}
-				if err := sh.declog.Append(name, tn.epoch+dec.Round, payload); err != nil {
-					return fmt.Errorf("serve: migrating decisions of tenant %q: %w", name, err)
-				}
-			}
-			tn.decisions = nil
-		}
-		if err := sh.declog.Flush(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -3,15 +3,18 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"rrsched/internal/ckptstore"
 )
 
 func hostedConfig() Config {
 	return Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, CheckpointDecisions: true, Hosted: true}
+		RecordDecisions: true, Hosted: true}
 }
 
 // TestHostedLifecycle pins the open/close state machine: a closed shard
@@ -133,16 +136,26 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 
 // TestHostedCheckpointHook pins the synchronous checkpoint contract: by the
 // time a tick call returns, the hook has observed the post-tick state of
-// every open shard, and hook bytes restore decision-identically.
+// every open shard, and the hook's bundles — folded the way the dispatcher
+// folds them — equal the shard's close handoff and restore
+// decision-identically.
 func TestHostedCheckpointHook(t *testing.T) {
 	var mu sync.Mutex
 	latest := map[int][]byte{}
+	pools := map[int]*ckptstore.MemStore{}
 	rounds := map[int]int64{}
 	cfg := hostedConfig()
 	cfg.OnShardCheckpoint = func(shard int, round int64, data []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
-		latest[shard] = append([]byte(nil), data...)
+		folded, m, pool, err := FoldBundle(data, pools[shard])
+		if err != nil {
+			return err
+		}
+		if m.Shard != shard || m.Round != round {
+			return fmt.Errorf("hook for shard %d round %d got a manifest for shard %d round %d", shard, round, m.Shard, m.Round)
+		}
+		latest[shard], pools[shard] = folded, pool
 		rounds[shard] = round
 		return nil
 	}
@@ -178,22 +191,27 @@ func TestHostedCheckpointHook(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// The hook's last bytes equal a direct snapshot, and restoring them into
-	// a second hosted service reproduces the recorded decision stream.
+	// The hook's folded state equals the folded close handoff, and restoring
+	// it into a second hosted service reproduces the recorded decision
+	// stream.
 	shard := svc.ShardFor("alpha")
-	direct, err := svc.SnapshotShard(shard)
+	want, err := client.DecisionsRaw("alpha")
 	if err != nil {
-		t.Fatalf("SnapshotShard: %v", err)
+		t.Fatalf("DecisionsRaw: %v", err)
+	}
+	handoff, err := svc.CloseShard(shard)
+	if err != nil {
+		t.Fatalf("CloseShard: %v", err)
+	}
+	direct, _, _, err := FoldBundle(handoff, nil)
+	if err != nil {
+		t.Fatalf("FoldBundle(handoff): %v", err)
 	}
 	mu.Lock()
 	hookBytes := latest[shard]
 	mu.Unlock()
 	if !bytes.Equal(direct, hookBytes) {
-		t.Fatal("hook checkpoint diverges from a direct snapshot")
-	}
-	want, err := client.DecisionsRaw("alpha")
-	if err != nil {
-		t.Fatalf("DecisionsRaw: %v", err)
+		t.Fatal("folded hook checkpoint diverges from the folded close handoff")
 	}
 
 	svc2, _, err := New(hostedConfig())
@@ -245,8 +263,9 @@ func TestHostedTickNoOpenShards(t *testing.T) {
 }
 
 // TestHostedSyncShard pins the checkpoint-repair path: when a tick's hook push
-// fails, the shard has still advanced; SyncShard re-offers the current state
-// to the hook without ticking, and the bytes match a direct snapshot.
+// fails, the shard has still advanced and has forgotten its acks; SyncShard
+// re-offers the current state to the hook without ticking, as a
+// self-contained bundle that folds to the same state as the close handoff.
 func TestHostedSyncShard(t *testing.T) {
 	var mu sync.Mutex
 	fail := false
@@ -301,7 +320,7 @@ func TestHostedSyncShard(t *testing.T) {
 	mu.Unlock()
 
 	// Sync closes the gap: the hook now holds round 1 without further ticking,
-	// and its bytes equal a direct snapshot.
+	// in a bundle that needs nothing the receiver might have dropped.
 	if r, err := client.SyncShard(0); err != nil || r != 1 {
 		t.Fatalf("SyncShard: r=%d err=%v", r, err)
 	}
@@ -311,15 +330,23 @@ func TestHostedSyncShard(t *testing.T) {
 	if round != 1 {
 		t.Fatalf("hook saw round %d after sync, want 1", round)
 	}
-	direct, err := svc.SnapshotShard(0)
-	if err != nil {
-		t.Fatalf("SnapshotShard: %v", err)
-	}
-	if !bytes.Equal(direct, bytesGot) {
-		t.Fatal("sync checkpoint diverges from a direct snapshot")
-	}
 	if st := svc.Stats(); st.PerShard[0].Round != 1 {
 		t.Fatalf("sync ticked the shard: round = %d, want 1", st.PerShard[0].Round)
+	}
+	synced, _, _, err := FoldBundle(bytesGot, nil)
+	if err != nil {
+		t.Fatalf("sync bundle is not self-contained after a lost push: %v", err)
+	}
+	handoff, err := svc.CloseShard(0)
+	if err != nil {
+		t.Fatalf("CloseShard: %v", err)
+	}
+	direct, _, _, err := FoldBundle(handoff, nil)
+	if err != nil {
+		t.Fatalf("FoldBundle(handoff): %v", err)
+	}
+	if !bytes.Equal(direct, synced) {
+		t.Fatal("sync checkpoint diverges from the close handoff")
 	}
 
 	// SyncShard is hosted-only.
@@ -339,7 +366,6 @@ func TestHostedConfigValidation(t *testing.T) {
 		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true, StateDir: "x"},
 		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true, RoundEvery: 1},
 		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, OnShardCheckpoint: func(int, int64, []byte) error { return nil }},
-		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, CheckpointDecisions: true},
 	}
 	for i, cfg := range bad {
 		if _, _, err := New(cfg); err == nil {
@@ -361,7 +387,15 @@ func TestHostedConfigValidation(t *testing.T) {
 	if _, err := svc.TickShard(0, 1); err == nil {
 		t.Error("TickShard accepted on a classic service")
 	}
-	if _, err := svc.SnapshotShard(5); err == nil {
-		t.Error("SnapshotShard accepted an out-of-range shard")
+	hosted, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true})
+	if err != nil {
+		t.Fatalf("New hosted: %v", err)
+	}
+	defer hosted.Close()
+	if _, err := hosted.OpenShard(5, nil); err == nil {
+		t.Error("OpenShard accepted an out-of-range shard")
+	}
+	if _, err := hosted.CloseShard(5); err == nil {
+		t.Error("CloseShard accepted an out-of-range shard")
 	}
 }

@@ -605,71 +605,3 @@ func (sh *shard) handleRemove(names []string) {
 	sh.order = order
 	sh.setStateGauges()
 }
-
-// ReshardCheckpoints transforms a complete checkpoint set taken under one
-// shard count into an equivalent set for newShards shards: every tenant is
-// re-routed through the newShards-ring, rounds are preserved, and the
-// placement epoch is bumped past the input's. The boot-restore path uses it
-// to accept resharded state, and the dispatcher uses it to resize a hosted
-// fleet between rounds.
-func ReshardCheckpoints(old [][]byte, newShards int) ([][]byte, error) {
-	if newShards < 1 || newShards > MaxShards {
-		return nil, fmt.Errorf("serve: reshard to %d shards out of range (1..%d)", newShards, MaxShards)
-	}
-	if len(old) == 0 {
-		return nil, fmt.Errorf("serve: no checkpoints to reshard")
-	}
-	cps := make([]*shardCheckpoint, len(old))
-	for i, data := range old {
-		cp, err := decodeShardCheckpoint(data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d checkpoint: %w", i, err)
-		}
-		if cp.Shard != i {
-			return nil, fmt.Errorf("serve: checkpoint %d names shard %d", i, cp.Shard)
-		}
-		if cp.Shards != len(old) {
-			return nil, fmt.Errorf("serve: checkpoint %d was taken with %d shards, set has %d", i, cp.Shards, len(old))
-		}
-		if i > 0 && cp.Round != cps[0].Round {
-			return nil, fmt.Errorf("serve: shard rounds diverge in checkpoint set (%d vs %d)", cp.Round, cps[0].Round)
-		}
-		if i > 0 && cp.PlacementEpoch != cps[0].PlacementEpoch {
-			return nil, fmt.Errorf("serve: placement epochs diverge in checkpoint set (%d vs %d)", cp.PlacementEpoch, cps[0].PlacementEpoch)
-		}
-		cps[i] = cp
-	}
-	ring := newHashRing(newShards)
-	out := make([]*shardCheckpoint, newShards)
-	for i := range out {
-		out[i] = &shardCheckpoint{
-			Schema:         StateSchema,
-			Shard:          i,
-			Shards:         newShards,
-			Round:          cps[0].Round,
-			PlacementEpoch: cps[0].PlacementEpoch + 1,
-		}
-	}
-	seen := make(map[string]bool)
-	for _, cp := range cps {
-		for i := range cp.Tenants {
-			tcp := cp.Tenants[i]
-			if seen[tcp.Name] {
-				return nil, fmt.Errorf("serve: checkpoint set repeats tenant %q", tcp.Name)
-			}
-			seen[tcp.Name] = true
-			t := ring.ShardOf(tcp.Name)
-			out[t].Tenants = append(out[t].Tenants, tcp)
-		}
-	}
-	res := make([][]byte, newShards)
-	for i, cp := range out {
-		sort.Slice(cp.Tenants, func(a, b int) bool { return cp.Tenants[a].Name < cp.Tenants[b].Name })
-		data, err := json.MarshalIndent(cp, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("serve: serializing resharded shard %d: %w", i, err)
-		}
-		res[i] = data
-	}
-	return res, nil
-}

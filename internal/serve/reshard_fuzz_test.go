@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"rrsched/internal/ckptstore"
 )
 
 // FuzzDecodeReshard pins the reshard request decoder on arbitrary bytes:
@@ -49,55 +51,59 @@ func FuzzDecodeReshard(f *testing.F) {
 	})
 }
 
-// FuzzPlacementEpoch feeds arbitrary bytes through the checkpoint reshard
-// transform: it must never panic, and whenever it accepts a single-shard
-// checkpoint it must preserve the tenant set exactly, route every tenant
-// where the target ring says, and bump the placement epoch by one — on any
-// shard count the fuzzer picks.
+// FuzzPlacementEpoch feeds arbitrary bytes, decoded as a checkpoint
+// manifest, through the one reshard transform (ReshardManifests): it must
+// never panic, and whenever it accepts a single-shard manifest it must
+// preserve the tenant set and every tenant's chunk reference exactly, route
+// every tenant where the target ring says, keep the round, and bump the
+// placement epoch by one — on any shard count the fuzzer picks.
 func FuzzPlacementEpoch(f *testing.F) {
 	f.Add([]byte(""), uint8(0))
 	f.Add([]byte("{}"), uint8(3))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":2,"tenants":[{"name":"alpha","snapshot":null}]}`), uint8(4))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":0,"placement_epoch":5}`), uint8(7))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":2,"round":0}`), uint8(1))
+	f.Add([]byte(`{"schema":"rrckpt/v1","shard":0,"shards":1,"round":2,"tenants":[{"name":"alpha","chunk":"00000000000000aa"},{"name":"beta","chunk":"00000000000000bb","chain":2}]}`), uint8(4))
+	f.Add([]byte(`{"schema":"rrckpt/v1","shard":0,"shards":1,"round":9,"placement_epoch":5,"tenants":[{"name":"cold","chunk":"0000000000000001","evicted":true,"epoch":4,"class":"gold"}]}`), uint8(7))
+	f.Add([]byte(`{"schema":"rrckpt/v1","shard":0,"shards":2,"round":0}`), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		newShards := 1 + int(n)%8
-		out, err := ReshardCheckpoints([][]byte{data}, newShards)
+		in, err := ckptstore.DecodeManifest(data)
+		if err != nil {
+			return
+		}
+		out, err := ReshardManifests([]*ckptstore.Manifest{in}, newShards)
 		if err != nil {
 			return
 		}
 		if len(out) != newShards {
 			t.Fatalf("transform produced %d shards, want %d", len(out), newShards)
 		}
-		in, err := decodeShardCheckpoint(data)
-		if err != nil {
-			t.Fatalf("transform accepted a checkpoint its own decoder rejects: %v", err)
-		}
-		want := map[string]bool{}
-		for _, tcp := range in.Tenants {
-			want[tcp.Name] = true
+		want := map[string]ckptstore.TenantRef{}
+		for _, ref := range in.Tenants {
+			want[ref.Name] = ref
 		}
 		ring := newHashRing(newShards)
-		got := map[string]bool{}
-		for i, shardData := range out {
-			cp, err := decodeShardCheckpoint(shardData)
+		got := map[string]ckptstore.TenantRef{}
+		for i, m := range out {
+			if m.Shard != i || m.Shards != newShards {
+				t.Fatalf("output %d labeled shard %d of %d", i, m.Shard, m.Shards)
+			}
+			if m.Round != in.Round || m.PlacementEpoch != in.PlacementEpoch+1 {
+				t.Fatalf("output %d: round %d epoch %d, want round %d epoch %d",
+					i, m.Round, m.PlacementEpoch, in.Round, in.PlacementEpoch+1)
+			}
+			enc, err := ckptstore.EncodeManifest(m)
 			if err != nil {
+				t.Fatalf("transform output %d fails to encode: %v", i, err)
+			}
+			if _, err := ckptstore.DecodeManifest(enc); err != nil {
 				t.Fatalf("transform output %d fails to decode: %v", i, err)
 			}
-			if cp.Shard != i || cp.Shards != newShards {
-				t.Fatalf("output %d labeled shard %d of %d", i, cp.Shard, cp.Shards)
-			}
-			if cp.Round != in.Round || cp.PlacementEpoch != in.PlacementEpoch+1 {
-				t.Fatalf("output %d: round %d epoch %d, want round %d epoch %d",
-					i, cp.Round, cp.PlacementEpoch, in.Round, in.PlacementEpoch+1)
-			}
-			for _, tcp := range cp.Tenants {
-				if got[tcp.Name] {
-					t.Fatalf("tenant %q duplicated across outputs", tcp.Name)
+			for _, ref := range m.Tenants {
+				if _, dup := got[ref.Name]; dup {
+					t.Fatalf("tenant %q duplicated across outputs", ref.Name)
 				}
-				got[tcp.Name] = true
-				if ring.ShardOf(tcp.Name) != i {
-					t.Fatalf("tenant %q on shard %d, ring says %d", tcp.Name, i, ring.ShardOf(tcp.Name))
+				got[ref.Name] = ref
+				if ring.ShardOf(ref.Name) != i {
+					t.Fatalf("tenant %q on shard %d, ring says %d", ref.Name, i, ring.ShardOf(ref.Name))
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"rrsched/internal/stream"
+	"rrsched/internal/ckptstore"
 )
 
 // checkDecisionsMatchReference byte-compares every tenant's /v1/decisions
@@ -198,7 +198,7 @@ func TestReshardThenDrainRestore(t *testing.T) {
 	stateDir := t.TempDir()
 	cfg := Config{
 		Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
-		RecordDecisions: true, CheckpointDecisions: true, StateDir: stateDir,
+		RecordDecisions: true, StateDir: stateDir,
 	}
 	svc, _, err := New(cfg)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestBootRestoreAcrossShardCounts(t *testing.T) {
 		stateDir := t.TempDir()
 		cfg := Config{
 			Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
-			RecordDecisions: true, CheckpointDecisions: true, StateDir: stateDir,
+			RecordDecisions: true, StateDir: stateDir,
 		}
 		svc, _, err := New(cfg)
 		if err != nil {
@@ -454,21 +454,17 @@ func TestReshardMetrics(t *testing.T) {
 	}
 }
 
-// TestReshardCheckpointsTransform unit-tests the pure checkpoint transform:
-// tenant sets are preserved and re-routed, rounds and epochs agree, and
-// malformed sets (diverging rounds, repeated tenants, wrong counts) are
-// refused.
-func TestReshardCheckpointsTransform(t *testing.T) {
-	mk := func(shard, shards int, round, epoch int64, names ...string) []byte {
-		cp := shardCheckpoint{Schema: StateSchema, Shard: shard, Shards: shards, Round: round, PlacementEpoch: epoch}
-		for _, n := range names {
-			cp.Tenants = append(cp.Tenants, tenantCheckpoint{Name: n, Snapshot: mustSnapshot(t)})
+// TestReshardManifestsTransform unit-tests the one reshard transform:
+// tenant sets are preserved and re-routed with their chunk references intact,
+// rounds are kept and epochs bumped, and malformed sets (diverging rounds or
+// epochs, repeated tenants, wrong counts) are refused.
+func TestReshardManifestsTransform(t *testing.T) {
+	mk := func(shard, shards int, round, epoch int64, names ...string) *ckptstore.Manifest {
+		m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shard: shard, Shards: shards, Round: round, PlacementEpoch: epoch}
+		for i, n := range names {
+			m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: n, Chunk: ckptstore.FormatChunkID(uint64(100 + i)), Chain: i % 2})
 		}
-		data, err := MarshalResponse(cp)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return data
+		return m
 	}
 	ring2 := newHashRing(2)
 	var on0, on1 []string
@@ -479,64 +475,55 @@ func TestReshardCheckpointsTransform(t *testing.T) {
 			on1 = append(on1, n)
 		}
 	}
-	old := [][]byte{mk(0, 2, 7, 3, on0...), mk(1, 2, 7, 3, on1...)}
+	old := []*ckptstore.Manifest{mk(0, 2, 7, 3, on0...), mk(1, 2, 7, 3, on1...)}
+	refs := map[string]ckptstore.TenantRef{}
+	for _, m := range old {
+		for _, ref := range m.Tenants {
+			refs[ref.Name] = ref
+		}
+	}
 
-	out, err := ReshardCheckpoints(old, 5)
+	out, err := ReshardManifests(old, 5)
 	if err != nil {
-		t.Fatalf("ReshardCheckpoints: %v", err)
+		t.Fatalf("ReshardManifests: %v", err)
 	}
 	if len(out) != 5 {
 		t.Fatalf("got %d outputs, want 5", len(out))
 	}
 	ring5 := newHashRing(5)
 	seen := map[string]bool{}
-	for i, data := range out {
-		cp, err := decodeShardCheckpoint(data)
-		if err != nil {
-			t.Fatalf("output %d: %v", i, err)
+	for i, m := range out {
+		if m.Shard != i || m.Shards != 5 || m.Round != 7 || m.PlacementEpoch != 4 {
+			t.Fatalf("output %d header: %+v", i, m)
 		}
-		if cp.Shard != i || cp.Shards != 5 || cp.Round != 7 || cp.PlacementEpoch != 4 {
-			t.Fatalf("output %d header: %+v", i, cp)
+		if _, err := ckptstore.EncodeManifest(m); err != nil {
+			t.Fatalf("output %d does not encode: %v", i, err)
 		}
-		for _, tcp := range cp.Tenants {
-			if got := ring5.ShardOf(tcp.Name); got != i {
-				t.Fatalf("tenant %q on shard %d, ring says %d", tcp.Name, i, got)
+		for _, ref := range m.Tenants {
+			if got := ring5.ShardOf(ref.Name); got != i {
+				t.Fatalf("tenant %q on shard %d, ring says %d", ref.Name, i, got)
 			}
-			seen[tcp.Name] = true
+			if ref != refs[ref.Name] {
+				t.Fatalf("tenant %q reference changed: %+v, was %+v", ref.Name, ref, refs[ref.Name])
+			}
+			seen[ref.Name] = true
 		}
 	}
 	if len(seen) != 4 {
 		t.Fatalf("transform preserved %d tenants, want 4", len(seen))
 	}
 
-	if _, err := ReshardCheckpoints([][]byte{mk(0, 2, 7, 3), mk(1, 2, 8, 3)}, 4); err == nil {
-		t.Fatal("diverging rounds accepted")
+	bad := map[string][]*ckptstore.Manifest{
+		"diverging rounds":           {mk(0, 2, 7, 3), mk(1, 2, 8, 3)},
+		"diverging placement epochs": {mk(0, 2, 7, 3), mk(1, 2, 7, 4)},
+		"repeated tenant":            {mk(0, 2, 7, 3, "alpha"), mk(1, 2, 7, 3, "alpha")},
+		"incomplete set":             {mk(0, 3, 7, 3)},
+		"misnumbered set":            {mk(1, 2, 7, 3), mk(0, 2, 7, 3)},
+		"empty set":                  nil,
 	}
-	if _, err := ReshardCheckpoints([][]byte{mk(0, 2, 7, 3), mk(1, 2, 7, 4)}, 4); err == nil {
-		t.Fatal("diverging placement epochs accepted")
+	for what, set := range bad {
+		if _, err := ReshardManifests(set, 4); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	if _, err := ReshardCheckpoints([][]byte{mk(0, 1, 7, 3, "alpha", "alpha")}, 4); err == nil {
-		t.Fatal("repeated tenant accepted")
-	}
-	if _, err := ReshardCheckpoints([][]byte{mk(0, 3, 7, 3)}, 4); err == nil {
-		t.Fatal("incomplete set accepted")
-	}
-	if _, err := ReshardCheckpoints(nil, 4); err == nil {
-		t.Fatal("empty set accepted")
-	}
-}
-
-// mustSnapshot returns a valid empty scheduler snapshot for checkpoint
-// fixtures.
-func mustSnapshot(t *testing.T) []byte {
-	t.Helper()
-	sched, err := stream.New(stream.Config{Delta: 4, Resources: 8})
-	if err != nil {
-		t.Fatalf("stream.New: %v", err)
-	}
-	snap, err := sched.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	return snap
 }

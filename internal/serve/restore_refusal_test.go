@@ -81,11 +81,12 @@ func TestRestoreRejectsSchemaSkew(t *testing.T) {
 }
 
 // TestOpenShardRejectsBadCheckpoints pins the hosted-mode refusal paths: a
-// lease grant carrying a damaged or misrouted checkpoint must fail the open
-// (the worker then declines the lease) rather than serve corrupted state.
+// lease grant carrying a damaged or misrouted checkpoint bundle must fail the
+// open (the worker then declines the lease) rather than serve corrupted
+// state, and must leave the shard closed and empty.
 func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64,
-		Hosted: true, RecordDecisions: true, CheckpointDecisions: true}
+		Hosted: true, RecordDecisions: true}
 	svc, _, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -118,32 +119,30 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 		t.Fatalf("CloseShard: %v", err)
 	}
 
-	// Garbage bytes.
-	if _, err := svc.OpenShard(0, []byte("{torn")); err == nil {
-		t.Fatal("OpenShard accepted garbage")
+	refused := func(shard int, data []byte, what string) {
+		t.Helper()
+		if _, err := svc.OpenShard(shard, data); err == nil {
+			t.Fatalf("OpenShard accepted %s", what)
+		}
+		if open := svc.OpenShards(); len(open) != 0 {
+			t.Fatalf("refused open of %s left shards %v open", what, open)
+		}
 	}
+	// Garbage bytes, a flat JSON document, and a bundle cut short.
+	refused(0, []byte("{torn"), "garbage")
+	refused(0, []byte(`{"schema":"rrserve-state/v1","shard":0,"shards":2,"round":3}`), "a flat JSON checkpoint")
+	refused(0, good[:len(good)-7], "a truncated bundle")
 	// A checkpoint addressed to the other shard (misrouted grant).
-	if _, err := svc.OpenShard(1, good); err == nil {
-		t.Fatal("OpenShard accepted a checkpoint for a different shard")
-	}
+	refused(1, good, "a checkpoint for a different shard")
 	// A decision-count mismatch: the history no longer covers every round
 	// since the tenant's epoch, so a restored stream could silently skip
 	// rounds.
-	var cp shardCheckpoint
-	if err := json.Unmarshal(good, &cp); err != nil {
-		t.Fatalf("decoding checkpoint: %v", err)
-	}
-	if len(cp.Tenants) != 1 || len(cp.Tenants[0].Decisions) == 0 {
-		t.Fatalf("fixture checkpoint lacks decisions: %d tenants", len(cp.Tenants))
-	}
-	cp.Tenants[0].Decisions = cp.Tenants[0].Decisions[:len(cp.Tenants[0].Decisions)-1]
-	mangled, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatalf("re-encoding checkpoint: %v", err)
-	}
-	if _, err := svc.OpenShard(0, mangled); err == nil {
-		t.Fatal("OpenShard accepted a truncated decision history")
-	}
+	refused(0, rewriteTenantChunks(t, good, func(tcp *tenantChunkPayload) {
+		if len(tcp.Tenant.Decisions) == 0 {
+			t.Fatal("fixture checkpoint lacks decisions")
+		}
+		tcp.Tenant.Decisions = tcp.Tenant.Decisions[:len(tcp.Tenant.Decisions)-1]
+	}), "a truncated decision history")
 
 	// The pristine checkpoint still restores, and double-open is refused.
 	round, err := svc.OpenShard(0, good)
@@ -156,4 +155,52 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	if _, err := svc.OpenShard(0, good); err == nil {
 		t.Fatal("OpenShard accepted an already-open shard")
 	}
+}
+
+// rewriteTenantChunks folds a bundle, applies mutate to every tenant's chunk
+// payload, and re-bundles the result with fresh content addresses: a
+// well-formed bundle carrying whatever state the mutation leaves.
+func rewriteTenantChunks(t *testing.T, bundle []byte, mutate func(*tenantChunkPayload)) []byte {
+	t.Helper()
+	folded, m, _, err := FoldBundle(bundle, nil)
+	if err != nil {
+		t.Fatalf("FoldBundle: %v", err)
+	}
+	b, err := ckptstore.DecodeBundle(folded)
+	if err != nil {
+		t.Fatalf("DecodeBundle: %v", err)
+	}
+	chunks := map[uint64][]byte{}
+	for i := range m.Tenants {
+		ref := &m.Tenants[i]
+		id, err := ref.ChunkID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ckptstore.DecodeChunk(b.Chunks[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tcp tenantChunkPayload
+		if err := json.Unmarshal(c.Body, &tcp); err != nil {
+			t.Fatalf("decoding tenant chunk: %v", err)
+		}
+		mutate(&tcp)
+		payload, err := json.Marshal(tcp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, newID := ckptstore.EncodeFull(payload)
+		chunks[newID] = enc
+		ref.Chunk = ckptstore.FormatChunkID(newID)
+	}
+	manifest, err := ckptstore.EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ckptstore.EncodeBundle(manifest, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

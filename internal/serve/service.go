@@ -45,8 +45,8 @@ type Config struct {
 	// durability. Checkpoints are incremental: tenant state lives in a
 	// content-addressed chunk store (StateDir/chunks) referenced from small
 	// per-shard manifests, so a cut pays bytes only for tenants that changed
-	// since the last one. Legacy full-state checkpoint sets (shard-*.json)
-	// restore unchanged.
+	// since the last one. A state dir holding only legacy full-state files
+	// (shard-*.json) refuses to boot rather than start empty beside them.
 	StateDir string
 	// EvictAfter pages quiescent tenants out of memory: a tenant with no
 	// queued or inflight work whose last activity is at least EvictAfter
@@ -59,32 +59,26 @@ type Config struct {
 	// a tenant's next delta cut is folded back into a full chunk. Zero
 	// selects ckptstore.DefaultMaxChain.
 	MaxChunkChain int
-	// CheckpointBundles switches OnShardCheckpoint payloads from flat
-	// checkpoint JSON to incremental checkpoint bundles (manifest plus the
-	// chunks the receiver has not acknowledged), so steady-state pushes carry
-	// only dirty tenants' deltas. Hosted mode only; the dispatcher sniffs the
-	// payload and flattens bundles back to checkpoint JSON.
-	CheckpointBundles bool
 	// Hosted switches the service into hosted-shard mode, the worker side of
 	// the dispatcher/worker tier: shards start closed and are opened and
 	// closed per lease (OpenShard/CloseShard), submissions to closed shards
 	// get 421, and rounds advance per shard rather than in lockstep — a shard
 	// restored from a checkpoint resumes at its own round regardless of what
 	// its new host's other shards are doing. StateDir must be empty: hosted
-	// checkpoints travel through OnShardCheckpoint, not local files.
+	// checkpoints are ckptstore bundles that travel through
+	// OnShardCheckpoint and CloseShard, not local files. With RecordDecisions
+	// on, each tenant's decision history rides inside its chunk, so it
+	// survives a shard migration.
 	Hosted bool
 	// OnShardCheckpoint, if set (hosted mode only), is invoked from the shard
-	// goroutine after every self-tick with a fresh checkpoint of the shard.
+	// goroutine after every self-tick with a checkpoint bundle of the shard:
+	// its manifest plus the chunks the receiver has not acknowledged yet
+	// (see FoldBundle for the receiving side).
 	// The worker daemon uses it to push state to the dispatcher's checkpoint
 	// store synchronously: when a tick call returns, the dispatcher already
 	// holds the post-tick state, so a later crash loses at most the
 	// admissions since that tick — which clients resend idempotently.
 	OnShardCheckpoint func(shard int, round int64, data []byte) error
-	// CheckpointDecisions embeds each tenant's recorded decision stream in
-	// checkpoints (requires RecordDecisions), so the full history survives a
-	// shard migration. Off by default: the classic drain/restore protocol
-	// keeps history in memory only.
-	CheckpointDecisions bool
 	// Classes are the weighted tenant QoS classes. Each class receives a
 	// slice of every shard's admission watermark proportional to its weight
 	// (share = max(1, Watermark*w/ΣW)), and the same split applies to
@@ -173,9 +167,6 @@ func (cfg Config) validate() error {
 	if cfg.OnShardCheckpoint != nil && !cfg.Hosted {
 		return fmt.Errorf("serve: OnShardCheckpoint requires hosted mode")
 	}
-	if cfg.CheckpointDecisions && !cfg.RecordDecisions {
-		return fmt.Errorf("serve: CheckpointDecisions requires RecordDecisions")
-	}
 	if cfg.EvictAfter < 0 {
 		return fmt.Errorf("serve: negative evict-after %d", cfg.EvictAfter)
 	}
@@ -184,9 +175,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.MaxChunkChain < 0 {
 		return fmt.Errorf("serve: negative max chunk chain %d", cfg.MaxChunkChain)
-	}
-	if cfg.CheckpointBundles && !cfg.Hosted {
-		return fmt.Errorf("serve: CheckpointBundles requires hosted mode")
 	}
 	if cfg.ReshardBudget < 0 {
 		return fmt.Errorf("serve: negative reshard budget %d", cfg.ReshardBudget)
@@ -359,20 +347,32 @@ func (cfg Config) logMode() bool {
 	return cfg.StateDir != "" && cfg.RecordDecisions && !cfg.Hosted
 }
 
-// restore loads a previous incarnation's state from cfg.StateDir, if present.
-// Incremental manifests (manifest-*.json referencing the chunk store) take
-// precedence; a state dir holding only legacy full-state files (shard-*.json)
-// restores through the unchanged legacy path. In log mode the per-shard
-// decision logs are then opened and rolled back to the restored round.
+// embedsDecisions reports whether tenant chunks embed the recorded
+// decision history: hosted services with recording on, whose history must
+// survive a shard moving to another worker.
+func (cfg Config) embedsDecisions() bool {
+	return cfg.Hosted && cfg.RecordDecisions
+}
+
+// restore loads a previous incarnation's state from cfg.StateDir, if present:
+// the incremental manifests (manifest-*.json referencing the chunk store). In
+// log mode the per-shard decision logs are then opened and rolled back to the
+// restored round.
 func (s *Service) restore(pl *placement) (int, error) {
 	restored, resharded, found, err := s.restoreManifests(pl)
 	if err != nil {
 		return 0, err
 	}
 	if !found {
-		restored, err = s.restoreLegacy(pl)
+		// Full-state files from before incremental checkpoints are not read
+		// any more; booting empty beside one would silently drop every tenant
+		// it holds.
+		legacy, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "shard-*.json"))
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("serve: probing state dir: %w", err)
+		}
+		if len(legacy) > 0 {
+			return 0, fmt.Errorf("serve: state dir holds %s, a legacy full-state checkpoint this version cannot restore; refusing to boot empty beside it", legacy[0])
 		}
 	}
 	if s.cfg.logMode() {
@@ -383,82 +383,7 @@ func (s *Service) restore(pl *placement) (int, error) {
 	return restored, nil
 }
 
-// restoreLegacy loads per-shard full-state checkpoint files, if present.
-// Either the full checkpoint set exists or none of it: a partial state dir
-// means a failed or foreign checkpoint, and resuming from it would silently
-// lose tenants. The set's own shards count is authoritative — when it
-// differs from the current configuration, ReshardCheckpoints re-routes every
-// tenant through the current ring under a bumped placement epoch.
-func (s *Service) restoreLegacy(pl *placement) (int, error) {
-	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "shard-*.json"))
-	if err != nil {
-		return 0, fmt.Errorf("serve: probing state dir: %w", err)
-	}
-	if len(files) == 0 {
-		return 0, nil
-	}
-	// Decode the whole set first: the files agree on their own shard count,
-	// round, and placement epoch, and indices cover 0..shards-1 exactly.
-	datas := make([][]byte, 0, len(files))
-	cps := make([]*shardCheckpoint, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return 0, fmt.Errorf("serve: reading %s: %w", f, err)
-		}
-		cp, err := decodeShardCheckpoint(data)
-		if err != nil {
-			return 0, fmt.Errorf("serve: %s: %w", f, err)
-		}
-		datas = append(datas, data)
-		cps = append(cps, cp)
-	}
-	want := cps[0].Shards
-	if len(files) != want {
-		return 0, fmt.Errorf("serve: state dir %s has %d of %d shard files; refusing a partial restore",
-			s.cfg.StateDir, len(files), want)
-	}
-	byIdx := make([][]byte, want)
-	for i, cp := range cps {
-		if cp.Shards != want {
-			return 0, fmt.Errorf("serve: checkpoint shard counts diverge (%d vs %d)", cp.Shards, want)
-		}
-		if cp.Round != cps[0].Round {
-			return 0, fmt.Errorf("serve: shard rounds diverge in checkpoint (%d vs %d); shards tick in lockstep", cp.Round, cps[0].Round)
-		}
-		if cp.PlacementEpoch != cps[0].PlacementEpoch {
-			return 0, fmt.Errorf("serve: placement epochs diverge in checkpoint (%d vs %d)", cp.PlacementEpoch, cps[0].PlacementEpoch)
-		}
-		if byIdx[cp.Shard] != nil {
-			return 0, fmt.Errorf("serve: state dir repeats shard %d", cp.Shard)
-		}
-		byIdx[cp.Shard] = datas[i]
-	}
-	if want != s.cfg.Shards {
-		// The set was taken under a different shard count: re-route every
-		// tenant through the current ring. The transform bumps the placement
-		// epoch past the checkpointed one, so clients that pinned the old
-		// epoch are told to re-resolve.
-		byIdx, err = ReshardCheckpoints(byIdx, s.cfg.Shards)
-		if err != nil {
-			return 0, fmt.Errorf("serve: re-routing %d-shard checkpoint set into %d shards: %w", want, s.cfg.Shards, err)
-		}
-	}
-	restored := 0
-	for i, sh := range pl.shards {
-		if err := sh.restoreShard(byIdx[i], pl.ring); err != nil {
-			return 0, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		restored += len(sh.tenants)
-	}
-	pl.epoch = pl.shards[0].epoch
-	s.round.Store(pl.shards[0].round)
-	return restored, nil
-}
-
-// shardManifestPath is one shard's incremental checkpoint manifest. The name
-// deliberately does not match the legacy shard-*.json glob, so the two
-// formats coexist in one state dir without confusing either restore path.
+// shardManifestPath is one shard's incremental checkpoint manifest.
 func (s *Service) shardManifestPath(i int) string {
 	return filepath.Join(s.cfg.StateDir, fmt.Sprintf("manifest-%04d.json", i))
 }
@@ -636,10 +561,11 @@ func (s *Service) SyncShard(shard int) (int64, error) {
 	return res.round, res.err
 }
 
-// OpenShard opens a hosted shard, restoring it from checkpoint bytes when
-// data is non-empty (an empty checkpoint opens the shard fresh at round 0).
-// Returns the shard's next round. The worker daemon calls this when the
-// dispatcher grants it a lease.
+// OpenShard opens a hosted shard, restoring it from a self-contained
+// checkpoint bundle (a FoldBundle result or a CloseShard handoff) when data is
+// non-empty; empty data opens the shard fresh at round 0. Returns the shard's
+// next round. The worker daemon calls this when the dispatcher grants it a
+// lease.
 func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 	if !s.cfg.Hosted {
 		return 0, fmt.Errorf("serve: OpenShard requires hosted mode")
@@ -654,9 +580,10 @@ func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 	return res.round, res.err
 }
 
-// CloseShard snapshots a hosted shard, drops its state, and marks it closed.
-// The returned bytes are the final checkpoint — the handoff artifact uploaded
-// to the dispatcher when a lease is revoked gracefully.
+// CloseShard cuts a hosted shard, drops its state, and marks it closed. The
+// returned bytes are the final checkpoint, a self-contained bundle — the
+// handoff artifact uploaded to the dispatcher when a lease is revoked
+// gracefully.
 func (s *Service) CloseShard(shard int) ([]byte, error) {
 	if !s.cfg.Hosted {
 		return nil, fmt.Errorf("serve: CloseShard requires hosted mode")
@@ -665,20 +592,8 @@ func (s *Service) CloseShard(shard int) ([]byte, error) {
 	if shard < 0 || shard >= len(pl.shards) {
 		return nil, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
 	}
-	reply := make(chan snapshotResult, 1)
+	reply := make(chan closeResult, 1)
 	pl.shards[shard].ch <- shardCmd{close: &closeCmd{reply: reply}}
-	res := <-reply
-	return res.data, res.err
-}
-
-// SnapshotShard returns a checkpoint of one shard without disturbing it.
-func (s *Service) SnapshotShard(shard int) ([]byte, error) {
-	pl := s.pl.Load()
-	if shard < 0 || shard >= len(pl.shards) {
-		return nil, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
-	}
-	reply := make(chan snapshotResult, 1)
-	pl.shards[shard].ch <- shardCmd{snapshot: &snapshotCmd{reply: reply}}
 	res := <-reply
 	return res.data, res.err
 }
@@ -719,7 +634,7 @@ func (s *Service) BeginDrain() {
 // manifest (written atomically via rename). Clean tenants reuse their prior
 // chunk references and evicted tenants commit as stubs, so a steady-state cut
 // costs bytes proportional to what changed, not to the tenant population.
-// After the manifests commit, legacy full-state files and orphan chunks (the
+// After the manifests commit, stale manifests and orphan chunks (the
 // strandings of any earlier crash) are removed. Safe to call live: the round
 // barrier is held for the whole cut, so it lands exactly between rounds.
 func (s *Service) Checkpoint() error {
@@ -747,19 +662,13 @@ func (s *Service) Checkpoint() error {
 		}
 		roots = append(roots, res.roots...)
 	}
-	// The manifests are committed; everything else in the state dir is now
-	// redundant. Remove legacy full-state files (this incarnation's restores
-	// go through the manifests), manifests of shards a merge removed, and
-	// decision-log dirs beyond the current pool.
-	legacy, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "shard-*.json"))
-	if err != nil {
-		return fmt.Errorf("serve: probing state dir: %w", err)
-	}
+	// The manifests are committed; remove manifests of shards a merge removed
+	// and decision-log dirs beyond the current pool.
 	stale, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {
 		return fmt.Errorf("serve: probing state dir: %w", err)
 	}
-	for _, f := range append(legacy, stale...) {
+	for _, f := range stale {
 		keep := false
 		for i := range pl.shards {
 			if f == s.shardManifestPath(i) {

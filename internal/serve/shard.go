@@ -182,20 +182,20 @@ type shard struct {
 	classBacklog []int
 
 	// Incremental checkpoint state. store is the durable on-disk chunk store
-	// (classic service with a StateDir); pool/acked/lastClosure implement the
-	// hosted bundle protocol (Config.CheckpointBundles). declog is the shard's
-	// streaming decision log in log mode; an append failure is stashed in
-	// declogErr and surfaced at the next cut or decisions read. evicted holds
-	// stubs for cold tenants paged out to the chunk store; dirtyCount counts
-	// resident tenants with dirty set.
-	store       *ckptstore.Store
-	declog      *ckptstore.DecLog
-	declogErr   error
-	evicted     map[string]evictedStub
-	dirtyCount  int
-	pool        *ckptstore.MemStore
-	acked       map[uint64]bool
-	lastClosure map[uint64]bool
+	// (classic service with a StateDir); pool and acked implement the hosted
+	// bundle protocol (bundle.go): the open shard's in-memory chunks and the
+	// closure the receiver last acknowledged. declog is the shard's streaming
+	// decision log in log mode; an append failure is stashed in declogErr and
+	// surfaced at the next cut or decisions read. evicted holds stubs for cold
+	// tenants paged out to the chunk store; dirtyCount counts resident tenants
+	// with dirty set.
+	store      *ckptstore.Store
+	declog     *ckptstore.DecLog
+	declogErr  error
+	evicted    map[string]evictedStub
+	dirtyCount int
+	pool       *ckptstore.MemStore
+	acked      map[uint64]bool
 }
 
 // statusWrongPlacement is the internal submitResult status for a command
@@ -212,7 +212,6 @@ type shardCmd struct {
 	sync      *syncCmd
 	openShard *openCmd
 	close     *closeCmd
-	snapshot  *snapshotCmd
 	stats     *statsCmd
 	decisions *decisionsCmd
 	place     *placeCmd
@@ -245,7 +244,7 @@ type tickCmd struct {
 // selfTickCmd advances a hosted shard n rounds from its own round counter
 // (hosted shards tick independently: a restored shard resumes at its
 // checkpoint round regardless of its new host's other shards). After the last
-// round the shard snapshots itself and invokes Config.OnShardCheckpoint, so
+// round the shard cuts itself and invokes Config.OnShardCheckpoint, so
 // when the tick call returns the caller knows the latest state has been
 // offered to the checkpoint store.
 type selfTickCmd struct {
@@ -267,8 +266,8 @@ type syncCmd struct {
 	reply chan selfTickResult
 }
 
-// openCmd opens a hosted shard, restoring from checkpoint bytes when data is
-// non-empty.
+// openCmd opens a hosted shard, restoring from a checkpoint bundle when data
+// is non-empty.
 type openCmd struct {
 	data  []byte
 	reply chan openResult
@@ -279,16 +278,13 @@ type openResult struct {
 	err   error
 }
 
-// closeCmd snapshots a hosted shard, drops its state, and marks it closed.
+// closeCmd cuts a hosted shard into a self-contained bundle, drops its state,
+// and marks it closed.
 type closeCmd struct {
-	reply chan snapshotResult
+	reply chan closeResult
 }
 
-type snapshotCmd struct {
-	reply chan snapshotResult
-}
-
-type snapshotResult struct {
+type closeResult struct {
 	data []byte
 	err  error
 }
@@ -450,9 +446,6 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 		cmd.openShard.reply <- sh.handleOpen(cmd.openShard.data)
 	case cmd.close != nil:
 		cmd.close.reply <- sh.handleClose()
-	case cmd.snapshot != nil:
-		data, err := sh.checkpoint()
-		cmd.snapshot.reply <- snapshotResult{data: data, err: err}
 	case cmd.stats != nil:
 		cmd.stats.reply <- sh.stats()
 	case cmd.decisions != nil:
@@ -504,14 +497,18 @@ func (sh *shard) handleSync() selfTickResult {
 	return selfTickResult{round: sh.round}
 }
 
-// handleOpen opens a hosted shard, restoring from checkpoint bytes when data
-// is non-empty. An empty checkpoint opens the shard fresh at round 0.
+// handleOpen opens a hosted shard, restoring from a checkpoint bundle when
+// data is non-empty. An empty checkpoint opens the shard fresh at round 0.
+// The receiver has acknowledged nothing this shard cuts from here on, so the
+// first push after an open carries the full closure.
 func (sh *shard) handleOpen(data []byte) openResult {
 	if sh.open {
 		return openResult{round: sh.round, err: fmt.Errorf("serve: shard %d is already open", sh.idx)}
 	}
+	sh.pool = ckptstore.NewMemStore(sh.cfg.MaxChunkChain)
+	sh.acked = map[uint64]bool{}
 	if len(data) > 0 {
-		if err := sh.restoreShard(data, newHashRing(sh.cfg.Shards)); err != nil {
+		if err := sh.restoreBundle(data); err != nil {
 			sh.clear()
 			return openResult{err: err}
 		}
@@ -520,19 +517,19 @@ func (sh *shard) handleOpen(data []byte) openResult {
 	return openResult{round: sh.round}
 }
 
-// handleClose snapshots the shard, drops its state, and marks it closed. The
-// returned bytes are the shard's final checkpoint — the handoff artifact a
-// worker uploads when a lease is revoked gracefully.
-func (sh *shard) handleClose() snapshotResult {
+// handleClose cuts the shard into a self-contained bundle, drops its state,
+// and marks it closed. The bundle is the shard's final checkpoint — the
+// handoff artifact a worker uploads when a lease is revoked gracefully.
+func (sh *shard) handleClose() closeResult {
 	if !sh.open {
-		return snapshotResult{err: fmt.Errorf("serve: shard %d is not open", sh.idx)}
+		return closeResult{err: fmt.Errorf("serve: shard %d is not open", sh.idx)}
 	}
-	data, err := sh.checkpoint()
+	data, _, err := sh.buildBundle(nil)
 	if err != nil {
-		return snapshotResult{err: err}
+		return closeResult{err: err}
 	}
 	sh.clear()
-	return snapshotResult{data: data}
+	return closeResult{data: data}
 }
 
 // clear resets the shard's goroutine-owned state to closed-and-empty. The
@@ -550,7 +547,6 @@ func (sh *shard) clear() {
 	sh.dirtyCount = 0
 	sh.pool = nil
 	sh.acked = nil
-	sh.lastClosure = nil
 	sh.met.tenants.Set(0)
 	sh.met.backlog.Set(0)
 	sh.met.sm.QueueDepth.Set(0)

@@ -31,19 +31,23 @@ func TestRingMatchesServicePlacement(t *testing.T) {
 }
 
 // TestWireModeFlagRoundTrip pins the -wire flag surface: every mode parses
-// back from its String form, and junk is rejected.
+// back from its String form, the empty value and the zero mode are binary,
+// and junk — including the retired "auto" — is rejected.
 func TestWireModeFlagRoundTrip(t *testing.T) {
-	for _, m := range []WireMode{WireAuto, WireJSON, WireBinary} {
+	for _, m := range []WireMode{WireJSON, WireBinary} {
 		got, err := ParseWireMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseWireMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	if got, err := ParseWireMode(""); err != nil || got != WireAuto {
-		t.Errorf("ParseWireMode(\"\") = %v, %v; want auto", got, err)
+	var zero WireMode
+	if got, err := ParseWireMode(""); err != nil || got != WireBinary || zero != WireBinary {
+		t.Errorf("ParseWireMode(\"\") = %v, %v (zero mode %v); want binary", got, err, zero)
 	}
-	if _, err := ParseWireMode("carrier-pigeon"); err == nil {
-		t.Error("ParseWireMode accepted junk")
+	for _, junk := range []string{"carrier-pigeon", "auto"} {
+		if _, err := ParseWireMode(junk); err == nil {
+			t.Errorf("ParseWireMode accepted %q", junk)
+		}
 	}
 }
 
