@@ -19,7 +19,8 @@ func mustScenario(t *testing.T, name string) Scenario {
 
 // TestCkptScenariosRegistered pins the checkpoint-store rows of the matrix:
 // the full/delta cut pair at both tenant counts and dirty fractions, the
-// fault-in row, and the manifest codec row.
+// fault-in row, the manifest codec row, and the dispatcher's fold of a
+// fleet-shaped push.
 func TestCkptScenariosRegistered(t *testing.T) {
 	want := []string{
 		"ckpt/cut/full/n8", "ckpt/cut/full/n512",
@@ -27,6 +28,7 @@ func TestCkptScenariosRegistered(t *testing.T) {
 		"ckpt/cut/delta/n512/dirty1", "ckpt/cut/delta/n512/dirty100",
 		"ckpt/manifest/n8", "ckpt/manifest/n512",
 		"ckpt/faultin/chain4",
+		"ckpt/fold/fleet",
 	}
 	for _, name := range want {
 		s := mustScenario(t, name)
