@@ -46,6 +46,19 @@ func FuzzRestoreStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bad)
+	// A VarBatch release job with delay 0 at the checkpoint's round: a
+	// checkpoint Restore once accepted, whose next Push then panicked.
+	if err := json.Unmarshal(snap, &m); err != nil {
+		f.Fatal(err)
+	}
+	rel := m["releases"].([]any)[0].(map[string]any)
+	rel["round"] = m["round"]
+	rel["jobs"].([]any)[0].(map[string]any)["delay"] = 0
+	zeroDelay, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(zeroDelay)
 	// A truncation, a splice, and non-checkpoint bytes.
 	f.Add(snap[:len(snap)/2])
 	f.Add(append(append([]byte{}, snap[len(snap)/3:]...), snap[:len(snap)/3]...))

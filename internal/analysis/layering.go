@@ -89,6 +89,7 @@ func DefaultLayeringRules() map[string][]string {
 		m + "sweep":    {},
 		m + "analysis": {},
 		m + "atomicio": {},
+		m + "varint":   {},
 
 		// The incremental checkpoint store: content-addressed chunks, delta
 		// chains, manifests, and streaming decision logs. Pure persistence —
@@ -107,14 +108,14 @@ func DefaultLayeringRules() map[string][]string {
 		m + "introspect": {m + "model"},
 		m + "edf":        {m + "core", m + "model", m + "queue", m + "sim"},
 		m + "offline":    {m + "edf", m + "model", m + "sim"},
-		m + "stream":     {m + "core", m + "model", m + "queue", m + "reduce"},
+		m + "stream":     {m + "core", m + "model", m + "queue", m + "reduce", m + "varint"},
 		m + "chaos":      {m + "model", m + "obs", m + "sim", m + "stream", m + "workload"},
 		m + "adversary":  {m + "model", m + "offline", m + "sim", m + "stats"},
 
 		// The network service wraps stream schedulers behind an HTTP ingest
-		// layer; it builds only on model, obs, and stream, so serving never
-		// grows a dependency on the evaluation stack.
-		m + "serve": {m + "atomicio", m + "ckptstore", m + "model", m + "obs", m + "stream"},
+		// layer; it builds only on model, obs, stream and the state codecs, so
+		// serving never grows a dependency on the evaluation stack.
+		m + "serve": {m + "atomicio", m + "ckptstore", m + "model", m + "obs", m + "stream", m + "varint"},
 
 		// The dispatcher/worker tier is the fault-tolerant control plane over
 		// hosted serve workers: leases, heartbeats, checkpoint failover. It

@@ -19,7 +19,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"schema":"rrckpt/v1","shard":0,"shards":1,"round":0}`))
+	f.Add([]byte(`{"schema":"rrckpt/v2","shard":0,"shards":1,"round":0}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))

@@ -13,7 +13,12 @@ import (
 // manifest (atomically, via internal/atomicio) is what commits a cut; chunks
 // written before a crash that never made it into a committed manifest are
 // orphans, garbage-collected and never read.
-const ManifestSchema = "rrckpt/v1"
+//
+// v2 is the version whose tenant chunks hold binary tenant payloads (see
+// internal/serve); a v1 manifest names JSON payloads this version does not
+// read, so it is refused by its schema, evicted tenants included, before any
+// chunk is opened.
+const ManifestSchema = "rrckpt/v2"
 
 // MaxManifestLen bounds one decoded manifest.
 const MaxManifestLen = 64 << 20

@@ -1,12 +1,13 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"io"
 	"testing"
 	"time"
 
 	"rrsched/internal/ckptstore"
+	"rrsched/internal/stream"
+	"rrsched/internal/varint"
 )
 
 // TestBundleFailoverPreservesDecisionStreams re-runs the fleet failover
@@ -170,19 +171,33 @@ func testBundle(t *testing.T, shard, shards int, round int64, tenants ...string)
 }
 
 // bundleParts builds a manifest and its full chunks; each tenant's chunk
-// payload is a minimal tenant image cut at round.
+// payload is a minimal tenant payload cut at round: a tenant born at round
+// (epoch = round) with no jobs, no recorded decisions, and a fresh
+// scheduler's image, written field by field in the payload layout.
 func bundleParts(t *testing.T, shard, shards int, round int64, tenants ...string) (*ckptstore.Manifest, map[uint64][]byte) {
 	t.Helper()
 	m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shard: shard, Shards: shards, Round: round}
+	sched, err := stream.New(stream.Config{Delta: 4, Resources: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := sched.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chunks := map[uint64][]byte{}
 	for _, name := range tenants {
-		payload, err := json.Marshal(map[string]any{
-			"round":  round,
-			"tenant": map[string]any{"name": name, "epoch": round},
-		})
-		if err != nil {
-			t.Fatalf("chunk payload: %v", err)
-		}
+		payload := []byte{1} // the payload format byte
+		payload = varint.AppendInt(payload, round)
+		payload = varint.AppendString(payload, name)
+		payload = varint.AppendInt(payload, round) // epoch
+		payload = varint.AppendLen(payload, 0)     // decisions
+		payload = varint.AppendInt(payload, -1)    // max ID
+		payload = varint.AppendString(payload, "") // default class
+		payload = varint.AppendLen(payload, 0)     // delays
+		payload = varint.AppendLen(payload, 0)     // queued
+		payload = varint.AppendLen(payload, 0)     // inflight
+		payload = varint.AppendBytes(payload, img)
 		enc, id := ckptstore.EncodeFull(payload)
 		chunks[id] = enc
 		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})

@@ -825,24 +825,25 @@ func (d *Dispatcher) scanStateDir() ([]int, error) {
 // bundle reproduces it), so a corrupt file is refused at boot rather than at
 // the next grant.
 func (d *Dispatcher) readShardState(i int) (*shardState, error) {
-	data, err := os.ReadFile(d.statePath(i))
+	path := d.statePath(i)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: reading shard %d state: %w", i, err)
 	}
 	hdr := stateSchema + "\n"
 	if len(data) < len(hdr)+8 || string(data[:len(hdr)]) != hdr {
-		return nil, fmt.Errorf("dispatch: shard %d state is not an %s file", i, stateSchema)
+		return nil, fmt.Errorf("dispatch: %s is not an %s file", path, stateSchema)
 	}
 	epoch := int64(binary.LittleEndian.Uint64(data[len(hdr):]))
 	if epoch < 0 {
-		return nil, fmt.Errorf("dispatch: shard %d state has negative lease epoch %d", i, epoch)
+		return nil, fmt.Errorf("dispatch: %s has negative lease epoch %d", path, epoch)
 	}
 	bundle, m, _, err := serve.FoldBundle(data[len(hdr)+8:], nil)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: shard %d state: %w", i, err)
+		return nil, fmt.Errorf("dispatch: %s: %w", path, err)
 	}
 	if m.Shard != i {
-		return nil, fmt.Errorf("dispatch: state file for shard %d holds shard %d's checkpoint", i, m.Shard)
+		return nil, fmt.Errorf("dispatch: %s holds shard %d's checkpoint", path, m.Shard)
 	}
 	return &shardState{epoch: epoch, bundle: bundle, manifest: m}, nil
 }

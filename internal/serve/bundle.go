@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"rrsched/internal/ckptstore"
@@ -129,8 +128,9 @@ func (sh *shard) restoreBundle(data []byte) error {
 //
 // A bundle is rejected whole when it does not decode, pages a tenant out
 // (hosted shards cannot evict), references a chunk neither it nor pool
-// holds, or carries a tenant chunk that names another tenant, was cut outside
-// [0, manifest round], or records a decision history of the wrong length.
+// holds, or carries a tenant chunk that is not a well-formed tenant payload,
+// names another tenant, was cut outside [0, manifest round], or records a
+// decision history of the wrong length.
 func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptstore.Manifest, next *ckptstore.MemStore, err error) {
 	b, err := ckptstore.DecodeBundle(data)
 	if err != nil {
@@ -202,28 +202,16 @@ func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptst
 }
 
 // checkTenantChunk applies FoldBundle's per-tenant checks to one resolved
-// chunk payload. It decodes only the fields it checks; restoreManifest
-// validates the rest when the bundle is opened.
+// chunk payload: the header checks every payload reader applies, and the
+// structure of the rest, stream image included. It builds no scheduler;
+// restoreManifest validates the state when the bundle is opened.
 func checkTenantChunk(name string, payload []byte, round int64) error {
-	var tcp struct {
-		Round  int64 `json:"round"`
-		Tenant struct {
-			Name      string            `json:"name"`
-			Epoch     int64             `json:"epoch"`
-			Decisions []json.RawMessage `json:"decisions"`
-		} `json:"tenant"`
+	ti, err := readTenantPayload(payload, name, round)
+	if err != nil {
+		return err
 	}
-	if err := json.Unmarshal(payload, &tcp); err != nil {
-		return fmt.Errorf("serve: folding tenant %q: %w", name, err)
-	}
-	if tcp.Tenant.Name != name {
-		return fmt.Errorf("serve: tenant %q chunk holds tenant %q", name, tcp.Tenant.Name)
-	}
-	if tcp.Round < 0 || tcp.Round > round {
-		return fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", name, tcp.Round, round)
-	}
-	if n := int64(len(tcp.Tenant.Decisions)); n > 0 && n != tcp.Round-tcp.Tenant.Epoch {
-		return fmt.Errorf("serve: tenant %q chunk has %d decisions, want %d", name, n, tcp.Round-tcp.Tenant.Epoch)
+	if err := stream.CheckBinary(ti.stream); err != nil {
+		return fmt.Errorf("serve: tenant %q chunk: %w", name, err)
 	}
 	return nil
 }

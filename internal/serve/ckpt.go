@@ -21,16 +21,6 @@ import (
 // formats live in internal/ckptstore; this file owns the mapping between
 // shard state and those formats.
 
-// tenantChunkPayload is what a tenant state chunk holds: the tenant's
-// checkpoint image plus the round it was cut at. The round must travel inside
-// the chunk because clean tenants keep their old chunk while the manifest's
-// round advances — the restored scheduler fast-forwards the gap, which is
-// deterministic precisely because a clean tenant's skipped rounds are trivial.
-type tenantChunkPayload struct {
-	Round  int64            `json:"round"`
-	Tenant tenantCheckpoint `json:"tenant"`
-}
-
 // evictedStub is the resident trace of a paged-out tenant: enough to route
 // reshards, answer decision queries, and fault the tenant back in, without
 // holding any scheduler state.
@@ -77,22 +67,12 @@ func (sh *shard) setPagingGauges() {
 	sh.met.ckm.EvictedTenants.Set(int64(len(sh.evicted)))
 }
 
-// encodeTenantChunk serializes one tenant as a chunk payload cut at the
-// shard's current round.
-func (sh *shard) encodeTenantChunk(tn *tenant) ([]byte, error) {
-	tcp, err := sh.checkpointTenant(tn, sh.cfg.embedsDecisions())
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(tenantChunkPayload{Round: sh.round, Tenant: tcp})
-}
-
 // putTenantChunk commits a tenant's current state to the chunk store (disk in
 // classic mode, the in-memory bundle pool in hosted mode), as a delta against
 // the tenant's previous chunk when that is smaller, and updates the tenant's
 // reference and the chunk metrics.
 func (sh *shard) putTenantChunk(tn *tenant) error {
-	payload, err := sh.encodeTenantChunk(tn)
+	payload, err := sh.tenantPayload(tn, sh.cfg.embedsDecisions())
 	if err != nil {
 		return err
 	}
@@ -241,17 +221,11 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
-	var tcp tenantChunkPayload
-	if err := json.Unmarshal(payload, &tcp); err != nil {
+	ti, err := readTenantPayload(payload, name, sh.round)
+	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
-	if tcp.Tenant.Name != name {
-		return nil, fmt.Errorf("serve: tenant %q chunk holds tenant %q", name, tcp.Tenant.Name)
-	}
-	if tcp.Round < 0 || tcp.Round > sh.round {
-		return nil, fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", name, tcp.Round, sh.round)
-	}
-	tn, err := sh.buildTenant(&tcp.Tenant, tcp.Round)
+	tn, err := sh.buildTenant(ti)
 	if err != nil {
 		return nil, err
 	}
@@ -414,21 +388,15 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks ch
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q: %w", ref.Name, err)
 		}
-		var tcp tenantChunkPayload
-		if err := json.Unmarshal(payload, &tcp); err != nil {
-			return fmt.Errorf("serve: tenant %q chunk: %w", ref.Name, err)
-		}
-		if tcp.Tenant.Name != ref.Name {
-			return fmt.Errorf("serve: tenant %q chunk holds tenant %q", ref.Name, tcp.Tenant.Name)
-		}
-		if tcp.Round < 0 || tcp.Round > m.Round {
-			return fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", ref.Name, tcp.Round, m.Round)
-		}
-		tn, err := sh.buildTenant(&tcp.Tenant, tcp.Round)
+		ti, err := readTenantPayload(payload, ref.Name, m.Round)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
 		}
-		padDecisions(tn, tcp.Round, m.Round)
+		tn, err := sh.buildTenant(ti)
+		if err != nil {
+			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
+		}
+		padDecisions(tn, ti.round, m.Round)
 		tn.chunk = r
 		sh.adoptTenant(tn)
 	}

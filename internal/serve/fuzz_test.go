@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
+
+	"rrsched/internal/stream"
 )
 
 // FuzzDecodeSubmit pins two properties of the wire decoder on arbitrary
@@ -147,6 +150,65 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(fromBinary, canonical) {
 			t.Fatalf("binary round trip diverges from JSON oracle:\nbinary: %s\njson:   %s", fromBinary, canonical)
+		}
+	})
+}
+
+// FuzzTenantChunk drives the one tenant payload decoder with arbitrary
+// bytes, under the name the payload's own header claims. Property: it never
+// panics, the fold's structural check refuses what cannot be built for want
+// of a parsable stream image, and a payload it
+// accepts and builds into a tenant re-encodes to bytes that decode, build
+// and re-encode to themselves, with an equal scheduler Snapshot.
+func FuzzTenantChunk(f *testing.F) {
+	for _, ps := range []payloadShape{fleetShape, denseShape} {
+		for _, p := range servedPayloads(f, ps.resources, ps.seq(f, 3, 40), 40, map[int64]bool{5: true, 39: true}) {
+			f.Add(p)
+			f.Add(p[:len(p)/2])
+			f.Add(append(append([]byte{}, p[len(p)/3:]...), p[:len(p)/3]...))
+		}
+	}
+	f.Add([]byte(`{"round":3,"tenant":{"name":"tenant","epoch":0}}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name := payloadName(data)
+		ti, err := readTenantPayload(data, name, math.MaxInt64)
+		if err != nil {
+			return
+		}
+		sh := testShard(t, 8)
+		tn, err := sh.buildTenant(ti)
+		if stream.CheckBinary(ti.stream) != nil {
+			if err == nil {
+				t.Fatal("built a tenant from a stream image that does not parse")
+			}
+			if checkTenantChunk(name, data, math.MaxInt64) == nil {
+				t.Fatal("the fold accepted a stream image that does not parse")
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		sh.round = ti.round
+		enc, err := sh.tenantPayload(tn, len(ti.decisions) > 0)
+		if err != nil {
+			t.Fatalf("built tenant does not re-encode: %v", err)
+		}
+		back, enc2 := rebuildPayload(t, sh, enc)
+		if !bytes.Equal(enc, enc2) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		a, err := tn.sched.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := back.sched.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatal("rebuilt tenant's scheduler snapshots differently")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -137,11 +136,11 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	// A decision-count mismatch: the history no longer covers every round
 	// since the tenant's epoch, so a restored stream could silently skip
 	// rounds.
-	refused(0, rewriteTenantChunks(t, good, func(tcp *tenantChunkPayload) {
-		if len(tcp.Tenant.Decisions) == 0 {
+	refused(0, rewriteTenantChunks(t, good, func(ti *tenantImage) {
+		if len(ti.decisions) == 0 {
 			t.Fatal("fixture checkpoint lacks decisions")
 		}
-		tcp.Tenant.Decisions = tcp.Tenant.Decisions[:len(tcp.Tenant.Decisions)-1]
+		ti.decisions = ti.decisions[:len(ti.decisions)-1]
 	}), "a truncated decision history")
 
 	// The pristine checkpoint still restores, and double-open is refused.
@@ -157,10 +156,11 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	}
 }
 
-// rewriteTenantChunks folds a bundle, applies mutate to every tenant's chunk
-// payload, and re-bundles the result with fresh content addresses: a
-// well-formed bundle carrying whatever state the mutation leaves.
-func rewriteTenantChunks(t *testing.T, bundle []byte, mutate func(*tenantChunkPayload)) []byte {
+// rewriteTenantChunks folds a bundle, applies mutate to every tenant's
+// decoded chunk payload, and re-bundles the re-encoded result with fresh
+// content addresses: a well-formed bundle carrying whatever state the
+// mutation leaves.
+func rewriteTenantChunks(t *testing.T, bundle []byte, mutate func(*tenantImage)) []byte {
 	t.Helper()
 	folded, m, _, err := FoldBundle(bundle, nil)
 	if err != nil {
@@ -181,16 +181,12 @@ func rewriteTenantChunks(t *testing.T, bundle []byte, mutate func(*tenantChunkPa
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tcp tenantChunkPayload
-		if err := json.Unmarshal(c.Body, &tcp); err != nil {
+		ti, err := readTenantPayload(c.Body, ref.Name, m.Round)
+		if err != nil {
 			t.Fatalf("decoding tenant chunk: %v", err)
 		}
-		mutate(&tcp)
-		payload, err := json.Marshal(tcp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, newID := ckptstore.EncodeFull(payload)
+		mutate(ti)
+		enc, newID := ckptstore.EncodeFull(ti.append(nil))
 		chunks[newID] = enc
 		ref.Chunk = ckptstore.FormatChunkID(newID)
 	}

@@ -1,9 +1,10 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rrsched/internal/core"
 	"rrsched/internal/model"
@@ -102,13 +103,27 @@ func fromJobCPs(jobs []jobCP) []model.Job {
 // Snapshot serializes the scheduler's complete state as JSON. The snapshot is
 // deterministic (equal schedulers yield identical bytes) and self-contained:
 // Restore on it resumes the run with decisions identical to an uninterrupted
-// scheduler fed the same pushes.
+// scheduler fed the same pushes. AppendBinary writes the same image in the
+// compact binary form; Snapshot stays the public, human-readable format and
+// the oracle the binary codec is tested against.
 func (s *Scheduler) Snapshot() ([]byte, error) {
+	cp, err := s.image()
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(cp, "", "  ")
+}
+
+// image builds the checkpoint image of the scheduler: the one description of
+// its state that both codecs serialize. Map contents are flattened into
+// sorted slices; slices of the live state are aliased, not copied, so the
+// image must be serialized before the scheduler moves on.
+func (s *Scheduler) image() (*checkpoint, error) {
 	tcp, err := s.inner.tracker.Checkpoint()
 	if err != nil {
 		return nil, fmt.Errorf("stream: snapshot: %w", err)
 	}
-	cp := checkpoint{
+	cp := &checkpoint{
 		Version:      checkpointVersion,
 		Delta:        s.cfg.Delta,
 		Resources:    s.cfg.Resources,
@@ -123,7 +138,7 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 	for c, d := range s.delays {
 		cp.Delays = append(cp.Delays, colorDelayCP{Color: c, Delay: d})
 	}
-	sort.Slice(cp.Delays, func(i, j int) bool { return cp.Delays[i].Color < cp.Delays[j].Color })
+	slices.SortFunc(cp.Delays, func(a, b colorDelayCP) int { return cmp.Compare(a.Color, b.Color) })
 	for _, cq := range s.pendingOrder {
 		if cq.q.Len() == 0 {
 			continue
@@ -133,7 +148,7 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 	for r, jobs := range s.futureReleases {
 		cp.Releases = append(cp.Releases, releaseCP{Round: r, Jobs: toJobCPs(jobs)})
 	}
-	sort.Slice(cp.Releases, func(i, j int) bool { return cp.Releases[i].Round < cp.Releases[j].Round })
+	slices.SortFunc(cp.Releases, func(a, b releaseCP) int { return cmp.Compare(a.Round, b.Round) })
 
 	st := s.inner
 	cp.Inner = innerCP{
@@ -146,7 +161,7 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 	for k, ic := range st.inner {
 		cp.Inner.Subcolors = append(cp.Inner.Subcolors, subcolorCP{Outer: k.outer, Bucket: k.j, Inner: ic})
 	}
-	sort.Slice(cp.Inner.Subcolors, func(i, j int) bool { return cp.Inner.Subcolors[i].Inner < cp.Inner.Subcolors[j].Inner })
+	slices.SortFunc(cp.Inner.Subcolors, func(a, b subcolorCP) int { return cmp.Compare(a.Inner, b.Inner) })
 	for c := range st.pending {
 		if q := &st.pending[c]; q.Len() > 0 {
 			cp.Inner.Pending = append(cp.Inner.Pending, innerPendingCP{Color: model.Color(c), Deadlines: q.Items()})
@@ -157,8 +172,7 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 			cp.Inner.ColorLocs = append(cp.Inner.ColorLocs, colorLocsCP{Color: model.Color(c), Locs: locs})
 		}
 	}
-
-	return json.MarshalIndent(cp, "", "  ")
+	return cp, nil
 }
 
 // Restore rebuilds a scheduler from a Snapshot. The checkpoint is validated
@@ -169,11 +183,19 @@ func Restore(data []byte) (*Scheduler, error) {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("stream: decoding checkpoint: %w", err)
 	}
+	return fromImage(&cp)
+}
+
+// fromImage validates a decoded checkpoint image and builds the scheduler it
+// describes: the one validate-and-build step behind both codecs, so a check
+// added here guards Restore and RestoreBinary alike. Sizes are checked
+// against the image's own slices before anything is allocated by them.
+func fromImage(cp *checkpoint) (*Scheduler, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
-	s, err := New(Config{Delta: cp.Delta, Resources: cp.Resources})
-	if err != nil {
+	cfg := Config{Delta: cp.Delta, Resources: cp.Resources}
+	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("stream: restoring checkpoint: %w", err)
 	}
 	if cp.Round < 0 {
@@ -188,6 +210,10 @@ func Restore(data []byte) (*Scheduler, error) {
 	}
 	if len(cp.Inner.LocColor) != cp.Resources {
 		return nil, fmt.Errorf("stream: checkpoint has %d inner locations, want %d", len(cp.Inner.LocColor), cp.Resources)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("stream: restoring checkpoint: %w", err)
 	}
 	s.round = cp.Round
 	s.cost = cp.Cost
@@ -218,11 +244,36 @@ func Restore(data []byte) (*Scheduler, error) {
 			q.Push(j)
 		}
 	}
+	// Release jobs feed the inner simulation at their round, which trusts
+	// them the way Push trusts validated arrivals: each must be a valid job
+	// of its color's registered bound, listed under its own VarBatch release
+	// round, no earlier than the round the scheduler resumes at, and listed
+	// once.
+	releaseSeen := make(map[int64]bool)
 	for _, r := range cp.Releases {
 		if _, ok := s.futureReleases[r.Round]; ok {
 			return nil, fmt.Errorf("stream: checkpoint repeats release round %d", r.Round)
 		}
-		s.futureReleases[r.Round] = fromJobCPs(r.Jobs)
+		if r.Round < cp.Round {
+			return nil, fmt.Errorf("stream: checkpoint release round %d precedes the checkpoint round %d", r.Round, cp.Round)
+		}
+		jobs := fromJobCPs(r.Jobs)
+		for _, j := range jobs {
+			if err := j.Validate(); err != nil {
+				return nil, fmt.Errorf("stream: checkpoint release job: %w", err)
+			}
+			if d, ok := s.delays[j.Color]; !ok || d != j.Delay {
+				return nil, fmt.Errorf("stream: checkpoint release job %d has delay bound %d, color %v registers %d", j.ID, j.Delay, j.Color, d)
+			}
+			if rr := releaseRound(j); rr != r.Round {
+				return nil, fmt.Errorf("stream: checkpoint lists release job %d under round %d, it releases at %d", j.ID, r.Round, rr)
+			}
+			if releaseSeen[j.ID] {
+				return nil, fmt.Errorf("stream: checkpoint repeats release job id %d", j.ID)
+			}
+			releaseSeen[j.ID] = true
+		}
+		s.futureReleases[r.Round] = jobs
 	}
 
 	st := s.inner

@@ -291,10 +291,87 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			tr := m["inner"].(map[string]any)["tracker"].(map[string]any)
 			tr["colors"] = append(tr["colors"].([]any), map[string]any{"color": 2e9, "delay": 1.0, "cnt": 0.0, "deadline": 0.0, "eligible": false})
 		}), "tracker color c2000000000"},
+		// Release jobs feed the inner simulation unchecked at their round: a
+		// bad one must be refused here, not panic or misschedule later.
+		{"release job with delay 0", corruptWarm(func(m map[string]any) {
+			releaseJob(m, 0)["delay"] = 0.0
+		}), "non-positive delay bound"},
+		{"release job delay disagrees with its color", corruptWarm(func(m map[string]any) {
+			releaseJob(m, 0)["delay"] = 4.0
+		}), "registers 2"},
+		{"release job under another round", corruptWarm(func(m map[string]any) {
+			m["releases"].([]any)[0].(map[string]any)["round"] = 5.0
+		}), "it releases at 4"},
+		{"release round before the checkpoint round", corruptWarm(func(m map[string]any) {
+			m["releases"].([]any)[0].(map[string]any)["round"] = 3.0
+			for i := range m["releases"].([]any)[0].(map[string]any)["jobs"].([]any) {
+				releaseJob(m, i)["arrival"] = 2.0
+			}
+		}), "precedes the checkpoint round"},
+		{"release job id repeats", corruptWarm(func(m map[string]any) {
+			releaseJob(m, 1)["id"] = releaseJob(m, 0)["id"]
+		}), "repeats release job id"},
 	}
 	for _, c := range cases {
 		if _, err := Restore(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)
+		}
+	}
+}
+
+// releaseJob returns job i of the first release round of a checkpoint
+// decoded into generic JSON.
+func releaseJob(m map[string]any, i int) map[string]any {
+	return m["releases"].([]any)[0].(map[string]any)["jobs"].([]any)[i].(map[string]any)
+}
+
+// TestRestoreBinaryRejectsCorruptReleases runs the release-job refusals
+// through the binary codec: both codecs share fromImage, so an image with a
+// bad release job is refused the same way a snapshot is.
+func TestRestoreBinaryRejectsCorruptReleases(t *testing.T) {
+	s, err := New(Config{Delta: 2, Resources: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < 4; r++ {
+		if _, err := s.Push(r, []model.Job{{ID: 2 * r, Color: 0, Arrival: r, Delay: 2}, {ID: 2*r + 1, Color: 1, Arrival: r, Delay: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(mutate func(cp *checkpoint)) []byte {
+		cp, err := decodeImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.Releases) != 1 || len(cp.Releases[0].Jobs) != 2 {
+			t.Fatalf("fixture releases %+v, want one round of two jobs", cp.Releases)
+		}
+		mutate(cp)
+		return appendImage(nil, cp)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"delay 0", corrupt(func(cp *checkpoint) { cp.Releases[0].Jobs[0].Delay = 0 }), "non-positive delay bound"},
+		{"delay disagrees", corrupt(func(cp *checkpoint) { cp.Releases[0].Jobs[0].Delay = 4 }), "registers 2"},
+		{"black color", corrupt(func(cp *checkpoint) { cp.Releases[0].Jobs[0].Color = model.Black }), "black"},
+		{"wrong round", corrupt(func(cp *checkpoint) { cp.Releases[0].Round = 5 }), "it releases at 4"},
+		{"before checkpoint", corrupt(func(cp *checkpoint) {
+			cp.Releases[0].Round = 3
+			for i := range cp.Releases[0].Jobs {
+				cp.Releases[0].Jobs[i].Arrival = 2
+			}
+		}), "precedes the checkpoint round"},
+		{"repeated id", corrupt(func(cp *checkpoint) { cp.Releases[0].Jobs[1].ID = cp.Releases[0].Jobs[0].ID }), "repeats release job id"},
+	} {
+		if _, err := RestoreBinary(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RestoreBinary = %v, want mention of %q", c.name, err, c.want)
 		}
 	}
 }

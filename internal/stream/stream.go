@@ -50,6 +50,16 @@ type Decision struct {
 	Dropped []int64
 }
 
+func (cfg Config) validate() error {
+	if cfg.Delta <= 0 {
+		return fmt.Errorf("stream: non-positive Delta %d", cfg.Delta)
+	}
+	if cfg.Resources <= 0 || cfg.Resources%4 != 0 {
+		return fmt.Errorf("stream: resources must be a positive multiple of 4, got %d", cfg.Resources)
+	}
+	return nil
+}
+
 // Scheduler is an incremental online scheduler. It is not safe for
 // concurrent use; decisions are deterministic given the push sequence.
 type Scheduler struct {
@@ -87,11 +97,8 @@ type colorQueue struct {
 
 // New returns a streaming scheduler.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.Delta <= 0 {
-		return nil, fmt.Errorf("stream: non-positive Delta %d", cfg.Delta)
-	}
-	if cfg.Resources <= 0 || cfg.Resources%4 != 0 {
-		return nil, fmt.Errorf("stream: resources must be a positive multiple of 4, got %d", cfg.Resources)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	s := &Scheduler{
 		cfg:            cfg,
