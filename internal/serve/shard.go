@@ -323,7 +323,7 @@ type planResult struct {
 
 // migrationFrame is one tenant's serialized state in flight between shards
 // during a reshard: a binary checkpoint frame (rrserve/v2) wrapping the
-// tenant's checkpoint JSON.
+// tenant's migrationRecord.
 type migrationFrame struct {
 	tenant string
 	class  string
