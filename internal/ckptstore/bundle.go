@@ -30,19 +30,32 @@ type Bundle struct {
 	Chunks   map[uint64][]byte // encoded chunks by content address, all verified
 }
 
-// EncodeBundle serializes a manifest and a set of encoded chunks. Chunks are
-// written in ascending ID order so the encoding is a pure function of the
-// content.
+// EncodeBundle serializes a manifest and a set of encoded chunks, verifying
+// every chunk against its claimed content address first: the chunks come from
+// the caller, so nothing vouches for them. Chunks are written in ascending ID
+// order so the encoding is a pure function of the content.
 func EncodeBundle(manifest []byte, chunks map[uint64][]byte) ([]byte, error) {
+	for id, data := range chunks {
+		if err := VerifyChunk(id, data); err != nil {
+			return nil, err
+		}
+	}
+	return encodeBundle(manifest, chunks)
+}
+
+// encodeBundle writes a bundle of chunks the caller has already verified.
+func encodeBundle(manifest []byte, chunks map[uint64][]byte) ([]byte, error) {
 	if len(manifest) == 0 || len(manifest) > MaxManifestLen {
 		return nil, fmt.Errorf("ckptstore: bundle manifest of %d bytes out of range", len(manifest))
 	}
 	ids := make([]uint64, 0, len(chunks))
-	for id := range chunks {
+	size := len(bundleMagic) + 1 + 2*binary.MaxVarintLen64 + len(manifest)
+	for id, data := range chunks {
 		ids = append(ids, id)
+		size += 8 + binary.MaxVarintLen64 + len(data)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, len(bundleMagic)+1+binary.MaxVarintLen64+len(manifest))
+	buf := make([]byte, 0, size)
 	buf = append(buf, bundleMagic...)
 	buf = append(buf, bundleVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(manifest)))
@@ -50,9 +63,6 @@ func EncodeBundle(manifest []byte, chunks map[uint64][]byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		data := chunks[id]
-		if err := VerifyChunk(id, data); err != nil {
-			return nil, err
-		}
 		var p [8]byte
 		binary.BigEndian.PutUint64(p[:], id)
 		buf = append(buf, p[:]...)

@@ -529,3 +529,59 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 		t.Fatal("clone lost an added chunk")
 	}
 }
+
+// TestMemStoreBundles pins the pool's bundle entry points: AddBundle takes a
+// bundle's chunks only through the verifying decoder (a corrupt bundle leaves
+// the pool as it was), and EncodeBundle writes the same bytes as the
+// verifying EncodeBundle for the same chunks, refusing an ID the pool lacks.
+func TestMemStoreBundles(t *testing.T) {
+	manifest, err := EncodeManifest(&Manifest{
+		Schema: ManifestSchema, Shard: 0, Shards: 1, Round: 1,
+		Tenants: []TenantRef{{Name: "a", Chunk: FormatChunkID(1)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encA, idA := EncodeFull([]byte("payload-a"))
+	encB, idB := EncodeDelta(idA, MakeDelta([]byte("payload-a"), []byte("payload-b")))
+	chunks := map[uint64][]byte{idA: encA, idB: encB}
+	enc, err := EncodeBundle(manifest, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMemStore(0)
+	bad := append([]byte(nil), enc...)
+	bad[len(bad)-1] ^= 0xff
+	if _, err := m.AddBundle(bad); err == nil {
+		t.Fatal("AddBundle accepted a corrupted chunk")
+	}
+	if m.Len() != 0 {
+		t.Fatalf("refused bundle left %d chunks in the pool", m.Len())
+	}
+	raw, err := m.AddBundle(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, manifest) || m.Len() != 2 {
+		t.Fatalf("AddBundle: manifest equal %v, %d chunks pooled, want 2", bytes.Equal(raw, manifest), m.Len())
+	}
+	if got, _, err := m.Resolve(idB); err != nil || string(got) != "payload-b" {
+		t.Fatalf("resolve after AddBundle: %q, %v", got, err)
+	}
+
+	again, err := m.EncodeBundle(manifest, map[uint64]bool{idA: true, idB: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, enc) {
+		t.Fatal("pool-encoded bundle differs from EncodeBundle of the same chunks")
+	}
+	if _, err := m.EncodeBundle(manifest, map[uint64]bool{idA + 1: true}); err == nil {
+		t.Fatal("EncodeBundle accepted an ID the pool does not hold")
+	}
+	// The verifying encoder still refuses a mislabeled chunk.
+	if _, err := EncodeBundle(manifest, map[uint64][]byte{idA + 1: encA}); err == nil {
+		t.Fatal("EncodeBundle accepted a mislabeled chunk")
+	}
+}

@@ -299,9 +299,11 @@ func (s *Store) List() ([]uint64, error) {
 // MemStore is the in-memory chunk pool of the hosted tier: the worker side
 // accumulates cut chunks in one, and the dispatcher keeps pushed bundle
 // chunks in another so the next push's deltas resolve. Same addressing and
-// chain rules as the disk store, no durability. Not safe for concurrent use;
-// both owners already serialize access (the shard goroutine, the dispatcher
-// mutex).
+// chain rules as the disk store, no durability. Every pooled chunk was
+// verified on entry or encoded by the pool, so reads never re-hash. Not safe
+// for concurrent writes: the worker's pool belongs to its shard goroutine,
+// and the dispatcher never writes a pool once a lease holds it (a push folds
+// into a clone), so concurrent folds only read it.
 type MemStore struct {
 	chunks   map[uint64][]byte
 	maxChain int
@@ -346,6 +348,37 @@ func (m *MemStore) Add(id uint64, data []byte) error {
 		m.chunks[id] = append([]byte(nil), data...)
 	}
 	return nil
+}
+
+// AddBundle decodes an encoded bundle and admits every chunk it carries,
+// returning the bundle's manifest bytes unvalidated. DecodeBundle verifies
+// each chunk once and copies it out of data, so the pool takes the chunks as
+// they are, without hashing or copying them again. A bundle that does not
+// decode leaves the pool unchanged.
+func (m *MemStore) AddBundle(data []byte) ([]byte, error) {
+	b, err := DecodeBundle(data)
+	if err != nil {
+		return nil, err
+	}
+	for id, chunk := range b.Chunks {
+		m.add(id, chunk)
+	}
+	return b.Manifest, nil
+}
+
+// EncodeBundle encodes a bundle of manifest plus the pooled chunks named in
+// ids. Every pooled chunk was verified on entry (Add, AddBundle) or encoded
+// by the pool itself (Put), so none is hashed again.
+func (m *MemStore) EncodeBundle(manifest []byte, ids map[uint64]bool) ([]byte, error) {
+	chunks := make(map[uint64][]byte, len(ids))
+	for id := range ids {
+		data, err := m.get(id)
+		if err != nil {
+			return nil, err
+		}
+		chunks[id] = data
+	}
+	return encodeBundle(manifest, chunks)
 }
 
 // Put stores payload in the pool, as a delta against parent when legal and

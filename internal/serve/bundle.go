@@ -77,18 +77,13 @@ func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: shard %d bundle closure: %w", sh.idx, err)
 	}
-	chunks := make(map[uint64][]byte)
+	unacked := make(map[uint64]bool, len(closure))
 	for id := range closure {
-		if acked[id] {
-			continue
+		if !acked[id] {
+			unacked[id] = true
 		}
-		data, ok := sh.pool.Get(id)
-		if !ok {
-			return nil, nil, fmt.Errorf("serve: shard %d chunk %016x missing from pool", sh.idx, id)
-		}
-		chunks[id] = data
 	}
-	bundle, err := ckptstore.EncodeBundle(manifest, chunks)
+	bundle, err := sh.pool.EncodeBundle(manifest, unacked)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: shard %d bundle: %w", sh.idx, err)
 	}
@@ -100,18 +95,13 @@ func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, er
 // restoreManifest a state-dir boot uses. Called from handleOpen, before the
 // shard accepts work.
 func (sh *shard) restoreBundle(data []byte) error {
-	b, err := ckptstore.DecodeBundle(data)
+	raw, err := sh.pool.AddBundle(data)
 	if err != nil {
 		return fmt.Errorf("serve: shard %d checkpoint: %w", sh.idx, err)
 	}
-	m, err := ckptstore.DecodeManifest(b.Manifest)
+	m, err := ckptstore.DecodeManifest(raw)
 	if err != nil {
 		return fmt.Errorf("serve: shard %d checkpoint: %w", sh.idx, err)
-	}
-	for id, chunk := range b.Chunks {
-		if err := sh.pool.Add(id, chunk); err != nil {
-			return err
-		}
 	}
 	return sh.restoreManifest(m, newHashRing(sh.cfg.Shards), sh.pool)
 }
@@ -124,7 +114,11 @@ func (sh *shard) restoreBundle(data []byte) error {
 // stores, persists, and hands to OpenShard. next is pool plus the bundle's
 // chunks, pruned to the manifest's closure: what the sender's next delta push
 // may reference. pool itself is not modified, so a rejected push leaves the
-// receiver exactly as it was; a nil pool holds nothing.
+// receiver exactly as it was, and concurrent folds may share one pool; a nil
+// pool holds nothing.
+//
+// Each pushed chunk is hashed once, when the bundle is decoded; the fold
+// takes the verified chunks into next and encodes its output from there.
 //
 // A bundle is rejected whole when it does not decode, pages a tenant out
 // (hosted shards cannot evict), references a chunk neither it nor pool
@@ -132,23 +126,18 @@ func (sh *shard) restoreBundle(data []byte) error {
 // names another tenant, was cut outside [0, manifest round], or records a
 // decision history of the wrong length.
 func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptstore.Manifest, next *ckptstore.MemStore, err error) {
-	b, err := ckptstore.DecodeBundle(data)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	in, err := ckptstore.DecodeManifest(b.Manifest)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	if pool == nil {
 		next = ckptstore.NewMemStore(0)
 	} else {
 		next = pool.Clone()
 	}
-	for id, chunk := range b.Chunks {
-		if err := next.Add(id, chunk); err != nil {
-			return nil, nil, nil, err
-		}
+	raw, err := next.AddBundle(data)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	in, err := ckptstore.DecodeManifest(raw)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	m = &ckptstore.Manifest{
 		Schema:         ckptstore.ManifestSchema,
@@ -157,7 +146,7 @@ func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptst
 		Round:          in.Round,
 		PlacementEpoch: in.PlacementEpoch,
 	}
-	chunks := make(map[uint64][]byte, len(in.Tenants))
+	out := make(map[uint64]bool, len(in.Tenants))
 	for i := range in.Tenants {
 		ref := &in.Tenants[i]
 		if ref.Evicted {
@@ -175,18 +164,23 @@ func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptst
 			return nil, nil, nil, err
 		}
 		id := r.ID
-		enc, _ := next.Get(id)
 		if depth > 0 {
-			enc, id = ckptstore.EncodeFull(payload)
+			// A delta chain folds into one full chunk, pooled until the
+			// output is encoded and pruned with the rest after it.
+			full, err := next.Put(payload, ckptstore.Ref{})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			id = full.Ref.ID
 		}
-		chunks[id] = enc
+		out[id] = true
 		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: ref.Name, Chunk: ckptstore.FormatChunkID(id)})
 	}
 	manifest, err := ckptstore.EncodeManifest(m)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if folded, err = ckptstore.EncodeBundle(manifest, chunks); err != nil {
+	if folded, err = next.EncodeBundle(manifest, out); err != nil {
 		return nil, nil, nil, err
 	}
 	roots, err := in.Roots()
