@@ -100,7 +100,6 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		classesF  = fs.String("classes", "", "weighted tenant QoS classes as name:weight,... (e.g. gold:3,bronze:1); empty runs the single implicit default class")
 		budget    = fs.Int64("reshard-budget", 0, "max tenant-state bytes one live reshard may migrate, split across classes by weight (0 = unlimited)")
 		evict     = fs.Int64("evict-after", 0, "page out tenants idle this many rounds to the chunk store (requires -state; 0 disables)")
-		maxChain  = fs.Int("max-chunk-chain", 0, "fold a tenant's delta-chunk chain into a full chunk at this depth (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,7 +123,6 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		Classes:         classes,
 		ReshardBudget:   *budget,
 		EvictAfter:      *evict,
-		MaxChunkChain:   *maxChain,
 	})
 	if err != nil {
 		return err

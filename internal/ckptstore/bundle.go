@@ -8,9 +8,9 @@ import (
 
 // A bundle is the hosted tier's checkpoint: a shard's manifest plus chunks.
 // A push carries only the chunks the receiver has not acknowledged yet — a
-// steady-state push is the dirty tenants' delta chunks and a small manifest —
+// steady-state push is one full chunk per dirty tenant and a small manifest —
 // while a handoff or a stored checkpoint carries every chunk its manifest
-// needs.
+// names.
 
 // bundleMagic opens every encoded bundle.
 const bundleMagic = "rrcb"

@@ -1,20 +1,21 @@
 // Package ckptstore is the incremental checkpoint store of the serve tier: a
-// content-addressed chunk store with delta encoding, small manifests that
-// reference chunks instead of embedding state, an append-only streaming
-// decision log, and a bundle format for shipping manifests plus missing
-// chunks over the dispatcher wire.
+// content-addressed store of chunks, each one a full tenant image, small
+// manifests that reference chunks instead of embedding state, an append-only
+// streaming decision log, and a bundle format for shipping manifests plus
+// missing chunks over the dispatcher wire.
 //
 // The design mirrors the paper's cost-of-movement framing: a checkpoint cut
-// pays bytes only for tenants whose state actually changed (delta chunks),
-// identical state is never written twice (content addressing dedupes), and a
-// reshard moves references, not tenant images. Chunks are immutable once
+// pays bytes only for tenants whose state actually changed (dirty tracking in
+// the serve tier), identical state is never written twice (content
+// addressing dedupes), and a reshard moves references, not tenant images.
+// Every chunk stands alone, so reading a tenant reads one chunk and the live
+// set of a manifest is exactly the chunks it names. Chunks are immutable once
 // written; manifests are the only mutable commit points, written atomically
 // via internal/atomicio, so a crash between a chunk write and a manifest
 // rename leaves orphan chunks that are garbage-collected and never read.
 package ckptstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 )
@@ -26,14 +27,9 @@ const chunkMagic = "rrck"
 // chunkVersion is the chunk container version.
 const chunkVersion = 1
 
-// Chunk kinds.
-const (
-	// KindFull marks a chunk whose body is the complete payload.
-	KindFull = 0
-	// KindDelta marks a chunk whose body is a delta against a parent chunk's
-	// resolved payload; the parent ID follows the header.
-	KindDelta = 1
-)
+// KindFull is the one chunk kind: the body is the complete payload. Kind 1
+// was a delta against a parent chunk; it is no longer written or read.
+const KindFull = 0
 
 // chunkHeaderLen is the fixed prefix of every chunk: magic, version, kind.
 const chunkHeaderLen = len(chunkMagic) + 2
@@ -43,19 +39,15 @@ const chunkHeaderLen = len(chunkMagic) + 2
 // any allocation.
 const MaxChunkLen = 64 << 20
 
-// Chunk is one decoded chunk: a full payload, or a delta plus the parent it
-// applies to.
+// Chunk is one decoded chunk.
 type Chunk struct {
-	Kind   int
-	Parent uint64 // chunk ID of the parent (delta chunks only)
-	Body   []byte // full payload (KindFull) or delta ops (KindDelta)
+	Kind int
+	Body []byte // the full payload
 }
 
-// Ref names one committed chunk: its content address and the length of the
-// delta chain behind it (0 for a full chunk).
+// Ref names one committed chunk by its content address.
 type Ref struct {
-	ID    uint64
-	Chain int
+	ID uint64
 }
 
 // Hash64 is the chunk content address: FNV-1a 64 with the MurmurHash3 fmix64
@@ -86,20 +78,6 @@ func EncodeFull(payload []byte) ([]byte, uint64) {
 	return buf, Hash64(buf)
 }
 
-// EncodeDelta encodes a delta chunk: ops against the resolved payload of the
-// parent chunk named by parentID. The content address covers the parent ID,
-// so the same ops against different parents are distinct chunks.
-func EncodeDelta(parentID uint64, ops []byte) ([]byte, uint64) {
-	buf := make([]byte, 0, chunkHeaderLen+8+len(ops))
-	buf = append(buf, chunkMagic...)
-	buf = append(buf, chunkVersion, KindDelta)
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], parentID)
-	buf = append(buf, p[:]...)
-	buf = append(buf, ops...)
-	return buf, Hash64(buf)
-}
-
 // DecodeChunk parses one encoded chunk. It never panics on arbitrary bytes;
 // malformed input is an error. The body aliases data.
 func DecodeChunk(data []byte) (*Chunk, error) {
@@ -112,23 +90,10 @@ func DecodeChunk(data []byte) (*Chunk, error) {
 	if v := data[len(chunkMagic)]; v != chunkVersion {
 		return nil, fmt.Errorf("ckptstore: chunk version %d, want %d", v, chunkVersion)
 	}
-	kind := int(data[len(chunkMagic)+1])
-	body := data[chunkHeaderLen:]
-	switch kind {
-	case KindFull:
-		return &Chunk{Kind: KindFull, Body: body}, nil
-	case KindDelta:
-		if len(body) < 8 {
-			return nil, fmt.Errorf("ckptstore: delta chunk truncated before parent id")
-		}
-		return &Chunk{
-			Kind:   KindDelta,
-			Parent: binary.BigEndian.Uint64(body[:8]),
-			Body:   body[8:],
-		}, nil
-	default:
-		return nil, fmt.Errorf("ckptstore: unknown chunk kind %d", kind)
+	if k := data[len(chunkMagic)+1]; k != KindFull {
+		return nil, fmt.Errorf("ckptstore: chunk kind %d, want %d (a full chunk)", k, KindFull)
 	}
+	return &Chunk{Kind: KindFull, Body: data[chunkHeaderLen:]}, nil
 }
 
 // VerifyChunk checks that encoded chunk bytes decode and carry the claimed

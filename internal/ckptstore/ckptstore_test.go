@@ -22,19 +22,6 @@ func TestChunkRoundTrip(t *testing.T) {
 	if c.Kind != KindFull || !bytes.Equal(c.Body, payload) {
 		t.Fatalf("full chunk round-trip mismatch: kind=%d body=%q", c.Kind, c.Body)
 	}
-
-	ops := MakeDelta(payload, []byte(`{"name":"t0","round":43}`))
-	encD, idD := EncodeDelta(id, ops)
-	if err := VerifyChunk(idD, encD); err != nil {
-		t.Fatalf("VerifyChunk(delta): %v", err)
-	}
-	d, err := DecodeChunk(encD)
-	if err != nil {
-		t.Fatalf("DecodeChunk(delta): %v", err)
-	}
-	if d.Kind != KindDelta || d.Parent != id || !bytes.Equal(d.Body, ops) {
-		t.Fatalf("delta chunk round-trip mismatch: kind=%d parent=%x", d.Kind, d.Parent)
-	}
 }
 
 func TestChunkDecodeRejectsMalformed(t *testing.T) {
@@ -44,7 +31,9 @@ func TestChunkDecodeRejectsMalformed(t *testing.T) {
 		[]byte("nope" + "\x01\x00"),
 		[]byte("rrck\x02\x00"),         // bad version
 		[]byte("rrck\x01\x07"),         // unknown kind
-		[]byte("rrck\x01\x01\x00\x01"), // delta truncated before parent id
+		[]byte("rrck\x01\x01\x00\x01"), // kind 1, the retired delta
+		// A well-formed kind-1 chunk: parent ID, then delta ops.
+		[]byte("rrck\x01\x01\x00\x00\x00\x00\x00\x00\xbe\xef\x01\x00\x32"),
 	}
 	for i, data := range cases {
 		if _, err := DecodeChunk(data); err == nil {
@@ -73,60 +62,21 @@ func TestHash64Stable(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTrip(t *testing.T) {
-	cases := []struct{ parent, target string }{
-		{"", ""},
-		{"", "abc"},
-		{"abc", ""},
-		{"abc", "abc"},
-		{`{"round":1,"queued":[]}`, `{"round":2,"queued":[]}`},
-		{`{"round":1,"queued":[]}`, `{"round":1,"queued":["j1"]}`},
-		{"aaaa", "aa"},
-		{"aa", "aaaa"},
-		{"xyz", "pqr"},
-	}
-	for _, c := range cases {
-		ops := MakeDelta([]byte(c.parent), []byte(c.target))
-		got, err := ApplyDelta([]byte(c.parent), ops)
-		if err != nil {
-			t.Fatalf("ApplyDelta(%q→%q): %v", c.parent, c.target, err)
-		}
-		if string(got) != c.target {
-			t.Fatalf("delta round-trip %q→%q produced %q", c.parent, c.target, got)
-		}
-	}
-}
-
-func TestApplyDeltaRejectsMalformed(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0x80},             // truncated uvarint
-		{0x05},             // missing suffix length
-		{0x05, 0x05},       // prefix+suffix beyond parent
-		{0x02, 0x02, 0x41}, // prefix+suffix beyond 3-byte parent
-	}
-	for i, ops := range cases {
-		if _, err := ApplyDelta([]byte("abc"), ops); err == nil {
-			t.Errorf("case %d: ApplyDelta accepted malformed ops", i)
-		}
-	}
-}
-
-func TestStorePutDedupeAndChain(t *testing.T) {
+func TestStorePutDedupe(t *testing.T) {
 	s, err := Open(t.TempDir(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := []byte(`{"name":"t0","round":0,"queued":["a","b","c"]}`)
-	r0, err := s.PutFull(base)
+	r0, err := s.Put(base, Ref{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r0.Wrote || r0.Ref.Chain != 0 {
+	if !r0.Wrote {
 		t.Fatalf("first put: %+v", r0)
 	}
 	// Identical bytes dedupe.
-	r0b, err := s.PutFull(base)
+	r0b, err := s.Put(base, Ref{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,55 +84,52 @@ func TestStorePutDedupeAndChain(t *testing.T) {
 		t.Fatalf("dedupe put: %+v", r0b)
 	}
 
-	// Successive small edits chain as deltas until the bound folds them.
+	// Every put is a full chunk that resolves alone: the parent argument is
+	// inert, and collecting everything but the newest chunk leaves it
+	// readable.
 	parent := r0.Ref
-	folded := false
 	for i := 1; i <= 5; i++ {
 		payload := []byte(fmt.Sprintf(`{"name":"t0","round":%d,"queued":["a","b","c"]}`, i))
 		res, err := s.Put(payload, parent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, chain, err := s.Resolve(res.Ref.ID)
+		if _, err := s.GC([]uint64{res.Ref.ID}); err != nil {
+			t.Fatal(err)
+		}
+		got, depth, err := s.Resolve(res.Ref.ID)
 		if err != nil {
 			t.Fatalf("resolve after put %d: %v", i, err)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("resolve after put %d: got %q want %q", i, got, payload)
+		if !bytes.Equal(got, payload) || depth != 0 {
+			t.Fatalf("resolve after put %d: got %q at depth %d, want %q at 0", i, got, depth, payload)
 		}
-		if chain != res.Ref.Chain {
-			t.Fatalf("put %d: walked chain %d, ref says %d", i, chain, res.Ref.Chain)
-		}
-		if res.Folded {
-			folded = true
-			if res.Ref.Chain != 0 || res.Delta {
-				t.Fatalf("folded put %d is not a full chunk: %+v", i, res)
-			}
-		} else if i <= 3 && (!res.Delta || res.Ref.Chain != i) {
-			t.Fatalf("put %d expected delta chain %d: %+v", i, i, res)
-		}
-		if res.Ref.Chain > 3 {
-			t.Fatalf("put %d exceeded the chain bound: %+v", i, res)
+		enc, id := EncodeFull(payload)
+		if res.Ref.ID != id || res.Bytes != len(enc) {
+			t.Fatalf("put %d: %+v, want the full chunk %016x of %d bytes", i, res, id, len(enc))
 		}
 		parent = res.Ref
-	}
-	if !folded {
-		t.Fatal("chain bound of 3 never folded across 5 delta puts")
 	}
 }
 
 func TestStoreGCKeepsClosureRemovesOrphans(t *testing.T) {
-	s, err := Open(t.TempDir(), 8)
+	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, _ := s.PutFull([]byte("base-payload-with-some-length"))
-	r1, err := s.Put([]byte("base-payload-with-more-length"), r0.Ref)
-	if err != nil {
+	r0, _ := s.Put([]byte("base-payload-with-some-length"), Ref{})
+	r1, _ := s.Put([]byte("base-payload-with-more-length"), r0.Ref)
+	orphan, _ := s.Put([]byte("stranded by a crash before the manifest rename"), Ref{})
+	// The closure of roots is the roots, and GC lists the directory without
+	// reading a chunk: a corrupt live chunk stays for restore to refuse.
+	if err := os.WriteFile(s.path(r1.Ref.ID), []byte("rrck\x01\x00corrupted"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	orphan, _ := s.PutFull([]byte("stranded by a crash before the manifest rename"))
-	removed, err := s.GC([]uint64{r1.Ref.ID})
+	roots := []uint64{r0.Ref.ID, r1.Ref.ID}
+	if live, err := s.Closure(roots); err != nil || len(live) != 2 || !live[r0.Ref.ID] || !live[r1.Ref.ID] {
+		t.Fatalf("closure of two roots: %v, %v", live, err)
+	}
+	removed, err := s.GC(roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +139,15 @@ func TestStoreGCKeepsClosureRemovesOrphans(t *testing.T) {
 	if s.Has(orphan.Ref.ID) {
 		t.Fatal("orphan chunk survived GC")
 	}
-	// The delta's parent is in the closure and must survive.
 	if !s.Has(r0.Ref.ID) || !s.Has(r1.Ref.ID) {
 		t.Fatal("GC removed live chunks")
 	}
-	got, _, err := s.Resolve(r1.Ref.ID)
-	if err != nil || string(got) != "base-payload-with-more-length" {
+	got, _, err := s.Resolve(r0.Ref.ID)
+	if err != nil || string(got) != "base-payload-with-some-length" {
 		t.Fatalf("resolve after GC: %q, %v", got, err)
+	}
+	if _, _, err := s.Resolve(r1.Ref.ID); err == nil {
+		t.Fatal("Resolve accepted a corrupt live chunk")
 	}
 }
 
@@ -208,7 +157,7 @@ func TestStoreRejectsCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := s.PutFull([]byte("payload"))
+	res, _ := s.Put([]byte("payload"), Ref{})
 	path := filepath.Join(dir, fmt.Sprintf("%016x.chunk", res.Ref.ID))
 	if err := os.WriteFile(path, []byte("rrck\x01\x00corrupted"), 0o644); err != nil {
 		t.Fatal(err)
@@ -226,7 +175,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		Round:          17,
 		PlacementEpoch: 2,
 		Tenants: []TenantRef{
-			{Name: "zeta", Chunk: FormatChunkID(0xfeed), Chain: 2},
+			{Name: "zeta", Chunk: FormatChunkID(0xfeed)},
 			{Name: "alpha", Chunk: FormatChunkID(0xbeef)},
 			{Name: "cold", Chunk: FormatChunkID(0xc01d), Evicted: true, Epoch: 3, Class: "batch"},
 		},
@@ -277,7 +226,6 @@ func TestManifestValidation(t *testing.T) {
 		{"negative round", func(m *Manifest) { m.Round = -1 }},
 		{"empty name", func(m *Manifest) { m.Tenants[0].Name = "" }},
 		{"bad chunk hex", func(m *Manifest) { m.Tenants[0].Chunk = "zz" }},
-		{"negative chain", func(m *Manifest) { m.Tenants[0].Chain = -1 }},
 		{"epoch past round", func(m *Manifest) { m.Tenants[0].Evicted = true; m.Tenants[0].Epoch = 9 }},
 		{"evicted fields without flag", func(m *Manifest) { m.Tenants[0].Class = "batch" }},
 		{"duplicate names", func(m *Manifest) {
@@ -443,8 +391,7 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	encA, idA := EncodeFull([]byte("payload-a"))
-	ops := MakeDelta([]byte("payload-a"), []byte("payload-b"))
-	encB, idB := EncodeDelta(idA, ops)
+	encB, idB := EncodeFull([]byte("payload-b"))
 	enc, err := EncodeBundle(manifest, map[uint64][]byte{idA: encA, idB: encB})
 	if err != nil {
 		t.Fatal(err)
@@ -475,37 +422,30 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 func TestMemStorePutResolvePrune(t *testing.T) {
-	m := NewMemStore(2)
-	r0, err := m.Put([]byte("state-zero-with-length"), Ref{})
-	if err != nil {
-		t.Fatal(err)
+	m := NewMemStore()
+	r0 := m.Put([]byte("state-zero-with-length"))
+	r1 := m.Put([]byte("state-one!-with-length"))
+	if !r0.Wrote || !r1.Wrote || m.Len() != 2 {
+		t.Fatalf("two puts: %+v %+v, %d chunks pooled", r0, r1, m.Len())
 	}
-	r1, err := m.Put([]byte("state-one!-with-length"), r0.Ref)
-	if err != nil {
-		t.Fatal(err)
+	if again := m.Put([]byte("state-one!-with-length")); again.Wrote || again.Ref != r1.Ref {
+		t.Fatalf("dedupe put: %+v", again)
 	}
-	if !r1.Delta || r1.Ref.Chain != 1 {
-		t.Fatalf("expected delta: %+v", r1)
+	// Pruning to r1 leaves r1 readable alone.
+	m.Prune(map[uint64]bool{r1.Ref.ID: true})
+	if m.Len() != 1 {
+		t.Fatalf("prune left %d chunks, want 1", m.Len())
 	}
-	got, _, err := m.Resolve(r1.Ref.ID)
+	if _, err := m.Resolve(r0.Ref.ID); err == nil {
+		t.Fatal("resolved a pruned chunk")
+	}
+	got, err := m.Resolve(r1.Ref.ID)
 	if err != nil || string(got) != "state-one!-with-length" {
-		t.Fatalf("resolve: %q, %v", got, err)
+		t.Fatalf("resolve after prune: %q, %v", got, err)
 	}
-	// Put against a pruned parent falls back to a self-contained full chunk.
 	m.Prune(map[uint64]bool{})
 	if m.Len() != 0 {
 		t.Fatalf("prune left %d chunks", m.Len())
-	}
-	r2, err := m.Put([]byte("state-two-with-length!"), r1.Ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Delta {
-		t.Fatalf("put against pruned parent produced a delta: %+v", r2)
-	}
-	got, _, err = m.Resolve(r2.Ref.ID)
-	if err != nil || string(got) != "state-two-with-length!" {
-		t.Fatalf("resolve after prune: %q, %v", got, err)
 	}
 	// Add verifies content addresses.
 	enc, id := EncodeFull([]byte("x"))
@@ -513,6 +453,13 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 		t.Fatal("Add accepted a mislabeled chunk")
 	}
 	if err := m.Add(id, enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Add(id+2, []byte("rrck\x01\x01\x00\x00\x00\x00\x00\x00\xbe\xef")); err == nil {
+		t.Fatal("Add accepted a kind-1 chunk")
+	}
+	enc2, id2 := EncodeFull([]byte("y"))
+	if err := m.Add(id2, enc2); err != nil {
 		t.Fatal(err)
 	}
 	// A clone shares chunks but not the index: pruning or adding on one side
@@ -525,7 +472,7 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 	if err := c.Add(id, enc); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c.Get(id); !ok || string(got) != string(enc) {
+	if got, err := c.Resolve(id); err != nil || string(got) != "x" {
 		t.Fatal("clone lost an added chunk")
 	}
 }
@@ -543,14 +490,14 @@ func TestMemStoreBundles(t *testing.T) {
 		t.Fatal(err)
 	}
 	encA, idA := EncodeFull([]byte("payload-a"))
-	encB, idB := EncodeDelta(idA, MakeDelta([]byte("payload-a"), []byte("payload-b")))
+	encB, idB := EncodeFull([]byte("payload-b"))
 	chunks := map[uint64][]byte{idA: encA, idB: encB}
 	enc, err := EncodeBundle(manifest, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m := NewMemStore(0)
+	m := NewMemStore()
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)-1] ^= 0xff
 	if _, err := m.AddBundle(bad); err == nil {
@@ -566,7 +513,7 @@ func TestMemStoreBundles(t *testing.T) {
 	if !bytes.Equal(raw, manifest) || m.Len() != 2 {
 		t.Fatalf("AddBundle: manifest equal %v, %d chunks pooled, want 2", bytes.Equal(raw, manifest), m.Len())
 	}
-	if got, _, err := m.Resolve(idB); err != nil || string(got) != "payload-b" {
+	if got, err := m.Resolve(idB); err != nil || string(got) != "payload-b" {
 		t.Fatalf("resolve after AddBundle: %q, %v", got, err)
 	}
 

@@ -11,7 +11,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	seed, err := EncodeManifest(&Manifest{
 		Schema: ManifestSchema, Shard: 1, Shards: 4, Round: 9, PlacementEpoch: 1,
 		Tenants: []TenantRef{
-			{Name: "a", Chunk: FormatChunkID(0xbeef), Chain: 2},
+			{Name: "a", Chunk: FormatChunkID(0xbeef)},
 			{Name: "b", Chunk: FormatChunkID(0xc01d), Evicted: true, Epoch: 3, Class: "batch"},
 		},
 	})
@@ -19,7 +19,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"schema":"rrckpt/v2","shard":0,"shards":1,"round":0}`))
+	f.Add([]byte(`{"schema":"rrckpt/v3","shard":0,"shards":1,"round":0}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
@@ -43,41 +43,38 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// FuzzChunkStore pins that the chunk container and delta codec never panic on
-// arbitrary bytes, and that a store fed an arbitrary chunk file under a
-// committed ID either refuses it or resolves without reading outside the
-// store's own committed state.
+// FuzzChunkStore pins that the chunk container never panics on arbitrary
+// bytes, refuses every kind but a full chunk (kind 1 was the retired delta),
+// and that an in-memory store fed an arbitrary chunk under its content
+// address either refuses it or resolves it to exactly the chunk's body.
 func FuzzChunkStore(f *testing.F) {
 	full, _ := EncodeFull([]byte(`{"round":1}`))
-	ops := MakeDelta([]byte(`{"round":1}`), []byte(`{"round":2}`))
-	delta, _ := EncodeDelta(Hash64(full), ops)
-	f.Add(full, []byte(`{"round":1}`))
-	f.Add(delta, ops)
-	f.Add([]byte("rrck\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00"), []byte{0x80})
-	f.Add([]byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, chunk, ops []byte) {
+	f.Add(full)
+	// A delta chunk as the retired kind 1 wrote it: parent ID, then ops.
+	f.Add([]byte("rrck\x01\x01\x00\x00\x00\x00\x00\x00\xbe\xef\x01\x00\x32"))
+	f.Add([]byte("rrck\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, chunk []byte) {
 		c, err := DecodeChunk(chunk)
-		if err == nil && c.Kind == KindFull {
-			// A decodable full chunk must verify only under its true address.
+		if err == nil {
+			if c.Kind != KindFull {
+				t.Fatalf("decoded a chunk of kind %d", c.Kind)
+			}
+			// A decodable chunk must verify under its true address.
 			if err := VerifyChunk(Hash64(chunk), chunk); err != nil {
 				t.Fatalf("chunk rejects its own content address: %v", err)
 			}
 		}
-		// The delta codec must error, never panic, on arbitrary ops.
-		if out, err := ApplyDelta(chunk, ops); err == nil {
-			if len(out) > MaxChunkLen {
-				t.Fatalf("ApplyDelta produced %d bytes past the bound", len(out))
-			}
+		m := NewMemStore()
+		if addErr := m.Add(Hash64(chunk), chunk); (addErr == nil) != (err == nil) {
+			t.Fatalf("pool admission %v disagrees with decode %v", addErr, err)
 		}
-		// An in-memory store must refuse mislabeled chunks and resolve only
-		// committed state.
-		m := NewMemStore(0)
-		if err := m.Add(Hash64(chunk), chunk); err == nil {
-			if _, _, err := m.Resolve(Hash64(chunk)); err != nil {
-				// A delta whose parent is absent resolves to an error — fine;
-				// the invariant is no panic and no fabricated payload.
-				_ = err
-			}
+		if err != nil {
+			return
+		}
+		got, err := m.Resolve(Hash64(chunk))
+		if err != nil || !bytes.Equal(got, c.Body) {
+			t.Fatalf("pooled chunk resolves to %q (%v), want its body %q", got, err, c.Body)
 		}
 	})
 }

@@ -14,11 +14,11 @@ import (
 // written before a crash that never made it into a committed manifest are
 // orphans, garbage-collected and never read.
 //
-// v2 is the version whose tenant chunks hold binary tenant payloads (see
-// internal/serve); a v1 manifest names JSON payloads this version does not
-// read, so it is refused by its schema, evicted tenants included, before any
-// chunk is opened.
-const ManifestSchema = "rrckpt/v2"
+// v3 is the version whose every chunk is a full binary tenant payload (see
+// internal/serve). A v1 manifest names JSON payloads and a v2 manifest may
+// name delta chunks; this version reads neither, so both are refused by
+// their schema, evicted tenants included, before any chunk is opened.
+const ManifestSchema = "rrckpt/v3"
 
 // MaxManifestLen bounds one decoded manifest.
 const MaxManifestLen = 64 << 20
@@ -48,8 +48,6 @@ type TenantRef struct {
 	// Chunk is the content address, as fixed-width hex (JSON numbers cannot
 	// carry a uint64 faithfully).
 	Chunk string `json:"chunk"`
-	// Chain is the delta chain length behind the chunk (0 = full chunk).
-	Chain int `json:"chain,omitempty"`
 	// Evicted marks a cold tenant paged out of memory: its state lives only
 	// in the store, and the serve tier faults it back in on next submission.
 	Evicted bool `json:"evicted,omitempty"`
@@ -70,15 +68,6 @@ func (t TenantRef) ChunkID() (uint64, error) {
 		return 0, fmt.Errorf("ckptstore: tenant %q chunk %q: %w", t.Name, t.Chunk, err)
 	}
 	return id, nil
-}
-
-// Ref returns the reference's chunk address and chain length.
-func (t TenantRef) Ref() (Ref, error) {
-	id, err := t.ChunkID()
-	if err != nil {
-		return Ref{}, err
-	}
-	return Ref{ID: id, Chain: t.Chain}, nil
 }
 
 // FormatChunkID renders a content address the way manifests carry it.
@@ -138,9 +127,6 @@ func validateManifest(m *Manifest) error {
 		}
 		if _, err := t.ChunkID(); err != nil {
 			return err
-		}
-		if t.Chain < 0 || t.Chain > maxResolveDepth {
-			return fmt.Errorf("ckptstore: tenant %q chain %d out of range", t.Name, t.Chain)
 		}
 		if t.Epoch < 0 {
 			return fmt.Errorf("ckptstore: tenant %q has negative epoch %d", t.Name, t.Epoch)

@@ -12,17 +12,6 @@ import (
 	"rrsched/internal/atomicio"
 )
 
-// DefaultMaxChain is the hard bound on delta chain length when the caller
-// does not configure one: the eighth consecutive delta cut of a tenant is
-// folded back into a full chunk, so a restore never applies more than
-// DefaultMaxChain deltas for any tenant.
-const DefaultMaxChain = 8
-
-// maxResolveDepth bounds chain walks defensively above any legal chain, so a
-// corrupted store with a parent cycle terminates with an error instead of
-// recursing forever.
-const maxResolveDepth = 1024
-
 // PutResult describes one chunk put.
 type PutResult struct {
 	// Ref names the committed chunk.
@@ -30,11 +19,6 @@ type PutResult struct {
 	// Wrote reports whether new bytes landed; false means an identical chunk
 	// already existed (deduplicated).
 	Wrote bool
-	// Delta reports whether the chunk was stored as a delta.
-	Delta bool
-	// Folded reports whether a delta chain hit the length bound and was
-	// folded into a full chunk (the compaction event).
-	Folded bool
 	// Bytes is the encoded chunk size (also counted when deduplicated — it is
 	// the size a migration of this chunk would move).
 	Bytes int
@@ -46,25 +30,20 @@ type PutResult struct {
 // go through internal/atomicio; the mutex serializes them so two shards
 // evicting identical tenants never race on one temp file.
 type Store struct {
-	dir      string
-	maxChain int
+	dir string
 
 	mu sync.Mutex
 }
 
-// Open opens (creating if needed) a chunk store rooted at dir. maxChain
-// bounds delta chains; 0 selects DefaultMaxChain.
-func Open(dir string, maxChain int) (*Store, error) {
-	if maxChain < 0 {
-		return nil, fmt.Errorf("ckptstore: negative max chain %d", maxChain)
-	}
-	if maxChain == 0 {
-		maxChain = DefaultMaxChain
-	}
+// Open opens (creating if needed) a chunk store rooted at dir. The second
+// argument is inert: it bounded delta chains, which the store no longer
+// writes, and stays only because the end-to-end benchmark (_perfbench)
+// still passes it.
+func Open(dir string, _ int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckptstore: creating chunk dir: %w", err)
 	}
-	return &Store{dir: dir, maxChain: maxChain}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -74,51 +53,16 @@ func (s *Store) path(id uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%016x.chunk", id))
 }
 
-// PutFull stores payload as a full chunk.
-func (s *Store) PutFull(payload []byte) (PutResult, error) {
+// Put stores payload as a full chunk. The parent argument is inert: it named
+// the chunk a delta applied to, and stays only because the end-to-end
+// benchmark (_perfbench) still passes it.
+func (s *Store) Put(payload []byte, _ Ref) (PutResult, error) {
 	enc, id := EncodeFull(payload)
 	wrote, err := s.write(id, enc)
 	if err != nil {
 		return PutResult{}, err
 	}
 	return PutResult{Ref: Ref{ID: id}, Wrote: wrote, Bytes: len(enc)}, nil
-}
-
-// Put stores payload, as a delta against parent when that is both legal
-// (the chain bound keeps room) and smaller than a full chunk; otherwise as a
-// full chunk. A zero parent ID always stores full.
-func (s *Store) Put(payload []byte, parent Ref) (PutResult, error) {
-	if parent.ID == 0 {
-		return s.PutFull(payload)
-	}
-	if parent.Chain+1 > s.maxChain {
-		// Compaction: the chain is at its bound, fold back to a full chunk.
-		res, err := s.PutFull(payload)
-		if err != nil {
-			return PutResult{}, err
-		}
-		res.Folded = true
-		return res, nil
-	}
-	parentPayload, _, err := s.Resolve(parent.ID)
-	if err != nil {
-		return PutResult{}, fmt.Errorf("ckptstore: resolving delta parent: %w", err)
-	}
-	ops := MakeDelta(parentPayload, payload)
-	encDelta, deltaID := EncodeDelta(parent.ID, ops)
-	encFull, fullID := EncodeFull(payload)
-	if len(encDelta) >= len(encFull) {
-		wrote, err := s.write(fullID, encFull)
-		if err != nil {
-			return PutResult{}, err
-		}
-		return PutResult{Ref: Ref{ID: fullID}, Wrote: wrote, Bytes: len(encFull)}, nil
-	}
-	wrote, err := s.write(deltaID, encDelta)
-	if err != nil {
-		return PutResult{}, err
-	}
-	return PutResult{Ref: Ref{ID: deltaID, Chain: parent.Chain + 1}, Wrote: wrote, Delta: true, Bytes: len(encDelta)}, nil
 }
 
 // write commits encoded chunk bytes under their content address, returning
@@ -143,131 +87,50 @@ func (s *Store) Has(id uint64) bool {
 	return err == nil
 }
 
-// get reads and verifies one committed chunk.
-func (s *Store) get(id uint64) ([]byte, error) {
+// Resolve reads the payload committed under id: one chunk file, verified
+// against its content address, so a missing or corrupt chunk is an error. The
+// depth result is inert and always 0: it counted the delta links walked, and
+// stays only because the end-to-end benchmark (_perfbench) still reads it.
+func (s *Store) Resolve(id uint64) ([]byte, int, error) {
 	data, err := os.ReadFile(s.path(id))
 	if err != nil {
-		return nil, fmt.Errorf("ckptstore: reading chunk %016x: %w", id, err)
+		return nil, 0, fmt.Errorf("ckptstore: reading chunk %016x: %w", id, err)
 	}
 	if err := VerifyChunk(id, data); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return data, nil
+	return data[chunkHeaderLen:], 0, nil
 }
 
-// Resolve reconstructs the payload committed under id, following delta
-// parents, and reports the chain length walked.
-func (s *Store) Resolve(id uint64) ([]byte, int, error) {
-	return resolveFrom(s.get, id)
-}
-
-// resolveFrom walks a chunk's delta chain through an arbitrary fetcher,
-// applying deltas child-last. Shared by the disk store and the in-memory
-// pool.
-func resolveFrom(get func(uint64) ([]byte, error), id uint64) ([]byte, int, error) {
-	// Collect the chain root-last, bounded against parent cycles.
-	var chain []*Chunk
-	for depth := 0; ; depth++ {
-		if depth > maxResolveDepth {
-			return nil, 0, fmt.Errorf("ckptstore: chunk %016x has a delta chain deeper than %d (cycle?)", id, maxResolveDepth)
-		}
-		data, err := get(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		c, err := DecodeChunk(data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ckptstore: chunk %016x: %w", id, err)
-		}
-		chain = append(chain, c)
-		if c.Kind == KindFull {
-			break
-		}
-		id = c.Parent
-	}
-	payload := chain[len(chain)-1].Body
-	for i := len(chain) - 2; i >= 0; i-- {
-		var err error
-		payload, err = ApplyDelta(payload, chain[i].Body)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	// The root's body aliases the read buffer; copy so callers own the bytes.
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return out, len(chain) - 1, nil
-}
-
-// Closure expands roots to the full set of chunk IDs a restore from them may
-// read: every root plus every delta parent, transitively.
+// Closure returns the set of chunk IDs a restore from roots may read: the
+// roots themselves, since every chunk is a full image. It reads nothing and
+// never fails; it stays only because the end-to-end benchmark (_perfbench)
+// still calls it.
 func (s *Store) Closure(roots []uint64) (map[uint64]bool, error) {
-	return closureFrom(s.get, roots)
+	return idSet(roots), nil
 }
 
-func closureFrom(get func(uint64) ([]byte, error), roots []uint64) (map[uint64]bool, error) {
-	live := make(map[uint64]bool, len(roots))
-	var walk func(id uint64, depth int) error
-	walk = func(id uint64, depth int) error {
-		if id == 0 || live[id] {
-			return nil
-		}
-		if depth > maxResolveDepth {
-			return fmt.Errorf("ckptstore: chunk %016x parent chain deeper than %d (cycle?)", id, maxResolveDepth)
-		}
-		data, err := get(id)
-		if err != nil {
-			return err
-		}
-		c, err := DecodeChunk(data)
-		if err != nil {
-			return fmt.Errorf("ckptstore: chunk %016x: %w", id, err)
-		}
-		live[id] = true
-		if c.Kind == KindDelta {
-			return walk(c.Parent, depth+1)
-		}
-		return nil
-	}
-	for _, id := range roots {
-		if err := walk(id, 0); err != nil {
-			return nil, err
-		}
-	}
-	return live, nil
-}
-
-// GC removes every committed chunk outside the closure of roots. Orphans are
-// exactly the chunks a crash can strand between a chunk write and a manifest
-// rename: no committed manifest references them, so no restore will ever read
-// them, and removing them is safe at any commit point. Returns the number of
-// chunks removed.
+// GC removes every committed chunk outside roots. Orphans are exactly the
+// chunks a crash can strand between a chunk write and a manifest rename: no
+// committed manifest references them, so no restore will ever read them, and
+// removing them is safe at any commit point. GC lists the chunk directory and
+// reads no chunk; restore and fault-in verify what they read. Returns the
+// number of chunks removed.
 func (s *Store) GC(roots []uint64) (int, error) {
-	live, err := s.Closure(roots)
+	live := idSet(roots)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids, err := s.List()
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("ckptstore: scanning chunk dir: %w", err)
-	}
 	removed := 0
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".chunk") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".chunk"), 16, 64)
-		if err != nil {
-			continue // not a chunk file
-		}
+	for _, id := range ids {
 		if live[id] {
 			continue
 		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-			return removed, fmt.Errorf("ckptstore: removing orphan chunk %s: %w", name, err)
+		if err := os.Remove(s.path(id)); err != nil {
+			return removed, fmt.Errorf("ckptstore: removing orphan chunk %016x: %w", id, err)
 		}
 		removed++
 	}
@@ -296,33 +159,38 @@ func (s *Store) List() ([]uint64, error) {
 	return ids, nil
 }
 
-// MemStore is the in-memory chunk pool of the hosted tier: the worker side
-// accumulates cut chunks in one, and the dispatcher keeps pushed bundle
-// chunks in another so the next push's deltas resolve. Same addressing and
-// chain rules as the disk store, no durability. Every pooled chunk was
-// verified on entry or encoded by the pool, so reads never re-hash. Not safe
-// for concurrent writes: the worker's pool belongs to its shard goroutine,
-// and the dispatcher never writes a pool once a lease holds it (a push folds
-// into a clone), so concurrent folds only read it.
-type MemStore struct {
-	chunks   map[uint64][]byte
-	maxChain int
+// idSet turns a list of chunk IDs into a set.
+func idSet(ids []uint64) map[uint64]bool {
+	set := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
 }
 
-// NewMemStore returns an empty in-memory chunk pool. maxChain bounds delta
-// chains; 0 selects DefaultMaxChain.
-func NewMemStore(maxChain int) *MemStore {
-	if maxChain <= 0 {
-		maxChain = DefaultMaxChain
-	}
-	return &MemStore{chunks: map[uint64][]byte{}, maxChain: maxChain}
+// MemStore is the in-memory chunk pool of the hosted tier: the worker side
+// accumulates cut chunks in one, and the dispatcher keeps pushed bundle
+// chunks in another so the next push may reference the chunks of tenants
+// that did not change. Same addressing as the disk store, no durability.
+// Every pooled chunk was verified on entry or encoded by the pool, so reads
+// never re-hash. Not safe for concurrent writes: the worker's pool belongs to
+// its shard goroutine, and the dispatcher never writes a pool once a lease
+// holds it (a push is admitted into a clone), so concurrent pushes only read
+// it.
+type MemStore struct {
+	chunks map[uint64][]byte
+}
+
+// NewMemStore returns an empty in-memory chunk pool.
+func NewMemStore() *MemStore {
+	return &MemStore{chunks: map[uint64][]byte{}}
 }
 
 // Clone returns a pool holding the same chunks. Chunk bytes are immutable
 // and shared; only the index is copied, so a receiver can stage a bundle's
 // chunks in the clone and keep the original if the bundle is rejected.
 func (m *MemStore) Clone() *MemStore {
-	c := &MemStore{chunks: make(map[uint64][]byte, len(m.chunks)), maxChain: m.maxChain}
+	c := &MemStore{chunks: make(map[uint64][]byte, len(m.chunks))}
 	for id, data := range m.chunks {
 		c.chunks[id] = data
 	}
@@ -331,12 +199,6 @@ func (m *MemStore) Clone() *MemStore {
 
 // Len returns the number of pooled chunks.
 func (m *MemStore) Len() int { return len(m.chunks) }
-
-// Get returns the encoded bytes of one pooled chunk.
-func (m *MemStore) Get(id uint64) ([]byte, bool) {
-	data, ok := m.chunks[id]
-	return data, ok
-}
 
 // Add admits an encoded chunk under its claimed ID, verifying the content
 // address first.
@@ -372,40 +234,20 @@ func (m *MemStore) AddBundle(data []byte) ([]byte, error) {
 func (m *MemStore) EncodeBundle(manifest []byte, ids map[uint64]bool) ([]byte, error) {
 	chunks := make(map[uint64][]byte, len(ids))
 	for id := range ids {
-		data, err := m.get(id)
-		if err != nil {
-			return nil, err
+		data, ok := m.chunks[id]
+		if !ok {
+			return nil, fmt.Errorf("ckptstore: chunk %016x not in pool", id)
 		}
 		chunks[id] = data
 	}
 	return encodeBundle(manifest, chunks)
 }
 
-// Put stores payload in the pool, as a delta against parent when legal and
-// smaller (same policy as Store.Put).
-func (m *MemStore) Put(payload []byte, parent Ref) (PutResult, error) {
-	if parent.ID != 0 && parent.Chain+1 <= m.maxChain {
-		if parentPayload, _, err := m.Resolve(parent.ID); err == nil {
-			ops := MakeDelta(parentPayload, payload)
-			encDelta, deltaID := EncodeDelta(parent.ID, ops)
-			encFull, fullID := EncodeFull(payload)
-			if len(encDelta) < len(encFull) {
-				wrote := m.add(deltaID, encDelta)
-				return PutResult{Ref: Ref{ID: deltaID, Chain: parent.Chain + 1}, Wrote: wrote, Delta: true, Bytes: len(encDelta)}, nil
-			}
-			wrote := m.add(fullID, encFull)
-			return PutResult{Ref: Ref{ID: fullID}, Wrote: wrote, Bytes: len(encFull)}, nil
-		}
-		// An unresolvable parent (pruned after an ack reset) falls through to
-		// a self-contained full chunk.
-	}
+// Put stores payload in the pool as a full chunk.
+func (m *MemStore) Put(payload []byte) PutResult {
 	enc, id := EncodeFull(payload)
 	wrote := m.add(id, enc)
-	res := PutResult{Ref: Ref{ID: id}, Wrote: wrote, Bytes: len(enc)}
-	if parent.ID != 0 && parent.Chain+1 > m.maxChain {
-		res.Folded = true
-	}
-	return res, nil
+	return PutResult{Ref: Ref{ID: id}, Wrote: wrote, Bytes: len(enc)}
 }
 
 func (m *MemStore) add(id uint64, enc []byte) bool {
@@ -416,22 +258,14 @@ func (m *MemStore) add(id uint64, enc []byte) bool {
 	return true
 }
 
-func (m *MemStore) get(id uint64) ([]byte, error) {
+// Resolve returns the payload pooled under id. The payload aliases the
+// pooled chunk, which is immutable: callers must not modify it.
+func (m *MemStore) Resolve(id uint64) ([]byte, error) {
 	data, ok := m.chunks[id]
 	if !ok {
 		return nil, fmt.Errorf("ckptstore: chunk %016x not in pool", id)
 	}
-	return data, nil
-}
-
-// Resolve reconstructs the payload pooled under id.
-func (m *MemStore) Resolve(id uint64) ([]byte, int, error) {
-	return resolveFrom(m.get, id)
-}
-
-// Closure expands roots through delta parents within the pool.
-func (m *MemStore) Closure(roots []uint64) (map[uint64]bool, error) {
-	return closureFrom(m.get, roots)
+	return data[chunkHeaderLen:], nil
 }
 
 // Prune drops every pooled chunk outside live.

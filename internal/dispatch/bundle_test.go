@@ -73,7 +73,7 @@ func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c, err := ckptstore.DecodeChunk(b.Chunks[id]); err != nil || c.Kind != ckptstore.KindFull || ref.Chain != 0 {
+			if c, err := ckptstore.DecodeChunk(b.Chunks[id]); err != nil || c.Kind != ckptstore.KindFull {
 				t.Errorf("shard %d tenant %s: stored chunk is not folded (err %v)", i, ref.Name, err)
 			}
 		}

@@ -63,14 +63,16 @@ type lease struct {
 	round    int64  // round of the stored checkpoint
 	revoking bool   // graceful revoke issued; awaiting the final checkpoint
 
-	// checkpoint is the latest accepted checkpoint, folded into a
-	// self-contained bundle (nil = open fresh). It is what is persisted,
-	// granted, and resharded; it is replaced whole, never modified in place.
+	// checkpoint is the latest accepted checkpoint as a self-contained
+	// bundle: its manifest plus every chunk it names (nil = open fresh). It
+	// is what is persisted, granted, and resharded; it is replaced whole,
+	// never modified in place.
 	checkpoint []byte
-	// pool holds the raw chunks of the last push's closure, which the
-	// worker's next delta push may reference. Memory only: after a
-	// dispatcher restart a push that references a lost chunk is refused, and
-	// the worker resends its full closure.
+	// pool holds the chunks the last accepted manifest names, which the
+	// worker's next push may reference instead of resending (its clean
+	// tenants). Memory only: after a dispatcher restart a push that
+	// references a lost chunk is refused, and the worker resends every
+	// chunk.
 	pool *ckptstore.MemStore
 	// deadSinceNs is non-zero while the shard awaits reassignment after its
 	// holder died; cleared (and observed into the failover-latency histogram)
@@ -376,14 +378,14 @@ var errStaleEpoch = fmt.Errorf("dispatch: stale lease epoch")
 var errBadCheckpoint = fmt.Errorf("dispatch: bad checkpoint")
 
 // storeCheckpoint accepts a checkpoint push: the freshest state of one shard,
-// fenced by lease epoch. The bundle is validated and folded against the
-// lease's chunk pool (serve.FoldBundle) with d.mu released, so heartbeats,
+// fenced by lease epoch. The bundle is validated against the lease's chunk
+// pool (serve.FoldBundle) with d.mu released, so heartbeats,
 // placement reads and other shards' pushes do not wait on the fold; it must
 // agree with the push: same shard, the fleet's shard count, the pushed round.
 // The result is then committed under d.mu, and only if the lease is still the
 // one the fold started from (commitPush). A refused push changes nothing; a
 // bundle referencing a chunk the pool lost (a dispatcher restart) is refused
-// too, and the worker resends its full closure. A final push on a revoking
+// too, and the worker resends every chunk. A final push on a revoking
 // lease completes the graceful handoff and frees the shard for regranting.
 func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 	fp, err := d.foldPush(req)
@@ -600,7 +602,7 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 // a new shard count.
 func reshardBundles(olds [][]byte, newShards int) (news [][]byte, moved int, err error) {
 	ms := make([]*ckptstore.Manifest, len(olds))
-	chunks := ckptstore.NewMemStore(0)
+	chunks := ckptstore.NewMemStore()
 	for i, data := range olds {
 		raw, err := chunks.AddBundle(data)
 		if err != nil {
@@ -624,11 +626,11 @@ func reshardBundles(olds [][]byte, newShards int) (news [][]byte, moved int, err
 		if err != nil {
 			return nil, 0, err
 		}
-		closure, err := chunks.Closure(roots)
-		if err != nil {
-			return nil, 0, fmt.Errorf("dispatch: resharded shard %d: %w", i, err)
+		live := make(map[uint64]bool, len(roots))
+		for _, id := range roots {
+			live[id] = true
 		}
-		if news[i], err = chunks.EncodeBundle(manifest, closure); err != nil {
+		if news[i], err = chunks.EncodeBundle(manifest, live); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -343,11 +343,11 @@ func TestStatePersistence(t *testing.T) {
 	}
 }
 
-// TestJSONPayloadStateFileRefusesBoot pins that shard state persisted by the
-// JSON-payload version refuses to load, naming the file, rather than being
-// read through a second path: its folded bundle carries an rrckpt/v1
-// manifest, and under a current manifest its JSON tenant chunk is refused by
-// the payload decoder.
+// TestJSONPayloadStateFileRefusesBoot pins that shard state persisted by
+// earlier versions refuses to load, naming the file, rather than being read
+// through a second path: a bundle carrying an rrckpt/v1 manifest (JSON
+// payloads) or an rrckpt/v2 manifest (delta chunks), and under a current
+// manifest a JSON tenant chunk, refused by the payload decoder.
 func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 	payload, err := json.Marshal(map[string]any{
 		"round":  12,
@@ -378,6 +378,7 @@ func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 		schema, want string
 	}{
 		{"rrckpt/v1", "rrckpt/v1"},
+		{"rrckpt/v2", "rrckpt/v2"},
 		{ckptstore.ManifestSchema, "not a binary tenant payload"},
 	} {
 		cfg := testConfig()

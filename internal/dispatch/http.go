@@ -14,7 +14,7 @@ import (
 const maxControlBody = 1 << 20
 
 // maxCheckpointBody caps one checkpoint push. A push after a lost ack or a
-// fresh open carries a shard's whole chunk closure, including recorded
+// fresh open carries every chunk of a shard, including recorded
 // decision histories, so the bound is generous.
 const maxCheckpointBody = 64 << 20
 

@@ -1,7 +1,8 @@
 package obs
 
-// Incremental-checkpoint metric names: the vocabulary of the delta checkpoint
-// store and cold-tenant paging (internal/ckptstore wired into the serve tier).
+// Incremental-checkpoint metric names: the vocabulary of the chunk store's
+// dirty cuts and cold-tenant paging (internal/ckptstore wired into the serve
+// tier).
 // Fixed here, like the scheduler and wire vocabularies, so dashboards can rely
 // on one name set regardless of which daemon emits it.
 const (
@@ -14,16 +15,21 @@ const (
 	MetricCkptEvictedTenants  = "ckpt_evicted_tenants"
 	// MetricCkptChunksWritten counts chunks whose bytes actually landed;
 	// MetricCkptChunksDeduped counts puts answered by an existing identical
-	// chunk; MetricCkptChunksFolded counts delta chains folded back into full
-	// chunks at the chain bound (the compaction events).
+	// chunk.
 	MetricCkptChunksWritten = "ckpt_chunks_written_total"
 	MetricCkptChunksDeduped = "ckpt_chunks_deduped_total"
-	MetricCkptChunksFolded  = "ckpt_chunks_folded_total"
+	// MetricCkptChunksFolded named the count of delta chains folded back
+	// into full chunks. No daemon registers it.
+	//
+	// Deprecated: every chunk is a full image, so nothing folds. The name
+	// stays only because the end-to-end benchmark (_perfbench/layers.go)
+	// still reads it; it finds no instrument and reports 0.
+	MetricCkptChunksFolded = "ckpt_chunks_folded_total"
 	// MetricCkptChunkBytes counts encoded bytes of written chunks.
 	MetricCkptChunkBytes = "ckpt_chunk_bytes_total"
 	// MetricCkptFaultIns counts cold tenants faulted back in on submission,
-	// and MetricCkptFaultInNs is the latency of those fault-ins (resolve the
-	// chunk chain, rebuild the tenant).
+	// and MetricCkptFaultInNs is the latency of those fault-ins (read the
+	// tenant's chunk, rebuild the tenant).
 	MetricCkptFaultIns  = "ckpt_fault_ins_total"
 	MetricCkptFaultInNs = "ckpt_fault_in_ns"
 	// MetricCkptDecisionLogBytes gauges the decision log's on-disk size
@@ -40,7 +46,6 @@ type CkptMetrics struct {
 	EvictedTenants  *Gauge
 	ChunksWritten   *Counter
 	ChunksDeduped   *Counter
-	ChunksFolded    *Counter
 	ChunkBytes      *Counter
 	FaultIns        *Counter
 	FaultInNs       *Histogram
@@ -68,17 +73,14 @@ func NewCkptMetrics(r *Registry) (*CkptMetrics, error) {
 	if cm.ChunksDeduped, err = r.Counter(MetricCkptChunksDeduped); err != nil {
 		return nil, err
 	}
-	if cm.ChunksFolded, err = r.Counter(MetricCkptChunksFolded); err != nil {
-		return nil, err
-	}
 	if cm.ChunkBytes, err = r.Counter(MetricCkptChunkBytes); err != nil {
 		return nil, err
 	}
 	if cm.FaultIns, err = r.Counter(MetricCkptFaultIns); err != nil {
 		return nil, err
 	}
-	// 1 µs to ~17 s in powers of four: a fault-in reads and applies a bounded
-	// delta chain, then rebuilds one tenant.
+	// 1 µs to ~17 s in powers of four: a fault-in reads one chunk, then
+	// rebuilds one tenant.
 	if cm.FaultInNs, err = r.Histogram(MetricCkptFaultInNs, ExpBuckets(1024, 4, 13)); err != nil {
 		return nil, err
 	}

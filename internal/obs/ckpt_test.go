@@ -17,7 +17,6 @@ func TestCkptMetricsRegistersVocabulary(t *testing.T) {
 	cm.EvictedTenants.Set(7)
 	cm.ChunksWritten.Add(5)
 	cm.ChunksDeduped.Add(2)
-	cm.ChunksFolded.Inc()
 	cm.ChunkBytes.Add(4096)
 	cm.FaultIns.Add(4)
 	cm.FaultInNs.Observe(2048)
@@ -27,7 +26,6 @@ func TestCkptMetricsRegistersVocabulary(t *testing.T) {
 	for name, want := range map[string]int64{
 		MetricCkptChunksWritten: 5,
 		MetricCkptChunksDeduped: 2,
-		MetricCkptChunksFolded:  1,
 		MetricCkptChunkBytes:    4096,
 		MetricCkptFaultIns:      4,
 	} {

@@ -8,16 +8,16 @@ import (
 )
 
 // Incremental checkpoint store scenarios: the cost of cutting a shard into
-// content-addressed chunks (full cut vs delta cut at a dirty fraction),
-// resolving a delta chain back into a payload (the fault-in path, minus disk
-// I/O), and the manifest codec round-trip. All figures are pure codec and
-// chain costs against the in-memory pool; the disk store adds only the
+// content-addressed chunks (full cut vs a dirty cut that re-chunks only a
+// dirty fraction), reading one chunk back into a payload (the fault-in path,
+// minus disk I/O), and the manifest codec round-trip. All figures are pure
+// codec costs against the in-memory pool; the disk store adds only the
 // atomic-write syscalls on top.
 
 // ckptTenantFrame is a synthetic tenant checkpoint payload of realistic
 // shape and size (~8 KiB encoded, the order of a warmed tenant with an
 // embedded decision stream): identity, counters, and a state vector whose
-// tail the dirty-mutation touches, so deltas are small but not empty.
+// tail the dirty-mutation touches.
 type ckptTenantFrame struct {
 	Name     string  `json:"name"`
 	Epoch    int64   `json:"epoch"`
@@ -39,21 +39,21 @@ func ckptPayload(tenant int, rev int64) ([]byte, error) {
 	for i := range f.Snapshot {
 		f.Snapshot[i] = int64(tenant)*1000003 + int64(i)
 	}
-	// A small tail mutation per revision: the delta stays a few ops.
+	// A small tail mutation per revision.
 	f.Snapshot[len(f.Snapshot)-1] += rev
 	f.Snapshot[len(f.Snapshot)-2] += rev * 3
 	return json.Marshal(f)
 }
 
 // ckptScenarios returns the checkpoint-store benchmark rows: cut cost at
-// n ∈ {8, 512} tenants (full cut, and delta cut at 1% / 100% dirty),
-// fault-in chain resolution, and the manifest codec round-trip.
+// n ∈ {8, 512} tenants (full cut, and dirty cut at 1% / 100% dirty),
+// fault-in, and the manifest codec round-trip.
 func ckptScenarios() []Scenario {
 	var scs []Scenario
 	for _, n := range []int{8, 512} {
 		scs = append(scs, ckptFullCutScenario(n))
 		for _, dirtyPct := range []int{1, 100} {
-			scs = append(scs, ckptDeltaCutScenario(n, dirtyPct))
+			scs = append(scs, ckptDirtyCutScenario(n, dirtyPct))
 		}
 		scs = append(scs, ckptManifestScenario(n))
 	}
@@ -80,12 +80,9 @@ func ckptFullCutScenario(n int) Scenario {
 			m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shards: 1, Round: 1,
 				Tenants: make([]ckptstore.TenantRef, n)}
 			return func() error {
-				pool := ckptstore.NewMemStore(0)
+				pool := ckptstore.NewMemStore()
 				for i, p := range payloads {
-					res, err := pool.Put(p, ckptstore.Ref{})
-					if err != nil {
-						return err
-					}
+					res := pool.Put(p)
 					m.Tenants[i] = ckptstore.TenantRef{
 						Name:  fmt.Sprintf("bench-%05d", i),
 						Chunk: ckptstore.FormatChunkID(res.Ref.ID),
@@ -98,22 +95,21 @@ func ckptFullCutScenario(n int) Scenario {
 	}
 }
 
-// ckptDeltaCutScenario measures the incremental cut: a warmed pool holds
+// ckptDirtyCutScenario measures the incremental cut: a warmed pool holds
 // every tenant's base frame, and one cut re-chunks only the dirty fraction
-// (as deltas against the base) plus the full manifest encode — the steady
-// state of the serve tier's per-tick checkpoint.
-func ckptDeltaCutScenario(n, dirtyPct int) Scenario {
+// (each as a full chunk) plus the full manifest encode — the steady state of
+// the serve tier's per-tick checkpoint.
+func ckptDirtyCutScenario(n, dirtyPct int) Scenario {
 	dirty := n * dirtyPct / 100
 	if dirty < 1 {
 		dirty = 1
 	}
 	return Scenario{
-		Name:   fmt.Sprintf("ckpt/cut/delta/n%d/dirty%d", n, dirtyPct),
-		Doc:    fmt.Sprintf("delta checkpoint cut over a warmed pool, %d%% of tenants dirty (figures per tenant)", dirtyPct),
+		Name:   fmt.Sprintf("ckpt/cut/dirty/n%d/dirty%d", n, dirtyPct),
+		Doc:    fmt.Sprintf("dirty checkpoint cut over a warmed pool, %d%% of tenants dirty (figures per tenant)", dirtyPct),
 		Rounds: int64(n),
 		Setup: func() (func() error, error) {
-			pool := ckptstore.NewMemStore(0)
-			base := make([]ckptstore.Ref, n)
+			pool := ckptstore.NewMemStore()
 			m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shards: 1, Round: 2,
 				Tenants: make([]ckptstore.TenantRef, n)}
 			for i := 0; i < n; i++ {
@@ -121,11 +117,7 @@ func ckptDeltaCutScenario(n, dirtyPct int) Scenario {
 				if err != nil {
 					return nil, err
 				}
-				res, err := pool.Put(p, ckptstore.Ref{})
-				if err != nil {
-					return nil, err
-				}
-				base[i] = res.Ref
+				res := pool.Put(p)
 				m.Tenants[i] = ckptstore.TenantRef{
 					Name:  fmt.Sprintf("bench-%05d", i),
 					Chunk: ckptstore.FormatChunkID(res.Ref.ID),
@@ -141,12 +133,7 @@ func ckptDeltaCutScenario(n, dirtyPct int) Scenario {
 			}
 			return func() error {
 				for i := 0; i < dirty; i++ {
-					res, err := pool.Put(mutated[i], base[i])
-					if err != nil {
-						return err
-					}
-					m.Tenants[i].Chunk = ckptstore.FormatChunkID(res.Ref.ID)
-					m.Tenants[i].Chain = res.Ref.Chain
+					m.Tenants[i].Chunk = ckptstore.FormatChunkID(pool.Put(mutated[i]).Ref.ID)
 				}
 				_, err := ckptstore.EncodeManifest(m)
 				return err
@@ -163,7 +150,7 @@ func ckptManifestScenario(n int) Scenario {
 		Doc:    "manifest encode + validating decode round-trip (figures per tenant)",
 		Rounds: int64(n),
 		Setup: func() (func() error, error) {
-			pool := ckptstore.NewMemStore(0)
+			pool := ckptstore.NewMemStore()
 			m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shards: 1, Round: 1,
 				Tenants: make([]ckptstore.TenantRef, n)}
 			for i := 0; i < n; i++ {
@@ -171,10 +158,7 @@ func ckptManifestScenario(n int) Scenario {
 				if err != nil {
 					return nil, err
 				}
-				res, err := pool.Put(p, ckptstore.Ref{})
-				if err != nil {
-					return nil, err
-				}
+				res := pool.Put(p)
 				m.Tenants[i] = ckptstore.TenantRef{
 					Name:  fmt.Sprintf("bench-%05d", i),
 					Chunk: ckptstore.FormatChunkID(res.Ref.ID),
@@ -192,34 +176,24 @@ func ckptManifestScenario(n int) Scenario {
 	}
 }
 
-// ckptFaultInScenario measures paging a cold tenant back in: resolving a
-// delta chain at the default depth bound back into a payload and decoding
-// the frame, which is the whole fault-in minus the single chunk-file read.
+// ckptFaultInScenario measures paging a cold tenant back in: reading its
+// one full chunk out of the pool and decoding the frame, which is the whole
+// fault-in minus the chunk-file read. The JSON decode of the synthetic frame
+// dominates it.
 func ckptFaultInScenario() Scenario {
-	const chain = 4
 	return Scenario{
-		Name:   fmt.Sprintf("ckpt/faultin/chain%d", chain),
-		Doc:    "cold-tenant fault-in: resolve a delta chain and decode the frame (rounds_per_op = 1: figures are per fault-in)",
+		Name:   "ckpt/faultin",
+		Doc:    "cold-tenant fault-in: read one full chunk and decode the frame (rounds_per_op = 1: figures are per fault-in)",
 		Rounds: 1,
 		Setup: func() (func() error, error) {
-			pool := ckptstore.NewMemStore(chain + 1)
-			ref := ckptstore.Ref{}
-			for rev := int64(0); rev <= chain; rev++ {
-				p, err := ckptPayload(0, rev)
-				if err != nil {
-					return nil, err
-				}
-				res, err := pool.Put(p, ref)
-				if err != nil {
-					return nil, err
-				}
-				ref = res.Ref
+			p, err := ckptPayload(0, 0)
+			if err != nil {
+				return nil, err
 			}
-			if ref.Chain != chain {
-				return nil, fmt.Errorf("perf: warmed chain depth %d, want %d", ref.Chain, chain)
-			}
+			pool := ckptstore.NewMemStore()
+			id := pool.Put(p).Ref.ID
 			return func() error {
-				payload, _, err := pool.Resolve(ref.ID)
+				payload, err := pool.Resolve(id)
 				if err != nil {
 					return err
 				}

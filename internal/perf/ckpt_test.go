@@ -18,16 +18,16 @@ func mustScenario(t *testing.T, name string) Scenario {
 }
 
 // TestCkptScenariosRegistered pins the checkpoint-store rows of the matrix:
-// the full/delta cut pair at both tenant counts and dirty fractions, the
+// the full/dirty cut pair at both tenant counts and dirty fractions, the
 // fault-in row, the manifest codec row, and the dispatcher's fold of a
 // fleet-shaped push.
 func TestCkptScenariosRegistered(t *testing.T) {
 	want := []string{
 		"ckpt/cut/full/n8", "ckpt/cut/full/n512",
-		"ckpt/cut/delta/n8/dirty1", "ckpt/cut/delta/n8/dirty100",
-		"ckpt/cut/delta/n512/dirty1", "ckpt/cut/delta/n512/dirty100",
+		"ckpt/cut/dirty/n8/dirty1", "ckpt/cut/dirty/n8/dirty100",
+		"ckpt/cut/dirty/n512/dirty1", "ckpt/cut/dirty/n512/dirty100",
 		"ckpt/manifest/n8", "ckpt/manifest/n512",
-		"ckpt/faultin/chain4",
+		"ckpt/faultin",
 		"ckpt/fold/fleet",
 	}
 	for _, name := range want {
@@ -57,13 +57,13 @@ func TestCkptScenariosRun(t *testing.T) {
 	}
 }
 
-// TestDeltaCutBeatsFullCutAtLowDirty is the headline claim of the
+// TestDirtyCutBeatsFullCutAtLowDirty is the headline claim of the
 // incremental checkpoint store, asserted: with 1% of 512 tenants dirty, a
-// delta cut must be at least 5x faster than chunking the shard from
-// scratch. The measured ratio is ~15-20x (the delta cut still pays the full
+// dirty cut must be at least 5x faster than chunking the shard from
+// scratch. The measured ratio is ~15-20x (the dirty cut still pays the full
 // manifest encode, which bounds it), so the 5x floor holds on any hardware;
 // -short skips the two 1-second measurements.
-func TestDeltaCutBeatsFullCutAtLowDirty(t *testing.T) {
+func TestDirtyCutBeatsFullCutAtLowDirty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two benchmark measurements; skipped under -short")
 	}
@@ -71,16 +71,16 @@ func TestDeltaCutBeatsFullCutAtLowDirty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("measuring full cut: %v", err)
 	}
-	delta, err := Measure(mustScenario(t, "ckpt/cut/delta/n512/dirty1"))
+	dirty, err := Measure(mustScenario(t, "ckpt/cut/dirty/n512/dirty1"))
 	if err != nil {
-		t.Fatalf("measuring delta cut: %v", err)
+		t.Fatalf("measuring dirty cut: %v", err)
 	}
-	if full.NsPerRound <= 0 || delta.NsPerRound <= 0 {
-		t.Fatalf("non-positive figures: full=%v delta=%v", full.NsPerRound, delta.NsPerRound)
+	if full.NsPerRound <= 0 || dirty.NsPerRound <= 0 {
+		t.Fatalf("non-positive figures: full=%v dirty=%v", full.NsPerRound, dirty.NsPerRound)
 	}
-	ratio := full.NsPerRound / delta.NsPerRound
-	t.Logf("full cut %.1f ns/tenant, delta cut (1%% dirty) %.1f ns/tenant: %.1fx", full.NsPerRound, delta.NsPerRound, ratio)
+	ratio := full.NsPerRound / dirty.NsPerRound
+	t.Logf("full cut %.1f ns/tenant, dirty cut (1%% dirty) %.1f ns/tenant: %.1fx", full.NsPerRound, dirty.NsPerRound, ratio)
 	if ratio < 5 {
-		t.Fatalf("delta cut at 1%% dirty is only %.2fx faster than a full cut, want >= 5x", ratio)
+		t.Fatalf("dirty cut at 1%% dirty is only %.2fx faster than a full cut, want >= 5x", ratio)
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // Fold rung: the dispatcher's per-push work on the fleet tier. A hosted
 // shard pushes a checkpoint bundle after every tick, and the dispatcher
-// folds it (serve.FoldBundle) against the chunk pool of the pushes before it
-// while holding its lease lock.
+// validates it (serve.FoldBundle) against the chunk pool of the pushes
+// before it, outside its lease lock.
 
 // Fleet tenant shape: the end-to-end fleet workload's per-tenant mix (n=8,
 // Δ = 4, 8 colors, delay bounds 4..32, load 0.6), four tenants on the shard.
@@ -53,7 +53,7 @@ func ckptFoldScenario() Scenario {
 func captureFleetPush() ([]byte, *ckptstore.MemStore, error) {
 	var last []byte
 	var before *ckptstore.MemStore
-	pool := ckptstore.NewMemStore(0)
+	pool := ckptstore.NewMemStore()
 	hook := func(_ int, _ int64, data []byte) error {
 		_, _, next, err := serve.FoldBundle(data, pool)
 		if err != nil {

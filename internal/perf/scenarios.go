@@ -31,8 +31,8 @@ type Scenario struct {
 // scheduler's push loop and checkpoint round-trip (JSON and binary), the
 // sweep fan-out substrate (pinned to one worker so the figure is dispatch
 // overhead, not parallel speedup), the incremental checkpoint store (full vs
-// delta cuts at a dirty fraction, fault-in chain resolution, manifest codec,
-// and the dispatcher's fold of a fleet-shaped checkpoint push), and the
+// dirty cuts at a dirty fraction, fault-in, manifest codec, and the
+// dispatcher's fold of a fleet-shaped checkpoint push), and the
 // wire-codec matrix (JSON vs binary submit encode/decode at batch sizes
 // 1/16/256, normalized per job).
 func Scenarios() []Scenario {

@@ -53,9 +53,9 @@ func chunkCount(t *testing.T, data []byte) int {
 }
 
 // TestBundleAckProtocol pins the sender side of the incremental checkpoint
-// protocol: the first push carries the full chunk closure, quiet ticks push
-// empty bundles, a dirty tenant rides as a small delta, and a failed push
-// resets the acks so the next bundle is self-contained again.
+// protocol: the first push carries every chunk of its manifest, quiet ticks
+// push empty bundles, a dirty tenant rides as exactly one full chunk, and a
+// failed push resets the acks so the next bundle is self-contained again.
 func TestBundleAckProtocol(t *testing.T) {
 	sink := &bundleSink{}
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
@@ -110,19 +110,27 @@ func TestBundleAckProtocol(t *testing.T) {
 		t.Fatalf("quiet push carries %d chunks, want 0", n)
 	}
 
-	// Push 3: one dirty tenant — only its new frame rides (as a delta chain
-	// link or a folded full frame, never the whole closure), and a fresh
-	// receiver cannot fold it alone.
+	// Push 3: one dirty tenant — only its new frame rides, as one full
+	// chunk, and a fresh receiver cannot fold it alone.
 	submit("pa", 1)
 	if err := tick(6); err != nil {
 		t.Fatalf("tick: %v", err)
 	}
-	delta := sink.take(t)
-	if n := chunkCount(t, delta); n < 1 || n > 2 {
-		t.Fatalf("dirty-tenant push carries %d chunks, want 1..2", n)
+	dirty := sink.take(t)
+	b, err := ckptstore.DecodeBundle(dirty)
+	if err != nil {
+		t.Fatalf("DecodeBundle: %v", err)
 	}
-	if _, _, _, err := FoldBundle(delta, nil); err == nil {
-		t.Fatal("delta push folded against an empty pool; it must need the acked chunks")
+	if len(b.Chunks) != 1 {
+		t.Fatalf("dirty-tenant push carries %d chunks, want 1", len(b.Chunks))
+	}
+	for id, chunk := range b.Chunks {
+		if c, err := ckptstore.DecodeChunk(chunk); err != nil || c.Kind != ckptstore.KindFull {
+			t.Fatalf("dirty-tenant chunk %016x is not a full chunk (err %v)", id, err)
+		}
+	}
+	if _, _, _, err := FoldBundle(dirty, nil); err == nil {
+		t.Fatal("dirty-tenant push folded against an empty pool; it must need the acked chunks")
 	}
 
 	// Push 4 is rejected: the shard must surface the failure and forget its

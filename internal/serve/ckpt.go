@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the serve tier's side of the incremental checkpoint store:
-// delta cuts (only dirty tenants are re-serialized), cold-tenant paging
+// dirty cuts (only dirty tenants are re-serialized), cold-tenant paging
 // (quiescent tenants evict to the chunk store and fault back in on their next
 // submission), the streaming decision log, and the one restore path
 // (restoreManifest). The hosted-tier bundle protocol lives in bundle.go; the
@@ -25,7 +25,7 @@ import (
 // reshards, answer decision queries, and fault the tenant back in, without
 // holding any scheduler state.
 type evictedStub struct {
-	chunk ckptstore.Ref
+	chunk uint64
 	epoch int64
 	class int
 }
@@ -67,10 +67,9 @@ func (sh *shard) setPagingGauges() {
 	sh.met.ckm.EvictedTenants.Set(int64(len(sh.evicted)))
 }
 
-// putTenantChunk commits a tenant's current state to the chunk store (disk in
-// classic mode, the in-memory bundle pool in hosted mode), as a delta against
-// the tenant's previous chunk when that is smaller, and updates the tenant's
-// reference and the chunk metrics.
+// putTenantChunk commits a tenant's current state as one full chunk to the
+// chunk store (disk in classic mode, the in-memory bundle pool in hosted
+// mode), and updates the tenant's reference and the chunk metrics.
 func (sh *shard) putTenantChunk(tn *tenant) error {
 	payload, err := sh.tenantPayload(tn, sh.cfg.embedsDecisions())
 	if err != nil {
@@ -78,12 +77,11 @@ func (sh *shard) putTenantChunk(tn *tenant) error {
 	}
 	var res ckptstore.PutResult
 	if sh.store != nil {
-		res, err = sh.store.Put(payload, tn.chunk)
+		if res, err = sh.store.Put(payload, ckptstore.Ref{}); err != nil {
+			return fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
+		}
 	} else {
-		res, err = sh.pool.Put(payload, tn.chunk)
-	}
-	if err != nil {
-		return fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
+		res = sh.pool.Put(payload)
 	}
 	ckm := sh.met.ckm
 	if res.Wrote {
@@ -92,10 +90,7 @@ func (sh *shard) putTenantChunk(tn *tenant) error {
 	} else {
 		ckm.ChunksDeduped.Inc()
 	}
-	if res.Folded {
-		ckm.ChunksFolded.Inc()
-	}
-	tn.chunk = res.Ref
+	tn.chunk = res.Ref.ID
 	sh.clearDirty(tn)
 	return nil
 }
@@ -120,16 +115,12 @@ func (sh *shard) handleCut() cutResult {
 	}
 	for _, name := range sh.order {
 		tn := sh.tenants[name]
-		if tn.dirty || tn.chunk.ID == 0 {
+		if tn.dirty || tn.chunk == 0 {
 			if err := sh.putTenantChunk(tn); err != nil {
 				return cutResult{err: err}
 			}
 		}
-		m.Tenants = append(m.Tenants, ckptstore.TenantRef{
-			Name:  name,
-			Chunk: ckptstore.FormatChunkID(tn.chunk.ID),
-			Chain: tn.chunk.Chain,
-		})
+		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(tn.chunk)})
 	}
 	stubs := make([]string, 0, len(sh.evicted))
 	for name := range sh.evicted {
@@ -140,8 +131,7 @@ func (sh *shard) handleCut() cutResult {
 		stub := sh.evicted[name]
 		m.Tenants = append(m.Tenants, ckptstore.TenantRef{
 			Name:    name,
-			Chunk:   ckptstore.FormatChunkID(stub.chunk.ID),
-			Chain:   stub.chunk.Chain,
+			Chunk:   ckptstore.FormatChunkID(stub.chunk),
 			Evicted: true,
 			Epoch:   stub.epoch,
 			Class:   sh.classes[stub.class].Name,
@@ -194,7 +184,7 @@ func (sh *shard) maybeEvict() {
 // it from resident state, leaving a stub. A failed chunk write leaves the
 // tenant resident (eviction is an optimization; the next tick retries).
 func (sh *shard) evictTenant(tn *tenant) {
-	if tn.dirty || tn.chunk.ID == 0 {
+	if tn.dirty || tn.chunk == 0 {
 		if err := sh.putTenantChunk(tn); err != nil {
 			return
 		}
@@ -205,8 +195,8 @@ func (sh *shard) evictTenant(tn *tenant) {
 	sh.order = append(sh.order[:i], sh.order[i+1:]...)
 }
 
-// faultIn transparently pages an evicted tenant back in: resolve its chunk
-// chain, rebuild the tenant at the chunk's round, and adopt it. The returned
+// faultIn transparently pages an evicted tenant back in: read its chunk,
+// rebuild the tenant at the chunk's round, and adopt it. The returned
 // tenant's scheduler sits at the chunk's round; the next tick's Push
 // fast-forwards it to the shard round (a deterministic no-op walk, because an
 // evicted tenant's skipped rounds are trivial). Returns (nil, nil) when the
@@ -217,7 +207,7 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 		return nil, nil
 	}
 	t0 := obs.Now()
-	payload, _, err := sh.store.Resolve(stub.chunk.ID)
+	payload, err := sh.readChunk(stub.chunk)
 	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
@@ -325,21 +315,25 @@ func (sh *shard) decisionsFromLog(name string) decisionsResult {
 	}
 }
 
-// chunkSource resolves content-addressed chunks: the state dir's store on a
-// boot restore, a hosted shard's pool on OpenShard.
-type chunkSource interface {
-	Resolve(id uint64) ([]byte, int, error)
+// readChunk returns the payload of one committed chunk, verified on the way
+// in: from the state dir's store, or from a hosted shard's pool.
+func (sh *shard) readChunk(id uint64) ([]byte, error) {
+	if sh.store != nil {
+		payload, _, err := sh.store.Resolve(id)
+		return payload, err
+	}
+	return sh.pool.Resolve(id)
 }
 
 // restoreManifest rebuilds a shard from a checkpoint manifest: the one
 // restore path of both a state-dir boot and a hosted OpenShard. Resident
-// tenants are resolved out of chunks and rebuilt at their chunk's round (the
+// tenants are read out of their chunks and rebuilt at their chunk's round (the
 // next tick fast-forwards them to the manifest round); evicted tenants
 // restore as stubs without touching their chunks, which needs the shard's
 // durable store to fault them back in from. Validation is field by field: a
 // corrupted or foreign checkpoint is rejected with an error rather than
 // resumed into an inconsistent shard. Called before the shard serves.
-func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks chunkSource) error {
+func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 	if m.Shard != sh.idx {
 		return fmt.Errorf("serve: checkpoint is for shard %d, restoring shard %d", m.Shard, sh.idx)
 	}
@@ -366,7 +360,7 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks ch
 		if _, dup := sh.evicted[ref.Name]; dup {
 			return fmt.Errorf("serve: manifest repeats tenant %q", ref.Name)
 		}
-		r, err := ref.Ref()
+		id, err := ref.ChunkID()
 		if err != nil {
 			return err
 		}
@@ -378,15 +372,15 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks ch
 			if !ok {
 				return fmt.Errorf("serve: evicted tenant %q has unknown class %q", ref.Name, ref.Class)
 			}
-			if !sh.store.Has(r.ID) {
+			if !sh.store.Has(id) {
 				return fmt.Errorf("serve: evicted tenant %q chunk %s missing from the store", ref.Name, ref.Chunk)
 			}
-			sh.evicted[ref.Name] = evictedStub{chunk: r, epoch: ref.Epoch, class: class}
+			sh.evicted[ref.Name] = evictedStub{chunk: id, epoch: ref.Epoch, class: class}
 			continue
 		}
-		payload, _, err := chunks.Resolve(r.ID)
+		payload, err := sh.readChunk(id)
 		if err != nil {
-			return fmt.Errorf("serve: tenant %q: %w", ref.Name, err)
+			return fmt.Errorf("serve: tenant %q chunk %s: %w", ref.Name, ref.Chunk, err)
 		}
 		ti, err := readTenantPayload(payload, ref.Name, m.Round)
 		if err != nil {
@@ -397,7 +391,7 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing, chunks ch
 			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
 		}
 		padDecisions(tn, ti.round, m.Round)
-		tn.chunk = r
+		tn.chunk = id
 		sh.adoptTenant(tn)
 	}
 	sort.Strings(sh.order)
@@ -460,7 +454,7 @@ func (s *Service) restoreManifests(pl *placement) (restored int, resharded, foun
 		resharded = true
 	}
 	for i, sh := range pl.shards {
-		if err := sh.restoreManifest(byIdx[i], pl.ring, s.store); err != nil {
+		if err := sh.restoreManifest(byIdx[i], pl.ring); err != nil {
 			return 0, false, false, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		restored += len(sh.tenants) + len(sh.evicted)

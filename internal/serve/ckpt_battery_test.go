@@ -266,10 +266,10 @@ func TestLegacyOnlyStateDirRefusesBoot(t *testing.T) {
 	}
 }
 
-// TestOrphanChunksIgnoredAndCollected simulates the two torn-cut crash
-// windows — between a chunk write and the manifest rename, and mid-compaction
-// after a folded chunk lands but before the manifest commits. Both leave
-// chunk files no manifest references. Restore must come up from the last
+// TestOrphanChunksIgnoredAndCollected simulates the torn-cut crash window
+// between a chunk write and the manifest rename, on the first cut and on a
+// later one that rewrites dirty tenants. Both leave chunk files no manifest
+// references. Restore must come up from the last
 // committed manifests without ever reading the orphans (their content is
 // garbage, so a read would fail loudly), and the next cut's GC must delete
 // them.
@@ -284,7 +284,8 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	client := NewClient(srv.URL)
 	tenants := sparseFixture()
 	// Two cuts with dirtying activity between them, so surviving tenants hold
-	// delta chains — the state a mid-compaction crash would be folding.
+	// chunks rewritten by the second cut — the state a torn second cut would
+	// leave half written.
 	driveSparseFixture(t, client, tenants, 12, nil)
 	if err := svc.Checkpoint(); err != nil {
 		t.Fatalf("first Checkpoint: %v", err)
@@ -411,7 +412,7 @@ func TestCutScalesWithDirtyNotResident(t *testing.T) {
 		svc.BeginDrain()
 		srv.Close()
 		if err := svc.Checkpoint(); err != nil {
-			t.Fatalf("delta cut: %v", err)
+			t.Fatalf("dirty cut: %v", err)
 		}
 		svc.Close()
 		after := chunkSet(t, filepath.Join(cfg.StateDir, "chunks"))
@@ -422,10 +423,10 @@ func TestCutScalesWithDirtyNotResident(t *testing.T) {
 			}
 		}
 		written[n] = added
-		// Each dirty tenant contributes at most a short delta chain; a cut
-		// that re-serialized residents would add hundreds here.
-		if added > 3*dirty {
-			t.Fatalf("delta cut over %d tenants wrote %d new chunks for %d dirty", n, added, dirty)
+		// Each dirty tenant contributes exactly one full chunk; a cut that
+		// re-serialized residents would add hundreds here.
+		if added != dirty {
+			t.Fatalf("dirty cut over %d tenants wrote %d new chunks for %d dirty, want one each", n, added, dirty)
 		}
 	}
 	// The write work must not grow with the resident count.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"math"
@@ -53,7 +54,7 @@ func servedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds in
 	tb.Helper()
 	var mu sync.Mutex
 	var folded []byte
-	pool := ckptstore.NewMemStore(0)
+	pool := ckptstore.NewMemStore()
 	hook := func(_ int, _ int64, data []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -316,44 +317,47 @@ func setManifestSchema(t *testing.T, dir, schema string) {
 	}
 }
 
-// TestJSONPayloadStateDirRefusesBoot pins that state written by the JSON-payload
-// version refuses to boot, naming what it cannot read, instead of getting a
-// second read path: a v1 manifest set (resident tenants, or every tenant
-// evicted so boot would open no chunk), and a current manifest whose tenant
-// chunk holds a JSON payload.
+// TestJSONPayloadStateDirRefusesBoot pins that state written by earlier
+// versions refuses to boot, naming what it cannot read, instead of getting a
+// second read path: v1 (JSON payloads) and v2 (delta chunks) manifest sets,
+// with resident tenants or with every tenant evicted so boot would open no
+// chunk; a current manifest whose tenant chunk holds a JSON payload; and a
+// current manifest naming a chunk of the retired delta kind.
 func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
-	cfg, dir := checkpointedStateDir(t)
-	setManifestSchema(t, dir, "rrckpt/v1")
-	_, _, err := New(cfg)
-	if err == nil || !strings.Contains(err.Error(), "rrckpt/v1") || !strings.Contains(err.Error(), "manifest-") {
-		t.Fatalf("v1 state dir: New = %v, want a refusal naming the manifest and its schema", err)
-	}
+	for _, schema := range []string{"rrckpt/v1", "rrckpt/v2"} {
+		cfg, dir := checkpointedStateDir(t)
+		setManifestSchema(t, dir, schema)
+		_, _, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), schema) || !strings.Contains(err.Error(), "manifest-") {
+			t.Fatalf("%s state dir: New = %v, want a refusal naming the manifest and its schema", schema, err)
+		}
 
-	// Every tenant evicted: the manifests list only stubs.
-	evCfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64, StateDir: t.TempDir(),
-		RecordDecisions: true, EvictAfter: 2}
-	svc, client := newTestService(t, evCfg)
-	for _, name := range []string{"cold-a", "cold-b", "cold-c"} {
-		submitJobs(t, client, name, SubmitJob{ID: 0, Color: 0, Delay: 4})
-	}
-	if _, err := svc.Tick(16); err != nil {
-		t.Fatal(err)
-	}
-	if st := svc.Stats(); st.Totals.Tenants != 0 {
-		t.Fatalf("%d tenants still resident; the fixture wants all evicted", st.Totals.Tenants)
-	}
-	svc.BeginDrain()
-	if err := svc.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	svc.Close()
-	setManifestSchema(t, evCfg.StateDir, "rrckpt/v1")
-	if _, _, err := New(evCfg); err == nil || !strings.Contains(err.Error(), "rrckpt/v1") {
-		t.Fatalf("all-evicted v1 state dir: New = %v, want a schema refusal", err)
+		// Every tenant evicted: the manifests list only stubs.
+		evCfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64, StateDir: t.TempDir(),
+			RecordDecisions: true, EvictAfter: 2}
+		svc, client := newTestService(t, evCfg)
+		for _, name := range []string{"cold-a", "cold-b", "cold-c"} {
+			submitJobs(t, client, name, SubmitJob{ID: 0, Color: 0, Delay: 4})
+		}
+		if _, err := svc.Tick(16); err != nil {
+			t.Fatal(err)
+		}
+		if st := svc.Stats(); st.Totals.Tenants != 0 {
+			t.Fatalf("%d tenants still resident; the fixture wants all evicted", st.Totals.Tenants)
+		}
+		svc.BeginDrain()
+		if err := svc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
+		setManifestSchema(t, evCfg.StateDir, schema)
+		if _, _, err := New(evCfg); err == nil || !strings.Contains(err.Error(), schema) || !strings.Contains(err.Error(), "manifest-") {
+			t.Fatalf("all-evicted %s state dir: New = %v, want a refusal naming the manifest and its schema", schema, err)
+		}
 	}
 
 	// A current manifest pointing at a JSON tenant payload.
-	cfg, dir = checkpointedStateDir(t)
+	cfg, dir := checkpointedStateDir(t)
 	p := filepath.Join(dir, shardManifestName(0))
 	m := readDiskManifest(t, p)
 	if len(m.Tenants) == 0 {
@@ -364,7 +368,7 @@ func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := m.Tenants[0].Name
-	res, err := store.PutFull([]byte(`{"round":2,"tenant":{"name":"` + name + `","epoch":0}}`))
+	res, err := store.Put([]byte(`{"round":2,"tenant":{"name":"`+name+`","epoch":0}}`), ckptstore.Ref{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,5 +377,29 @@ func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
 	_, _, err = New(cfg)
 	if err == nil || !strings.Contains(err.Error(), "not a binary tenant payload") || !strings.Contains(err.Error(), m.Tenants[0].Chunk) {
 		t.Fatalf("JSON tenant chunk: New = %v, want a refusal naming the chunk", err)
+	}
+
+	// A current manifest pointing at a kind-1 chunk, a delta against the
+	// tenant's chunk as the delta-writing version laid it out, stored under
+	// its true content address.
+	cfg, dir = checkpointedStateDir(t)
+	p = filepath.Join(dir, shardManifestName(0))
+	m = readDiskManifest(t, p)
+	parent, err := m.Tenants[0].ChunkID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := []byte("rrck\x01\x01")
+	delta = binary.BigEndian.AppendUint64(delta, parent)
+	delta = append(delta, 0x01, 0x00, 0x32)
+	id := ckptstore.FormatChunkID(ckptstore.Hash64(delta))
+	if err := os.WriteFile(filepath.Join(dir, "chunks", id+".chunk"), delta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Tenants[0].Chunk = id
+	writeDiskManifest(t, p, m)
+	_, _, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), m.Tenants[0].Name) || !strings.Contains(err.Error(), id) {
+		t.Fatalf("kind-1 chunk: New = %v, want a refusal naming the tenant and the chunk", err)
 	}
 }

@@ -354,11 +354,10 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 		}
 		tn := sh.tenants[name]
 		rec := migrationRecord{Name: name}
-		if sh.store != nil && !tn.dirty && tn.chunk.ID != 0 {
+		if sh.store != nil && !tn.dirty && tn.chunk != 0 {
 			rec.Epoch = tn.epoch
 			rec.Class = sh.classField(tn.class)
-			rec.Chunk = ckptstore.FormatChunkID(tn.chunk.ID)
-			rec.Chain = tn.chunk.Chain
+			rec.Chunk = ckptstore.FormatChunkID(tn.chunk)
 		} else {
 			state, err := sh.tenantPayload(tn, sh.cfg.RecordDecisions && sh.declog == nil)
 			if err != nil {
@@ -399,8 +398,7 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 			Epoch:   stub.epoch,
 			Class:   sh.classField(stub.class),
 			Evicted: true,
-			Chunk:   ckptstore.FormatChunkID(stub.chunk.ID),
-			Chain:   stub.chunk.Chain,
+			Chunk:   ckptstore.FormatChunkID(stub.chunk),
 		}
 		if err := sh.attachLogDecisions(&rec); err != nil {
 			return planResult{err: err}
@@ -434,7 +432,6 @@ type migrationRecord struct {
 	Class   string `json:"class,omitempty"`
 	Evicted bool   `json:"evicted,omitempty"`
 	Chunk   string `json:"chunk,omitempty"`
-	Chain   int    `json:"chain,omitempty"`
 
 	LogDecisions []logDecision `json:"log_decisions,omitempty"`
 }
@@ -552,7 +549,7 @@ func (sh *shard) adoptChunkFrame(rec *migrationRecord, round int64) error {
 	if sh.store == nil {
 		return fmt.Errorf("serve: migrated tenant %q is chunk-backed, shard %d has no chunk store", rec.Name, sh.idx)
 	}
-	ref, err := ckptstore.TenantRef{Name: rec.Name, Chunk: rec.Chunk, Chain: rec.Chain}.Ref()
+	id, err := ckptstore.TenantRef{Name: rec.Name, Chunk: rec.Chunk}.ChunkID()
 	if err != nil {
 		return fmt.Errorf("serve: migrated tenant %q: %w", rec.Name, err)
 	}
@@ -561,18 +558,18 @@ func (sh *shard) adoptChunkFrame(rec *migrationRecord, round int64) error {
 		if !ok {
 			return fmt.Errorf("serve: migrated tenant %q has unknown class %q", rec.Name, rec.Class)
 		}
-		if !sh.store.Has(ref.ID) {
+		if !sh.store.Has(id) {
 			return fmt.Errorf("serve: migrated tenant %q references missing chunk %s", rec.Name, rec.Chunk)
 		}
 		if rec.Epoch < 0 || rec.Epoch > round {
 			return fmt.Errorf("serve: migrated tenant %q has epoch %d outside [0, %d]", rec.Name, rec.Epoch, round)
 		}
-		sh.evicted[rec.Name] = evictedStub{chunk: ref, epoch: rec.Epoch, class: class}
+		sh.evicted[rec.Name] = evictedStub{chunk: id, epoch: rec.Epoch, class: class}
 		return nil
 	}
-	payload, _, err := sh.store.Resolve(ref.ID)
+	payload, err := sh.readChunk(id)
 	if err != nil {
-		return fmt.Errorf("serve: resolving migrated tenant %q: %w", rec.Name, err)
+		return fmt.Errorf("serve: reading migrated tenant %q: %w", rec.Name, err)
 	}
 	ti, err := readTenantPayload(payload, rec.Name, round)
 	if err != nil {
@@ -582,7 +579,7 @@ func (sh *shard) adoptChunkFrame(rec *migrationRecord, round int64) error {
 	if err != nil {
 		return err
 	}
-	tn.chunk = ref
+	tn.chunk = id
 	tn.lastActive = round
 	sh.adoptTenant(tn)
 	return nil

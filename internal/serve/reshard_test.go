@@ -462,7 +462,7 @@ func TestReshardManifestsTransform(t *testing.T) {
 	mk := func(shard, shards int, round, epoch int64, names ...string) *ckptstore.Manifest {
 		m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shard: shard, Shards: shards, Round: round, PlacementEpoch: epoch}
 		for i, n := range names {
-			m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: n, Chunk: ckptstore.FormatChunkID(uint64(100 + i)), Chain: i % 2})
+			m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: n, Chunk: ckptstore.FormatChunkID(uint64(100 + i))})
 		}
 		return m
 	}

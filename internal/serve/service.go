@@ -42,11 +42,13 @@ type Config struct {
 	RecordDecisions bool
 	// StateDir is where Checkpoint writes per-shard state and where New looks
 	// for a previous incarnation's files to restore. Empty disables
-	// durability. Checkpoints are incremental: tenant state lives in a
-	// content-addressed chunk store (StateDir/chunks) referenced from small
-	// per-shard manifests, so a cut pays bytes only for tenants that changed
-	// since the last one. A state dir holding only legacy full-state files
-	// (shard-*.json) refuses to boot rather than start empty beside them.
+	// durability. Checkpoints are incremental: each tenant's state is one
+	// full chunk in a content-addressed chunk store (StateDir/chunks),
+	// referenced from small per-shard rrckpt/v3 manifests, so a cut pays
+	// bytes only for tenants that changed since the last one. A state dir
+	// this version cannot read refuses to boot, naming the file, rather
+	// than start empty beside it: legacy full-state files (shard-*.json),
+	// and rrckpt/v1 (JSON payloads) or rrckpt/v2 (delta chunks) manifests.
 	StateDir string
 	// EvictAfter pages quiescent tenants out of memory: a tenant with no
 	// queued or inflight work whose last activity is at least EvictAfter
@@ -55,10 +57,6 @@ type Config struct {
 	// Requires StateDir (the chunk store is the backing store); zero
 	// disables eviction.
 	EvictAfter int64
-	// MaxChunkChain bounds checkpoint delta chains: the chain-length at which
-	// a tenant's next delta cut is folded back into a full chunk. Zero
-	// selects ckptstore.DefaultMaxChain.
-	MaxChunkChain int
 	// Hosted switches the service into hosted-shard mode, the worker side of
 	// the dispatcher/worker tier: shards start closed and are opened and
 	// closed per lease (OpenShard/CloseShard), submissions to closed shards
@@ -172,9 +170,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.EvictAfter > 0 && cfg.StateDir == "" {
 		return fmt.Errorf("serve: EvictAfter requires a state dir (evicted tenants page out to the chunk store)")
-	}
-	if cfg.MaxChunkChain < 0 {
-		return fmt.Errorf("serve: negative max chunk chain %d", cfg.MaxChunkChain)
 	}
 	if cfg.ReshardBudget < 0 {
 		return fmt.Errorf("serve: negative reshard budget %d", cfg.ReshardBudget)
@@ -321,7 +316,7 @@ func New(cfg Config) (svc *Service, restored int, err error) {
 	}
 	s.pl.Store(pl)
 	if cfg.StateDir != "" {
-		s.store, err = ckptstore.Open(filepath.Join(cfg.StateDir, "chunks"), cfg.MaxChunkChain)
+		s.store, err = ckptstore.Open(filepath.Join(cfg.StateDir, "chunks"), 0)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -685,8 +680,8 @@ func (s *Service) Checkpoint() error {
 	if err := s.removeStaleDecLogs(len(pl.shards)); err != nil {
 		return err
 	}
-	// Orphan GC: chunks outside the closure of the committed manifests can
-	// never be read again (a crash between a chunk write and a manifest
+	// Orphan GC: chunks the committed manifests do not name can never be
+	// read again (a crash between a chunk write and a manifest
 	// rename strands exactly such chunks).
 	if _, err := s.store.GC(roots); err != nil {
 		return fmt.Errorf("serve: collecting orphan chunks: %w", err)

@@ -49,7 +49,7 @@ type tenant struct {
 	class int
 	// dirty marks state changes since the tenant's last chunk write: admitted
 	// jobs, pushed jobs, or a non-trivial decision. Clean tenants are skipped
-	// by delta checkpoints (their chunk is re-referenced) and are eligible for
+	// by dirty cuts (their chunk is re-referenced) and are eligible for
 	// eviction. Trivial decisions on an idle tenant do NOT dirty it — the
 	// restore path reconstructs them exactly by fast-forwarding.
 	dirty bool
@@ -57,9 +57,9 @@ type tenant struct {
 	// (admission or a non-empty push/decision); eviction triggers on
 	// round - lastActive.
 	lastActive int64
-	// chunk is the content-addressed chunk holding the tenant's last cut
-	// state (zero Ref before the first cut after a change).
-	chunk ckptstore.Ref
+	// chunk is the content address of the chunk holding the tenant's last
+	// cut state (zero before the tenant's first cut).
+	chunk uint64
 }
 
 type jobMeta struct {
@@ -184,7 +184,7 @@ type shard struct {
 	// Incremental checkpoint state. store is the durable on-disk chunk store
 	// (classic service with a StateDir); pool and acked implement the hosted
 	// bundle protocol (bundle.go): the open shard's in-memory chunks and the
-	// closure the receiver last acknowledged. declog is the shard's streaming
+	// chunks the receiver last acknowledged. declog is the shard's streaming
 	// decision log in log mode; an append failure is stashed in declogErr and
 	// surfaced at the next cut or decisions read. evicted holds stubs for cold
 	// tenants paged out to the chunk store; dirtyCount counts resident tenants
@@ -500,12 +500,12 @@ func (sh *shard) handleSync() selfTickResult {
 // handleOpen opens a hosted shard, restoring from a checkpoint bundle when
 // data is non-empty. An empty checkpoint opens the shard fresh at round 0.
 // The receiver has acknowledged nothing this shard cuts from here on, so the
-// first push after an open carries the full closure.
+// first push after an open carries every chunk.
 func (sh *shard) handleOpen(data []byte) openResult {
 	if sh.open {
 		return openResult{round: sh.round, err: fmt.Errorf("serve: shard %d is already open", sh.idx)}
 	}
-	sh.pool = ckptstore.NewMemStore(sh.cfg.MaxChunkChain)
+	sh.pool = ckptstore.NewMemStore()
 	sh.acked = map[uint64]bool{}
 	if len(data) > 0 {
 		if err := sh.restoreBundle(data); err != nil {
