@@ -98,7 +98,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		record    = fs.Bool("record-decisions", false, "keep per-tenant decision streams and serve /v1/decisions (testing; memory grows with the run)")
 		drainWait = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight HTTP requests on shutdown")
 		classesF  = fs.String("classes", "", "weighted tenant QoS classes as name:weight,... (e.g. gold:3,bronze:1); empty runs the single implicit default class")
-		budget    = fs.Int64("reshard-budget", 0, "max tenant-state bytes one live reshard may migrate, split across classes by weight (0 = unlimited)")
+		budget    = fs.Int64("reshard-budget", 0, "max chunk bytes one live reshard may write for its movers, split across classes by weight; tenants moved by reference cost nothing (0 = unlimited)")
 		evict     = fs.Int64("evict-after", 0, "page out tenants idle this many rounds to the chunk store (requires -state; 0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -57,16 +57,14 @@ func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, er
 	live := make(map[uint64]bool, len(sh.order))
 	unacked := make(map[uint64]bool)
 	for _, name := range sh.order {
-		tn := sh.tenants[name]
-		if tn.dirty || tn.chunk == 0 {
-			if err := sh.putTenantChunk(tn); err != nil {
-				return nil, nil, err
-			}
+		id, err := sh.cutChunk(sh.tenants[name])
+		if err != nil {
+			return nil, nil, err
 		}
-		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(tn.chunk)})
-		live[tn.chunk] = true
-		if !acked[tn.chunk] {
-			unacked[tn.chunk] = true
+		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})
+		live[id] = true
+		if !acked[id] {
+			unacked[id] = true
 		}
 	}
 	manifest, err := ckptstore.EncodeManifest(m)

@@ -10,11 +10,10 @@ import (
 	"rrsched/internal/varint"
 )
 
-// A tenant payload is one tenant's state as a binary record: the content of
-// the tenant's state chunk (written by the disk cut, eviction, the hosted
-// push and the close handoff) and of a full-state reshard migration frame.
-// It is header first, so every reader checks identity before it parses the
-// state:
+// A tenant payload is one tenant's state as a binary record: the body of
+// every tenant chunk, whether the disk cut, eviction, the hosted push, the
+// close handoff or a live reshard's mover cut wrote it. It is header first,
+// so every reader checks identity before it parses the state:
 //
 //	format byte (tenantPayloadFormat)
 //	header: round name epoch decision-count
@@ -52,9 +51,9 @@ type tenantImage struct {
 	inflight []inflightJob
 	stream   []byte // stream.Scheduler binary image
 	// decisions is the tenant's recorded decision stream, present only
-	// where the history travels with the state: hosted services that record
-	// decisions (Config.embedsDecisions) in chunks, and memory-recording
-	// services in reshard frames.
+	// where the history travels with the state (Config.historyInChunks):
+	// the chunks of hosted services that record decisions, and a reshard's
+	// mover chunks on a memory-recording service.
 	decisions []stream.Decision
 }
 
@@ -308,18 +307,6 @@ func (sh *shard) restoreClass(name string) (int, bool) {
 	}
 	i, ok := sh.classIdx[name]
 	return i, ok
-}
-
-// adoptTenant installs a reconstructed tenant into the shard's state. The
-// caller is responsible for keeping sh.order sorted (restoreManifest and the
-// reshard inject path sort once at the end) and for refreshing the gauges
-// via setStateGauges.
-func (sh *shard) adoptTenant(tn *tenant) {
-	sh.tenants[tn.name] = tn
-	sh.order = append(sh.order, tn.name)
-	sh.backlog += len(tn.queued)
-	sh.classBacklog[tn.class] += len(tn.queued)
-	sh.inflight += len(tn.inflight)
 }
 
 // setStateGauges refreshes the level gauges from the shard's rebuilt state.

@@ -67,18 +67,22 @@ func (sh *shard) setPagingGauges() {
 	sh.met.ckm.EvictedTenants.Set(int64(len(sh.evicted)))
 }
 
-// putTenantChunk commits a tenant's current state as one full chunk to the
-// chunk store (disk in classic mode, the in-memory bundle pool in hosted
-// mode), and updates the tenant's reference and the chunk metrics.
-func (sh *shard) putTenantChunk(tn *tenant) error {
-	payload, err := sh.tenantPayload(tn, sh.cfg.embedsDecisions())
+// cutChunk returns the chunk that holds a tenant's current state. A tenant
+// that changed since its last chunk, or never had one, is first committed as
+// one full chunk to the chunk store (disk in classic mode, the in-memory
+// bundle pool in hosted mode), updating its reference and the chunk metrics.
+func (sh *shard) cutChunk(tn *tenant) (uint64, error) {
+	if !tn.dirty && tn.chunk != 0 {
+		return tn.chunk, nil
+	}
+	payload, err := sh.tenantPayload(tn, sh.cfg.historyInChunks())
 	if err != nil {
-		return err
+		return 0, err
 	}
 	var res ckptstore.PutResult
 	if sh.store != nil {
 		if res, err = sh.store.Put(payload, ckptstore.Ref{}); err != nil {
-			return fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
+			return 0, fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
 		}
 	} else {
 		res = sh.pool.Put(payload)
@@ -92,7 +96,42 @@ func (sh *shard) putTenantChunk(tn *tenant) error {
 	}
 	tn.chunk = res.Ref.ID
 	sh.clearDirty(tn)
-	return nil
+	return tn.chunk, nil
+}
+
+// tenantRefs lists the tenants keep selects (every tenant when keep is nil)
+// as manifest references: residents in name order, each naming the chunk
+// chunkOf returns for it, then evicted stubs in name order.
+func (sh *shard) tenantRefs(keep func(string) bool, chunkOf func(*tenant) (uint64, error)) ([]ckptstore.TenantRef, error) {
+	var refs []ckptstore.TenantRef
+	for _, name := range sh.order {
+		if keep != nil && !keep(name) {
+			continue
+		}
+		id, err := chunkOf(sh.tenants[name])
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})
+	}
+	stubs := make([]string, 0, len(sh.evicted))
+	for name := range sh.evicted {
+		if keep == nil || keep(name) {
+			stubs = append(stubs, name)
+		}
+	}
+	sort.Strings(stubs)
+	for _, name := range stubs {
+		stub := sh.evicted[name]
+		refs = append(refs, ckptstore.TenantRef{
+			Name:    name,
+			Chunk:   ckptstore.FormatChunkID(stub.chunk),
+			Evicted: true,
+			Epoch:   stub.epoch,
+			Class:   sh.classes[stub.class].Name,
+		})
+	}
+	return refs, nil
 }
 
 // handleCut serializes the shard's dirty tenants into the chunk store and
@@ -106,36 +145,17 @@ func (sh *shard) handleCut() cutResult {
 	if sh.declogErr != nil {
 		return cutResult{err: sh.declogErr}
 	}
+	refs, err := sh.tenantRefs(nil, sh.cutChunk)
+	if err != nil {
+		return cutResult{err: err}
+	}
 	m := &ckptstore.Manifest{
 		Schema:         ckptstore.ManifestSchema,
 		Shard:          sh.idx,
 		Shards:         sh.nshards,
 		Round:          sh.round,
 		PlacementEpoch: sh.epoch,
-	}
-	for _, name := range sh.order {
-		tn := sh.tenants[name]
-		if tn.dirty || tn.chunk == 0 {
-			if err := sh.putTenantChunk(tn); err != nil {
-				return cutResult{err: err}
-			}
-		}
-		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(tn.chunk)})
-	}
-	stubs := make([]string, 0, len(sh.evicted))
-	for name := range sh.evicted {
-		stubs = append(stubs, name)
-	}
-	sort.Strings(stubs)
-	for _, name := range stubs {
-		stub := sh.evicted[name]
-		m.Tenants = append(m.Tenants, ckptstore.TenantRef{
-			Name:    name,
-			Chunk:   ckptstore.FormatChunkID(stub.chunk),
-			Evicted: true,
-			Epoch:   stub.epoch,
-			Class:   sh.classes[stub.class].Name,
-		})
+		Tenants:        refs,
 	}
 	if sh.declog != nil {
 		if err := sh.declog.Flush(); err != nil {
@@ -184,10 +204,8 @@ func (sh *shard) maybeEvict() {
 // it from resident state, leaving a stub. A failed chunk write leaves the
 // tenant resident (eviction is an optimization; the next tick retries).
 func (sh *shard) evictTenant(tn *tenant) {
-	if tn.dirty || tn.chunk == 0 {
-		if err := sh.putTenantChunk(tn); err != nil {
-			return
-		}
+	if _, err := sh.cutChunk(tn); err != nil {
+		return
 	}
 	sh.evicted[tn.name] = evictedStub{chunk: tn.chunk, epoch: tn.epoch, class: tn.class}
 	delete(sh.tenants, tn.name)
@@ -326,13 +344,9 @@ func (sh *shard) readChunk(id uint64) ([]byte, error) {
 }
 
 // restoreManifest rebuilds a shard from a checkpoint manifest: the one
-// restore path of both a state-dir boot and a hosted OpenShard. Resident
-// tenants are read out of their chunks and rebuilt at their chunk's round (the
-// next tick fast-forwards them to the manifest round); evicted tenants
-// restore as stubs without touching their chunks, which needs the shard's
-// durable store to fault them back in from. Validation is field by field: a
-// corrupted or foreign checkpoint is rejected with an error rather than
-// resumed into an inconsistent shard. Called before the shard serves.
+// restore path of both a state-dir boot and a hosted OpenShard. It takes the
+// manifest's round and placement, then adopts its tenants through adoptRefs.
+// Called before the shard serves.
 func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 	if m.Shard != sh.idx {
 		return fmt.Errorf("serve: checkpoint is for shard %d, restoring shard %d", m.Shard, sh.idx)
@@ -346,8 +360,22 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		// worker-local ring epoch: leave it at zero there.
 		sh.epoch = m.PlacementEpoch
 	}
-	for i := range m.Tenants {
-		ref := &m.Tenants[i]
+	return sh.adoptRefs(m.Tenants, m.Round, ring, sh.readChunk)
+}
+
+// adoptRefs adopts the tenants a manifest's references name, cut at round:
+// the one per-tenant restore loop of a state-dir boot, an OpenShard and a
+// live reshard's targets. Resident tenants are read out of their chunks
+// through read and rebuilt at their chunk's round (the next tick
+// fast-forwards them to round), so an adopted tenant's eviction clock
+// restarts from the round its chunk was cut at; evicted tenants adopt as
+// stubs without touching their chunks, which needs the shard's durable store
+// to fault them back in from. Validation is field by field: a corrupted or
+// foreign reference is rejected with an error rather than resumed into an
+// inconsistent shard.
+func (sh *shard) adoptRefs(refs []ckptstore.TenantRef, round int64, ring hashRing, read func(uint64) ([]byte, error)) error {
+	for i := range refs {
+		ref := &refs[i]
 		if err := ValidateTenant(ref.Name); err != nil {
 			return fmt.Errorf("serve: manifest tenant: %w", err)
 		}
@@ -378,11 +406,11 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 			sh.evicted[ref.Name] = evictedStub{chunk: id, epoch: ref.Epoch, class: class}
 			continue
 		}
-		payload, err := sh.readChunk(id)
+		payload, err := read(id)
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q chunk %s: %w", ref.Name, ref.Chunk, err)
 		}
-		ti, err := readTenantPayload(payload, ref.Name, m.Round)
+		ti, err := readTenantPayload(payload, ref.Name, round)
 		if err != nil {
 			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
 		}
@@ -390,9 +418,13 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		if err != nil {
 			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
 		}
-		padDecisions(tn, ti.round, m.Round)
+		padDecisions(tn, ti.round, round)
 		tn.chunk = id
-		sh.adoptTenant(tn)
+		sh.tenants[tn.name] = tn
+		sh.order = append(sh.order, tn.name)
+		sh.backlog += len(tn.queued)
+		sh.classBacklog[tn.class] += len(tn.queued)
+		sh.inflight += len(tn.inflight)
 	}
 	sort.Strings(sh.order)
 	sh.setStateGauges()

@@ -180,13 +180,14 @@ func TestEvictFaultInDecisionsMatchBareScheduler(t *testing.T) {
 	}
 }
 
-// TestReshardRidesDeltaMigration pins the reshard path over the chunk store:
-// a mid-run 2→4 split lands while the fixture holds all three tenant shapes —
-// evicted stubs, clean chunk-backed residents (from a checkpoint cut two
-// rounds earlier), and dirty residents — so stubs and clean tenants migrate
-// as chunk references while only dirty state moves as full frames. Decision
-// streams must not see any of it, including the post-split fault-ins.
-func TestReshardRidesDeltaMigration(t *testing.T) {
+// TestReshardRidesChunkReferences pins the reshard path over the chunk
+// store: a mid-run 2→4 split lands while the fixture holds all three tenant
+// shapes — evicted stubs, clean chunk-backed residents (from a checkpoint cut
+// two rounds earlier), and dirty residents — so stubs and clean tenants
+// migrate as the chunk references they already have, while the cut writes
+// each dirty mover as one new full chunk to the store. Decision streams must
+// not see any of it, including the post-split fault-ins.
+func TestReshardRidesChunkReferences(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16,
 		RecordDecisions: true, StateDir: t.TempDir(), EvictAfter: sparseEvict}
 	svc, _, err := New(cfg)

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"sync"
 
 	"rrsched/internal/ckptstore"
 	"rrsched/internal/obs"
@@ -32,8 +32,11 @@ type ReshardResponse struct {
 	Epoch int64 `json:"epoch"`
 	// Round is the round boundary the migration happened at.
 	Round int64 `json:"round"`
-	// Moved is the number of tenants migrated shard-to-shard, and
-	// MigratedBytes the total size of their checkpoint frames.
+	// Moved is the number of tenants migrated shard-to-shard. MigratedBytes
+	// is, for a service, the size of the chunks the movers' cut wrote;
+	// references (clean chunk-backed tenants, evicted stubs) and the
+	// decision-log records beside them count nothing. A dispatcher reports
+	// the size of the re-bundled shard set instead.
 	Moved         int   `json:"moved_tenants"`
 	MigratedBytes int64 `json:"migrated_bytes"`
 	DurationNs    int64 `json:"duration_ns"`
@@ -71,24 +74,22 @@ func validateReshard(req *ReshardRequest) error {
 	return nil
 }
 
-// ErrReshardBudget marks a reshard refused because its migration plan
-// exceeds some class's slice of Config.ReshardBudget. The pool is left
-// exactly as it was.
+// ErrReshardBudget marks a reshard refused because the chunk bytes its cut
+// wrote exceed some class's slice of Config.ReshardBudget. No tenant on any
+// shard has changed.
 var ErrReshardBudget = errors.New("serve: reshard migration exceeds class budget")
 
-// reshardWorker is the Worker field on migration checkpoint frames; it
-// identifies in-process reshard traffic in the frame format shared with the
-// dispatcher tier.
-const reshardWorker = "reshard"
-
-// Reshard resizes the pool to newShards under live traffic. The sequence:
-// park new submissions behind the gate, fence every shard onto the new
-// epoch (in-flight submissions bounce and re-park), checkpoint the tenants
-// the new ring routes elsewhere into binary checkpoint frames, restore them
-// on their target shards, then atomically flip routing by swapping the
-// placement and releasing the gate. Parked submissions replay under the new
-// epoch; decision streams are untouched because all migration happens at a
-// round boundary (tickMu is held throughout).
+// Reshard resizes the pool to newShards under live traffic, moving tenants
+// the way a boot restore and an OpenShard do. The sequence: park new
+// submissions behind the gate, fence every shard onto the new epoch
+// (in-flight submissions bounce and re-park), cut each shard's movers (the
+// tenants the new ring routes elsewhere) into a manifest without changing
+// the shard, route those manifests to their targets with ReshardManifests,
+// adopt them there through adoptRefs, drop the movers from their sources,
+// then atomically flip routing by swapping the placement and releasing the
+// gate. Parked submissions replay under the new epoch; decision streams are
+// untouched because all migration happens at a round boundary (tickMu is
+// held throughout).
 //
 // Classic services only — hosted pools reshard through the dispatcher,
 // which owns their placement.
@@ -119,7 +120,9 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	}
 	defer release()
 
-	// Hold the round barrier: the whole migration happens between rounds.
+	// Hold the round barrier: the whole migration happens between rounds,
+	// and no Checkpoint can collect the chunks the cut writes before the
+	// targets adopt them.
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
 
@@ -130,8 +133,8 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	newEpoch := old.epoch + 1
 	round := s.round.Load()
 
-	// Build the grown shards first: no side effects yet, so failure needs no
-	// rollback.
+	// Build and start the grown shards. They are outside the placement until
+	// the flip, so nothing but this reshard reaches them.
 	surviving := len(old.shards)
 	if newShards < surviving {
 		surviving = newShards
@@ -162,65 +165,73 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 		}
 		shards[i] = sh
 	}
+	for _, sh := range shards[surviving:] {
+		sh.start()
+	}
 
 	// Phase 1: fence. Every old shard adopts the new epoch; submissions
 	// routed under the old placement bounce back to the handler, which parks
 	// on the gate.
 	s.fenceShards(old.shards, newEpoch, newShards)
-	rollback := func() { s.fenceShards(old.shards, old.epoch, len(old.shards)) }
+	rollback := func() {
+		for _, sh := range shards[surviving:] {
+			sh.stop()
+		}
+		s.fenceShards(old.shards, old.epoch, len(old.shards))
+	}
 
-	// Phase 2: plan. Each shard serializes the tenants the new ring routes
-	// elsewhere into checkpoint frames.
+	// Phase 2: cut and route. Each old shard cuts its movers into a manifest
+	// of the old placement, writing the chunks the references need to the
+	// pool, and ReshardManifests routes the cuts to the new ring. No tenant
+	// has changed yet: an abort stops the grown shards and re-fences the old
+	// epoch.
 	ring := newHashRing(newShards)
-	moves, err := s.planMoves(old.shards, ring, newShards, newEpoch)
+	pool := &reshardPool{
+		store:      s.store,
+		classBytes: make([]int64, len(normalizeClasses(s.cfg.Classes))),
+		logs:       map[string][]ckptstore.LogRecord{},
+	}
+	if s.store == nil {
+		pool.mem = ckptstore.NewMemStore()
+	}
+	cuts, err := s.cutMovers(old, ring, round, pool)
+	if err == nil {
+		err = s.checkReshardBudget(pool.classBytes)
+	}
+	var byTarget []*ckptstore.Manifest
+	if err == nil {
+		byTarget, err = ReshardManifests(cuts, newShards)
+	}
 	if err != nil {
 		rollback()
 		return nil, err
 	}
-	if err := s.checkReshardBudget(moves); err != nil {
-		rollback()
-		return nil, err
-	}
 
-	// Phase 3: commit. Restore movers on their targets, then drop them from
-	// their sources. Inject-before-remove: until removal, a mover's state
-	// exists on both shards, but only the target is reachable after the flip
-	// and only the source before a rollback.
-	moved, bytes := 0, int64(0)
-	byTarget := make([][]migrationFrame, newShards)
-	for _, frames := range moves {
-		for _, mf := range frames {
-			byTarget[mf.target] = append(byTarget[mf.target], mf)
-			moved++
-			bytes += int64(len(mf.data))
-		}
-	}
-	for target, frames := range byTarget {
-		if len(frames) == 0 {
-			continue
-		}
-		if err := s.injectMoves(shards[target], target >= surviving, frames); err != nil {
-			// Unreachable in practice (the frames were built two phases ago);
-			// unwind the partial injections and re-fence the old epoch.
+	// Phase 3: commit. Every target adopts its movers, then the movers are
+	// dropped from their sources. Adopt-before-remove: until removal, a
+	// mover's state exists on both shards, but only the target is reachable
+	// after the flip and only the source before a rollback.
+	for target, m := range byTarget {
+		if err := s.injectMoves(shards[target], &injectCmd{m: m, ring: ring, pool: pool}); err != nil {
+			// Unreachable in practice (the cuts were taken a phase ago);
+			// unwind the partial adoptions and re-fence the old epoch.
 			for t := 0; t <= target; t++ {
-				if len(byTarget[t]) > 0 {
-					s.removeMoved(shards[t], t >= surviving, byTarget[t])
-				}
+				s.removeMoved(shards[t], byTarget[t].Tenants)
 			}
 			rollback()
 			return nil, err
 		}
 	}
-	for i, frames := range moves {
-		if len(frames) > 0 {
-			s.removeMoved(old.shards[i], false, frames)
-		}
+	moved, bytes := 0, int64(0)
+	for i, m := range cuts {
+		moved += len(m.Tenants)
+		s.removeMoved(old.shards[i], m.Tenants)
+	}
+	for _, b := range pool.classBytes {
+		bytes += b
 	}
 
-	// Start the grown shards and flip routing.
-	for i := surviving; i < newShards; i++ {
-		shards[i].start()
-	}
+	// Flip routing.
 	retired := append([]*shard{}, old.retired...)
 	if newShards < len(old.shards) {
 		// Merged-away shards keep running: a handler that routed just before
@@ -260,29 +271,89 @@ func (s *Service) fenceShards(shards []*shard, epoch int64, nshards int) {
 	}
 }
 
-// planMoves collects every shard's migration frames: the tenants the target
-// ring routes off the shard, serialized but not yet removed.
-func (s *Service) planMoves(shards []*shard, ring hashRing, nshards int, newEpoch int64) ([][]migrationFrame, error) {
-	replies := make([]chan planResult, len(shards))
-	for i, sh := range shards {
-		replies[i] = make(chan planResult, 1)
-		sh.ch <- shardCmd{plan: &planCmd{ring: ring, nshards: nshards, newEpoch: newEpoch, reply: replies[i]}}
+// reshardPool carries what a reshard's movers need besides their
+// references: the chunks the cut writes for movers whose state no chunk
+// holds yet, and in log mode every mover's decision-log records. Chunks go
+// to the service's Store when it has a state dir, so a durable mover is
+// adopted from a chunk the next Checkpoint can name; otherwise to a MemStore
+// that lives for one reshard. The cuts run at once and a MemStore takes no
+// concurrent writes, so every write holds mu; the adoptions only read, after
+// every cut has answered.
+type reshardPool struct {
+	mu    sync.Mutex
+	store *ckptstore.Store
+	mem   *ckptstore.MemStore
+	// classBytes sums the chunk bytes written, by class index: what
+	// Config.ReshardBudget and ReshardResponse.MigratedBytes count.
+	classBytes []int64
+	logs       map[string][]ckptstore.LogRecord
+}
+
+// put writes one mover's payload as a full chunk and counts its bytes
+// against the mover's class.
+func (p *reshardPool) put(class int, payload []byte) (uint64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var res ckptstore.PutResult
+	if p.store != nil {
+		var err error
+		if res, err = p.store.Put(payload, ckptstore.Ref{}); err != nil {
+			return 0, err
+		}
+	} else {
+		res = p.mem.Put(payload)
 	}
-	out := make([][]migrationFrame, len(shards))
+	p.classBytes[class] += int64(res.Bytes)
+	return res.Ref.ID, nil
+}
+
+// keepLogs holds one mover's decision-log records for its target.
+func (p *reshardPool) keepLogs(name string, recs []ckptstore.LogRecord) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.logs[name] = recs
+}
+
+// read returns the payload of a chunk a mover's reference names.
+func (p *reshardPool) read(id uint64) ([]byte, error) {
+	if p.store != nil {
+		payload, _, err := p.store.Resolve(id)
+		return payload, err
+	}
+	return p.mem.Resolve(id)
+}
+
+// cutMovers has every old shard cut its movers at once and wraps each cut in
+// a manifest of the old placement at round: the complete set
+// ReshardManifests routes.
+func (s *Service) cutMovers(old *placement, ring hashRing, round int64, pool *reshardPool) ([]*ckptstore.Manifest, error) {
+	replies := make([]chan planResult, len(old.shards))
+	for i, sh := range old.shards {
+		replies[i] = make(chan planResult, 1)
+		sh.ch <- shardCmd{plan: &planCmd{ring: ring, pool: pool, reply: replies[i]}}
+	}
+	cuts := make([]*ckptstore.Manifest, len(old.shards))
 	var firstErr error
 	for i, r := range replies {
 		res := <-r
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
-		out[i] = res.frames
+		cuts[i] = &ckptstore.Manifest{
+			Schema:         ckptstore.ManifestSchema,
+			Shard:          i,
+			Shards:         len(old.shards),
+			Round:          round,
+			PlacementEpoch: old.epoch,
+			Tenants:        res.refs,
+		}
 	}
-	return out, firstErr
+	return cuts, firstErr
 }
 
 // checkReshardBudget enforces Config.ReshardBudget split across classes by
-// weight: every class's migrated bytes must fit its slice.
-func (s *Service) checkReshardBudget(moves [][]migrationFrame) error {
+// weight: the chunk bytes the cut wrote for every class must fit its slice.
+func (s *Service) checkReshardBudget(classBytes []int64) error {
 	budget := s.cfg.ReshardBudget
 	if budget == 0 {
 		return nil
@@ -292,15 +363,9 @@ func (s *Service) checkReshardBudget(moves [][]migrationFrame) error {
 	for _, c := range classes {
 		sum += c.Weight
 	}
-	byClass := map[string]int64{}
-	for _, frames := range moves {
-		for _, mf := range frames {
-			byClass[mf.class] += int64(len(mf.data))
-		}
-	}
-	for _, c := range classes {
+	for i, c := range classes {
 		slice := budget * c.Weight / sum
-		if used := byClass[c.Name]; used > slice {
+		if used := classBytes[i]; used > slice {
 			return fmt.Errorf("%w: class %q needs %d bytes of its %d-byte slice (budget %d)",
 				ErrReshardBudget, c.Name, used, slice, budget)
 		}
@@ -308,280 +373,88 @@ func (s *Service) checkReshardBudget(moves [][]migrationFrame) error {
 	return nil
 }
 
-// injectMoves restores migration frames on their target shard. A running
-// shard adopts them on its own goroutine; a freshly built one (not started
-// yet) is written directly.
-func (s *Service) injectMoves(sh *shard, fresh bool, frames []migrationFrame) error {
-	if fresh {
-		return sh.adoptFrames(frames)
-	}
-	reply := make(chan error, 1)
-	sh.ch <- shardCmd{inject: &injectCmd{frames: frames, reply: reply}}
-	return <-reply
+// injectMoves has a target shard adopt its movers on its own goroutine.
+func (s *Service) injectMoves(sh *shard, cmd *injectCmd) error {
+	cmd.reply = make(chan error, 1)
+	sh.ch <- shardCmd{inject: cmd}
+	return <-cmd.reply
 }
 
 // removeMoved drops migrated tenants from a shard.
-func (s *Service) removeMoved(sh *shard, fresh bool, frames []migrationFrame) {
-	names := make([]string, len(frames))
-	for i, mf := range frames {
-		names[i] = mf.tenant
-	}
-	if fresh {
-		sh.handleRemove(names)
+func (s *Service) removeMoved(sh *shard, refs []ckptstore.TenantRef) {
+	if len(refs) == 0 {
 		return
+	}
+	names := make([]string, len(refs))
+	for i, ref := range refs {
+		names[i] = ref.Name
 	}
 	reply := make(chan struct{}, 1)
 	sh.ch <- shardCmd{remove: &removeCmd{tenants: names, reply: reply}}
 	<-reply
 }
 
-// handlePlan serializes every tenant the target ring routes off this shard
-// into a migration frame: a migrationRecord carrying the tenant's payload,
-// wrapped in a binary checkpoint frame addressed to its new shard. Recorded
-// decision streams travel with the tenant whenever recording is on (in log
-// mode as streaming records riding the frame), so /v1/decisions is seamless
-// across the move.
-// Clean chunk-backed residents and evicted stubs move as tiny chunk
-// references — the chunk store is shared across shards, so only the dirty
-// state pays serialization (and only it counts against the reshard budget).
-// Runs on the shard goroutine.
+// handlePlan cuts this shard's movers, the tenants the target ring routes
+// elsewhere, into manifest references without changing the shard: a clean
+// chunk-backed resident or an evicted stub keeps its reference, and every
+// other mover is written to the pool as a full chunk, its recorded decisions
+// embedded when no decision log holds them. In log mode each mover's log
+// records go to the pool beside it, so /v1/decisions is seamless across the
+// move. Runs on the shard goroutine.
 func (sh *shard) handlePlan(cmd *planCmd) planResult {
-	var frames []migrationFrame
-	for _, name := range sh.order {
-		target := cmd.ring.ShardOf(name)
-		if target == sh.idx && sh.idx < cmd.nshards {
-			continue
-		}
-		tn := sh.tenants[name]
-		rec := migrationRecord{Name: name}
-		if sh.store != nil && !tn.dirty && tn.chunk != 0 {
-			rec.Epoch = tn.epoch
-			rec.Class = sh.classField(tn.class)
-			rec.Chunk = ckptstore.FormatChunkID(tn.chunk)
-		} else {
-			state, err := sh.tenantPayload(tn, sh.cfg.RecordDecisions && sh.declog == nil)
-			if err != nil {
-				return planResult{err: err}
-			}
-			rec.State = state
-		}
-		if err := sh.attachLogDecisions(&rec); err != nil {
-			return planResult{err: err}
-		}
-		enc, err := sh.encodeFrame(&rec, cmd.newEpoch, target)
-		if err != nil {
-			return planResult{err: err}
-		}
-		frames = append(frames, migrationFrame{
-			tenant: name,
-			class:  sh.classes[tn.class].Name,
-			target: target,
-			data:   enc,
-		})
-	}
-	// Evicted stubs migrate too (sorted for deterministic plan order): their
-	// state already lives in the shared chunk store, so the frame is only the
-	// reference plus identity.
-	stubs := make([]string, 0, len(sh.evicted))
-	for name := range sh.evicted {
-		stubs = append(stubs, name)
-	}
-	sort.Strings(stubs)
-	for _, name := range stubs {
-		target := cmd.ring.ShardOf(name)
-		if target == sh.idx && sh.idx < cmd.nshards {
-			continue
-		}
-		stub := sh.evicted[name]
-		rec := migrationRecord{
-			Name:    name,
-			Epoch:   stub.epoch,
-			Class:   sh.classField(stub.class),
-			Evicted: true,
-			Chunk:   ckptstore.FormatChunkID(stub.chunk),
-		}
-		if err := sh.attachLogDecisions(&rec); err != nil {
-			return planResult{err: err}
-		}
-		enc, err := sh.encodeFrame(&rec, cmd.newEpoch, target)
-		if err != nil {
-			return planResult{err: err}
-		}
-		frames = append(frames, migrationFrame{
-			tenant: name,
-			class:  sh.classes[stub.class].Name,
-			target: target,
-			data:   enc,
-		})
-	}
-	return planResult{frames: frames}
-}
-
-// migrationRecord is the body of a reshard migration frame: one tenant's
-// name plus either its full state (State, the tenant payload a chunk holds)
-// or a reference into the shared chunk store. A reference frame moves an
-// evicted stub as a stub (Evicted) and a clean chunk-backed resident as a
-// resident the target resolves; it carries the epoch and class the stub
-// needs. LogDecisions carries the tenant's streaming-log records so its
-// /v1/decisions history survives the move.
-type migrationRecord struct {
-	Name  string `json:"name"`
-	State []byte `json:"state,omitempty"`
-
-	Epoch   int64  `json:"epoch,omitempty"`
-	Class   string `json:"class,omitempty"`
-	Evicted bool   `json:"evicted,omitempty"`
-	Chunk   string `json:"chunk,omitempty"`
-
-	LogDecisions []logDecision `json:"log_decisions,omitempty"`
-}
-
-// logDecision is one streaming-log record riding a migration frame: the
-// global round it was appended at and the serialized stream.Decision.
-type logDecision struct {
-	Round    int64           `json:"round"`
-	Decision json.RawMessage `json:"decision"`
-}
-
-// attachLogDecisions copies a migrating tenant's streaming-log records onto
-// its frame, so the target shard can replay them into its own log.
-func (sh *shard) attachLogDecisions(rec *migrationRecord) error {
-	if sh.declog == nil {
-		return nil
-	}
 	if sh.declogErr != nil {
-		return fmt.Errorf("serve: shard %d decision log failed earlier: %w", sh.idx, sh.declogErr)
+		return planResult{err: fmt.Errorf("serve: shard %d decision log failed earlier: %w", sh.idx, sh.declogErr)}
 	}
-	recs, err := sh.declog.ReadTenant(rec.Name)
-	if err != nil {
-		return fmt.Errorf("serve: reading decision log of migrating tenant %q: %w", rec.Name, err)
-	}
-	for _, lr := range recs {
-		rec.LogDecisions = append(rec.LogDecisions, logDecision{Round: lr.Round, Decision: lr.Payload})
-	}
-	return nil
-}
-
-// encodeFrame wraps one migration record in a binary migration frame
-// addressed to its target shard under the new epoch.
-func (sh *shard) encodeFrame(rec *migrationRecord, newEpoch int64, target int) ([]byte, error) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: serializing tenant %q for migration: %w", rec.Name, err)
-	}
-	enc, err := EncodeCheckpointFrame(&CheckpointFrame{
-		Worker: reshardWorker,
-		Shard:  target,
-		Epoch:  newEpoch,
-		Round:  sh.round,
-		Data:   data,
+	moves := func(name string) bool { return cmd.ring.ShardOf(name) != sh.idx }
+	refs, err := sh.tenantRefs(moves, func(tn *tenant) (uint64, error) {
+		if !tn.dirty && tn.chunk != 0 {
+			return tn.chunk, nil
+		}
+		payload, err := sh.tenantPayload(tn, sh.cfg.historyInChunks())
+		if err != nil {
+			return 0, err
+		}
+		id, err := cmd.pool.put(tn.class, payload)
+		if err != nil {
+			return 0, fmt.Errorf("serve: shard %d migrating tenant %q: %w", sh.idx, tn.name, err)
+		}
+		return id, nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("serve: framing tenant %q for migration: %w", rec.Name, err)
+		return planResult{err: err}
 	}
-	return enc, nil
+	if sh.declog != nil {
+		for _, ref := range refs {
+			recs, err := sh.declog.ReadTenant(ref.Name)
+			if err != nil {
+				return planResult{err: fmt.Errorf("serve: reading decision log of migrating tenant %q: %w", ref.Name, err)}
+			}
+			cmd.pool.keepLogs(ref.Name, recs)
+		}
+	}
+	return planResult{refs: refs}
 }
 
-// adoptFrames restores migration frames onto this shard: the inject half of
-// the checkpoint→transfer→restore path. Runs on the shard goroutine (or
-// before it starts, for shards created by a split).
-func (sh *shard) adoptFrames(frames []migrationFrame) error {
-	for _, mf := range frames {
-		cf, err := DecodeCheckpointFrame(mf.data)
-		if err != nil {
-			return fmt.Errorf("serve: decoding migration frame for tenant %q: %w", mf.tenant, err)
-		}
-		if cf.Shard != sh.idx {
-			return fmt.Errorf("serve: migration frame for shard %d delivered to shard %d", cf.Shard, sh.idx)
-		}
-		if cf.Round != sh.round {
-			return fmt.Errorf("serve: migration frame at round %d, shard %d is at %d", cf.Round, sh.idx, sh.round)
-		}
-		var rec migrationRecord
-		if err := json.Unmarshal(cf.Data, &rec); err != nil {
-			return fmt.Errorf("serve: decoding migrated tenant %q: %w", mf.tenant, err)
-		}
-		if err := ValidateTenant(rec.Name); err != nil {
-			return fmt.Errorf("serve: migrated tenant: %w", err)
-		}
-		if _, dup := sh.tenants[rec.Name]; dup {
-			return fmt.Errorf("serve: migration repeats tenant %q on shard %d", rec.Name, sh.idx)
-		}
-		if _, dup := sh.evicted[rec.Name]; dup {
-			return fmt.Errorf("serve: migration repeats tenant %q on shard %d", rec.Name, sh.idx)
-		}
-		if rec.Chunk != "" {
-			if err := sh.adoptChunkFrame(&rec, cf.Round); err != nil {
-				return err
-			}
-		} else {
-			ti, err := readTenantPayload(rec.State, rec.Name, cf.Round)
-			if err != nil {
-				return err
-			}
-			tn, err := sh.buildTenant(ti)
-			if err != nil {
-				return err
-			}
-			sh.adoptTenant(tn)
-		}
-		if len(rec.LogDecisions) > 0 {
-			if sh.declog == nil {
-				return fmt.Errorf("serve: migrated tenant %q carries log decisions, shard %d has no decision log", rec.Name, sh.idx)
-			}
-			for _, ld := range rec.LogDecisions {
-				if err := sh.declog.Append(rec.Name, ld.Round, ld.Decision); err != nil {
-					return fmt.Errorf("serve: replaying decision log of migrated tenant %q: %w", rec.Name, err)
-				}
-			}
-		}
-	}
-	sort.Strings(sh.order)
-	sh.setStateGauges()
-	sh.setPagingGauges()
-	return nil
-}
-
-// adoptChunkFrame restores one chunk-reference migration frame: an evicted
-// stub stays a stub (the chunk store is shared, nothing to copy), a clean
-// resident is resolved from its chunk.
-func (sh *shard) adoptChunkFrame(rec *migrationRecord, round int64) error {
-	if sh.store == nil {
-		return fmt.Errorf("serve: migrated tenant %q is chunk-backed, shard %d has no chunk store", rec.Name, sh.idx)
-	}
-	id, err := ckptstore.TenantRef{Name: rec.Name, Chunk: rec.Chunk}.ChunkID()
-	if err != nil {
-		return fmt.Errorf("serve: migrated tenant %q: %w", rec.Name, err)
-	}
-	if rec.Evicted {
-		class, ok := sh.restoreClass(rec.Class)
-		if !ok {
-			return fmt.Errorf("serve: migrated tenant %q has unknown class %q", rec.Name, rec.Class)
-		}
-		if !sh.store.Has(id) {
-			return fmt.Errorf("serve: migrated tenant %q references missing chunk %s", rec.Name, rec.Chunk)
-		}
-		if rec.Epoch < 0 || rec.Epoch > round {
-			return fmt.Errorf("serve: migrated tenant %q has epoch %d outside [0, %d]", rec.Name, rec.Epoch, round)
-		}
-		sh.evicted[rec.Name] = evictedStub{chunk: id, epoch: rec.Epoch, class: class}
-		return nil
-	}
-	payload, err := sh.readChunk(id)
-	if err != nil {
-		return fmt.Errorf("serve: reading migrated tenant %q: %w", rec.Name, err)
-	}
-	ti, err := readTenantPayload(payload, rec.Name, round)
-	if err != nil {
-		return fmt.Errorf("serve: migrated tenant %q: %w", rec.Name, err)
-	}
-	tn, err := sh.buildTenant(ti)
-	if err != nil {
+// adoptMovers adopts the movers a reshard routed to this shard through
+// adoptRefs, reading their chunks from the reshard's pool, then replays
+// their decision-log records into this shard's log. Runs on the shard
+// goroutine.
+func (sh *shard) adoptMovers(cmd *injectCmd) error {
+	if err := sh.adoptRefs(cmd.m.Tenants, cmd.m.Round, cmd.ring, cmd.pool.read); err != nil {
 		return err
 	}
-	tn.chunk = id
-	tn.lastActive = round
-	sh.adoptTenant(tn)
+	for _, ref := range cmd.m.Tenants {
+		if cmd.pool.mem != nil {
+			// The in-memory pool dies with this reshard, so its chunk backs
+			// nothing: a later reshard writes the tenant afresh.
+			sh.tenants[ref.Name].chunk = 0
+		}
+		for _, lr := range cmd.pool.logs[ref.Name] {
+			if err := sh.declog.Append(ref.Name, lr.Round, lr.Payload); err != nil {
+				return fmt.Errorf("serve: replaying decision log of migrated tenant %q: %w", ref.Name, err)
+			}
+		}
+	}
 	return nil
 }
 
@@ -601,9 +474,7 @@ func (sh *shard) handleRemove(names []string) {
 			continue
 		}
 		drop[name] = true
-		if tn.dirty {
-			sh.clearDirty(tn)
-		}
+		sh.clearDirty(tn)
 		delete(sh.tenants, name)
 		sh.backlog -= len(tn.queued)
 		sh.classBacklog[tn.class] -= len(tn.queued)

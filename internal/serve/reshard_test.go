@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -193,58 +195,69 @@ func TestReshardRacesSubmissions(t *testing.T) {
 // TestReshardThenDrainRestore pins that a resharded pool drains and restores
 // like any other: checkpoint files carry the bumped placement epoch, a new
 // service at the post-split count resumes from them, and the combined run's
-// decision streams match the bare scheduler end to end.
+// decision streams match the bare scheduler end to end. The reshard lands
+// either mid-run or on the drain round itself: there the drain's cut follows
+// at once, so its manifests name the movers exactly as their targets adopted
+// them, and a mover adopted from a chunk outside the state dir's store would
+// fail the restore.
 func TestReshardThenDrainRestore(t *testing.T) {
-	stateDir := t.TempDir()
-	cfg := Config{
-		Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
-		RecordDecisions: true, StateDir: stateDir,
-	}
-	svc, _, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	client := NewClient(srv.URL)
-
-	tenants := detFixture(t, 46)
-	driveServiceHook(t, client, tenants, 20, func(r int64) {
-		if r == 10 {
-			if _, err := client.Reshard(6); err != nil {
-				t.Fatalf("Reshard(6): %v", err)
+	for _, at := range []int64{10, 20} {
+		t.Run(fmt.Sprintf("round%d", at), func(t *testing.T) {
+			stateDir := t.TempDir()
+			cfg := Config{
+				Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
+				RecordDecisions: true, StateDir: stateDir,
 			}
-		}
-	})
-	svc.BeginDrain()
-	srv.Close()
-	if err := svc.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	svc.Close()
+			svc, _, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			srv := httptest.NewServer(svc.Handler())
+			client := NewClient(srv.URL)
 
-	resumed := cfg
-	resumed.Shards = 6
-	svc2, _, err := New(resumed)
-	if err != nil {
-		t.Fatalf("restore at post-split count: %v", err)
-	}
-	defer svc2.Close()
-	if got := svc2.Epoch(); got != 1 {
-		t.Fatalf("restored epoch %d, want 1", got)
-	}
-	srv2 := httptest.NewServer(svc2.Handler())
-	defer srv2.Close()
-	client2 := NewClient(srv2.URL)
+			tenants := detFixture(t, 46)
+			reshard := func(r int64) {
+				if r != at {
+					return
+				}
+				if rr, err := client.Reshard(6); err != nil || rr.Moved == 0 {
+					t.Fatalf("Reshard(6): rr=%+v err=%v", rr, err)
+				}
+			}
+			driveServiceHook(t, client, tenants, 20, reshard)
+			reshard(20)
+			svc.BeginDrain()
+			srv.Close()
+			if err := svc.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			svc.Close()
 
-	// Resume the fixture where the first service stopped.
-	totalRounds := int64(45)
-	for r := int64(20); r < totalRounds; r++ {
-		driveRound(t, client2, tenants, r)
-		if _, err := client2.Tick(1); err != nil {
-			t.Fatalf("Tick at round %d: %v", r, err)
-		}
+			resumed := cfg
+			resumed.Shards = 6
+			svc2, _, err := New(resumed)
+			if err != nil {
+				t.Fatalf("restore at post-split count: %v", err)
+			}
+			defer svc2.Close()
+			if got := svc2.Epoch(); got != 1 {
+				t.Fatalf("restored epoch %d, want 1", got)
+			}
+			srv2 := httptest.NewServer(svc2.Handler())
+			defer srv2.Close()
+			client2 := NewClient(srv2.URL)
+
+			// Resume the fixture where the first service stopped.
+			totalRounds := int64(45)
+			for r := int64(20); r < totalRounds; r++ {
+				driveRound(t, client2, tenants, r)
+				if _, err := client2.Tick(1); err != nil {
+					t.Fatalf("Tick at round %d: %v", r, err)
+				}
+			}
+			checkDecisionsMatchReference(t, client2, tenants, totalRounds, cfg, 6, 1)
+		})
 	}
-	checkDecisionsMatchReference(t, client2, tenants, totalRounds, cfg, 6, 1)
 }
 
 // TestBootRestoreAcrossShardCounts is the satellite restore property: a
@@ -331,14 +344,18 @@ func driveRound(t *testing.T, client *Client, tenants []detTenant, r int64) {
 	}
 }
 
-// TestReshardBudgetAbort pins the rollback path: a reshard whose migration
-// plan exceeds a class's budget slice must fail with ErrReshardBudget and
-// leave the pool exactly as it was — same epoch, same shard count, still
-// serving, decision streams unharmed.
+// TestReshardBudgetAbort pins the unit of the reshard budget: the chunk
+// bytes the movers' cut writes. A service with no state dir writes every
+// mover as a chunk, so a 1-byte budget aborts the reshard with
+// ErrReshardBudget and leaves the pool exactly as it was — same epoch, same
+// shard count, same shard state, still serving, decision streams unharmed.
+// A durable service aborts the same way while its movers are dirty, but once
+// it has checkpointed it moves only chunk references and decision-log
+// records, which count nothing, so the same budget lets its reshard through.
 func TestReshardBudgetAbort(t *testing.T) {
 	cfg := Config{
 		Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16,
-		RecordDecisions: true, ReshardBudget: 1, // one byte: any migration blows it
+		RecordDecisions: true, ReshardBudget: 1, // one byte: any chunk the cut writes blows it
 	}
 	svc, _, err := New(cfg)
 	if err != nil {
@@ -355,9 +372,13 @@ func TestReshardBudgetAbort(t *testing.T) {
 		if r != 15 {
 			return
 		}
+		before := svc.Stats().PerShard
 		_, err := svc.Reshard(8)
 		if !errors.Is(err, ErrReshardBudget) {
 			t.Fatalf("Reshard under 1-byte budget: err=%v, want ErrReshardBudget", err)
+		}
+		if after := svc.Stats().PerShard; !reflect.DeepEqual(after, before) {
+			t.Fatalf("aborted reshard changed shard state:\nbefore %+v\nafter  %+v", before, after)
 		}
 		if got := svc.Epoch(); got != 0 {
 			t.Fatalf("aborted reshard left epoch %d, want 0", got)
@@ -371,6 +392,45 @@ func TestReshardBudgetAbort(t *testing.T) {
 	if got := svc.Stats().Reshards; got != 0 {
 		t.Fatalf("aborted reshard counted as %d reshards, want 0", got)
 	}
+
+	// Durable: dirty movers abort the reshard and change no shard; then
+	// Checkpoint, no activity, and the reshard under the same 1-byte budget.
+	// Every mover is clean and chunk-backed, so nothing is written and
+	// nothing counts.
+	durable := cfg
+	durable.StateDir = t.TempDir()
+	dsvc, _, err := New(durable)
+	if err != nil {
+		t.Fatalf("New(durable): %v", err)
+	}
+	defer dsvc.Close()
+	dsrv := httptest.NewServer(dsvc.Handler())
+	defer dsrv.Close()
+	dclient := NewClient(dsrv.URL)
+	driveServiceHook(t, dclient, tenants, totalRounds, func(r int64) {
+		switch r {
+		case 14:
+			before := dsvc.Stats().PerShard
+			if _, err := dsvc.Reshard(8); !errors.Is(err, ErrReshardBudget) {
+				t.Fatalf("Reshard with dirty movers under 1-byte budget: err=%v, want ErrReshardBudget", err)
+			}
+			if after := dsvc.Stats().PerShard; !reflect.DeepEqual(after, before) {
+				t.Fatalf("aborted durable reshard changed shard state:\nbefore %+v\nafter  %+v", before, after)
+			}
+		case 15:
+			if err := dsvc.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			rr, err := dsvc.Reshard(8)
+			if err != nil {
+				t.Fatalf("reference-only Reshard under 1-byte budget: %v", err)
+			}
+			if rr.Moved == 0 || rr.MigratedBytes != 0 {
+				t.Fatalf("reference-only reshard: %+v, want movers and 0 migrated bytes", rr)
+			}
+		}
+	})
+	checkDecisionsMatchReference(t, dclient, tenants, totalRounds, durable, 8, 1)
 }
 
 // TestReshardRefusals pins the guard rails: no-op counts, out-of-range
@@ -526,4 +586,40 @@ func TestReshardManifestsTransform(t *testing.T) {
 			t.Errorf("%s accepted", what)
 		}
 	}
+}
+
+// TestReshardMovesIdleTenantsTwice pins that a service with no state dir
+// moves a mover again on a later reshard even when it stayed idle in
+// between. Such a mover was adopted from a chunk of the first reshard's
+// in-memory pool, which is gone by the second, so the second cut must write
+// it afresh instead of naming that chunk. The sparse fixture leaves every
+// tenant idle across rounds 7–9; a 2→4 split and a 4→2 merge move the same
+// tenants out and back.
+func TestReshardMovesIdleTenantsTwice(t *testing.T) {
+	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true}
+	svc, _, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL)
+
+	tenants := sparseFixture()
+	driveSparseFixture(t, client, tenants, sparseTotal, func(r int64) {
+		var to int
+		switch r {
+		case 7:
+			to = 4
+		case 9:
+			to = 2
+		default:
+			return
+		}
+		if rr, err := client.Reshard(to); err != nil || rr.Moved == 0 {
+			t.Fatalf("Reshard(%d) at round %d: rr=%+v err=%v", to, r, rr, err)
+		}
+	})
+	checkSparseDecisions(t, client, tenants, sparseTotal, cfg, 2, 2)
 }

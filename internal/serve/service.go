@@ -86,9 +86,11 @@ type Config struct {
 	// naming no class binds new tenants to the class named "default", which
 	// must then be one of the configured classes.
 	Classes []TenantClass
-	// ReshardBudget caps the total bytes of tenant state one Reshard may
-	// migrate, split across classes by weight; a reshard whose migration plan
-	// exceeds any class's slice aborts without moving anything. Zero means
+	// ReshardBudget caps the chunk bytes one Reshard may write for its
+	// movers, split across classes by weight. A clean chunk-backed tenant or
+	// an evicted stub moves by reference and costs nothing; any other mover
+	// costs the full chunk the reshard writes for it. A reshard whose cut
+	// exceeds any class's slice aborts with no tenant changed. Zero means
 	// unlimited.
 	ReshardBudget int64
 }
@@ -342,11 +344,12 @@ func (cfg Config) logMode() bool {
 	return cfg.StateDir != "" && cfg.RecordDecisions && !cfg.Hosted
 }
 
-// embedsDecisions reports whether tenant chunks embed the recorded
-// decision history: hosted services with recording on, whose history must
-// survive a shard moving to another worker.
-func (cfg Config) embedsDecisions() bool {
-	return cfg.Hosted && cfg.RecordDecisions
+// historyInChunks reports whether tenant chunks embed the recorded decision
+// history: recording on and no decision log to hold it. That is a hosted
+// service, whose history must survive a shard moving to another worker, and
+// a reshard's movers on a service with no state dir.
+func (cfg Config) historyInChunks() bool {
+	return cfg.RecordDecisions && !cfg.logMode()
 }
 
 // restore loads a previous incarnation's state from cfg.StateDir, if present:

@@ -307,28 +307,18 @@ type placeCmd struct {
 	reply   chan struct{}
 }
 
-// planCmd asks the shard to serialize every tenant that the target ring
-// routes elsewhere into migration frames, without removing them yet.
+// planCmd asks the shard to cut every tenant the target ring routes
+// elsewhere (its movers) into manifest references, without removing them
+// yet; the chunks and log records the references need go to pool.
 type planCmd struct {
-	ring     hashRing
-	nshards  int
-	newEpoch int64
-	reply    chan planResult
+	ring  hashRing
+	pool  *reshardPool
+	reply chan planResult
 }
 
 type planResult struct {
-	frames []migrationFrame
-	err    error
-}
-
-// migrationFrame is one tenant's serialized state in flight between shards
-// during a reshard: a binary checkpoint frame (rrserve/v2) wrapping the
-// tenant's migrationRecord.
-type migrationFrame struct {
-	tenant string
-	class  string
-	target int
-	data   []byte // encoded CheckpointFrame
+	refs []ckptstore.TenantRef
+	err  error
 }
 
 // removeCmd drops the named tenants from the shard (their state has been
@@ -338,10 +328,13 @@ type removeCmd struct {
 	reply   chan struct{}
 }
 
-// injectCmd adopts migration frames produced by planCmd on another shard.
+// injectCmd adopts the movers a reshard routed to this shard: m is this
+// shard's manifest of the ReshardManifests output, read through pool.
 type injectCmd struct {
-	frames []migrationFrame
-	reply  chan error
+	m     *ckptstore.Manifest
+	ring  hashRing
+	pool  *reshardPool
+	reply chan error
 }
 
 type decisionsResult struct {
@@ -460,7 +453,7 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 		sh.handleRemove(cmd.remove.tenants)
 		cmd.remove.reply <- struct{}{}
 	case cmd.inject != nil:
-		cmd.inject.reply <- sh.adoptFrames(cmd.inject.frames)
+		cmd.inject.reply <- sh.adoptMovers(cmd.inject)
 	case cmd.cut != nil:
 		cmd.cut.reply <- sh.handleCut()
 	}
