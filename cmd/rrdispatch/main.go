@@ -61,7 +61,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		n          = fs.Int("n", 8, "resources per tenant (multiple of 4)")
 		delta      = fs.Int64("delta", 4, "reconfiguration cost Δ")
 		watermark  = fs.Int("watermark", 1<<16, "per-shard backlog watermark: batches beyond it get 429")
-		record     = fs.Bool("record-decisions", false, "workers keep per-tenant decision streams (and carry them through failovers)")
+		record     = fs.Bool("record-decisions", false, "workers keep per-tenant decision streams in each shard's decision log, whose segments ride the checkpoint bundles through failovers, reshards and restarts")
 		heartbeat  = fs.Duration("heartbeat", time.Second, "worker heartbeat interval")
 		missBudget = fs.Int("miss-budget", 3, "heartbeat intervals a worker may miss before its shards fail over")
 		state      = fs.String("state", "", "state dir for checkpoint durability across dispatcher restarts; empty keeps checkpoints in memory only")

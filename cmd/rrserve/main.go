@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		watermark = fs.Int("watermark", 1<<16, "per-shard backlog watermark: batches beyond it get 429")
 		round     = fs.Duration("round", 0, "real-time duration of one round; 0 = virtual time (drive POST /v1/tick)")
 		state     = fs.String("state", "", "state dir for drain checkpoints (and boot restore); empty disables durability")
-		record    = fs.Bool("record-decisions", false, "keep per-tenant decision streams and serve /v1/decisions (testing; memory grows with the run)")
+		record    = fs.Bool("record-decisions", false, "keep per-tenant decision streams in each shard's decision log and serve /v1/decisions (testing; the log grows with every non-trivial decision, in the chunk store with -state, else in memory)")
 		drainWait = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight HTTP requests on shutdown")
 		classesF  = fs.String("classes", "", "weighted tenant QoS classes as name:weight,... (e.g. gold:3,bronze:1); empty runs the single implicit default class")
 		budget    = fs.Int64("reshard-budget", 0, "max chunk bytes one live reshard may write for its movers, split across classes by weight; tenants moved by reference cost nothing (0 = unlimited)")

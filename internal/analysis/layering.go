@@ -91,8 +91,8 @@ func DefaultLayeringRules() map[string][]string {
 		m + "atomicio": {},
 		m + "varint":   {},
 
-		// The incremental checkpoint store: content-addressed chunks, delta
-		// chains, manifests, and streaming decision logs. Pure persistence —
+		// The incremental checkpoint store: content-addressed chunks,
+		// manifests, and decision logs stored as chunks. Pure persistence —
 		// it knows nothing about scheduling, so it sits just above atomicio.
 		m + "ckptstore": {m + "atomicio"},
 

@@ -1,8 +1,9 @@
 // Package ckptstore is the incremental checkpoint store of the serve tier: a
 // content-addressed store of chunks, each one a full tenant image, small
-// manifests that reference chunks instead of embedding state, an append-only
-// streaming decision log, and a bundle format for shipping manifests plus
-// missing chunks over the dispatcher wire.
+// manifests that reference chunks instead of embedding state, a decision log
+// whose sealed segments are chunks the manifests name too, and a bundle
+// format for shipping manifests plus missing chunks over the dispatcher
+// wire.
 //
 // The design mirrors the paper's cost-of-movement framing: a checkpoint cut
 // pays bytes only for tenants whose state actually changed (dirty tracking in

@@ -179,6 +179,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			{Name: "alpha", Chunk: FormatChunkID(0xbeef)},
 			{Name: "cold", Chunk: FormatChunkID(0xc01d), Evicted: true, Epoch: 3, Class: "batch"},
 		},
+		Log: []string{FormatChunkID(0x5e6), FormatChunkID(0x7a1)},
 	}
 	enc, err := EncodeManifest(m)
 	if err != nil {
@@ -205,8 +206,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(roots) != 3 {
-		t.Fatalf("roots: %v", roots)
+	if len(roots) != 5 || roots[3] != 0x5e6 || roots[4] != 0x7a1 {
+		t.Fatalf("roots: %v, want the three tenant chunks and the two log segments", roots)
 	}
 }
 
@@ -231,6 +232,7 @@ func TestManifestValidation(t *testing.T) {
 		{"duplicate names", func(m *Manifest) {
 			m.Tenants = append(m.Tenants, TenantRef{Name: "a", Chunk: FormatChunkID(2)})
 		}},
+		{"bad log hex", func(m *Manifest) { m.Log = []string{FormatChunkID(3), "0x3"} }},
 	}
 	for _, c := range cases {
 		m := valid()
@@ -244,142 +246,101 @@ func TestManifestValidation(t *testing.T) {
 	}
 }
 
+// TestDecLogAppendReadRotate pins the chunk-backed decision log: appends
+// seal the tail into segment chunks at SegmentBytes, a cut writes the tail as
+// one more chunk, and reopening the cut's segment list replays every record
+// in order, reopens the tail and keeps appending into it.
 func TestDecLogAppendReadRotate(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenDecLog(dir, 64) // tiny segments to force rotation
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := int64(0); r < 20; r++ {
+	pool := NewMemStore()
+	l := NewDecLog(pool)
+	payload := bytes.Repeat([]byte{7}, 100)
+	var want []string
+	for r := int64(0); len(l.segs) < 2; r++ {
 		tenant := fmt.Sprintf("t%d", r%3)
-		if err := l.Append(tenant, r, []byte(fmt.Sprintf(`{"Round":%d}`, r))); err != nil {
+		if err := l.Append(tenant, r, payload); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, fmt.Sprintf("%s@%d", tenant, r))
 	}
-	recs, err := l.ReadTenant("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7 {
-		t.Fatalf("t1 has %d records, want 7", len(recs))
-	}
-	for i, rec := range recs {
-		want := int64(3*i + 1)
-		if rec.Round != want || string(rec.Payload) != fmt.Sprintf(`{"Round":%d}`, want) {
-			t.Fatalf("t1 record %d: %+v", i, rec)
-		}
-	}
-	segs, err := l.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("64-byte segments never rotated: %v", segs)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and keep appending; history must be intact.
-	l2, err := OpenDecLog(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Append("t1", 22, []byte(`{"Round":22}`)); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = l2.ReadTenant("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 8 || recs[7].Round != 22 {
-		t.Fatalf("after reopen t1 has %d records (last %+v)", len(recs), recs[len(recs)-1])
-	}
-	if l2.Bytes() <= 0 {
-		t.Fatal("Bytes() not tracking log size")
-	}
-	_ = l2.Close()
-}
-
-func TestDecLogTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenDecLog(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("good", 1, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a torn record at the tail.
-	path := filepath.Join(dir, "seg-00000.log")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x04, 't', 'o'}); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-
-	l2, err := OpenDecLog(dir, 0)
-	if err != nil {
-		t.Fatalf("open with torn tail: %v", err)
-	}
-	recs, err := l2.ReadTenant("good")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Round != 1 {
-		t.Fatalf("torn-tail recovery lost the committed record: %+v", recs)
-	}
-	if err := l2.Append("good", 2, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ = l2.ReadTenant("good")
-	if len(recs) != 2 {
-		t.Fatalf("append after torn-tail recovery: %+v", recs)
-	}
-	_ = l2.Close()
-}
-
-func TestDecLogTruncateFrom(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenDecLog(dir, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := int64(0); r < 10; r++ {
-		if err := l.Append("t", r, []byte(fmt.Sprintf("p%d", r))); err != nil {
+	walk := func(l *DecLog) []string {
+		t.Helper()
+		var got []string
+		if err := l.Walk(func(tenant string, round int64, p []byte) error {
+			if !bytes.Equal(p, payload) {
+				t.Fatalf("%s@%d payload %q", tenant, round, p)
+			}
+			got = append(got, fmt.Sprintf("%s@%d", tenant, round))
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
+		return got
 	}
-	if err := l.TruncateFrom(6); err != nil {
+	if got := walk(l); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("walk read %d records, want %d", len(got), len(want))
+	}
+	if err := l.Append("t0", int64(len(want)), payload); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l.ReadTenant("t")
+	want = append(want, fmt.Sprintf("t0@%d", len(want)))
+	log, err := l.Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 6 {
-		t.Fatalf("TruncateFrom(6) left %d records", len(recs))
+	ids, err := (&Manifest{Log: log}).LogIDs()
+	if err != nil || len(ids) != 3 || ids[0] != l.segs[0] || ids[1] != l.segs[1] {
+		t.Fatalf("cut names %v (%v), want the two sealed segments and the tail", log, err)
 	}
-	for i, rec := range recs {
-		if rec.Round != int64(i) {
-			t.Fatalf("record %d has round %d", i, rec.Round)
-		}
+	if l.Bytes() <= 2*SegmentBytes-2*int64(segmentHeaderLen) {
+		t.Fatalf("Bytes() = %d does not count the sealed and open records", l.Bytes())
 	}
-	// Appends continue cleanly after a truncate.
-	if err := l.Append("t", 6, []byte("again")); err != nil {
+
+	// Reopen the cut: the sealed segments stay sealed, the tail reopens.
+	l2, err := OpenDecLog(pool, ids, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ = l.ReadTenant("t")
-	if len(recs) != 7 || string(recs[6].Payload) != "again" {
-		t.Fatalf("append after truncate: %+v", recs)
+	if len(l2.segs) != 2 || l2.Bytes() != l.Bytes() {
+		t.Fatalf("reopened %d sealed segments holding %d bytes, want 2 and %d", len(l2.segs), l2.Bytes(), l.Bytes())
 	}
-	_ = l.Close()
+	if got := walk(l2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("reopened log reads other records")
+	}
+	if err := l2.Append("t1", 999, payload); err != nil {
+		t.Fatal(err)
+	}
+	log2, err := l2.Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log2) != 3 || log2[0] != log[0] || log2[1] != log[1] || log2[2] == log[2] {
+		t.Fatalf("cut after reopen names %v, want the same sealed segments and a grown tail (was %v)", log2, log)
+	}
+
+	// A missing segment, a chunk that is not a record stream, and a record
+	// the caller's check refuses all refuse the reopen.
+	if _, err := OpenDecLog(NewMemStore(), ids, nil); err == nil {
+		t.Fatal("reopened a log whose segments are missing")
+	}
+	other := pool.Put([]byte{2, 0, 1})
+	if _, err := OpenDecLog(pool, append(ids[:2:2], other.Ref.ID), nil); err == nil || !strings.Contains(err.Error(), "not a decision log segment") {
+		t.Fatalf("reopened a log naming a tenant payload: %v", err)
+	}
+	refuse := func(tenant string, round int64, _ []byte) error {
+		if round >= 5 {
+			return fmt.Errorf("round %d too late", round)
+		}
+		return nil
+	}
+	if _, err := OpenDecLog(pool, ids, refuse); err == nil || !strings.Contains(err.Error(), "too late") {
+		t.Fatalf("check did not refuse the reopen: %v", err)
+	}
+
+	// An empty log cuts to nothing and writes no chunk.
+	before := pool.Len()
+	if log, err := NewDecLog(pool).Cut(); err != nil || len(log) != 0 || pool.Len() != before {
+		t.Fatalf("empty log cut %v (%v), pool %d → %d chunks", log, err, before, pool.Len())
+	}
 }
 
 func TestBundleRoundTrip(t *testing.T) {
@@ -436,10 +397,10 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("prune left %d chunks, want 1", m.Len())
 	}
-	if _, err := m.Resolve(r0.Ref.ID); err == nil {
+	if _, err := m.ReadChunk(r0.Ref.ID); err == nil {
 		t.Fatal("resolved a pruned chunk")
 	}
-	got, err := m.Resolve(r1.Ref.ID)
+	got, err := m.ReadChunk(r1.Ref.ID)
 	if err != nil || string(got) != "state-one!-with-length" {
 		t.Fatalf("resolve after prune: %q, %v", got, err)
 	}
@@ -472,7 +433,7 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 	if err := c.Add(id, enc); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Resolve(id); err != nil || string(got) != "x" {
+	if got, err := c.ReadChunk(id); err != nil || string(got) != "x" {
 		t.Fatal("clone lost an added chunk")
 	}
 }
@@ -513,7 +474,7 @@ func TestMemStoreBundles(t *testing.T) {
 	if !bytes.Equal(raw, manifest) || m.Len() != 2 {
 		t.Fatalf("AddBundle: manifest equal %v, %d chunks pooled, want 2", bytes.Equal(raw, manifest), m.Len())
 	}
-	if got, err := m.Resolve(idB); err != nil || string(got) != "payload-b" {
+	if got, err := m.ReadChunk(idB); err != nil || string(got) != "payload-b" {
 		t.Fatalf("resolve after AddBundle: %q, %v", got, err)
 	}
 

@@ -1,191 +1,99 @@
 package ckptstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-
-	"rrsched/internal/atomicio"
+	"math"
 )
 
-// DefaultSegmentBytes is the decision-log segment rotation threshold when the
-// caller does not configure one.
-const DefaultSegmentBytes = 4 << 20
+// SegmentBytes is the size at which a decision log seals its open tail into
+// an immutable segment. Every cut writes the tail as one more chunk, so a
+// steady-state cut (and a hosted push) carries at most this many bytes of
+// history plus the segments sealed since the previous cut, and a manifest
+// lists one 16-hex-digit ID per sealed segment. The bound trades the two:
+// a fleet-shaped record is 45 bytes (32 of them the decision), so a
+// four-tenant fleet shard logs about 174 bytes a round and seals every ~24
+// rounds. In CI's dispatch-smoke load the mean push was 2.4 KB at 4 KiB,
+// 3.6 KB at 8 KiB and 4.4 KB at 16 KiB; a larger bound pays only once a
+// shard's history passes about 0.9 MB, where the manifest's ID list (19
+// bytes per segment) outgrows the tail it saves.
+const SegmentBytes = 4 << 10
 
-// maxLogRecordLen bounds one decision-log record (tenant name plus payload).
+// segmentMagic and segmentVersion open every log segment payload (the body
+// of a log chunk). The magic differs from a tenant payload's format byte,
+// so a tenant chunk named as a segment is refused at its first byte.
+const (
+	segmentMagic     = "rrdl"
+	segmentVersion   = 1
+	segmentHeaderLen = len(segmentMagic) + 1
+)
+
+// maxLogRecordLen bounds a record's tenant name and its decision payload.
 const maxLogRecordLen = 1 << 20
 
-// LogRecord is one appended decision: the global round it was decided at and
-// its serialized payload. The log stores only non-trivial decisions; rounds
-// absent for a tenant were empty, and the reader synthesizes them — that
-// elision is what keeps the log linear in decisions made rather than in
-// tenants × rounds.
-type LogRecord struct {
-	Round   int64
-	Payload []byte
+// Chunks is a chunk store a decision log keeps its segments in: the on-disk
+// Store or an in-memory MemStore.
+type Chunks interface {
+	PutChunk(payload []byte) (PutResult, error)
+	ReadChunk(id uint64) ([]byte, error)
 }
 
-// DecLog is one shard's streaming decision log: append-only segment files
-// (seg-00000.log, seg-00001.log, ...) holding length-prefixed records. The
-// current segment's tail is buffered in memory and flushed before any read,
-// so /v1/decisions serves from disk plus the in-memory tail while resident
-// history no longer grows the heap. A torn tail record (crash mid-append) is
-// truncated away at open; whole-round rollback happens via TruncateFrom,
-// driven by the round of the last committed manifest.
+// DecLog is one shard's decision log: the only home of recorded decisions.
+// A record is a tenant name, the global round of the decision and its
+// payload; the log stores only non-trivial decisions, and readers
+// synthesize the empty rounds, which keeps it linear in decisions made
+// rather than in tenants × rounds.
+//
+// Records accumulate in an open tail in memory. A tail that reaches
+// SegmentBytes is sealed: written as one chunk to the shard's chunk store
+// and never changed again. A cut (Cut) writes the tail as one more chunk and
+// returns the segment list a manifest names, so a manifest names exactly
+// the log as of its cut: a crash loses the records after the last cut, and
+// no record past a committed cut exists to roll back.
 //
 // Not safe for concurrent use: each log is owned by its shard goroutine.
 type DecLog struct {
-	dir     string
-	maxSeg  int64
-	f       *os.File
-	w       *bufio.Writer
-	seg     int
-	segSize int64
-	total   int64
+	chunks Chunks
+	segs   []uint64 // sealed segments, in append order
+	tail   []byte   // the open segment: header, then records
+	bytes  int64    // record bytes across segments and tail
 }
 
-// OpenDecLog opens (creating if needed) the decision log rooted at dir.
-// maxSeg is the segment rotation threshold; 0 selects DefaultSegmentBytes.
-// Existing segments are scanned; a torn record at the tail of the last
-// segment is truncated away, while corruption in any earlier segment is an
-// error (earlier segments were sealed by a successful rotation).
-func OpenDecLog(dir string, maxSeg int64) (*DecLog, error) {
-	if maxSeg < 0 {
-		return nil, fmt.Errorf("ckptstore: negative segment bound %d", maxSeg)
-	}
-	if maxSeg == 0 {
-		maxSeg = DefaultSegmentBytes
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ckptstore: creating decision log dir: %w", err)
-	}
-	l := &DecLog{dir: dir, maxSeg: maxSeg}
-	segs, err := l.segments()
-	if err != nil {
-		return nil, err
-	}
-	for i, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
+// NewDecLog returns an empty log over chunks.
+func NewDecLog(chunks Chunks) *DecLog {
+	return &DecLog{chunks: chunks, tail: segmentHeader(nil)}
+}
+
+func segmentHeader(b []byte) []byte { return append(append(b, segmentMagic...), segmentVersion) }
+
+// OpenDecLog reopens the log a manifest names: ids are its segments in
+// append order. Every segment is read and every record passed to check (nil
+// checks nothing), so a missing or malformed segment refuses the log. A last
+// segment under SegmentBytes is the tail a cut wrote: it reopens as the
+// open tail, and appends extend it.
+func OpenDecLog(chunks Chunks, ids []uint64, check func(tenant string, round int64, payload []byte) error) (*DecLog, error) {
+	l := NewDecLog(chunks)
+	for i, id := range ids {
+		seg, err := chunks.ReadChunk(id)
+		if err == nil {
+			err = ReadSegment(seg, check)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
+			return nil, fmt.Errorf("ckptstore: decision log segment %016x: %w", id, err)
 		}
-		good, scanErr := scanRecords(data, nil)
-		if scanErr != nil {
-			if i != len(segs)-1 {
-				return nil, fmt.Errorf("ckptstore: decision log segment %d corrupt mid-stream: %w", seg, scanErr)
-			}
-			// Torn tail: a crash interrupted the last append. Keep the good
-			// prefix.
-			if err := os.Truncate(l.segPath(seg), good); err != nil {
-				return nil, fmt.Errorf("ckptstore: truncating torn decision log tail: %w", err)
-			}
-			data = data[:good]
+		l.bytes += int64(len(seg) - segmentHeaderLen)
+		if i == len(ids)-1 && len(seg) < SegmentBytes {
+			l.tail = append(l.tail[:0], seg...)
+		} else {
+			l.segs = append(l.segs, id)
 		}
-		l.total += int64(len(data))
-		if i == len(segs)-1 {
-			l.seg = seg
-			l.segSize = int64(len(data))
-		}
-	}
-	if len(segs) == 0 {
-		l.seg = 0
-		l.segSize = 0
 	}
 	return l, nil
 }
 
-func (l *DecLog) segPath(seg int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("seg-%05d.log", seg))
-}
-
-// segments lists existing segment indices in ascending order.
-func (l *DecLog) segments() ([]int, error) {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: scanning decision log dir: %w", err)
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, err := fmt.Sscanf(e.Name(), "seg-%d.log", &i); err != nil || n != 1 {
-			continue
-		}
-		if e.Name() != fmt.Sprintf("seg-%05d.log", i) {
-			continue
-		}
-		segs = append(segs, i)
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// scanRecords walks encoded records, invoking fn (when non-nil) per record.
-// It returns the offset of the last complete record and an error describing
-// the first malformed or truncated one, if any.
-func scanRecords(data []byte, fn func(tenant string, rec LogRecord) error) (int64, error) {
-	off := int64(0)
-	rest := data
-	for len(rest) > 0 {
-		tenant, round, payload, n, err := decodeRecord(rest)
-		if err != nil {
-			return off, err
-		}
-		if fn != nil {
-			if err := fn(tenant, LogRecord{Round: round, Payload: payload}); err != nil {
-				return off, err
-			}
-		}
-		rest = rest[n:]
-		off += int64(n)
-	}
-	return off, nil
-}
-
-// appendRecord encodes one record: uvarint name length, name, uvarint round,
-// uvarint payload length, payload.
-func appendRecord(buf []byte, tenant string, round int64, payload []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(tenant)))
-	buf = append(buf, tenant...)
-	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return buf
-}
-
-func decodeRecord(data []byte) (tenant string, round int64, payload []byte, n int, err error) {
-	nameLen, k := binary.Uvarint(data)
-	if k <= 0 || nameLen > maxLogRecordLen {
-		return "", 0, nil, 0, fmt.Errorf("ckptstore: decision log record has bad name length")
-	}
-	n += k
-	if uint64(len(data)-n) < nameLen {
-		return "", 0, nil, 0, fmt.Errorf("ckptstore: decision log record truncated in name")
-	}
-	tenant = string(data[n : n+int(nameLen)])
-	n += int(nameLen)
-	r, k := binary.Uvarint(data[n:])
-	if k <= 0 {
-		return "", 0, nil, 0, fmt.Errorf("ckptstore: decision log record truncated in round")
-	}
-	n += k
-	payLen, k := binary.Uvarint(data[n:])
-	if k <= 0 || payLen > maxLogRecordLen {
-		return "", 0, nil, 0, fmt.Errorf("ckptstore: decision log record has bad payload length")
-	}
-	n += k
-	if uint64(len(data)-n) < payLen {
-		return "", 0, nil, 0, fmt.Errorf("ckptstore: decision log record truncated in payload")
-	}
-	payload = data[n : n+int(payLen)]
-	n += int(payLen)
-	return tenant, int64(r), payload, n, nil
-}
-
-// Append records one decision. The write is buffered; Flush (or any read)
-// commits it.
+// Append records one decision, sealing the tail when it reaches
+// SegmentBytes. A failed seal keeps the record in the tail and returns the
+// error; the next append tries again.
 func (l *DecLog) Append(tenant string, round int64, payload []byte) error {
 	if round < 0 {
 		return fmt.Errorf("ckptstore: negative decision round %d", round)
@@ -193,175 +101,129 @@ func (l *DecLog) Append(tenant string, round int64, payload []byte) error {
 	if len(tenant) == 0 || len(tenant) > maxLogRecordLen || len(payload) > maxLogRecordLen {
 		return fmt.Errorf("ckptstore: decision log record out of bounds (tenant %d bytes, payload %d bytes)", len(tenant), len(payload))
 	}
-	if l.f == nil {
-		if err := l.openSegment(); err != nil {
-			return err
-		}
-	}
-	rec := appendRecord(nil, tenant, round, payload)
-	if _, err := l.w.Write(rec); err != nil {
-		return fmt.Errorf("ckptstore: appending decision record: %w", err)
-	}
-	l.segSize += int64(len(rec))
-	l.total += int64(len(rec))
-	if l.segSize >= l.maxSeg {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *DecLog) openSegment() error {
-	f, err := os.OpenFile(l.segPath(l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ckptstore: opening decision log segment: %w", err)
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	return nil
-}
-
-func (l *DecLog) rotate() error {
-	if err := l.closeSegment(); err != nil {
-		return err
-	}
-	l.seg++
-	l.segSize = 0
-	return nil
-}
-
-func (l *DecLog) closeSegment() error {
-	if l.f == nil {
+	n := len(l.tail)
+	l.tail = appendRecord(l.tail, tenant, round, payload)
+	l.bytes += int64(len(l.tail) - n)
+	if len(l.tail) < SegmentBytes {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ckptstore: flushing decision log: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("ckptstore: closing decision log segment: %w", err)
-	}
-	l.f = nil
-	l.w = nil
-	return nil
-}
-
-// Flush commits the buffered tail to the current segment file.
-func (l *DecLog) Flush() error {
-	if l.w == nil {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ckptstore: flushing decision log: %w", err)
-	}
-	return nil
-}
-
-// Bytes returns the total log size across segments, including the buffered
-// tail.
-func (l *DecLog) Bytes() int64 { return l.total }
-
-// ReadTenant returns every record appended for one tenant, in append order.
-// The buffered tail is flushed first, so the result reflects every Append so
-// far.
-func (l *DecLog) ReadTenant(tenant string) ([]LogRecord, error) {
-	if err := l.Flush(); err != nil {
-		return nil, err
-	}
-	segs, err := l.segments()
+	res, err := l.chunks.PutChunk(l.tail)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("ckptstore: sealing decision log segment: %w", err)
 	}
-	var out []LogRecord
-	for _, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
-		if err != nil {
-			return nil, fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
-		}
-		if _, err := scanRecords(data, func(name string, rec LogRecord) error {
-			if name == tenant {
-				out = append(out, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
-			}
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("ckptstore: decision log segment %d: %w", seg, err)
-		}
-	}
-	return out, nil
+	l.segs = append(l.segs, res.Ref.ID)
+	l.tail = l.tail[:segmentHeaderLen]
+	return nil
 }
 
-// ReadAll walks every record in the log in append order, invoking fn per
-// record. The buffered tail is flushed first. Used at boot when a shard-count
-// change forces redistributing the whole log across a new ring.
-func (l *DecLog) ReadAll(fn func(tenant string, rec LogRecord) error) error {
-	if err := l.Flush(); err != nil {
-		return err
-	}
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
+// Cut writes the open tail as one chunk, when it holds records, and returns
+// the log as a manifest names it (Manifest.Log): the sealed segments, then
+// the tail's chunk. The tail stays open; the next cut writes it again,
+// grown.
+func (l *DecLog) Cut() ([]string, error) {
+	ids := l.segs
+	if len(l.tail) > segmentHeaderLen {
+		res, err := l.chunks.PutChunk(l.tail)
 		if err != nil {
-			return fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
+			return nil, fmt.Errorf("ckptstore: writing decision log tail: %w", err)
 		}
-		if _, err := scanRecords(data, func(name string, rec LogRecord) error {
-			return fn(name, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
-		}); err != nil {
-			return fmt.Errorf("ckptstore: decision log segment %d: %w", seg, err)
+		ids = append(ids[:len(ids):len(ids)], res.Ref.ID)
+	}
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = FormatChunkID(id)
+	}
+	return names, nil
+}
+
+// Walk calls fn for every record in append order: the sealed segments, read
+// back from the chunk store, then the tail. The payload aliases stored
+// bytes; fn must copy what it keeps.
+func (l *DecLog) Walk(fn func(tenant string, round int64, payload []byte) error) error {
+	if err := WalkLog(l.chunks, l.segs, fn); err != nil {
+		return err
+	}
+	return ReadSegment(l.tail, fn)
+}
+
+// Bytes returns the record bytes the log holds, sealed and open.
+func (l *DecLog) Bytes() int64 { return l.bytes }
+
+// WalkLog calls fn for every record of the segments ids names, in order,
+// reading each segment from chunks once.
+func WalkLog(chunks Chunks, ids []uint64, fn func(tenant string, round int64, payload []byte) error) error {
+	for _, id := range ids {
+		seg, err := chunks.ReadChunk(id)
+		if err == nil {
+			err = ReadSegment(seg, fn)
+		}
+		if err != nil {
+			return fmt.Errorf("ckptstore: decision log segment %016x: %w", id, err)
 		}
 	}
 	return nil
 }
 
-// TruncateFrom drops every record at or past round: the restore-time rollback
-// to the last committed manifest. Records are not globally round-ordered (a
-// fault-in appends a migrated tenant's older records after newer ones), so
-// every segment is scanned and rewritten only if it holds a violating record.
-func (l *DecLog) TruncateFrom(round int64) error {
-	if err := l.closeSegment(); err != nil {
-		return err
+// IsSegment reports whether payload opens like a decision log segment.
+func IsSegment(payload []byte) bool {
+	return len(payload) >= segmentHeaderLen && string(payload[:len(segmentMagic)]) == segmentMagic &&
+		payload[len(segmentMagic)] == segmentVersion
+}
+
+// ReadSegment walks the records of one segment payload in order, calling fn
+// (when non-nil) per record. It refuses anything but a canonical record
+// stream — the header, then records with minimal varints, a non-empty
+// tenant name and a round that fits an int64 — so a segment it accepts
+// re-encodes to the same bytes, and it never panics on arbitrary input.
+// Payloads passed to fn alias seg.
+func ReadSegment(seg []byte, fn func(tenant string, round int64, payload []byte) error) error {
+	if !IsSegment(seg) {
+		return fmt.Errorf("ckptstore: not a decision log segment")
 	}
-	segs, err := l.segments()
-	if err != nil {
-		return err
-	}
-	l.total = 0
-	for _, seg := range segs {
-		path := l.segPath(seg)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
+	rest := seg[segmentHeaderLen:]
+	for len(rest) > 0 {
+		nameLen, k := uvarint(rest)
+		if k == 0 || nameLen == 0 || nameLen > maxLogRecordLen || uint64(len(rest)-k) < nameLen {
+			return fmt.Errorf("ckptstore: decision log record has a bad tenant name")
 		}
-		var kept []byte
-		dirty := false
-		if _, err := scanRecords(data, func(name string, rec LogRecord) error {
-			if rec.Round >= round {
-				dirty = true
-				return nil
+		tenant := string(rest[k : k+int(nameLen)])
+		rest = rest[k+int(nameLen):]
+		round, k := uvarint(rest)
+		if k == 0 || round > math.MaxInt64 {
+			return fmt.Errorf("ckptstore: decision log record of tenant %q has a bad round", tenant)
+		}
+		rest = rest[k:]
+		payLen, k := uvarint(rest)
+		if k == 0 || payLen > maxLogRecordLen || uint64(len(rest)-k) < payLen {
+			return fmt.Errorf("ckptstore: decision log record of tenant %q has a bad payload", tenant)
+		}
+		payload := rest[k : k+int(payLen) : k+int(payLen)]
+		rest = rest[k+int(payLen):]
+		if fn != nil {
+			if err := fn(tenant, int64(round), payload); err != nil {
+				return err
 			}
-			kept = appendRecord(kept, name, rec.Round, rec.Payload)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("ckptstore: decision log segment %d: %w", seg, err)
 		}
-		if dirty {
-			if err := atomicio.WriteFile(path, kept, 0o644); err != nil {
-				return fmt.Errorf("ckptstore: rewriting decision log segment %d: %w", seg, err)
-			}
-			data = kept
-		}
-		l.total += int64(len(data))
-		l.seg = seg
-		l.segSize = int64(len(data))
-	}
-	if len(segs) == 0 {
-		l.seg = 0
-		l.segSize = 0
 	}
 	return nil
 }
 
-// Close flushes and closes the log.
-func (l *DecLog) Close() error { return l.closeSegment() }
+// uvarint reads a minimally encoded unsigned varint, returning its length,
+// or 0 for a truncated, overflowing or overlong one.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// appendRecord encodes one record: uvarint name length, name, uvarint
+// round, uvarint payload length, payload.
+func appendRecord(buf []byte, tenant string, round int64, payload []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(tenant)))
+	buf = append(buf, tenant...)
+	buf = binary.AppendUvarint(buf, uint64(round))
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	return append(buf, payload...)
+}

@@ -14,11 +14,14 @@ import (
 // written before a crash that never made it into a committed manifest are
 // orphans, garbage-collected and never read.
 //
-// v3 is the version whose every chunk is a full binary tenant payload (see
-// internal/serve). A v1 manifest names JSON payloads and a v2 manifest may
-// name delta chunks; this version reads neither, so both are refused by
-// their schema, evicted tenants included, before any chunk is opened.
-const ManifestSchema = "rrckpt/v3"
+// v4 is the version that names the shard's decision log (Log) beside its
+// tenant chunks, each of which is a full binary tenant payload without
+// decision history (see internal/serve). A v1 manifest names JSON payloads,
+// a v2 manifest may name delta chunks, and a v3 manifest names payloads
+// that embed decision histories; this version reads none of them, so each
+// is refused by its schema, evicted tenants included, before any chunk is
+// opened.
+const ManifestSchema = "rrckpt/v4"
 
 // MaxManifestLen bounds one decoded manifest.
 const MaxManifestLen = 64 << 20
@@ -40,6 +43,10 @@ type Manifest struct {
 	PlacementEpoch int64 `json:"placement_epoch,omitempty"`
 
 	Tenants []TenantRef `json:"tenants,omitempty"`
+	// Log names the shard's decision log as of the cut (see DecLog): its
+	// sealed segments, then the chunk holding its open tail, as fixed-width
+	// hex. Empty when the service records no decisions.
+	Log []string `json:"log,omitempty"`
 }
 
 // TenantRef names one tenant's state chunk within a manifest.
@@ -60,12 +67,33 @@ type TenantRef struct {
 
 // ChunkID parses the reference's content address.
 func (t TenantRef) ChunkID() (uint64, error) {
-	if len(t.Chunk) != 16 {
-		return 0, fmt.Errorf("ckptstore: tenant %q chunk %q is not 16 hex digits", t.Name, t.Chunk)
-	}
-	id, err := strconv.ParseUint(t.Chunk, 16, 64)
+	id, err := parseChunkID(t.Chunk)
 	if err != nil {
-		return 0, fmt.Errorf("ckptstore: tenant %q chunk %q: %w", t.Name, t.Chunk, err)
+		return 0, fmt.Errorf("ckptstore: tenant %q %w", t.Name, err)
+	}
+	return id, nil
+}
+
+// LogIDs parses the content addresses of the manifest's log segments.
+func (m *Manifest) LogIDs() ([]uint64, error) {
+	ids := make([]uint64, len(m.Log))
+	for i, s := range m.Log {
+		id, err := parseChunkID(s)
+		if err != nil {
+			return nil, fmt.Errorf("ckptstore: decision log %w", err)
+		}
+		ids[i] = id
+	}
+	return ids, nil
+}
+
+func parseChunkID(s string) (uint64, error) {
+	if len(s) != 16 {
+		return 0, fmt.Errorf("chunk %q is not 16 hex digits", s)
+	}
+	id, err := strconv.ParseUint(s, 16, 64)
+	if err != nil {
+		return 0, fmt.Errorf("chunk %q: %w", s, err)
 	}
 	return id, nil
 }
@@ -138,13 +166,18 @@ func validateManifest(m *Manifest) error {
 			return fmt.Errorf("ckptstore: tenant %q carries evicted-only fields without the evicted flag", t.Name)
 		}
 	}
-	return nil
+	if len(m.Log) > maxManifestTenants {
+		return fmt.Errorf("ckptstore: manifest lists %d log segments, exceeding the %d bound", len(m.Log), maxManifestTenants)
+	}
+	_, err := m.LogIDs()
+	return err
 }
 
-// Roots collects the manifest's referenced chunk IDs (the GC roots one shard
-// contributes).
+// Roots collects the manifest's referenced chunk IDs, tenant chunks and log
+// segments: the GC roots one shard contributes, and the chunks a bundle of
+// the manifest carries.
 func (m *Manifest) Roots() ([]uint64, error) {
-	roots := make([]uint64, 0, len(m.Tenants))
+	roots := make([]uint64, 0, len(m.Tenants)+len(m.Log))
 	for i := range m.Tenants {
 		id, err := m.Tenants[i].ChunkID()
 		if err != nil {
@@ -152,5 +185,6 @@ func (m *Manifest) Roots() ([]uint64, error) {
 		}
 		roots = append(roots, id)
 	}
-	return roots, nil
+	ids, err := m.LogIDs()
+	return append(roots, ids...), err
 }

@@ -65,6 +65,17 @@ func (s *Store) Put(payload []byte, _ Ref) (PutResult, error) {
 	return PutResult{Ref: Ref{ID: id}, Wrote: wrote, Bytes: len(enc)}, nil
 }
 
+// PutChunk stores payload as a full chunk: Put in the form of the Chunks
+// interface.
+func (s *Store) PutChunk(payload []byte) (PutResult, error) { return s.Put(payload, Ref{}) }
+
+// ReadChunk reads the payload committed under id, verified: Resolve in the
+// form of the Chunks interface.
+func (s *Store) ReadChunk(id uint64) ([]byte, error) {
+	payload, _, err := s.Resolve(id)
+	return payload, err
+}
+
 // write commits encoded chunk bytes under their content address, returning
 // whether new bytes landed (false = an identical chunk already exists).
 func (s *Store) write(id uint64, enc []byte) (bool, error) {
@@ -168,10 +179,12 @@ func idSet(ids []uint64) map[uint64]bool {
 	return set
 }
 
-// MemStore is the in-memory chunk pool of the hosted tier: the worker side
-// accumulates cut chunks in one, and the dispatcher keeps pushed bundle
-// chunks in another so the next push may reference the chunks of tenants
-// that did not change. Same addressing as the disk store, no durability.
+// MemStore is the in-memory chunk pool of the hosted tier and of decision
+// logs without a state dir: the worker side accumulates cut chunks in one,
+// the dispatcher keeps pushed bundle chunks in another so the next push may
+// reference the chunks of tenants that did not change, and a recording
+// classic shard without a state dir keeps its log segments in its own. Same
+// addressing as the disk store, no durability.
 // Every pooled chunk was verified on entry or encoded by the pool, so reads
 // never re-hash. Not safe for concurrent writes: the worker's pool belongs to
 // its shard goroutine, and the dispatcher never writes a pool once a lease
@@ -199,6 +212,12 @@ func (m *MemStore) Clone() *MemStore {
 
 // Len returns the number of pooled chunks.
 func (m *MemStore) Len() int { return len(m.chunks) }
+
+// Has reports whether a chunk is pooled.
+func (m *MemStore) Has(id uint64) bool {
+	_, ok := m.chunks[id]
+	return ok
+}
 
 // Add admits an encoded chunk under its claimed ID, verifying the content
 // address first.
@@ -250,6 +269,9 @@ func (m *MemStore) Put(payload []byte) PutResult {
 	return PutResult{Ref: Ref{ID: id}, Wrote: wrote, Bytes: len(enc)}
 }
 
+// PutChunk is Put in the form of the Chunks interface; it never fails.
+func (m *MemStore) PutChunk(payload []byte) (PutResult, error) { return m.Put(payload), nil }
+
 func (m *MemStore) add(id uint64, enc []byte) bool {
 	if _, ok := m.chunks[id]; ok {
 		return false
@@ -258,9 +280,9 @@ func (m *MemStore) add(id uint64, enc []byte) bool {
 	return true
 }
 
-// Resolve returns the payload pooled under id. The payload aliases the
+// ReadChunk returns the payload pooled under id. The payload aliases the
 // pooled chunk, which is immutable: callers must not modify it.
-func (m *MemStore) Resolve(id uint64) ([]byte, error) {
+func (m *MemStore) ReadChunk(id uint64) ([]byte, error) {
 	data, ok := m.chunks[id]
 	if !ok {
 		return nil, fmt.Errorf("ckptstore: chunk %016x not in pool", id)

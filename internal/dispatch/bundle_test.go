@@ -16,7 +16,8 @@ import (
 // and every tenant's final decision stream is still byte-identical to a bare
 // scheduler. Afterwards the lease table must show the bundle path engaged —
 // every shard's chunk pool kept the last push's closure, and every stored
-// checkpoint is a folded bundle: one full chunk per tenant.
+// checkpoint is a folded bundle: one full chunk per tenant, beside the
+// decision log's segments.
 func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 	d, w1, _, driver, baseURL := startFleet(t)
 	svc := d.cfg.Service
@@ -64,9 +65,9 @@ func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 			t.Errorf("shard %d: stored manifest: %v", i, err)
 			continue
 		}
-		if m.Round != l.round || len(b.Chunks) != len(m.Tenants) {
-			t.Errorf("shard %d: stored bundle at round %d with %d chunks for %d tenants, lease round %d",
-				i, m.Round, len(b.Chunks), len(m.Tenants), l.round)
+		if m.Round != l.round || len(m.Log) == 0 || len(b.Chunks) != len(m.Tenants)+len(m.Log) {
+			t.Errorf("shard %d: stored bundle at round %d with %d chunks for %d tenants and %d log segments, lease round %d",
+				i, m.Round, len(b.Chunks), len(m.Tenants), len(m.Log), l.round)
 		}
 		for _, ref := range m.Tenants {
 			id, err := ref.ChunkID()
@@ -172,8 +173,8 @@ func testBundle(t *testing.T, shard, shards int, round int64, tenants ...string)
 
 // bundleParts builds a manifest and its full chunks; each tenant's chunk
 // payload is a minimal tenant payload cut at round: a tenant born at round
-// (epoch = round) with no jobs, no recorded decisions, and a fresh
-// scheduler's image, written field by field in the payload layout.
+// (epoch = round) with no jobs and a fresh scheduler's image, written field
+// by field in the payload layout.
 func bundleParts(t *testing.T, shard, shards int, round int64, tenants ...string) (*ckptstore.Manifest, map[uint64][]byte) {
 	t.Helper()
 	m := &ckptstore.Manifest{Schema: ckptstore.ManifestSchema, Shard: shard, Shards: shards, Round: round}
@@ -187,11 +188,10 @@ func bundleParts(t *testing.T, shard, shards int, round int64, tenants ...string
 	}
 	chunks := map[uint64][]byte{}
 	for _, name := range tenants {
-		payload := []byte{1} // the payload format byte
+		payload := []byte{2} // the payload format byte
 		payload = varint.AppendInt(payload, round)
 		payload = varint.AppendString(payload, name)
 		payload = varint.AppendInt(payload, round) // epoch
-		payload = varint.AppendLen(payload, 0)     // decisions
 		payload = varint.AppendInt(payload, -1)    // max ID
 		payload = varint.AppendString(payload, "") // default class
 		payload = varint.AppendLen(payload, 0)     // delays

@@ -596,8 +596,9 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 
 // reshardBundles splits or merges a complete set of stored shard bundles into
 // newShards bundles: serve.ReshardManifests re-routes every tenant reference
-// through the new ring (keeping the round, bumping the placement epoch), and
-// each new bundle carries the chunks its manifest needs. moved is the number
+// and decision-log record through the new ring (keeping the round, bumping
+// the placement epoch), and each new bundle carries the chunks its manifest
+// needs. moved is the number
 // of tenants whose shard changes. Used by the live Reshard and by a boot into
 // a new shard count.
 func reshardBundles(olds [][]byte, newShards int) (news [][]byte, moved int, err error) {
@@ -612,7 +613,7 @@ func reshardBundles(olds [][]byte, newShards int) (news [][]byte, moved int, err
 			return nil, 0, fmt.Errorf("dispatch: shard %d checkpoint: %w", i, err)
 		}
 	}
-	out, err := serve.ReshardManifests(ms, newShards)
+	out, err := serve.ReshardManifests(ms, newShards, chunks)
 	if err != nil {
 		return nil, 0, err
 	}

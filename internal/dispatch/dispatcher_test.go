@@ -346,8 +346,9 @@ func TestStatePersistence(t *testing.T) {
 // TestJSONPayloadStateFileRefusesBoot pins that shard state persisted by
 // earlier versions refuses to load, naming the file, rather than being read
 // through a second path: a bundle carrying an rrckpt/v1 manifest (JSON
-// payloads) or an rrckpt/v2 manifest (delta chunks), and under a current
-// manifest a JSON tenant chunk, refused by the payload decoder.
+// payloads), an rrckpt/v2 manifest (delta chunks) or an rrckpt/v3 manifest
+// (payloads embedding decision histories), and under a current manifest a
+// JSON tenant chunk, refused by the payload decoder.
 func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 	payload, err := json.Marshal(map[string]any{
 		"round":  12,
@@ -379,6 +380,7 @@ func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 	}{
 		{"rrckpt/v1", "rrckpt/v1"},
 		{"rrckpt/v2", "rrckpt/v2"},
+		{"rrckpt/v3", "rrckpt/v3"},
 		{ckptstore.ManifestSchema, "not a binary tenant payload"},
 	} {
 		cfg := testConfig()

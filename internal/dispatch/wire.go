@@ -45,9 +45,9 @@ type ServiceConfig struct {
 	Resources int   `json:"resources"`
 	Delta     int64 `json:"delta"`
 	Watermark int   `json:"watermark"`
-	// RecordDecisions turns on per-tenant decision recording on every worker,
-	// with histories embedded in checkpoints so they survive failover.
-	// Determinism tests depend on it.
+	// RecordDecisions turns on per-tenant decision recording on every worker:
+	// each shard's decision log rides its checkpoint bundles, so histories
+	// survive failover. Determinism tests depend on it.
 	RecordDecisions bool `json:"record_decisions,omitempty"`
 	// Deprecated: bundles are the only checkpoint format; nothing reads this
 	// field and it does not travel on the wire.
@@ -350,8 +350,9 @@ func ValidateWorker(worker string) error {
 }
 
 // serveConfig expands the wire config into the hosted serve.Config every
-// worker runs. A hosted service that records decisions embeds them in its
-// checkpoints — a migrated shard must not forget its past.
+// worker runs. A hosted service that records decisions keeps each shard's
+// decision log in the shard's bundle pool and names it in every pushed
+// manifest, so a migrated shard does not forget its past.
 func (c ServiceConfig) serveConfig() serve.Config {
 	return serve.Config{
 		Shards:          c.Shards,

@@ -32,9 +32,9 @@ const (
 	// tenant's chunk, rebuild the tenant).
 	MetricCkptFaultIns  = "ckpt_fault_ins_total"
 	MetricCkptFaultInNs = "ckpt_fault_in_ns"
-	// MetricCkptDecisionLogBytes gauges the decision log's on-disk size
-	// (including the buffered tail) — the bytes that used to be resident
-	// decision history.
+	// MetricCkptDecisionLogBytes gauges the record bytes a shard's decision
+	// log holds, sealed segments and open tail, as of the last cut or
+	// restore.
 	MetricCkptDecisionLogBytes = "ckpt_decision_log_bytes"
 )
 

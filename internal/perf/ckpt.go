@@ -15,9 +15,9 @@ import (
 // atomic-write syscalls on top.
 
 // ckptTenantFrame is a synthetic tenant checkpoint payload of realistic
-// shape and size (~8 KiB encoded, the order of a warmed tenant with an
-// embedded decision stream): identity, counters, and a state vector whose
-// tail the dirty-mutation touches.
+// shape and size (~8 KiB encoded, the order of a warmed dense-shaped
+// tenant's payload): identity, counters, and a state vector whose tail the
+// dirty-mutation touches.
 type ckptTenantFrame struct {
 	Name     string  `json:"name"`
 	Epoch    int64   `json:"epoch"`
@@ -193,7 +193,7 @@ func ckptFaultInScenario() Scenario {
 			pool := ckptstore.NewMemStore()
 			id := pool.Put(p).Ref.ID
 			return func() error {
-				payload, err := pool.Resolve(id)
+				payload, err := pool.ReadChunk(id)
 				if err != nil {
 					return err
 				}

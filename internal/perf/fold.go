@@ -34,7 +34,7 @@ func ckptFoldScenario() Scenario {
 		Doc:    "dispatcher fold of one hosted-shard checkpoint push: 4 fleet-shaped tenants (n=8, 8 colors, delays 4..32), every tenant dirty (rounds_per_op = 1: figures are per push)",
 		Rounds: 1,
 		Setup: func() (func() error, error) {
-			push, pool, err := captureFleetPush()
+			push, pool, err := captureFleetPush(false)
 			if err != nil {
 				return nil, err
 			}
@@ -46,11 +46,68 @@ func ckptFoldScenario() Scenario {
 	}
 }
 
-// captureFleetPush drives a hosted one-shard-of-four service through
-// foldRounds rounds of fleet-shaped traffic, folding every push into a
-// receiver pool the way the dispatcher does, and returns the last push with
-// the pool it folds against.
-func captureFleetPush() ([]byte, *ckptstore.MemStore, error) {
+// declogRecords is the number of records one op of the declog rung appends.
+const declogRecords = 1024
+
+// declogRecord is one decision-log record as the log walks it.
+type declogRecord struct {
+	tenant  string
+	round   int64
+	payload []byte
+}
+
+// ckptDeclogAppendScenario measures the decision log's append path on real
+// records: those a recording hosted shard of four fleet-shaped tenants
+// logged over foldRounds rounds, appended in a cycle through segment seals
+// into a MemStore, then cut.
+func ckptDeclogAppendScenario() Scenario {
+	return Scenario{
+		Name:   "ckpt/declog/append",
+		Doc:    fmt.Sprintf("decision-log append: %d varint records of 4 fleet-shaped tenants (n=8, 8 colors, delays 4..32), appended through segment seals into a MemStore, then cut (figures per record)", declogRecords),
+		Rounds: declogRecords,
+		Setup: func() (func() error, error) {
+			push, pool, err := captureFleetPush(true)
+			if err != nil {
+				return nil, err
+			}
+			_, m, chunks, err := serve.FoldBundle(push, pool)
+			if err != nil {
+				return nil, err
+			}
+			ids, err := m.LogIDs()
+			if err != nil {
+				return nil, err
+			}
+			var recs []declogRecord
+			if err := ckptstore.WalkLog(chunks, ids, func(tenant string, round int64, payload []byte) error {
+				recs = append(recs, declogRecord{tenant, round, payload})
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+			if len(recs) == 0 {
+				return nil, fmt.Errorf("perf: declog fixture logged no records")
+			}
+			return func() error {
+				l := ckptstore.NewDecLog(ckptstore.NewMemStore())
+				for i := 0; i < declogRecords; i++ {
+					r := &recs[i%len(recs)]
+					if err := l.Append(r.tenant, r.round, r.payload); err != nil {
+						return err
+					}
+				}
+				_, err := l.Cut()
+				return err
+			}, nil
+		},
+	}
+}
+
+// captureFleetPush drives a hosted one-shard-of-four service, recording
+// decisions or not, through foldRounds rounds of fleet-shaped traffic,
+// folding every push into a receiver pool the way the dispatcher does, and
+// returns the last push with the pool it folds against.
+func captureFleetPush(record bool) ([]byte, *ckptstore.MemStore, error) {
 	var last []byte
 	var before *ckptstore.MemStore
 	pool := ckptstore.NewMemStore()
@@ -63,7 +120,7 @@ func captureFleetPush() ([]byte, *ckptstore.MemStore, error) {
 		return nil
 	}
 	svc, _, err := serve.New(serve.Config{Shards: 4, Resources: foldN, Delta: foldDelta,
-		Watermark: 1 << 16, Hosted: true, OnShardCheckpoint: hook})
+		Watermark: 1 << 16, Hosted: true, RecordDecisions: record, OnShardCheckpoint: hook})
 	if err != nil {
 		return nil, nil, err
 	}

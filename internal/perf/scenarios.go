@@ -31,8 +31,9 @@ type Scenario struct {
 // scheduler's push loop and checkpoint round-trip (JSON and binary), the
 // sweep fan-out substrate (pinned to one worker so the figure is dispatch
 // overhead, not parallel speedup), the incremental checkpoint store (full vs
-// dirty cuts at a dirty fraction, fault-in, manifest codec, and the
-// dispatcher's fold of a fleet-shaped checkpoint push), and the
+// dirty cuts at a dirty fraction, fault-in, manifest codec, the
+// dispatcher's fold of a fleet-shaped checkpoint push, and the decision
+// log's append path), and the
 // wire-codec matrix (JSON vs binary submit encode/decode at batch sizes
 // 1/16/256, normalized per job).
 func Scenarios() []Scenario {
@@ -55,7 +56,7 @@ func Scenarios() []Scenario {
 		sweepScenario(),
 	}
 	scs = append(scs, ckptScenarios()...)
-	scs = append(scs, ckptFoldScenario())
+	scs = append(scs, ckptFoldScenario(), ckptDeclogAppendScenario())
 	scs = append(scs, wireScenarios()...)
 	return scs
 }

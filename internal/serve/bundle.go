@@ -8,12 +8,13 @@ import (
 )
 
 // Hosted-tier checkpoints are ckptstore bundles: the shard's manifest plus
-// content-addressed chunks, one full chunk per tenant. A shard keeps its
-// chunks in an in-memory pool (no disk in hosted mode) and pushes, after
-// every tick, the manifest plus only the chunks the receiver has not
-// acknowledged — one per dirty tenant: a successful hook call acks the
-// manifest's chunks, a failed one resets the acks so the next push resends
-// everything the receiver might have dropped. The receiver validates each
+// content-addressed chunks, one full chunk per tenant plus the decision log's
+// segments when the service records. A shard keeps its chunks in an
+// in-memory pool (no disk in hosted mode) and pushes, after every tick, the
+// manifest plus only the chunks the receiver has not acknowledged — one per
+// dirty tenant, and the log's tail and newly sealed segments: a successful
+// hook call acks the manifest's chunks, a failed one resets the acks so the
+// next push resends everything the receiver might have dropped. The receiver validates each
 // push (FoldBundle) and keeps it as a self-contained bundle, the manifest
 // with every chunk it names, which is what it stores, persists, and hands
 // back to OpenShard, where it seeds the new host's pool and restores through
@@ -54,14 +55,20 @@ func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, er
 		Shards: sh.nshards,
 		Round:  sh.round,
 	}
-	live := make(map[uint64]bool, len(sh.order))
+	var err error
+	if m.Tenants, err = sh.tenantRefs(nil, sh.cutChunk); err != nil {
+		return nil, nil, err
+	}
+	if err := sh.cutLog(m); err != nil {
+		return nil, nil, err
+	}
+	roots, err := m.Roots()
+	if err != nil {
+		return nil, nil, err
+	}
+	live := make(map[uint64]bool, len(roots))
 	unacked := make(map[uint64]bool)
-	for _, name := range sh.order {
-		id, err := sh.cutChunk(sh.tenants[name])
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})
+	for _, id := range roots {
 		live[id] = true
 		if !acked[id] {
 			unacked[id] = true
@@ -105,13 +112,18 @@ func (sh *shard) restoreBundle(data []byte) error {
 // and concurrent folds may share one pool; a nil pool holds nothing.
 //
 // Each pushed chunk is hashed once, when the bundle is decoded; the output is
-// encoded from the verified chunks in next.
+// encoded from the verified chunks in next. A log segment is checked record
+// by record (checkLog) the first time a stored checkpoint names it, that is
+// when pool does not hold it yet; a sealed segment that every later push
+// names again costs only a look at its header.
 //
 // A bundle is rejected whole when it does not decode, pages a tenant out
 // (hosted shards cannot evict), references a chunk neither it nor pool
-// holds, or carries a tenant chunk that is not a well-formed tenant payload,
-// names another tenant, was cut outside [0, manifest round], or records a
-// decision history of the wrong length.
+// holds, carries a tenant chunk that is not a well-formed tenant payload,
+// names another tenant or was cut outside [0, manifest round], or names a
+// log chunk that is not a record stream or records a tenant the manifest
+// does not name, a malformed decision, or a round at or after the
+// manifest's.
 func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptstore.Manifest, next *ckptstore.MemStore, err error) {
 	if pool == nil {
 		next = ckptstore.NewMemStore()
@@ -135,12 +147,36 @@ func FoldBundle(data []byte, pool *ckptstore.MemStore) (folded []byte, m *ckptst
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		payload, err := next.Resolve(id)
+		payload, err := next.ReadChunk(id)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("serve: folding tenant %q: %w", ref.Name, err)
 		}
 		if err := checkTenantChunk(ref.Name, payload, m.Round); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
+		}
+		live[id] = true
+	}
+	ids, err := m.LogIDs()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var check func(string, int64, []byte) error
+	for _, id := range ids {
+		seg, err := next.ReadChunk(id)
+		switch {
+		case err != nil:
+		case pool != nil && pool.Has(id):
+			if !ckptstore.IsSegment(seg) {
+				err = fmt.Errorf("ckptstore: not a decision log segment")
+			}
+		default:
+			if check == nil {
+				check = checkLog(m)
+			}
+			err = ckptstore.ReadSegment(seg, check)
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("serve: folding decision log segment %016x: %w", id, err)
 		}
 		live[id] = true
 	}
@@ -168,19 +204,4 @@ func checkTenantChunk(name string, payload []byte, round int64) error {
 		return fmt.Errorf("serve: tenant %q chunk: %w", name, err)
 	}
 	return nil
-}
-
-// padDecisions extends a restored tenant's recorded decision history from its
-// chunk's round to the manifest's. A clean tenant keeps its chunk while the
-// shard's round advances, and the live scheduler recorded one trivial
-// decision for every round in between; the restored scheduler fast-forwards
-// through those rounds without recording them. Histories that were not
-// embedded in the chunk (no recording, or a decision log) stay empty.
-func padDecisions(tn *tenant, from, to int64) {
-	if len(tn.decisions) == 0 {
-		return
-	}
-	for r := from; r < to; r++ {
-		tn.decisions = append(tn.decisions, stream.Decision{Round: r - tn.epoch})
-	}
 }

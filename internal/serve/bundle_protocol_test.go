@@ -54,8 +54,9 @@ func chunkCount(t *testing.T, data []byte) int {
 
 // TestBundleAckProtocol pins the sender side of the incremental checkpoint
 // protocol: the first push carries every chunk of its manifest, quiet ticks
-// push empty bundles, a dirty tenant rides as exactly one full chunk, and a
-// failed push resets the acks so the next bundle is self-contained again.
+// push empty bundles, a dirty tenant rides as exactly one full chunk beside
+// the decision log's grown tail, and a failed push resets the acks so the
+// next bundle is self-contained again.
 func TestBundleAckProtocol(t *testing.T) {
 	sink := &bundleSink{}
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
@@ -111,7 +112,8 @@ func TestBundleAckProtocol(t *testing.T) {
 	}
 
 	// Push 3: one dirty tenant — only its new frame rides, as one full
-	// chunk, and a fresh receiver cannot fold it alone.
+	// chunk, beside the log tail holding its new decisions, and a fresh
+	// receiver cannot fold it alone.
 	submit("pa", 1)
 	if err := tick(6); err != nil {
 		t.Fatalf("tick: %v", err)
@@ -121,8 +123,16 @@ func TestBundleAckProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeBundle: %v", err)
 	}
-	if len(b.Chunks) != 1 {
-		t.Fatalf("dirty-tenant push carries %d chunks, want 1", len(b.Chunks))
+	m, err := ckptstore.DecodeManifest(b.Manifest)
+	if err != nil {
+		t.Fatalf("DecodeManifest: %v", err)
+	}
+	tailID, err := m.LogIDs()
+	if err != nil || len(tailID) == 0 {
+		t.Fatalf("dirty-tenant push names no decision log (%v)", err)
+	}
+	if _, ok := b.Chunks[tailID[len(tailID)-1]]; len(b.Chunks) != 2 || !ok {
+		t.Fatalf("dirty-tenant push carries %d chunks, want 2: the tenant's and the log tail", len(b.Chunks))
 	}
 	for id, chunk := range b.Chunks {
 		if c, err := ckptstore.DecodeChunk(chunk); err != nil || c.Kind != ckptstore.KindFull {
@@ -161,10 +171,10 @@ func TestBundleAckProtocol(t *testing.T) {
 // TestBundleFoldMatchesSender pins receiver-side equivalence: a
 // dispatcher-style pool fed every successful push folds to a self-contained
 // bundle that is byte-identical to the fold of the sender's close handoff,
-// is smaller than the raw closure, holds one full chunk per tenant, and
-// reopens into a shard whose decision streams are byte-identical to the
-// sender's — including tenants that stayed clean for several rounds, whose
-// histories the restore pads.
+// is smaller than the raw closure, holds one full chunk per tenant beside
+// the decision log's segments, and reopens into a shard whose decision
+// streams are byte-identical to the sender's — including tenants that
+// stayed clean for several rounds, whose trivial rounds are synthesized.
 func TestBundleFoldMatchesSender(t *testing.T) {
 	sink := &bundleSink{}
 	cfg := Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
@@ -187,6 +197,7 @@ func TestBundleFoldMatchesSender(t *testing.T) {
 	// against the pool the previous fold left, as the dispatcher does.
 	var pool *ckptstore.MemStore
 	var folded []byte
+	var m *ckptstore.Manifest
 	tenants := []string{"fa", "fb", "fc", "fd"}
 	nextID := map[string]int64{}
 	for r := 0; r < 12; r++ {
@@ -203,7 +214,6 @@ func TestBundleFoldMatchesSender(t *testing.T) {
 		if _, err := svc.TickShard(0, 1); err != nil {
 			t.Fatalf("tick %d: %v", r, err)
 		}
-		var m *ckptstore.Manifest
 		folded, m, pool, err = FoldBundle(sink.take(t), pool)
 		if err != nil {
 			t.Fatalf("FoldBundle at round %d: %v", r, err)
@@ -216,8 +226,8 @@ func TestBundleFoldMatchesSender(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeBundle(folded): %v", err)
 	}
-	if len(b.Chunks) != len(tenants) {
-		t.Fatalf("folded bundle carries %d chunks, want one per tenant (%d)", len(b.Chunks), len(tenants))
+	if len(m.Log) == 0 || len(b.Chunks) != len(tenants)+len(m.Log) {
+		t.Fatalf("folded bundle carries %d chunks, want one per tenant (%d) and the %d log segments", len(b.Chunks), len(tenants), len(m.Log))
 	}
 	for id, chunk := range b.Chunks {
 		if c, err := ckptstore.DecodeChunk(chunk); err != nil || c.Kind != ckptstore.KindFull {

@@ -16,24 +16,23 @@ import (
 // so every reader checks identity before it parses the state:
 //
 //	format byte (tenantPayloadFormat)
-//	header: round name epoch decision-count
+//	header: round name epoch
 //	max-id class
 //	delays:   count, then (color delay)*
 //	queued:   count, then (id color delay)*
 //	inflight: count, then (id color arrival)*
 //	stream:   length, then the stream.Scheduler binary image
-//	decisions (decision-count of them), each
-//	    round reconfigs: count, then (round mini resource to)*
-//	    executions: count, then (round mini resource job)*  dropped: count, then id*
 //
 // Integers are zigzag varints, counts and lengths unsigned varints, strings
-// length-prefixed. A decision's round is written relative to its index and
-// its entries' rounds relative to the decision's, so a trivial decision costs
-// four bytes. The round travels inside the payload because a clean tenant
-// keeps its old chunk while the manifest's round advances: the restored
-// scheduler fast-forwards the gap, which is deterministic precisely because a
-// clean tenant's skipped rounds are trivial.
-const tenantPayloadFormat byte = 1
+// length-prefixed. A payload carries no decision history: recorded
+// decisions live in the shard's decision log (history.go), so recording
+// changes no tenant chunk byte. The round travels inside the payload
+// because a clean tenant keeps its old chunk while the manifest's round
+// advances: the restored scheduler fast-forwards the gap, which is
+// deterministic precisely because a clean tenant's skipped rounds are
+// trivial. Format 1 carried a decision count in the header and the
+// decisions after the stream image; it is refused, not read.
+const tenantPayloadFormat byte = 2
 
 // tenantImage is a tenant payload in memory: the scheduler's binary image
 // plus the ingest-layer state the stream scheduler does not know about
@@ -50,11 +49,6 @@ type tenantImage struct {
 	queued   []model.Job // Arrival is stamped at push time, so not carried
 	inflight []inflightJob
 	stream   []byte // stream.Scheduler binary image
-	// decisions is the tenant's recorded decision stream, present only
-	// where the history travels with the state (Config.historyInChunks):
-	// the chunks of hosted services that record decisions, and a reshard's
-	// mover chunks on a memory-recording service.
-	decisions []stream.Decision
 }
 
 type colorDelay struct {
@@ -68,7 +62,7 @@ type inflightJob struct {
 }
 
 // imageOf captures one tenant at the shard's current round.
-func (sh *shard) imageOf(tn *tenant, decisions bool) (*tenantImage, error) {
+func (sh *shard) imageOf(tn *tenant) (*tenantImage, error) {
 	img, err := tn.sched.AppendBinary(nil)
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpointing tenant %q: %w", tn.name, err)
@@ -93,16 +87,13 @@ func (sh *shard) imageOf(tn *tenant, decisions bool) (*tenantImage, error) {
 		ti.inflight = append(ti.inflight, inflightJob{id: id, jobMeta: meta})
 	}
 	slices.SortFunc(ti.inflight, func(a, b inflightJob) int { return cmp.Compare(a.id, b.id) })
-	if decisions {
-		ti.decisions = tn.decisions
-	}
 	return ti, nil
 }
 
 // tenantPayload serializes one tenant as a payload cut at the shard's
 // current round.
-func (sh *shard) tenantPayload(tn *tenant, decisions bool) ([]byte, error) {
-	ti, err := sh.imageOf(tn, decisions)
+func (sh *shard) tenantPayload(tn *tenant) ([]byte, error) {
+	ti, err := sh.imageOf(tn)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +115,6 @@ func (ti *tenantImage) append(b []byte) []byte {
 	b = varint.AppendInt(b, ti.round)
 	b = varint.AppendString(b, ti.name)
 	b = varint.AppendInt(b, ti.epoch)
-	b = varint.AppendLen(b, len(ti.decisions))
 	b = varint.AppendInt(b, ti.maxID)
 	b = varint.AppendString(b, ti.class)
 	b = varint.AppendLen(b, len(ti.delays))
@@ -144,36 +134,13 @@ func (ti *tenantImage) append(b []byte) []byte {
 		b = varint.AppendInt(b, int64(f.Color))
 		b = varint.AppendInt(b, f.Arrival)
 	}
-	b = varint.AppendBytes(b, ti.stream)
-	for i, d := range ti.decisions {
-		b = varint.AppendInt(b, d.Round-int64(i))
-		b = varint.AppendLen(b, len(d.Reconfigs))
-		for _, rc := range d.Reconfigs {
-			b = varint.AppendInt(b, rc.Round-d.Round)
-			b = varint.AppendInt(b, int64(rc.Mini))
-			b = varint.AppendInt(b, int64(rc.Resource))
-			b = varint.AppendInt(b, int64(rc.To))
-		}
-		b = varint.AppendLen(b, len(d.Executions))
-		for _, e := range d.Executions {
-			b = varint.AppendInt(b, e.Round-d.Round)
-			b = varint.AppendInt(b, int64(e.Mini))
-			b = varint.AppendInt(b, int64(e.Resource))
-			b = varint.AppendInt(b, e.JobID)
-		}
-		b = varint.AppendLen(b, len(d.Dropped))
-		for _, id := range d.Dropped {
-			b = varint.AppendInt(b, id)
-		}
-	}
-	return b
+	return varint.AppendBytes(b, ti.stream)
 }
 
 // readTenantPayload is the one decoder of tenant payloads. It reads the
 // header and applies the checks every reader shares — the payload holds the
-// tenant the caller expects, was cut in [0, maxRound], has an epoch in
-// [0, cut round], and records either no decisions or one per round since its
-// epoch — then parses the rest for structure. It validates no state:
+// tenant the caller expects, was cut in [0, maxRound], and has an epoch in
+// [0, cut round] — then parses the rest for structure. It validates no state:
 // buildTenant does that, and a holder that never builds (the dispatcher's
 // fold) checks the stream image's structure with stream.CheckBinary. The
 // image's stream field aliases payload.
@@ -184,7 +151,6 @@ func readTenantPayload(payload []byte, name string, maxRound int64) (*tenantImag
 			name, f, tenantPayloadFormat)
 	}
 	ti := &tenantImage{round: r.Int(), name: r.Str(), epoch: r.Int()}
-	nDec := r.Len(4) // a decision takes at least four bytes
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("serve: tenant %q chunk header: %w", name, err)
 	}
@@ -195,9 +161,6 @@ func readTenantPayload(payload []byte, name string, maxRound int64) (*tenantImag
 		return nil, fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", name, ti.round, maxRound)
 	case ti.epoch < 0 || ti.epoch > ti.round:
 		return nil, fmt.Errorf("serve: tenant %q has epoch %d outside [0, %d]", name, ti.epoch, ti.round)
-	case nDec > 0 && int64(nDec) != ti.round-ti.epoch:
-		return nil, fmt.Errorf("serve: tenant %q checkpoint has %d decisions, want %d (rounds %d..%d)",
-			name, nDec, ti.round-ti.epoch, ti.epoch, ti.round)
 	}
 	ti.maxID = r.Int()
 	ti.class = r.Str()
@@ -214,31 +177,6 @@ func readTenantPayload(payload []byte, name string, maxRound int64) (*tenantImag
 		ti.inflight[i] = inflightJob{id: r.Int(), jobMeta: jobMeta{Color: model.Color(r.Int32()), Arrival: r.Int()}}
 	}
 	ti.stream = r.Bytes()
-	if nDec > 0 {
-		ti.decisions = make([]stream.Decision, nDec)
-		for i := range ti.decisions {
-			d := &ti.decisions[i]
-			d.Round = int64(i) + r.Int()
-			if n := r.Len(4); n > 0 {
-				d.Reconfigs = make([]model.Reconfigure, n)
-				for k := range d.Reconfigs {
-					d.Reconfigs[k] = model.Reconfigure{Round: d.Round + r.Int(), Mini: r.IntN(), Resource: r.IntN(), To: model.Color(r.Int32())}
-				}
-			}
-			if n := r.Len(4); n > 0 {
-				d.Executions = make([]model.Execution, n)
-				for k := range d.Executions {
-					d.Executions[k] = model.Execution{Round: d.Round + r.Int(), Mini: r.IntN(), Resource: r.IntN(), JobID: r.Int()}
-				}
-			}
-			if n := r.Len(1); n > 0 {
-				d.Dropped = make([]int64, n)
-				for k := range d.Dropped {
-					d.Dropped[k] = r.Int()
-				}
-			}
-		}
-	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: tenant %q chunk: %w", name, err)
 	}
@@ -267,7 +205,6 @@ func (sh *shard) buildTenant(ti *tenantImage) (*tenant, error) {
 		inflight:   make(map[int64]jobMeta, len(ti.inflight)),
 		class:      class,
 		lastActive: ti.round,
-		decisions:  ti.decisions,
 	}
 	for _, d := range ti.delays {
 		if d.color < 0 || d.delay <= 0 || d.delay > MaxDelayBound {

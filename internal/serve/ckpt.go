@@ -1,25 +1,22 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"rrsched/internal/ckptstore"
 	"rrsched/internal/obs"
-	"rrsched/internal/stream"
 )
 
 // This file is the serve tier's side of the incremental checkpoint store:
 // dirty cuts (only dirty tenants are re-serialized), cold-tenant paging
 // (quiescent tenants evict to the chunk store and fault back in on their next
-// submission), the streaming decision log, and the one restore path
-// (restoreManifest). The hosted-tier bundle protocol lives in bundle.go; the
-// formats live in internal/ckptstore; this file owns the mapping between
-// shard state and those formats.
+// submission), and the one restore path (restoreManifest). The decision log
+// lives in history.go, the hosted-tier bundle protocol in bundle.go, the
+// formats in internal/ckptstore; this file owns the mapping between shard
+// state and those formats.
 
 // evictedStub is the resident trace of a paged-out tenant: enough to route
 // reshards, answer decision queries, and fault the tenant back in, without
@@ -75,17 +72,13 @@ func (sh *shard) cutChunk(tn *tenant) (uint64, error) {
 	if !tn.dirty && tn.chunk != 0 {
 		return tn.chunk, nil
 	}
-	payload, err := sh.tenantPayload(tn, sh.cfg.historyInChunks())
+	payload, err := sh.tenantPayload(tn)
 	if err != nil {
 		return 0, err
 	}
-	var res ckptstore.PutResult
-	if sh.store != nil {
-		if res, err = sh.store.Put(payload, ckptstore.Ref{}); err != nil {
-			return 0, fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
-		}
-	} else {
-		res = sh.pool.Put(payload)
+	res, err := sh.chunks().PutChunk(payload)
+	if err != nil {
+		return 0, fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
 	}
 	ckm := sh.met.ckm
 	if res.Wrote {
@@ -135,15 +128,13 @@ func (sh *shard) tenantRefs(keep func(string) bool, chunkOf func(*tenant) (uint6
 }
 
 // handleCut serializes the shard's dirty tenants into the chunk store and
-// builds the manifest that commits the cut. Clean tenants keep their previous
-// chunk reference; evicted tenants commit as stubs. Runs on the shard
-// goroutine, strictly between round ticks.
+// builds the manifest that commits the cut, naming the decision log as of
+// the cut. Clean tenants keep their previous chunk reference; evicted
+// tenants commit as stubs. Runs on the shard goroutine, strictly between
+// round ticks.
 func (sh *shard) handleCut() cutResult {
 	if sh.store == nil {
 		return cutResult{err: fmt.Errorf("serve: shard %d has no chunk store", sh.idx)}
-	}
-	if sh.declogErr != nil {
-		return cutResult{err: sh.declogErr}
 	}
 	refs, err := sh.tenantRefs(nil, sh.cutChunk)
 	if err != nil {
@@ -157,11 +148,8 @@ func (sh *shard) handleCut() cutResult {
 		PlacementEpoch: sh.epoch,
 		Tenants:        refs,
 	}
-	if sh.declog != nil {
-		if err := sh.declog.Flush(); err != nil {
-			return cutResult{err: fmt.Errorf("serve: shard %d decision log: %w", sh.idx, err)}
-		}
-		sh.met.ckm.DecisionLogB.Set(sh.declog.Bytes())
+	if err := sh.cutLog(m); err != nil {
+		return cutResult{err: err}
 	}
 	data, err := ckptstore.EncodeManifest(m)
 	if err != nil {
@@ -225,7 +213,7 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 		return nil, nil
 	}
 	t0 := obs.Now()
-	payload, err := sh.readChunk(stub.chunk)
+	payload, err := sh.store.ReadChunk(stub.chunk)
 	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
@@ -255,98 +243,10 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 	return tn, nil
 }
 
-// recordDecision records one tenant round decision: appended to resident
-// memory in memory mode, streamed to the shard's decision log in log mode.
-// The log stores only non-trivial decisions (at the tenant's global round);
-// trivial rounds are synthesized at read time, byte-identically, because the
-// scheduler constructs trivial decisions as Decision{Round: r} with nil
-// slices.
-func (sh *shard) recordDecision(tn *tenant, dec stream.Decision) {
-	if sh.declog == nil {
-		tn.decisions = append(tn.decisions, dec)
-		return
-	}
-	if len(dec.Reconfigs) == 0 && len(dec.Executions) == 0 && len(dec.Dropped) == 0 {
-		return
-	}
-	payload, err := json.Marshal(dec)
-	if err == nil {
-		err = sh.declog.Append(tn.name, tn.epoch+dec.Round, payload)
-	}
-	if err != nil && sh.declogErr == nil {
-		// The log is now behind the live stream; surface that on the next cut
-		// and on decision reads instead of silently serving a hole.
-		sh.declogErr = fmt.Errorf("serve: shard %d decision log: %w", sh.idx, err)
-	}
-}
-
-// decisionsFromLog answers /v1/decisions in log mode: synthesize a trivial
-// decision per tenant round, then overlay the logged non-trivial ones. Works
-// for evicted tenants too (their epoch lives in the stub), without faulting
-// them in.
-func (sh *shard) decisionsFromLog(name string) decisionsResult {
-	if sh.declogErr != nil {
-		return decisionsResult{status: http.StatusInternalServerError, err: sh.declogErr.Error()}
-	}
-	var epoch int64
-	if tn := sh.tenants[name]; tn != nil {
-		epoch = tn.epoch
-	} else if stub, ok := sh.evicted[name]; ok {
-		epoch = stub.epoch
-	} else {
-		return decisionsResult{status: http.StatusNotFound, err: fmt.Sprintf("unknown tenant %q", name)}
-	}
-	recs, err := sh.declog.ReadTenant(name)
-	if err != nil {
-		return decisionsResult{status: http.StatusInternalServerError, err: err.Error()}
-	}
-	n := sh.round - epoch
-	decs := make([]stream.Decision, n)
-	for i := range decs {
-		decs[i] = stream.Decision{Round: int64(i)}
-	}
-	for _, rec := range recs {
-		local := rec.Round - epoch
-		if local < 0 || local >= n {
-			return decisionsResult{status: http.StatusInternalServerError,
-				err: fmt.Sprintf("decision log round %d outside tenant %q rounds [%d, %d)", rec.Round, name, epoch, sh.round)}
-		}
-		var dec stream.Decision
-		if err := json.Unmarshal(rec.Payload, &dec); err != nil {
-			return decisionsResult{status: http.StatusInternalServerError, err: err.Error()}
-		}
-		// Keep-last: a tenant that resharded away and back has its records
-		// replayed into this log; the values are identical, the last wins.
-		decs[local] = dec
-	}
-	return decisionsResult{
-		status: http.StatusOK,
-		resp: &DecisionsResponse{
-			Schema:         DecisionsSchema,
-			Tenant:         name,
-			Shard:          sh.idx,
-			Epoch:          epoch,
-			Round:          sh.round,
-			PlacementEpoch: sh.epoch,
-			Decisions:      decs,
-		},
-	}
-}
-
-// readChunk returns the payload of one committed chunk, verified on the way
-// in: from the state dir's store, or from a hosted shard's pool.
-func (sh *shard) readChunk(id uint64) ([]byte, error) {
-	if sh.store != nil {
-		payload, _, err := sh.store.Resolve(id)
-		return payload, err
-	}
-	return sh.pool.Resolve(id)
-}
-
 // restoreManifest rebuilds a shard from a checkpoint manifest: the one
 // restore path of both a state-dir boot and a hosted OpenShard. It takes the
-// manifest's round and placement, then adopts its tenants through adoptRefs.
-// Called before the shard serves.
+// manifest's round and placement, adopts its tenants through adoptRefs, and
+// reopens the decision log it names. Called before the shard serves.
 func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 	if m.Shard != sh.idx {
 		return fmt.Errorf("serve: checkpoint is for shard %d, restoring shard %d", m.Shard, sh.idx)
@@ -360,7 +260,10 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		// worker-local ring epoch: leave it at zero there.
 		sh.epoch = m.PlacementEpoch
 	}
-	return sh.adoptRefs(m.Tenants, m.Round, ring, sh.readChunk)
+	if err := sh.adoptRefs(m.Tenants, m.Round, ring, sh.chunks().ReadChunk); err != nil {
+		return err
+	}
+	return sh.openLog(m)
 }
 
 // adoptRefs adopts the tenants a manifest's references name, cut at round:
@@ -418,7 +321,6 @@ func (sh *shard) adoptRefs(refs []ckptstore.TenantRef, round int64, ring hashRin
 		if err != nil {
 			return fmt.Errorf("%w (chunk %s)", err, ref.Chunk)
 		}
-		padDecisions(tn, ti.round, round)
 		tn.chunk = id
 		sh.tenants[tn.name] = tn
 		sh.order = append(sh.order, tn.name)
@@ -434,77 +336,79 @@ func (sh *shard) adoptRefs(refs []ckptstore.TenantRef, round int64, ring hashRin
 
 // restoreManifests loads an incremental checkpoint set, if one exists: all
 // manifests or none, set-internal agreement on shards/round/epoch, and a
-// count mismatch with the current configuration re-routes references through
-// the current ring (ReshardManifests) instead of refusing. Returns
-// found=false when the state dir holds no manifests.
-func (s *Service) restoreManifests(pl *placement) (restored int, resharded, found bool, err error) {
+// count mismatch with the current configuration re-routes references and
+// decision logs through the current ring (ReshardManifests) instead of
+// refusing. Returns found=false when the state dir holds no manifests.
+func (s *Service) restoreManifests(pl *placement) (restored int, found bool, err error) {
 	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {
-		return 0, false, false, fmt.Errorf("serve: probing state dir: %w", err)
+		return 0, false, fmt.Errorf("serve: probing state dir: %w", err)
 	}
 	if len(files) == 0 {
-		return 0, false, false, nil
+		return 0, false, nil
 	}
 	ms := make([]*ckptstore.Manifest, 0, len(files))
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
-			return 0, false, false, fmt.Errorf("serve: reading %s: %w", f, err)
+			return 0, false, fmt.Errorf("serve: reading %s: %w", f, err)
 		}
 		m, err := ckptstore.DecodeManifest(data)
 		if err != nil {
-			return 0, false, false, fmt.Errorf("serve: %s: %w", f, err)
+			return 0, false, fmt.Errorf("serve: %s: %w", f, err)
 		}
 		ms = append(ms, m)
 	}
 	want := ms[0].Shards
 	if len(files) != want {
-		return 0, false, false, fmt.Errorf("serve: state dir %s has %d of %d manifests; refusing a partial restore",
+		return 0, false, fmt.Errorf("serve: state dir %s has %d of %d manifests; refusing a partial restore",
 			s.cfg.StateDir, len(files), want)
 	}
 	byIdx := make([]*ckptstore.Manifest, want)
 	for _, m := range ms {
 		if m.Shards != want {
-			return 0, false, false, fmt.Errorf("serve: manifest shard counts diverge (%d vs %d)", m.Shards, want)
+			return 0, false, fmt.Errorf("serve: manifest shard counts diverge (%d vs %d)", m.Shards, want)
 		}
 		if m.Round != ms[0].Round {
-			return 0, false, false, fmt.Errorf("serve: shard rounds diverge in manifest set (%d vs %d)", m.Round, ms[0].Round)
+			return 0, false, fmt.Errorf("serve: shard rounds diverge in manifest set (%d vs %d)", m.Round, ms[0].Round)
 		}
 		if m.PlacementEpoch != ms[0].PlacementEpoch {
-			return 0, false, false, fmt.Errorf("serve: placement epochs diverge in manifest set (%d vs %d)", m.PlacementEpoch, ms[0].PlacementEpoch)
+			return 0, false, fmt.Errorf("serve: placement epochs diverge in manifest set (%d vs %d)", m.PlacementEpoch, ms[0].PlacementEpoch)
 		}
 		if byIdx[m.Shard] != nil {
-			return 0, false, false, fmt.Errorf("serve: state dir repeats manifest for shard %d", m.Shard)
+			return 0, false, fmt.Errorf("serve: state dir repeats manifest for shard %d", m.Shard)
 		}
 		byIdx[m.Shard] = m
 	}
 	if want != s.cfg.Shards {
-		byIdx, err = ReshardManifests(byIdx, s.cfg.Shards)
+		byIdx, err = ReshardManifests(byIdx, s.cfg.Shards, s.store)
 		if err != nil {
-			return 0, false, false, fmt.Errorf("serve: re-routing %d-shard manifest set into %d shards: %w", want, s.cfg.Shards, err)
+			return 0, false, fmt.Errorf("serve: re-routing %d-shard manifest set into %d shards: %w", want, s.cfg.Shards, err)
 		}
-		resharded = true
 	}
 	for i, sh := range pl.shards {
 		if err := sh.restoreManifest(byIdx[i], pl.ring); err != nil {
-			return 0, false, false, fmt.Errorf("serve: shard %d: %w", i, err)
+			return 0, false, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
 		restored += len(sh.tenants) + len(sh.evicted)
 	}
 	pl.epoch = pl.shards[0].epoch
 	s.round.Store(pl.shards[0].round)
-	return restored, resharded, true, nil
+	return restored, true, nil
 }
 
 // ReshardManifests transforms a complete manifest set taken under one shard
 // count into an equivalent set for newShards: tenant references are re-routed
 // through the newShards ring, the round is kept, and the placement epoch is
-// bumped past the input's. No chunk moves — references keep pointing into
-// the shared store, which is what makes resharding an incremental checkpoint
-// set O(tenants) instead of O(state bytes). It is the one reshard transform:
-// a state-dir boot under a new shard count and the dispatcher's fleet resize
-// (live and at boot) both go through it.
-func ReshardManifests(old []*ckptstore.Manifest, newShards int) ([]*ckptstore.Manifest, error) {
+// bumped past the input's. No tenant chunk moves — references keep pointing
+// into the shared store, which is what makes resharding an incremental
+// checkpoint set O(tenants) instead of O(state bytes). Decision logs move
+// record by record (relog): their segments mix tenants, so each new shard's
+// log is written afresh into chunks, which also holds the old segments. It
+// is the one reshard transform: a state-dir boot under a new shard count,
+// the dispatcher's fleet resize (live and at boot) and a live reshard's
+// mover cuts all go through it.
+func ReshardManifests(old []*ckptstore.Manifest, newShards int, chunks ckptstore.Chunks) ([]*ckptstore.Manifest, error) {
 	if newShards < 1 || newShards > MaxShards {
 		return nil, fmt.Errorf("serve: reshard to %d shards out of range (1..%d)", newShards, MaxShards)
 	}
@@ -550,6 +454,9 @@ func ReshardManifests(old []*ckptstore.Manifest, newShards int) ([]*ckptstore.Ma
 	}
 	for _, m := range out {
 		sort.Slice(m.Tenants, func(a, b int) bool { return m.Tenants[a].Name < m.Tenants[b].Name })
+	}
+	if err := relog(old, out, ring, chunks); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

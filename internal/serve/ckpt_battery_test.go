@@ -340,6 +340,82 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	}
 }
 
+// TestDecisionLogCrashLosesOnlyUncut pins the decision log's crash contract:
+// a manifest names exactly the log as of its cut, so a crash loses exactly
+// the records after the last Checkpoint. Records appended past the cut seal
+// segments into the chunk store; Close without a Checkpoint strands them,
+// and the reboot serves every stream exactly as of the cut.
+func TestDecisionLogCrashLosesOnlyUncut(t *testing.T) {
+	cfg := Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 16,
+		RecordDecisions: true, StateDir: t.TempDir()}
+	svc, _, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	tenants := []string{"crash-a", "crash-b", "crash-c", "crash-d"}
+	nextID := int64(0)
+	drive := func(rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			for k, tn := range tenants {
+				submitJobs(t, client, tn, SubmitJob{ID: 2 * nextID, Color: int32(k % 3), Delay: 4},
+					SubmitJob{ID: 2*nextID + 1, Color: int32(3 + nextID%3), Delay: 8})
+			}
+			nextID++
+			if _, err := svc.Tick(1); err != nil {
+				t.Fatalf("Tick: %v", err)
+			}
+		}
+	}
+	streams := func(c *Client) map[string][]byte {
+		t.Helper()
+		out := map[string][]byte{}
+		for _, tn := range tenants {
+			data, err := c.DecisionsRaw(tn)
+			if err != nil {
+				t.Fatalf("DecisionsRaw(%s): %v", tn, err)
+			}
+			out[tn] = data
+		}
+		return out
+	}
+
+	drive(40)
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	cutRound := svc.Round()
+	atCut := streams(client)
+	chunkDir := filepath.Join(cfg.StateDir, "chunks")
+	cutChunks := len(chunkSet(t, chunkDir))
+
+	// Past the cut until the log seals segments of its own into the store.
+	drive(320)
+	if sealed := len(chunkSet(t, chunkDir)) - cutChunks; sealed < 1 {
+		t.Fatalf("320 rounds past the cut sealed no log segment (%d chunks at the cut)", cutChunks)
+	}
+	svc.Close() // a crash: no Checkpoint after the cut
+
+	svc2, _, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	defer svc2.Close()
+	if svc2.Round() != cutRound {
+		t.Fatalf("rebooted at round %d, the cut was at %d", svc2.Round(), cutRound)
+	}
+	srv2 := httptest.NewServer(svc2.Handler())
+	defer srv2.Close()
+	for tn, got := range streams(NewClient(srv2.URL)) {
+		if !bytes.Equal(got, atCut[tn]) {
+			t.Fatalf("tenant %s: rebooted stream differs from the stream as of the cut\ncut:    %.200s\nreboot: %.200s", tn, atCut[tn], got)
+		}
+	}
+}
+
 // driveTailSparse submits one round of the sparse fixture and ticks once.
 func driveTailSparse(t *testing.T, client *Client, tenants []sparseTenant, r int64) {
 	t.Helper()

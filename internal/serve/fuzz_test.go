@@ -191,7 +191,7 @@ func FuzzTenantChunk(f *testing.F) {
 			return
 		}
 		sh.round = ti.round
-		enc, err := sh.tenantPayload(tn, len(ti.decisions) > 0)
+		enc, err := sh.tenantPayload(tn)
 		if err != nil {
 			t.Fatalf("built tenant does not re-encode: %v", err)
 		}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -51,6 +50,11 @@ func (ps payloadShape) seq(tb testing.TB, seed, rounds int64) *model.Sequence {
 // checkpoint push the way the dispatcher does, and returns the tenant's
 // chunk payload as folded after each round listed in cuts (in round order).
 func servedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds int64, cuts map[int64]bool) [][]byte {
+	return hostedPayloads(tb, resources, seq, rounds, cuts, true)
+}
+
+// hostedPayloads is servedPayloads with recording on or off.
+func hostedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds int64, cuts map[int64]bool, record bool) [][]byte {
 	tb.Helper()
 	var mu sync.Mutex
 	var folded []byte
@@ -66,7 +70,7 @@ func servedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds in
 		return nil
 	}
 	svc, _, err := New(Config{Shards: 1, Resources: resources, Delta: 4, Watermark: 1 << 16,
-		RecordDecisions: true, Hosted: true, OnShardCheckpoint: hook})
+		RecordDecisions: record, Hosted: true, OnShardCheckpoint: hook})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,16 +105,22 @@ func servedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds in
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if len(b.Chunks) != 1 {
-			tb.Fatalf("folded bundle holds %d chunks, want 1", len(b.Chunks))
+		m, err := ckptstore.DecodeManifest(b.Manifest)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		for _, enc := range b.Chunks {
-			c, err := ckptstore.DecodeChunk(enc)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, c.Body)
+		if len(m.Tenants) != 1 || len(b.Chunks) != 1+len(m.Log) {
+			tb.Fatalf("folded bundle holds %d tenants and %d chunks beside %d log segments, want 1 and 1", len(m.Tenants), len(b.Chunks), len(m.Log))
 		}
+		id, err := m.Tenants[0].ChunkID()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c, err := ckptstore.DecodeChunk(b.Chunks[id])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, c.Body)
 	}
 	return out
 }
@@ -136,7 +146,7 @@ func rebuildPayload(tb testing.TB, sh *shard, payload []byte) (*tenant, []byte) 
 		tb.Fatalf("buildTenant: %v", err)
 	}
 	sh.round = ti.round
-	enc, err := sh.tenantPayload(tn, len(ti.decisions) > 0)
+	enc, err := sh.tenantPayload(tn)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func rebuildPayload(tb testing.TB, sh *shard, payload []byte) (*tenant, []byte) 
 func testShard(tb testing.TB, resources int) *shard {
 	tb.Helper()
 	sh, err := newShard(0, Config{Shards: 1, Resources: resources, Delta: 4, Watermark: 64,
-		Classes: []TenantClass{{Name: DefaultClass, Weight: 1}, {Name: "gold", Weight: 2}}})
+		Classes: []TenantClass{{Name: DefaultClass, Weight: 1}, {Name: "gold", Weight: 2}}}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -154,21 +164,25 @@ func testShard(tb testing.TB, resources int) *shard {
 }
 
 // TestTenantPayloadRoundTrip pins the payload codec on payloads written by a
-// hosted shard for fleet- and dense-shaped tenants with recorded decisions:
-// decode, build, and re-encode reproduces the bytes, and the rebuilt
-// scheduler snapshots like the one the payload was cut from.
+// hosted shard for fleet- and dense-shaped tenants: decode, build, and
+// re-encode reproduces the bytes, and the rebuilt scheduler snapshots like
+// the one the payload was cut from. Recording changes no tenant chunk byte:
+// the same input pushes identical tenant chunks with recording on and off,
+// because history lives in the decision log, not in the payload.
 func TestTenantPayloadRoundTrip(t *testing.T) {
 	for _, ps := range []payloadShape{fleetShape, denseShape} {
 		seq := ps.seq(t, 1, 96)
-		payloads := servedPayloads(t, ps.resources, seq, 96, map[int64]bool{0: true, 40: true, 95: true})
+		cuts := map[int64]bool{0: true, 40: true, 95: true}
+		payloads := servedPayloads(t, ps.resources, seq, 96, cuts)
+		bare := hostedPayloads(t, ps.resources, seq, 96, cuts, false)
 		sh := testShard(t, ps.resources)
 		for i, p := range payloads {
-			tn, enc := rebuildPayload(t, sh, p)
+			if !bytes.Equal(p, bare[i]) {
+				t.Fatalf("%s cut %d: recording changed the tenant chunk (%d vs %d bytes)", ps.name, i, len(p), len(bare[i]))
+			}
+			_, enc := rebuildPayload(t, sh, p)
 			if !bytes.Equal(enc, p) {
 				t.Fatalf("%s cut %d: re-encoded payload differs (%d vs %d bytes)", ps.name, i, len(enc), len(p))
-			}
-			if len(tn.decisions) == 0 && i > 0 {
-				t.Fatalf("%s cut %d: payload lost the recorded decisions", ps.name, i)
 			}
 		}
 	}
@@ -184,12 +198,11 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 	}
 	sh.round = 9
 	tn := &tenant{name: "queued", epoch: 8, sched: sched, maxID: 5, class: 1,
-		delays:    map[model.Color]int64{3: 8, 1: 4},
-		queued:    []model.Job{{ID: 5, Color: 1, Delay: 4}, {ID: 2, Color: 3, Delay: 8}},
-		inflight:  map[int64]jobMeta{0: {Color: 3, Arrival: 0}},
-		decisions: []stream.Decision{{Round: 0, Executions: []model.Execution{{Round: 0, Resource: 2, JobID: 9}}, Dropped: []int64{4}}},
+		delays:   map[model.Color]int64{3: 8, 1: 4},
+		queued:   []model.Job{{ID: 5, Color: 1, Delay: 4}, {ID: 2, Color: 3, Delay: 8}},
+		inflight: map[int64]jobMeta{0: {Color: 3, Arrival: 0}},
 	}
-	p, err := sh.tenantPayload(tn, true)
+	p, err := sh.tenantPayload(tn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,25 +213,15 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 	if back.class != 1 || len(back.queued) != 2 || back.queued[0].ID != 2 || len(back.inflight) != 1 || back.maxID != 5 {
 		t.Fatalf("rebuilt tenant %+v", back)
 	}
-	if got, want := decisionsJSON(t, back.decisions), decisionsJSON(t, tn.decisions); got != want {
-		t.Fatalf("decisions %s, want %s", got, want)
-	}
-}
-
-func decisionsJSON(t *testing.T, decs []stream.Decision) string {
-	t.Helper()
-	b, err := json.Marshal(decs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // goldenTenantPayloads pins the payloads a hosted shard writes for one
 // dense tenant of the golden dense input (internal/stream's golden test),
-// cut every 64 rounds.
+// cut every 64 rounds. Re-pinned for payload format 2 after checking that
+// every cut equals its format-1 payload with the decision count and the
+// decisions section removed and the format byte set to 2.
 var goldenTenantPayloads = map[int64]string{
-	1: "be77f9332ecd54ab8bbb6bf713e6db088768d0e7a72efc22e0822d0cda18e998",
+	1: "dd7f98b0950f214d6b0f1adc65ce6fc2820323c48f9278ce36a3a2bc2c2f5360",
 }
 
 func TestGoldenTenantPayloadDigests(t *testing.T) {
@@ -262,9 +265,9 @@ func TestReadTenantPayloadRefusals(t *testing.T) {
 		want     string
 	}{
 		{"round past the manifest", good, 10, "chunk round 24 outside [0, 10]"},
-		{"epoch past the round", mutated(func(ti *tenantImage) { ti.epoch = 30; ti.decisions = nil }), 24, "epoch 30 outside [0, 24]"},
-		{"short decision history", mutated(func(ti *tenantImage) { ti.decisions = ti.decisions[1:] }), 24, "decisions, want"},
+		{"epoch past the round", mutated(func(ti *tenantImage) { ti.epoch = 30 }), 24, "epoch 30 outside [0, 24]"},
 		{"JSON payload", []byte(`{"round":3,"tenant":{"name":"tenant"}}`), 24, "not a binary tenant payload"},
+		{"format-1 payload", append([]byte{1}, good[1:]...), 24, "format byte 0x01, want 0x02"},
 		{"truncated", good[:len(good)-1], 24, "tenant \"tenant\" chunk"},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), 24, "trailing"},
 		{"empty", nil, 24, "chunk header"},
@@ -319,12 +322,13 @@ func setManifestSchema(t *testing.T, dir, schema string) {
 
 // TestJSONPayloadStateDirRefusesBoot pins that state written by earlier
 // versions refuses to boot, naming what it cannot read, instead of getting a
-// second read path: v1 (JSON payloads) and v2 (delta chunks) manifest sets,
-// with resident tenants or with every tenant evicted so boot would open no
-// chunk; a current manifest whose tenant chunk holds a JSON payload; and a
+// second read path: v1 (JSON payloads), v2 (delta chunks) and v3 (payloads
+// embedding decision histories) manifest sets, with resident tenants or
+// with every tenant evicted so boot would open no chunk; a current manifest
+// whose tenant chunk holds a JSON payload or a format-1 payload; and a
 // current manifest naming a chunk of the retired delta kind.
 func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
-	for _, schema := range []string{"rrckpt/v1", "rrckpt/v2"} {
+	for _, schema := range []string{"rrckpt/v1", "rrckpt/v2", "rrckpt/v3"} {
 		cfg, dir := checkpointedStateDir(t)
 		setManifestSchema(t, dir, schema)
 		_, _, err := New(cfg)
@@ -377,6 +381,43 @@ func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
 	_, _, err = New(cfg)
 	if err == nil || !strings.Contains(err.Error(), "not a binary tenant payload") || !strings.Contains(err.Error(), m.Tenants[0].Chunk) {
 		t.Fatalf("JSON tenant chunk: New = %v, want a refusal naming the chunk", err)
+	}
+
+	// A current manifest pointing at a format-1 payload: the tenant's payload
+	// as the version embedding decision histories wrote it, with an empty
+	// history.
+	cfg, dir = checkpointedStateDir(t)
+	p = filepath.Join(dir, shardManifestName(0))
+	m = readDiskManifest(t, p)
+	if store, err = ckptstore.Open(filepath.Join(dir, "chunks"), 0); err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.Tenants[0].ChunkID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := store.ReadChunk(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := 1 // format byte, then round, name and epoch
+	_, n := binary.Varint(payload[hdr:])
+	hdr += n
+	nameLen, n := binary.Uvarint(payload[hdr:])
+	hdr += n + int(nameLen)
+	_, n = binary.Varint(payload[hdr:])
+	hdr += n
+	v1 := append(append([]byte{1}, payload[1:hdr]...), 0) // decision count 0
+	v1 = append(v1, payload[hdr:]...)
+	if res, err = store.Put(v1, ckptstore.Ref{}); err != nil {
+		t.Fatal(err)
+	}
+	m.Tenants[0].Chunk = ckptstore.FormatChunkID(res.Ref.ID)
+	writeDiskManifest(t, p, m)
+	_, _, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "format byte 0x01") || !strings.Contains(err.Error(), m.Tenants[0].Name) ||
+		!strings.Contains(err.Error(), m.Tenants[0].Chunk) {
+		t.Fatalf("format-1 tenant chunk: New = %v, want a refusal naming the tenant and the chunk", err)
 	}
 
 	// A current manifest pointing at a kind-1 chunk, a delta against the

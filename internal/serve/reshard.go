@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"rrsched/internal/ckptstore"
@@ -33,9 +32,9 @@ type ReshardResponse struct {
 	// Round is the round boundary the migration happened at.
 	Round int64 `json:"round"`
 	// Moved is the number of tenants migrated shard-to-shard. MigratedBytes
-	// is, for a service, the size of the chunks the movers' cut wrote;
-	// references (clean chunk-backed tenants, evicted stubs) and the
-	// decision-log records beside them count nothing. A dispatcher reports
+	// is, for a service, the size of the tenant chunks the movers' cut
+	// wrote; references (clean chunk-backed tenants, evicted stubs) and the
+	// decision-log segments beside them count nothing. A dispatcher reports
 	// the size of the re-bundled shard set instead.
 	Moved         int   `json:"moved_tenants"`
 	MigratedBytes int64 `json:"migrated_bytes"`
@@ -83,13 +82,14 @@ var ErrReshardBudget = errors.New("serve: reshard migration exceeds class budget
 // the way a boot restore and an OpenShard do. The sequence: park new
 // submissions behind the gate, fence every shard onto the new epoch
 // (in-flight submissions bounce and re-park), cut each shard's movers (the
-// tenants the new ring routes elsewhere) into a manifest without changing
-// the shard, route those manifests to their targets with ReshardManifests,
-// adopt them there through adoptRefs, drop the movers from their sources,
-// then atomically flip routing by swapping the placement and releasing the
-// gate. Parked submissions replay under the new epoch; decision streams are
-// untouched because all migration happens at a round boundary (tickMu is
-// held throughout).
+// tenants the new ring routes elsewhere) and their decision-log records into
+// a manifest without changing the shard, route those manifests to their
+// targets with ReshardManifests, adopt them there through adoptRefs and
+// append their records to the targets' logs, drop the movers and their
+// records from their sources, then atomically flip routing by swapping the
+// placement and releasing the gate. Parked submissions replay under the new
+// epoch; decision streams are untouched because all migration happens at a
+// round boundary (tickMu is held throughout).
 //
 // Classic services only — hosted pools reshard through the dispatcher,
 // which owns their placement.
@@ -142,27 +142,13 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	shards := make([]*shard, newShards)
 	copy(shards, old.shards[:surviving])
 	for i := surviving; i < newShards; i++ {
-		sh, err := newShard(i, s.cfg)
+		sh, err := newShard(i, s.cfg, s.store)
 		if err != nil {
 			return nil, err
 		}
 		sh.epoch = newEpoch
 		sh.nshards = newShards
 		sh.round = round
-		sh.store = s.store
-		if s.cfg.logMode() {
-			// A grown shard's log dir may hold stale segments from a previous
-			// incarnation at a higher shard count; start it clean.
-			dir := shardDecLogDir(s.cfg.StateDir, i)
-			if err := os.RemoveAll(dir); err != nil {
-				return nil, fmt.Errorf("serve: clearing decision log of grown shard %d: %w", i, err)
-			}
-			l, err := ckptstore.OpenDecLog(dir, 0)
-			if err != nil {
-				return nil, err
-			}
-			sh.declog = l
-		}
 		shards[i] = sh
 	}
 	for _, sh := range shards[surviving:] {
@@ -181,18 +167,15 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	}
 
 	// Phase 2: cut and route. Each old shard cuts its movers into a manifest
-	// of the old placement, writing the chunks the references need to the
-	// pool, and ReshardManifests routes the cuts to the new ring. No tenant
-	// has changed yet: an abort stops the grown shards and re-fences the old
-	// epoch.
+	// of the old placement, writing the chunks the references need and its
+	// movers' decision-log records to the pool, and ReshardManifests routes
+	// the cuts to the new ring. No tenant has changed yet: an abort stops the
+	// grown shards and re-fences the old epoch.
 	ring := newHashRing(newShards)
 	pool := &reshardPool{
 		store:      s.store,
+		mem:        ckptstore.NewMemStore(),
 		classBytes: make([]int64, len(normalizeClasses(s.cfg.Classes))),
-		logs:       map[string][]ckptstore.LogRecord{},
-	}
-	if s.store == nil {
-		pool.mem = ckptstore.NewMemStore()
 	}
 	cuts, err := s.cutMovers(old, ring, round, pool)
 	if err == nil {
@@ -200,7 +183,7 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	}
 	var byTarget []*ckptstore.Manifest
 	if err == nil {
-		byTarget, err = ReshardManifests(cuts, newShards)
+		byTarget, err = ReshardManifests(cuts, newShards, pool)
 	}
 	if err != nil {
 		rollback()
@@ -208,24 +191,21 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	}
 
 	// Phase 3: commit. Every target adopts its movers, then the movers are
-	// dropped from their sources. Adopt-before-remove: until removal, a
-	// mover's state exists on both shards, but only the target is reachable
-	// after the flip and only the source before a rollback.
-	for target, m := range byTarget {
-		if err := s.injectMoves(shards[target], &injectCmd{m: m, ring: ring, pool: pool}); err != nil {
-			// Unreachable in practice (the cuts were taken a phase ago);
-			// unwind the partial adoptions and re-fence the old epoch.
-			for t := 0; t <= target; t++ {
-				s.removeMoved(shards[t], byTarget[t].Tenants)
-			}
-			rollback()
-			return nil, err
-		}
+	// dropped from their sources, each phase on every shard at once.
+	// Adopt-before-remove: until removal, a mover's state exists on both
+	// shards, but only the target is reachable after the flip and only the
+	// source before a rollback.
+	if err := s.injectMoves(shards, byTarget, ring, pool); err != nil {
+		// Unreachable in practice (the cuts were taken a phase ago); unwind
+		// the partial adoptions and re-fence the old epoch.
+		s.removeMoved(shards, byTarget)
+		rollback()
+		return nil, err
 	}
+	s.removeMoved(old.shards, cuts)
 	moved, bytes := 0, int64(0)
-	for i, m := range cuts {
+	for _, m := range cuts {
 		moved += len(m.Tenants)
-		s.removeMoved(old.shards[i], m.Tenants)
 	}
 	for _, b := range pool.classBytes {
 		bytes += b
@@ -271,22 +251,37 @@ func (s *Service) fenceShards(shards []*shard, epoch int64, nshards int) {
 	}
 }
 
-// reshardPool carries what a reshard's movers need besides their
-// references: the chunks the cut writes for movers whose state no chunk
-// holds yet, and in log mode every mover's decision-log records. Chunks go
-// to the service's Store when it has a state dir, so a durable mover is
-// adopted from a chunk the next Checkpoint can name; otherwise to a MemStore
-// that lives for one reshard. The cuts run at once and a MemStore takes no
-// concurrent writes, so every write holds mu; the adoptions only read, after
-// every cut has answered.
+// reshardPool holds what one reshard's movers need besides their
+// references: the tenant chunks the cut writes for movers whose state no
+// chunk holds yet, and the log segments that carry the movers' decision
+// records to their targets. Tenant chunks go to the service's Store when it
+// has a state dir, so a durable mover is adopted from a chunk the next
+// Checkpoint can name; otherwise, like every log segment, to a MemStore
+// that lives for one reshard (no committed manifest ever names a mover log,
+// so it never touches disk). The cuts run at once and a MemStore takes no
+// concurrent writes, so every access holds mu.
 type reshardPool struct {
 	mu    sync.Mutex
 	store *ckptstore.Store
 	mem   *ckptstore.MemStore
-	// classBytes sums the chunk bytes written, by class index: what
-	// Config.ReshardBudget and ReshardResponse.MigratedBytes count.
+	// classBytes sums the tenant chunk bytes written, by class index: what
+	// Config.ReshardBudget and ReshardResponse.MigratedBytes count. Log
+	// segments count nothing.
 	classBytes []int64
-	logs       map[string][]ckptstore.LogRecord
+}
+
+// PutChunk and ReadChunk make the pool's MemStore the ckptstore.Chunks the
+// movers' logs live in.
+func (p *reshardPool) PutChunk(payload []byte) (ckptstore.PutResult, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.mem.Put(payload), nil
+}
+
+func (p *reshardPool) ReadChunk(id uint64) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.mem.ReadChunk(id)
 }
 
 // put writes one mover's payload as a full chunk and counts its bytes
@@ -307,20 +302,13 @@ func (p *reshardPool) put(class int, payload []byte) (uint64, error) {
 	return res.Ref.ID, nil
 }
 
-// keepLogs holds one mover's decision-log records for its target.
-func (p *reshardPool) keepLogs(name string, recs []ckptstore.LogRecord) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.logs[name] = recs
-}
-
-// read returns the payload of a chunk a mover's reference names.
+// read returns the payload of a tenant chunk a mover's reference names.
 func (p *reshardPool) read(id uint64) ([]byte, error) {
 	if p.store != nil {
 		payload, _, err := p.store.Resolve(id)
 		return payload, err
 	}
-	return p.mem.Resolve(id)
+	return p.ReadChunk(id)
 }
 
 // cutMovers has every old shard cut its movers at once and wraps each cut in
@@ -346,6 +334,7 @@ func (s *Service) cutMovers(old *placement, ring hashRing, round int64, pool *re
 			Round:          round,
 			PlacementEpoch: old.epoch,
 			Tenants:        res.refs,
+			Log:            res.log,
 		}
 	}
 	return cuts, firstErr
@@ -373,34 +362,48 @@ func (s *Service) checkReshardBudget(classBytes []int64) error {
 	return nil
 }
 
-// injectMoves has a target shard adopt its movers on its own goroutine.
-func (s *Service) injectMoves(sh *shard, cmd *injectCmd) error {
-	cmd.reply = make(chan error, 1)
-	sh.ch <- shardCmd{inject: cmd}
-	return <-cmd.reply
+// injectMoves has every target adopt the movers byTarget routes to it, each
+// on its own goroutine and all at once, and returns the first error once
+// every target has answered.
+func (s *Service) injectMoves(shards []*shard, byTarget []*ckptstore.Manifest, ring hashRing, pool *reshardPool) error {
+	replies := make([]chan error, len(byTarget))
+	for t, m := range byTarget {
+		replies[t] = make(chan error, 1)
+		shards[t].ch <- shardCmd{inject: &injectCmd{m: m, ring: ring, pool: pool, reply: replies[t]}}
+	}
+	var first error
+	for _, r := range replies {
+		if err := <-r; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// removeMoved drops migrated tenants from a shard.
-func (s *Service) removeMoved(sh *shard, refs []ckptstore.TenantRef) {
-	if len(refs) == 0 {
-		return
+// removeMoved drops the tenants ms[i] names from shards[i], on every shard
+// at once.
+func (s *Service) removeMoved(shards []*shard, ms []*ckptstore.Manifest) {
+	replies := make([]chan struct{}, len(ms))
+	for i, m := range ms {
+		names := make([]string, len(m.Tenants))
+		for k, ref := range m.Tenants {
+			names[k] = ref.Name
+		}
+		replies[i] = make(chan struct{}, 1)
+		shards[i].ch <- shardCmd{remove: &removeCmd{tenants: names, reply: replies[i]}}
 	}
-	names := make([]string, len(refs))
-	for i, ref := range refs {
-		names[i] = ref.Name
+	for _, r := range replies {
+		<-r
 	}
-	reply := make(chan struct{}, 1)
-	sh.ch <- shardCmd{remove: &removeCmd{tenants: names, reply: reply}}
-	<-reply
 }
 
 // handlePlan cuts this shard's movers, the tenants the target ring routes
 // elsewhere, into manifest references without changing the shard: a clean
 // chunk-backed resident or an evicted stub keeps its reference, and every
-// other mover is written to the pool as a full chunk, its recorded decisions
-// embedded when no decision log holds them. In log mode each mover's log
-// records go to the pool beside it, so /v1/decisions is seamless across the
-// move. Runs on the shard goroutine.
+// other mover is written to the pool as a full chunk. One walk of the
+// shard's decision log collects every mover's records into a log in the
+// pool, which the cut names, so /v1/decisions is seamless across the move.
+// Runs on the shard goroutine.
 func (sh *shard) handlePlan(cmd *planCmd) planResult {
 	if sh.declogErr != nil {
 		return planResult{err: fmt.Errorf("serve: shard %d decision log failed earlier: %w", sh.idx, sh.declogErr)}
@@ -410,7 +413,7 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 		if !tn.dirty && tn.chunk != 0 {
 			return tn.chunk, nil
 		}
-		payload, err := sh.tenantPayload(tn, sh.cfg.historyInChunks())
+		payload, err := sh.tenantPayload(tn)
 		if err != nil {
 			return 0, err
 		}
@@ -420,48 +423,62 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 		}
 		return id, nil
 	})
-	if err != nil {
-		return planResult{err: err}
+	if err != nil || sh.declog == nil {
+		return planResult{refs: refs, err: err}
 	}
-	if sh.declog != nil {
-		for _, ref := range refs {
-			recs, err := sh.declog.ReadTenant(ref.Name)
-			if err != nil {
-				return planResult{err: fmt.Errorf("serve: reading decision log of migrating tenant %q: %w", ref.Name, err)}
-			}
-			cmd.pool.keepLogs(ref.Name, recs)
+	movers := ckptstore.NewDecLog(cmd.pool)
+	if err := sh.declog.Walk(func(tenant string, round int64, payload []byte) error {
+		if !moves(tenant) {
+			return nil
 		}
+		return movers.Append(tenant, round, payload)
+	}); err != nil {
+		return planResult{err: fmt.Errorf("serve: shard %d collecting movers' decisions: %w", sh.idx, err)}
 	}
-	return planResult{refs: refs}
+	log, err := movers.Cut()
+	return planResult{refs: refs, log: log, err: err}
 }
 
 // adoptMovers adopts the movers a reshard routed to this shard through
-// adoptRefs, reading their chunks from the reshard's pool, then replays
-// their decision-log records into this shard's log. Runs on the shard
+// adoptRefs, reading their chunks from the reshard's pool, then appends
+// their decision-log records to this shard's log. Runs on the shard
 // goroutine.
 func (sh *shard) adoptMovers(cmd *injectCmd) error {
 	if err := sh.adoptRefs(cmd.m.Tenants, cmd.m.Round, cmd.ring, cmd.pool.read); err != nil {
 		return err
 	}
-	for _, ref := range cmd.m.Tenants {
-		if cmd.pool.mem != nil {
-			// The in-memory pool dies with this reshard, so its chunk backs
-			// nothing: a later reshard writes the tenant afresh.
+	if sh.store == nil {
+		// The in-memory pool dies with this reshard, so its chunks back
+		// nothing: a later reshard writes the tenants afresh.
+		for _, ref := range cmd.m.Tenants {
 			sh.tenants[ref.Name].chunk = 0
 		}
-		for _, lr := range cmd.pool.logs[ref.Name] {
-			if err := sh.declog.Append(ref.Name, lr.Round, lr.Payload); err != nil {
-				return fmt.Errorf("serve: replaying decision log of migrated tenant %q: %w", ref.Name, err)
-			}
-		}
+	}
+	if sh.declog == nil {
+		return nil
+	}
+	ids, err := cmd.m.LogIDs()
+	if err == nil {
+		err = ckptstore.WalkLog(cmd.pool, ids, sh.declog.Append)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: shard %d adopting movers' decisions: %w", sh.idx, err)
 	}
 	return nil
 }
 
-// handleRemove drops the named tenants (their state now lives on another
-// shard). Runs on the shard goroutine.
+// handleRemove drops the named tenants and their decision-log records (their
+// state and history now live on another shard). Runs on the shard goroutine.
 func (sh *shard) handleRemove(names []string) {
+	if len(names) == 0 {
+		return
+	}
 	drop := make(map[string]bool, len(names))
+	for _, name := range names {
+		drop[name] = true
+	}
+	sh.dropLogRecords(drop)
+	resident := 0
 	for _, name := range names {
 		tn := sh.tenants[name]
 		if tn == nil {
@@ -473,17 +490,17 @@ func (sh *shard) handleRemove(names []string) {
 			}
 			continue
 		}
-		drop[name] = true
+		resident++
 		sh.clearDirty(tn)
 		delete(sh.tenants, name)
 		sh.backlog -= len(tn.queued)
 		sh.classBacklog[tn.class] -= len(tn.queued)
 		sh.inflight -= len(tn.inflight)
 	}
-	if len(drop) == 0 {
+	if resident == 0 {
 		return
 	}
-	order := make([]string, 0, len(sh.order)-len(drop))
+	order := make([]string, 0, len(sh.order)-resident)
 	for _, name := range sh.order {
 		if !drop[name] {
 			order = append(order, name)

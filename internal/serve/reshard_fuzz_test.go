@@ -60,16 +60,16 @@ func FuzzDecodeReshard(f *testing.F) {
 func FuzzPlacementEpoch(f *testing.F) {
 	f.Add([]byte(""), uint8(0))
 	f.Add([]byte("{}"), uint8(3))
-	f.Add([]byte(`{"schema":"rrckpt/v3","shard":0,"shards":1,"round":2,"tenants":[{"name":"alpha","chunk":"00000000000000aa"},{"name":"beta","chunk":"00000000000000bb"}]}`), uint8(4))
-	f.Add([]byte(`{"schema":"rrckpt/v3","shard":0,"shards":1,"round":9,"placement_epoch":5,"tenants":[{"name":"cold","chunk":"0000000000000001","evicted":true,"epoch":4,"class":"gold"}]}`), uint8(7))
-	f.Add([]byte(`{"schema":"rrckpt/v3","shard":0,"shards":2,"round":0}`), uint8(1))
+	f.Add([]byte(`{"schema":"rrckpt/v4","shard":0,"shards":1,"round":2,"tenants":[{"name":"alpha","chunk":"00000000000000aa"},{"name":"beta","chunk":"00000000000000bb"}]}`), uint8(4))
+	f.Add([]byte(`{"schema":"rrckpt/v4","shard":0,"shards":1,"round":9,"placement_epoch":5,"tenants":[{"name":"cold","chunk":"0000000000000001","evicted":true,"epoch":4,"class":"gold"}]}`), uint8(7))
+	f.Add([]byte(`{"schema":"rrckpt/v4","shard":0,"shards":2,"round":0}`), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		newShards := 1 + int(n)%8
 		in, err := ckptstore.DecodeManifest(data)
 		if err != nil {
 			return
 		}
-		out, err := ReshardManifests([]*ckptstore.Manifest{in}, newShards)
+		out, err := ReshardManifests([]*ckptstore.Manifest{in}, newShards, ckptstore.NewMemStore())
 		if err != nil {
 			return
 		}

@@ -543,7 +543,7 @@ func TestReshardManifestsTransform(t *testing.T) {
 		}
 	}
 
-	out, err := ReshardManifests(old, 5)
+	out, err := ReshardManifests(old, 5, ckptstore.NewMemStore())
 	if err != nil {
 		t.Fatalf("ReshardManifests: %v", err)
 	}
@@ -582,7 +582,7 @@ func TestReshardManifestsTransform(t *testing.T) {
 		"empty set":                  nil,
 	}
 	for what, set := range bad {
-		if _, err := ReshardManifests(set, 4); err == nil {
+		if _, err := ReshardManifests(set, 4, ckptstore.NewMemStore()); err == nil {
 			t.Errorf("%s accepted", what)
 		}
 	}

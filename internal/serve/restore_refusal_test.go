@@ -6,9 +6,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rrsched/internal/ckptstore"
+	"rrsched/internal/stream"
 )
 
 // checkpointedStateDir produces a valid two-shard drain checkpoint to mangle.
@@ -133,15 +135,36 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	refused(0, good[:len(good)-7], "a truncated bundle")
 	// A checkpoint addressed to the other shard (misrouted grant).
 	refused(1, good, "a checkpoint for a different shard")
-	// A decision-count mismatch: the history no longer covers every round
-	// since the tenant's epoch, so a restored stream could silently skip
-	// rounds.
-	refused(0, rewriteTenantChunks(t, good, func(ti *tenantImage) {
-		if len(ti.decisions) == 0 {
-			t.Fatal("fixture checkpoint lacks decisions")
+	// Decision logs that cannot be the shard's history as of the cut: each is
+	// refused by the restore and by the dispatcher's fold alike.
+	for _, c := range []struct {
+		what, want string
+		mutate     func(m *ckptstore.Manifest, pool *ckptstore.MemStore)
+	}{
+		{"a log naming a missing chunk", "not in pool", func(m *ckptstore.Manifest, _ *ckptstore.MemStore) {
+			m.Log = append(m.Log, ckptstore.FormatChunkID(0xdead))
+		}},
+		{"a log chunk that is not a record stream", "not a decision log segment", func(m *ckptstore.Manifest, _ *ckptstore.MemStore) {
+			m.Log = append(m.Log, m.Tenants[0].Chunk)
+		}},
+		{"a record at the manifest round", "not below the manifest round", func(m *ckptstore.Manifest, pool *ckptstore.MemStore) {
+			l := ckptstore.NewDecLog(pool)
+			if err := l.Append(tenant, m.Round, appendDecision(nil, stream.Decision{Dropped: []int64{1}})); err != nil {
+				t.Fatal(err)
+			}
+			log, err := l.Cut()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Log = append(m.Log, log...)
+		}},
+	} {
+		data := rewriteLog(t, good, c.mutate)
+		refused(0, data, c.what)
+		if _, _, _, err := FoldBundle(data, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("FoldBundle of %s: %v, want a refusal mentioning %q", c.what, err, c.want)
 		}
-		ti.decisions = ti.decisions[:len(ti.decisions)-1]
-	}), "a truncated decision history")
+	}
 
 	// The pristine checkpoint still restores, and double-open is refused.
 	round, err := svc.OpenShard(0, good)
@@ -154,6 +177,38 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	if _, err := svc.OpenShard(0, good); err == nil {
 		t.Fatal("OpenShard accepted an already-open shard")
 	}
+}
+
+// rewriteLog folds a bundle, lets mutate change its manifest and add chunks
+// to its pool, and re-bundles the manifest with every chunk it names that
+// the pool holds: a well-formed bundle whose log says whatever the mutation
+// made it say.
+func rewriteLog(t *testing.T, bundle []byte, mutate func(*ckptstore.Manifest, *ckptstore.MemStore)) []byte {
+	t.Helper()
+	_, m, pool, err := FoldBundle(bundle, nil)
+	if err != nil {
+		t.Fatalf("FoldBundle: %v", err)
+	}
+	mutate(m, pool)
+	manifest, err := ckptstore.EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots, err := m.Roots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[uint64]bool{}
+	for _, id := range roots {
+		if pool.Has(id) {
+			have[id] = true
+		}
+	}
+	out, err := pool.EncodeBundle(manifest, have)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // rewriteTenantChunks folds a bundle, applies mutate to every tenant's

@@ -36,19 +36,25 @@ type Config struct {
 	// selects virtual-time mode: rounds advance only via POST /v1/tick (or
 	// Service.Tick), which is what tests and the CI smoke job use.
 	RoundEvery time.Duration
-	// RecordDecisions keeps every tenant's full decision stream in memory
-	// and serves it at /v1/decisions. Meant for determinism testing and
-	// debugging, not production traffic (memory grows with the run).
+	// RecordDecisions keeps every tenant's decision stream and serves it at
+	// /v1/decisions. The stream lives in each shard's decision log: the
+	// non-trivial decisions as varint records, sealed into chunks of the
+	// shard's chunk store (StateDir's store, or else an in-memory pool) that
+	// every checkpoint names, so history survives a restart, a reshard and a
+	// hosted shard's move. Meant for determinism testing and debugging: the
+	// log grows with every non-trivial decision.
 	RecordDecisions bool
 	// StateDir is where Checkpoint writes per-shard state and where New looks
 	// for a previous incarnation's files to restore. Empty disables
 	// durability. Checkpoints are incremental: each tenant's state is one
 	// full chunk in a content-addressed chunk store (StateDir/chunks),
-	// referenced from small per-shard rrckpt/v3 manifests, so a cut pays
-	// bytes only for tenants that changed since the last one. A state dir
-	// this version cannot read refuses to boot, naming the file, rather
-	// than start empty beside it: legacy full-state files (shard-*.json),
-	// and rrckpt/v1 (JSON payloads) or rrckpt/v2 (delta chunks) manifests.
+	// referenced from small per-shard rrckpt/v4 manifests, so a cut pays
+	// bytes only for tenants that changed since the last one; the decision
+	// log's segments are chunks in the same store. A state dir this version
+	// cannot read refuses to boot, naming the file, rather than start empty
+	// beside it: legacy full-state files (shard-*.json), and rrckpt/v1 (JSON
+	// payloads), rrckpt/v2 (delta chunks) or rrckpt/v3 (payloads embedding
+	// decision histories) manifests.
 	StateDir string
 	// EvictAfter pages quiescent tenants out of memory: a tenant with no
 	// queued or inflight work whose last activity is at least EvictAfter
@@ -65,8 +71,8 @@ type Config struct {
 	// its new host's other shards are doing. StateDir must be empty: hosted
 	// checkpoints are ckptstore bundles that travel through
 	// OnShardCheckpoint and CloseShard, not local files. With RecordDecisions
-	// on, each tenant's decision history rides inside its chunk, so it
-	// survives a shard migration.
+	// on, the shard's decision log rides in the same bundles (its segments
+	// are chunks the manifest names), so history survives a shard migration.
 	Hosted bool
 	// OnShardCheckpoint, if set (hosted mode only), is invoked from the shard
 	// goroutine after every self-tick with a checkpoint bundle of the shard:
@@ -308,9 +314,14 @@ func New(cfg Config) (svc *Service, restored int, err error) {
 		met:    met,
 		bootNs: obs.Now(),
 	}
+	if cfg.StateDir != "" {
+		if s.store, err = ckptstore.Open(filepath.Join(cfg.StateDir, "chunks"), 0); err != nil {
+			return nil, 0, err
+		}
+	}
 	pl := &placement{ring: newHashRing(cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(i, cfg)
+		sh, err := newShard(i, cfg, s.store)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -318,13 +329,6 @@ func New(cfg Config) (svc *Service, restored int, err error) {
 	}
 	s.pl.Store(pl)
 	if cfg.StateDir != "" {
-		s.store, err = ckptstore.Open(filepath.Join(cfg.StateDir, "chunks"), 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, sh := range pl.shards {
-			sh.store = s.store
-		}
 		restored, err = s.restore(pl)
 		if err != nil {
 			return nil, 0, err
@@ -336,28 +340,11 @@ func New(cfg Config) (svc *Service, restored int, err error) {
 	return s, restored, nil
 }
 
-// logMode reports whether decision history streams to per-shard decision
-// logs instead of resident memory: durable classic services with recording
-// on. Hosted services keep memory recording (their history travels inside
-// checkpoints).
-func (cfg Config) logMode() bool {
-	return cfg.StateDir != "" && cfg.RecordDecisions && !cfg.Hosted
-}
-
-// historyInChunks reports whether tenant chunks embed the recorded decision
-// history: recording on and no decision log to hold it. That is a hosted
-// service, whose history must survive a shard moving to another worker, and
-// a reshard's movers on a service with no state dir.
-func (cfg Config) historyInChunks() bool {
-	return cfg.RecordDecisions && !cfg.logMode()
-}
-
 // restore loads a previous incarnation's state from cfg.StateDir, if present:
-// the incremental manifests (manifest-*.json referencing the chunk store). In
-// log mode the per-shard decision logs are then opened and rolled back to the
-// restored round.
+// the incremental manifests (manifest-*.json referencing the chunk store),
+// decision logs included.
 func (s *Service) restore(pl *placement) (int, error) {
-	restored, resharded, found, err := s.restoreManifests(pl)
+	restored, found, err := s.restoreManifests(pl)
 	if err != nil {
 		return 0, err
 	}
@@ -373,22 +360,12 @@ func (s *Service) restore(pl *placement) (int, error) {
 			return 0, fmt.Errorf("serve: state dir holds %s, a legacy full-state checkpoint this version cannot restore; refusing to boot empty beside it", legacy[0])
 		}
 	}
-	if s.cfg.logMode() {
-		if err := s.setupDecLogs(pl, resharded, !found); err != nil {
-			return 0, err
-		}
-	}
 	return restored, nil
 }
 
 // shardManifestPath is one shard's incremental checkpoint manifest.
 func (s *Service) shardManifestPath(i int) string {
 	return filepath.Join(s.cfg.StateDir, fmt.Sprintf("manifest-%04d.json", i))
-}
-
-// shardDecLogDir is one shard's decision-log directory.
-func shardDecLogDir(stateDir string, i int) string {
-	return filepath.Join(stateDir, "declog", fmt.Sprintf("shard-%04d", i))
 }
 
 // Round returns the next global round.
@@ -660,8 +637,8 @@ func (s *Service) Checkpoint() error {
 		}
 		roots = append(roots, res.roots...)
 	}
-	// The manifests are committed; remove manifests of shards a merge removed
-	// and decision-log dirs beyond the current pool.
+	// The manifests are committed; remove manifests of shards a merge
+	// removed.
 	stale, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {
 		return fmt.Errorf("serve: probing state dir: %w", err)
@@ -680,39 +657,11 @@ func (s *Service) Checkpoint() error {
 			}
 		}
 	}
-	if err := s.removeStaleDecLogs(len(pl.shards)); err != nil {
-		return err
-	}
 	// Orphan GC: chunks the committed manifests do not name can never be
-	// read again (a crash between a chunk write and a manifest
-	// rename strands exactly such chunks).
+	// read again (a crash between a chunk write and a manifest rename
+	// strands exactly such chunks, and so does every superseded log tail).
 	if _, err := s.store.GC(roots); err != nil {
 		return fmt.Errorf("serve: collecting orphan chunks: %w", err)
-	}
-	return nil
-}
-
-// removeStaleDecLogs drops decision-log directories of shards beyond the
-// current pool (left behind by a merge).
-func (s *Service) removeStaleDecLogs(shards int) error {
-	root := filepath.Join(s.cfg.StateDir, "declog")
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("serve: probing decision log dir: %w", err)
-	}
-	for _, e := range entries {
-		var i int
-		if n, err := fmt.Sscanf(e.Name(), "shard-%d", &i); err != nil || n != 1 {
-			continue
-		}
-		if i >= shards {
-			if err := os.RemoveAll(filepath.Join(root, e.Name())); err != nil {
-				return fmt.Errorf("serve: removing stale decision log %s: %w", e.Name(), err)
-			}
-		}
 	}
 	return nil
 }

@@ -41,8 +41,6 @@ type tenant struct {
 	// scheduler and not yet executed or dropped — the metadata the metrics
 	// layer needs when a decision only carries job IDs.
 	inflight map[int64]jobMeta
-	// decisions is the recorded decision stream (Config.RecordDecisions).
-	decisions []stream.Decision
 	// class indexes the tenant's QoS class in the shard's class table. A
 	// tenant binds its class on first submit and keeps it for life (including
 	// across checkpoints and migrations).
@@ -184,11 +182,12 @@ type shard struct {
 	// Incremental checkpoint state. store is the durable on-disk chunk store
 	// (classic service with a StateDir); pool and acked implement the hosted
 	// bundle protocol (bundle.go): the open shard's in-memory chunks and the
-	// chunks the receiver last acknowledged. declog is the shard's streaming
-	// decision log in log mode; an append failure is stashed in declogErr and
-	// surfaced at the next cut or decisions read. evicted holds stubs for cold
-	// tenants paged out to the chunk store; dirtyCount counts resident tenants
-	// with dirty set.
+	// chunks the receiver last acknowledged. A recording classic shard
+	// without a store keeps its log segments in a pool of its own. declog is
+	// the shard's decision log when the service records (history.go); an
+	// append failure is stashed in declogErr and surfaced at the next cut or
+	// decisions read. evicted holds stubs for cold tenants paged out to the
+	// chunk store; dirtyCount counts resident tenants with dirty set.
 	store      *ckptstore.Store
 	declog     *ckptstore.DecLog
 	declogErr  error
@@ -309,7 +308,8 @@ type placeCmd struct {
 
 // planCmd asks the shard to cut every tenant the target ring routes
 // elsewhere (its movers) into manifest references, without removing them
-// yet; the chunks and log records the references need go to pool.
+// yet; the chunks the references need and the movers' log records go to
+// pool.
 type planCmd struct {
 	ring  hashRing
 	pool  *reshardPool
@@ -318,6 +318,7 @@ type planCmd struct {
 
 type planResult struct {
 	refs []ckptstore.TenantRef
+	log  []string // the movers' decision-log segments, in the pool
 	err  error
 }
 
@@ -343,7 +344,10 @@ type decisionsResult struct {
 	resp   *DecisionsResponse
 }
 
-func newShard(idx int, cfg Config) (*shard, error) {
+// newShard builds shard idx over store (nil without a state dir). A classic
+// shard of a recording service starts with an empty decision log; a hosted
+// shard gets its log when it opens.
+func newShard(idx int, cfg Config, store *ckptstore.Store) (*shard, error) {
 	met, err := newShardMetrics()
 	if err != nil {
 		return nil, err
@@ -353,7 +357,7 @@ func newShard(idx int, cfg Config) (*shard, error) {
 	for i, c := range classes {
 		classIdx[c.Name] = i
 	}
-	return &shard{
+	sh := &shard{
 		idx: idx,
 		cfg: cfg,
 		ch:  make(chan shardCmd, 64),
@@ -367,7 +371,14 @@ func newShard(idx int, cfg Config) (*shard, error) {
 		classIdx:     classIdx,
 		classShare:   classShares(classes, cfg.Watermark),
 		classBacklog: make([]int, len(classes)),
-	}, nil
+		store:        store,
+	}
+	if !cfg.Hosted {
+		if err := sh.openLog(nil); err != nil {
+			return nil, err
+		}
+	}
+	return sh, nil
 }
 
 // start launches the shard goroutine.
@@ -392,7 +403,6 @@ func (sh *shard) stop() {
 // channel order either way, so determinism is untouched.
 func (sh *shard) run() {
 	defer sh.wg.Done()
-	defer sh.closeDecLog()
 	for {
 		cmd, ok := <-sh.ch
 		if !ok {
@@ -500,11 +510,15 @@ func (sh *shard) handleOpen(data []byte) openResult {
 	}
 	sh.pool = ckptstore.NewMemStore()
 	sh.acked = map[uint64]bool{}
+	var err error
 	if len(data) > 0 {
-		if err := sh.restoreBundle(data); err != nil {
-			sh.clear()
-			return openResult{err: err}
-		}
+		err = sh.restoreBundle(data)
+	} else {
+		err = sh.openLog(nil)
+	}
+	if err != nil {
+		sh.clear()
+		return openResult{err: err}
 	}
 	sh.open = true
 	return openResult{round: sh.round}
@@ -540,6 +554,7 @@ func (sh *shard) clear() {
 	sh.dirtyCount = 0
 	sh.pool = nil
 	sh.acked = nil
+	sh.declog, sh.declogErr = nil, nil
 	sh.met.tenants.Set(0)
 	sh.met.backlog.Set(0)
 	sh.met.sm.QueueDepth.Set(0)
@@ -824,39 +839,6 @@ func (sh *shard) observeDecision(tn *tenant, dec stream.Decision) {
 		sm.Executed.Inc()
 	}
 	sm.QueueDepth.Set(int64(sh.inflight))
-}
-
-// handleDecisions returns a tenant's recorded decision stream.
-func (sh *shard) handleDecisions(name string, epoch int64) decisionsResult {
-	if epoch != sh.epoch {
-		return decisionsResult{status: statusWrongPlacement}
-	}
-	if !sh.cfg.RecordDecisions {
-		return decisionsResult{status: http.StatusNotFound, err: "decision recording is disabled (start the service with record-decisions)"}
-	}
-	if sh.declog != nil {
-		return sh.decisionsFromLog(name)
-	}
-	tn := sh.tenants[name]
-	if tn == nil {
-		return decisionsResult{status: http.StatusNotFound, err: fmt.Sprintf("unknown tenant %q", name)}
-	}
-	// Copy: the reply outlives this command, and the goroutine keeps
-	// appending on later ticks.
-	decs := make([]stream.Decision, len(tn.decisions))
-	copy(decs, tn.decisions)
-	return decisionsResult{
-		status: http.StatusOK,
-		resp: &DecisionsResponse{
-			Schema:         DecisionsSchema,
-			Tenant:         tn.name,
-			Shard:          sh.idx,
-			Epoch:          tn.epoch,
-			Round:          sh.round,
-			PlacementEpoch: sh.epoch,
-			Decisions:      decs,
-		},
-	}
 }
 
 // stats summarizes the shard for /v1/stats.
