@@ -2,7 +2,9 @@ package dispatch
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -501,9 +503,9 @@ func (d *Dispatcher) staleLocked(req *CheckpointPush, l *lease) error {
 // maintains: every shard must have a stored checkpoint, all at the same round.
 // (A fleet that has never checkpointed resizes without a transform.) Between
 // driver rounds that holds by construction — a Round returns only once every
-// shard's tick push was accepted or confirmStored saw its store at the
-// driver's round — and mid-round it cannot hold, so a reshard can only land
-// where the serve-layer determinism proof needs it to.
+// shard's round call answered, which is after its push at the driver's round
+// was accepted — so a reshard can only land at a round boundary, where the
+// serve-layer determinism proof needs it to.
 func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 	start := d.now()
 	d.mu.Lock()
@@ -752,14 +754,19 @@ func (d *Dispatcher) statePath(shard int) string {
 // re-encoding of the state. Callers write before they publish the bundle on
 // the lease. Caller holds d.mu.
 func (d *Dispatcher) persistLocked(shard int, epoch int64, bundle []byte) error {
-	if err := os.MkdirAll(d.cfg.StateDir, 0o755); err != nil {
-		return fmt.Errorf("dispatch: creating state dir: %w", err)
-	}
 	buf := make([]byte, 0, len(stateSchema)+9+len(bundle))
 	buf = append(buf, stateSchema+"\n"...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(epoch))
 	buf = append(buf, bundle...)
-	if err := atomicio.WriteFile(d.statePath(shard), buf, 0o644); err != nil {
+	path := d.statePath(shard)
+	err := atomicio.WriteFile(path, buf, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The state dir is missing: not made yet, or removed at run time.
+		if err = os.MkdirAll(d.cfg.StateDir, 0o755); err == nil {
+			err = atomicio.WriteFile(path, buf, 0o644)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("dispatch: writing shard %d state: %w", shard, err)
 	}
 	return nil

@@ -268,15 +268,22 @@ func TestHeartbeatUnknownWorker(t *testing.T) {
 // bundle verbatim; and corrupt or rrdispatch-state/v1 state refuses to load.
 func TestStatePersistence(t *testing.T) {
 	cfg := testConfig()
-	cfg.StateDir = t.TempDir()
+	cfg.StateDir = filepath.Join(t.TempDir(), "state") // the first push makes it
 	d, _ := newTestDispatcher(t, cfg)
 	d.register(&RegisterRequest{Schema: WireSchema, Worker: "w1", Addr: "http://h1"})
 	resp := mustHeartbeat(t, d, &HeartbeatRequest{Schema: WireSchema, Worker: "w1"})
 	held := heldFromGrants(nil, resp)
 	bundle := testBundle(t, held[1].Shard, 4, 12, "alpha")
-	if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1",
-		Shard: held[1].Shard, Epoch: held[1].Epoch, Round: 12, Data: bundle}); err != nil {
+	push := &CheckpointPush{Worker: "w1", Shard: held[1].Shard, Epoch: held[1].Epoch, Round: 12, Data: bundle}
+	if err := d.storeCheckpoint(push); err != nil {
 		t.Fatalf("storeCheckpoint: %v", err)
+	}
+	// A state dir removed at run time is made again by the next push.
+	if err := os.RemoveAll(cfg.StateDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.storeCheckpoint(push); err != nil {
+		t.Fatalf("storeCheckpoint after the state dir was removed: %v", err)
 	}
 	d.Close()
 

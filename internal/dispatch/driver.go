@@ -52,10 +52,11 @@ const maxShardsInFlight = 8
 // transport error, 421 misdirect, 503 drain — triggers a placement refresh
 // and a retry. Submissions survive failovers because admission is idempotent
 // (a resent batch that already landed answers 409, which counts as landed),
-// and Round couples resubmission with per-shard ticking so a shard restored
-// from a pre-admission checkpoint is re-fed the exact arrivals it lost. A
-// round drives its shards concurrently: each tenant's decisions depend only
-// on its own shard, so shards need no ordering before the round barrier.
+// and Round sends each shard's batches inside the call that ticks it, so a
+// shard restored from a pre-admission checkpoint is re-fed the exact arrivals
+// it lost. A round drives its shards concurrently: each tenant's decisions
+// depend only on its own shard, so shards need no ordering before the round
+// barrier.
 //
 // One driver instance assumes it is the only round-driver of the fleet
 // (virtual time has a single clock); concurrent submitters are fine, a second
@@ -70,10 +71,6 @@ type Driver struct {
 	placement map[int]PlacementEntry
 	clients   map[string]*serve.Client
 	round     int64
-	// synced records that the last Round confirmed every shard at round, on
-	// its first attempt: every live shard and every stored checkpoint is at
-	// round, so the next Round's first attempt need not read shard rounds.
-	synced bool
 
 	// sleep is time.Sleep unless a test injects a recorder.
 	sleep func(time.Duration)
@@ -215,56 +212,29 @@ func (d *Driver) Submit(tenant string, jobs []serve.SubmitJob) (serve.SubmitOutc
 	return serve.SubmitOutcome{}, fmt.Errorf("dispatch: submit for tenant %q failed after %d attempts: %w", tenant, d.cfg.Attempts, lastErr)
 }
 
-// shardRound reads a shard's current round from its owner's stats, verifying
-// the owner actually has the shard open.
-func (d *Driver) shardRound(shard int) (int64, error) {
-	client, err := d.clientFor(shard)
-	if err != nil {
-		return 0, err
-	}
-	st, err := client.Stats()
-	if err != nil {
-		return 0, err
-	}
-	if shard >= len(st.PerShard) || !st.PerShard[shard].Open {
-		return 0, fmt.Errorf("dispatch: shard %d is not open on its advertised owner", shard)
-	}
-	return st.PerShard[shard].Round, nil
-}
-
 // errPlacementChanged signals that the fleet's shard count moved under an
 // in-flight round: the batch partition was computed against a ring that no
 // longer exists and must be rebuilt before anything else is retried.
 var errPlacementChanged = errors.New("dispatch: fleet shard count changed; re-partitioning")
 
 // Round executes one scheduling round transactionally: every batch lands on
-// its shard, then every shard ticks exactly once. If a worker dies anywhere
-// in the protocol, the repair loop refreshes placement, resubmits the
-// affected shard's batches (idempotent — landed batches answer 409), and
-// re-ticks from the restored round. On return, every shard has advanced to
-// the same next round with the round's arrivals admitted exactly once, and
-// the dispatcher stores every shard's checkpoint at that round.
+// its shard, then every shard ticks exactly once. Each shard gets one round
+// call (serve.Client.TickShard) with its batches and the target round, which
+// answers only once the shard's checkpoint at the target is stored. On
+// return, every shard has advanced to the same next round with the round's
+// arrivals admitted exactly once.
 //
 // Every attempt starts with one placement read, so a reshard that settled
 // since the last round is partitioned for before anything lands or ticks. A
 // fleet reshard concurrent with the round is survived the same way: the
 // dispatcher only accepts a reshard at the round boundary (equal stored
 // rounds), so any admissions this round had landed on the old topology are
-// rolled back by the checkpoint transform; the driver detects the shard-count
-// change, re-partitions every batch under the new ring, and replays the whole
-// round from resubmission.
-//
-// When the previous Round confirmed every shard on its first attempt, this
-// Round's first attempt ticks each shard without first reading its round:
-// nothing else ticks the fleet, so every shard is still where that Round left
-// it. Every retry, the first Round after NewDriver, and a Round after one
-// that failed or re-partitioned read every shard's round before ticking, so
-// a shard a failed Round already advanced is never ticked twice.
+// rolled back by the checkpoint transform; a worker rebuilt for the new count
+// refuses a call that names the old one before admitting or ticking
+// anything, and the driver re-partitions and replays the whole round.
 func (d *Driver) Round(batches []Batch) error {
 	d.mu.Lock()
 	target := d.round + 1
-	synced := d.synced
-	d.synced = false
 	d.mu.Unlock()
 
 	var lastErr error
@@ -278,11 +248,10 @@ func (d *Driver) Round(batches []Batch) error {
 			continue
 		}
 		d.applyPlacement(p)
-		err = d.roundOnce(batches, target, synced && attempt == 0)
+		err = d.roundOnce(batches, target)
 		if err == nil {
 			d.mu.Lock()
 			d.round = target
-			d.synced = attempt == 0
 			d.mu.Unlock()
 			return nil
 		}
@@ -297,19 +266,20 @@ func (d *Driver) Round(batches []Batch) error {
 // roundOnce partitions the round's batches under the current ring and drives
 // every shard through the round at once, at most maxShardsInFlight at a time.
 // It fails with errPlacementChanged once any shard sees the fleet's shard
-// count move: the count is shared driver state, so the other shards see it at
-// their next attempt and stop too, and the caller re-partitions. synced lets
-// each shard's first attempt skip the read of its round (see Round).
-func (d *Driver) roundOnce(batches []Batch, target int64, synced bool) error {
+// count move; the other shards see it at their next attempt and stop too.
+func (d *Driver) roundOnce(batches []Batch, target int64) error {
 	d.mu.Lock()
 	fleet := d.shards
 	ring := d.ring
 	d.mu.Unlock()
 
-	perShard := make([][]Batch, fleet)
+	reqs := make([]serve.RoundRequest, fleet)
+	for shard := range reqs {
+		reqs[shard] = serve.RoundRequest{Schema: serve.WireSchema, Shard: shard, Shards: fleet, Target: target}
+	}
 	for _, b := range batches {
-		shard := ring.ShardOf(b.Tenant)
-		perShard[shard] = append(perShard[shard], b)
+		req := &reqs[ring.ShardOf(b.Tenant)]
+		req.Batches = append(req.Batches, serve.SubmitRequest{Schema: serve.WireSchema, Tenant: b.Tenant, Jobs: b.Jobs})
 	}
 	errs := make([]error, fleet)
 	slots := make(chan struct{}, maxShardsInFlight)
@@ -319,7 +289,7 @@ func (d *Driver) roundOnce(batches []Batch, target int64, synced bool) error {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			errs[shard] = d.roundShard(shard, fleet, perShard[shard], target, synced)
+			errs[shard] = d.roundShard(&reqs[shard])
 			<-slots
 		}(shard)
 	}
@@ -336,135 +306,39 @@ func (d *Driver) roundOnce(batches []Batch, target int64, synced bool) error {
 	return first
 }
 
-// roundShard drives one shard through one round: land the shard's batches,
-// tick to target, and make sure the dispatcher's checkpoint store has reached
-// target before reporting success. Every iteration restarts from
-// resubmission, because a failed tick may mean the shard was restored from a
-// checkpoint that predates the admissions — and keeping the store at target
-// is what keeps restores tick-aligned to target-1 (admissions lost, resubmit
-// fresh) or target (tick landed, only the response was lost). Without it, a
-// tick whose checkpoint push failed would leave the live shard at target with
-// the store at target-1; the driver would move on, and a crash before the
-// next successful push would restore the shard two rounds behind the
-// driver's counter, losing a round's arrivals for good.
-//
-// A tick that returns target needs no store check: the worker pushes the
-// shard's checkpoint synchronously inside the tick and fails the tick when
-// the dispatcher refuses or loses the push, so a tick that answers target has
-// had its push at target accepted. A shard found already at target (its
-// tick's response or push was lost) is confirmed against the store instead
-// (confirmStored). With synced, the first attempt trusts the previous
-// Round's confirmation that the shard sits at target-1 and skips reading its
-// round; retries always read it.
-func (d *Driver) roundShard(shard, fleet int, batches []Batch, target int64, synced bool) error {
+// roundShard sends one shard's round call to the shard's owner until a call
+// answers the target, refreshing placement before every resend. The call is
+// idempotent, so it is resent unchanged: landed batches answer 409 inside it,
+// a shard restored one round short is re-fed and ticked, and a shard whose
+// tick landed but whose response or push was lost only pushes. So the store
+// stays tick-aligned, and a restored shard resumes at target-1 or target.
+func (d *Driver) roundShard(req *serve.RoundRequest) error {
 	var lastErr error
 	for attempt := 0; attempt < d.cfg.Attempts; attempt++ {
 		if attempt > 0 {
 			d.sleep(d.cfg.RetryEvery)
 			d.refresh()
 		}
-		if d.Shards() != fleet {
+		if d.Shards() != req.Shards {
 			return errPlacementChanged
 		}
-		if lastErr = d.landBatches(shard, batches); lastErr != nil {
-			continue
-		}
-		cur := target - 1
-		if attempt > 0 || !synced {
-			if cur, lastErr = d.shardRound(shard); lastErr != nil {
-				continue
-			}
-		}
-		if cur >= target {
-			if lastErr = d.confirmStored(shard, target); lastErr != nil {
-				continue
-			}
-			return nil
-		}
-		client, err := d.clientFor(shard)
+		client, err := d.clientFor(req.Shard)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		round, err := client.TickShard(shard, int(target-cur))
+		round, err := client.TickShard(req)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if round != target {
-			lastErr = fmt.Errorf("dispatch: shard %d ticked to round %d, want %d", shard, round, target)
+		if round != req.Target {
+			lastErr = fmt.Errorf("dispatch: shard %d ticked to round %d, want %d", req.Shard, round, req.Target)
 			continue
 		}
 		return nil
 	}
-	return fmt.Errorf("dispatch: round %d on shard %d failed after %d attempts: %w", target, shard, d.cfg.Attempts, lastErr)
-}
-
-// confirmStored verifies the dispatcher's stored checkpoint for shard has
-// reached target, asking the shard's owner to re-push (sync) when it lags —
-// the repair for a tick that advanced the shard but whose checkpoint push was
-// lost in flight. roundShard calls it only for a shard it found already at
-// target; a tick that returns target has had its push accepted.
-func (d *Driver) confirmStored(shard int, target int64) error {
-	stored, err := d.storedRound(shard)
-	if err != nil {
-		return err
-	}
-	if stored >= target {
-		return nil
-	}
-	client, err := d.clientFor(shard)
-	if err != nil {
-		return err
-	}
-	if _, err := client.SyncShard(shard); err != nil {
-		return fmt.Errorf("dispatch: syncing shard %d checkpoint: %w", shard, err)
-	}
-	stored, err = d.storedRound(shard)
-	if err != nil {
-		return err
-	}
-	if stored < target {
-		return fmt.Errorf("dispatch: shard %d checkpoint store at round %d after sync, want %d", shard, stored, target)
-	}
-	return nil
-}
-
-// storedRound reads the round of the dispatcher's stored checkpoint for shard
-// from a fresh placement table (refreshing the driver's copy as a side
-// effect).
-func (d *Driver) storedRound(shard int) (int64, error) {
-	p, err := d.dc.Placement()
-	if err != nil {
-		return 0, err
-	}
-	d.applyPlacement(p)
-	if shard >= len(p.Shards) {
-		return 0, fmt.Errorf("dispatch: placement table has %d shards, no shard %d", len(p.Shards), shard)
-	}
-	return p.Shards[shard].Round, nil
-}
-
-// landBatches admits every batch on the shard's current owner, single-shot —
-// the caller's repair loop owns retries and placement refreshes.
-func (d *Driver) landBatches(shard int, batches []Batch) error {
-	if len(batches) == 0 {
-		return nil
-	}
-	client, err := d.clientFor(shard)
-	if err != nil {
-		return err
-	}
-	for _, b := range batches {
-		out, err := client.Submit(&serve.SubmitRequest{Schema: serve.WireSchema, Tenant: b.Tenant, Jobs: b.Jobs})
-		if err != nil {
-			return err
-		}
-		if !out.Landed() {
-			return fmt.Errorf("dispatch: batch for tenant %q not landed: %+v", b.Tenant, out)
-		}
-	}
-	return nil
+	return fmt.Errorf("dispatch: round %d on shard %d failed after %d attempts: %w", req.Target, req.Shard, d.cfg.Attempts, lastErr)
 }
 
 // DecisionsRaw fetches a tenant's recorded decision stream from the worker

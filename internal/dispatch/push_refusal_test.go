@@ -121,8 +121,8 @@ func TestPushRefusesForeignShardCount(t *testing.T) {
 }
 
 // TestPushRefusesRoundMismatch: a bundle at round 3 pushed as round 9 is
-// refused; otherwise the lease would advertise round 9 and
-// Driver.confirmStored would treat rounds 4–9 as durable.
+// refused; otherwise the lease would advertise round 9, and a driver started
+// against the fleet would adopt it as the fleet's round.
 func TestPushRefusesRoundMismatch(t *testing.T) {
 	r := newPushRig(t)
 	before := r.state(0)

@@ -167,7 +167,7 @@ func captureFleetPush(record bool) ([]byte, *ckptstore.MemStore, error) {
 				return nil, nil, fmt.Errorf("perf: fold fixture submit %s round %d: %d %s", name, r, rec.Code, rec.Body.String())
 			}
 		}
-		if _, err := svc.TickShard(0, 1); err != nil {
+		if _, err := svc.TickShard(&serve.RoundRequest{Shard: 0, Shards: 4, Target: r + 1}); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // WireSchemaV2 is the negotiated binary wire format: length-prefixed
-// little-endian frames carrying the same submit/tick/sync/checkpoint payloads
+// little-endian frames carrying the same submit/tick/round/checkpoint payloads
 // as the JSON schema. A request decoded from a binary frame carries this
 // schema string; the JSON codec keeps requiring WireSchema exactly, so the
 // Schema field always names the codec the request actually traveled in.
@@ -20,7 +20,7 @@ import (
 // JSON round trip of the same value.
 const WireSchemaV2 = "rrserve/v2"
 
-// Content types negotiated on /v1/jobs, /v1/tick, and /v1/sync. A request
+// Content types negotiated on /v1/jobs, /v1/tick, and /v1/round. A request
 // with ContentTypeBinary carries a binary frame; a request with any other
 // (or no) Content-Type is decoded as JSON, which keeps old clients working
 // unchanged. A response is binary only when the request's Accept includes
@@ -67,7 +67,7 @@ const (
 	FrameSubmitResponse
 	FrameTick
 	FrameTickResponse
-	FrameSync
+	FrameRound
 	FrameCheckpoint
 )
 
@@ -324,30 +324,27 @@ func DecodeSubmitResponseBinary(data []byte) (*SubmitResponse, error) {
 	return resp, nil
 }
 
-// EncodeTickBinary encodes a tick request frame: advance rounds rounds on
-// shard (-1 means every shard in lockstep).
-func EncodeTickBinary(rounds, shard int) []byte {
+// EncodeTickBinary encodes a tick request frame: advance every shard rounds
+// rounds in lockstep.
+func EncodeTickBinary(rounds int) []byte {
 	dst := appendFrameHeader(nil, FrameTick)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rounds))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(shard)))
 	return patchFrameLen(dst, 0)
 }
 
 // DecodeTickBinary parses a tick request frame.
-func DecodeTickBinary(data []byte) (rounds, shard int, err error) {
+func DecodeTickBinary(data []byte) (rounds int, err error) {
 	payload, err := splitTypedFrame(data, FrameTick)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if len(payload) != 8 {
-		return 0, 0, fmt.Errorf("%w: tick payload %d bytes, want 8", ErrFrameHeader, len(payload))
+	if len(payload) != 4 {
+		return 0, fmt.Errorf("%w: tick payload %d bytes, want 4", ErrFrameHeader, len(payload))
 	}
-	rounds = int(binary.LittleEndian.Uint32(payload))
-	shard = int(int32(binary.LittleEndian.Uint32(payload[4:])))
-	return rounds, shard, nil
+	return int(binary.LittleEndian.Uint32(payload)), nil
 }
 
-// EncodeTickResponseBinary encodes a tick/sync response frame carrying the
+// EncodeTickResponseBinary encodes a tick/round response frame carrying the
 // next round.
 func EncodeTickResponseBinary(round int64) []byte {
 	dst := appendFrameHeader(nil, FrameTickResponse)
@@ -355,7 +352,7 @@ func EncodeTickResponseBinary(round int64) []byte {
 	return patchFrameLen(dst, 0)
 }
 
-// DecodeTickResponseBinary parses a tick/sync response frame.
+// DecodeTickResponseBinary parses a tick/round response frame.
 func DecodeTickResponseBinary(data []byte) (int64, error) {
 	payload, err := splitTypedFrame(data, FrameTickResponse)
 	if err != nil {
@@ -367,23 +364,72 @@ func DecodeTickResponseBinary(data []byte) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(payload)), nil
 }
 
-// EncodeSyncBinary encodes a sync request frame for one hosted shard.
-func EncodeSyncBinary(shard int) []byte {
-	dst := appendFrameHeader(nil, FrameSync)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(shard)))
-	return patchFrameLen(dst, 0)
+// roundFixedLen is the round payload's fixed prefix: shard u32, shard count
+// u32, target i64. The batches follow as submit frames to the payload's end.
+const roundFixedLen = 16
+
+// AppendRoundBinary validates req and appends its binary frame to dst: the
+// round call's fixed fields, then every batch as a complete submit frame
+// (AppendSubmitBinary), so batches travel in the submit codec.
+func AppendRoundBinary(dst []byte, req *RoundRequest) ([]byte, error) {
+	if req.Schema != WireSchema && req.Schema != WireSchemaV2 {
+		return dst, fmt.Errorf("serve: round schema %q, want %q or %q", req.Schema, WireSchema, WireSchemaV2)
+	}
+	if err := validateRoundMeta(req); err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = appendFrameHeader(dst, FrameRound)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Shard))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Shards))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Target))
+	for i := range req.Batches {
+		var err error
+		if dst, err = AppendSubmitBinary(dst, &req.Batches[i]); err != nil {
+			return dst[:start], fmt.Errorf("serve: round batch %d: %w", i, err)
+		}
+	}
+	return patchFrameLen(dst, start), nil
 }
 
-// DecodeSyncBinary parses a sync request frame.
-func DecodeSyncBinary(data []byte) (int, error) {
-	payload, err := splitTypedFrame(data, FrameSync)
+// DecodeRoundBinary parses and validates a round frame. It never panics, and
+// re-encoding what it accepts reproduces the frame (FuzzDecodeRoundBinary).
+func DecodeRoundBinary(data []byte) (*RoundRequest, error) {
+	payload, err := splitTypedFrame(data, FrameRound)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("%w: sync payload %d bytes, want 4", ErrFrameHeader, len(payload))
+	if len(payload) < roundFixedLen {
+		return nil, fmt.Errorf("%w: round payload %d bytes, want at least %d", ErrFrameTruncated, len(payload), roundFixedLen)
 	}
-	return int(int32(binary.LittleEndian.Uint32(payload))), nil
+	req := &RoundRequest{
+		Schema: WireSchemaV2,
+		Shard:  int(int32(binary.LittleEndian.Uint32(payload))),
+		Shards: int(int32(binary.LittleEndian.Uint32(payload[4:]))),
+		Target: int64(binary.LittleEndian.Uint64(payload[8:])),
+	}
+	for rest, i := payload[roundFixedLen:], 0; len(rest) > 0; i++ {
+		if len(rest) < FrameHeaderLen {
+			return nil, fmt.Errorf("%w: round batch %d cut inside its header", ErrFrameTruncated, i)
+		}
+		end := uint64(FrameHeaderLen) + uint64(binary.LittleEndian.Uint32(rest[4:]))
+		if end > uint64(len(rest)) {
+			return nil, fmt.Errorf("%w: round batch %d declares %d bytes, %d left", ErrFrameTruncated, i, end, len(rest))
+		}
+		var b SubmitRequest
+		if err := DecodeSubmitBinaryInto(&b, rest[:end]); err != nil {
+			return nil, fmt.Errorf("serve: round batch %d: %w", i, err)
+		}
+		if end != uint64(FrameHeaderLen+2+len(b.Tenant)+4+binJobLen*len(b.Jobs)) {
+			return nil, fmt.Errorf("%w: round batch %d carries a metadata trailer", ErrFrameHeader, i)
+		}
+		req.Batches = append(req.Batches, b)
+		rest = rest[end:]
+	}
+	if err := validateRoundMeta(req); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // maxFrameWorkerLen bounds the worker name in a checkpoint frame. The

@@ -30,11 +30,41 @@ func randomSubmitRequest(rng *rand.Rand) *SubmitRequest {
 	return &SubmitRequest{Schema: WireSchema, Tenant: tenant, Jobs: jobs}
 }
 
+// randomRoundRequest builds one valid round call from rng: up to four
+// batches of distinct tenants.
+func randomRoundRequest(rng *rand.Rand) *RoundRequest {
+	shards := 1 + rng.Intn(8)
+	req := &RoundRequest{Schema: WireSchema, Shard: rng.Intn(shards), Shards: shards, Target: rng.Int63n(1 << 40)}
+	seen := map[string]bool{}
+	for i := rng.Intn(5); i > 0; i-- {
+		b := randomSubmitRequest(rng)
+		if seen[b.Tenant] {
+			continue
+		}
+		seen[b.Tenant] = true
+		req.Batches = append(req.Batches, *b)
+	}
+	return req
+}
+
+// roundAsJSON returns a copy of a decoded round request with the v1 schema
+// on the request and every batch, the form the JSON codec carries.
+func roundAsJSON(req *RoundRequest) *RoundRequest {
+	out := *req
+	out.Schema = WireSchema
+	out.Batches = append([]SubmitRequest(nil), req.Batches...)
+	for i := range out.Batches {
+		out.Batches[i].Schema = WireSchema
+	}
+	return &out
+}
+
 // TestBinaryCodecMatchesJSONOracle is the differential battery: for a seeded
-// population of valid batches, the binary round trip must land on exactly the
-// canonical JSON bytes the JSON round trip lands on. JSON is the oracle —
-// the binary codec is only correct insofar as it is indistinguishable from
-// it, field for field.
+// population of valid batches and round calls, the binary round trip must
+// land on exactly the canonical JSON bytes the JSON round trip lands on. JSON
+// is the oracle — the binary codec is only correct insofar as it is
+// indistinguishable from it, field for field. A round frame must also
+// re-encode to its own bytes.
 func TestBinaryCodecMatchesJSONOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
@@ -77,6 +107,40 @@ func TestBinaryCodecMatchesJSONOracle(t *testing.T) {
 				i, fromBinary, canonical)
 		}
 	}
+	for i := 0; i < 200; i++ {
+		req := randomRoundRequest(rng)
+		jsonBytes, err := EncodeRound(req)
+		if err != nil {
+			t.Fatalf("round %d: EncodeRound: %v", i, err)
+		}
+		viaJSON, err := DecodeRound(jsonBytes)
+		if err != nil {
+			t.Fatalf("round %d: DecodeRound: %v", i, err)
+		}
+		canonical, err := EncodeRound(viaJSON)
+		if err != nil {
+			t.Fatalf("round %d: re-encoding JSON round trip: %v", i, err)
+		}
+		frame, err := AppendRoundBinary(nil, req)
+		if err != nil {
+			t.Fatalf("round %d: AppendRoundBinary: %v", i, err)
+		}
+		viaBinary, err := DecodeRoundBinary(frame)
+		if err != nil {
+			t.Fatalf("round %d: DecodeRoundBinary: %v", i, err)
+		}
+		if again, err := AppendRoundBinary(nil, viaBinary); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("round %d: round frame is not a fixed point (err %v)", i, err)
+		}
+		fromBinary, err := EncodeRound(roundAsJSON(viaBinary))
+		if err != nil {
+			t.Fatalf("round %d: encoding binary round trip as JSON: %v", i, err)
+		}
+		if !bytes.Equal(fromBinary, canonical) {
+			t.Fatalf("round %d: binary round trip diverges from JSON oracle\nbinary: %s\njson:   %s",
+				i, fromBinary, canonical)
+		}
+	}
 }
 
 // TestBinaryRoundTripFixedPoint pins the binary codec's own fixed point:
@@ -103,7 +167,7 @@ func TestBinaryRoundTripFixedPoint(t *testing.T) {
 	}
 }
 
-func validSubmitFrame(t *testing.T) []byte {
+func validSubmitFrame(t testing.TB) []byte {
 	t.Helper()
 	frame, err := EncodeSubmitBinary(&SubmitRequest{
 		Schema: WireSchema,
@@ -245,17 +309,19 @@ func TestBinaryDecodeRejectsInvariantViolations(t *testing.T) {
 
 // TestControlFrameRoundTrips covers the small fixed-size frames.
 func TestControlFrameRoundTrips(t *testing.T) {
-	if r, s, err := DecodeTickBinary(EncodeTickBinary(7, -1)); err != nil || r != 7 || s != -1 {
-		t.Fatalf("tick round trip: rounds=%d shard=%d err=%v", r, s, err)
-	}
-	if r, s, err := DecodeTickBinary(EncodeTickBinary(1, 3)); err != nil || r != 1 || s != 3 {
-		t.Fatalf("tick round trip: rounds=%d shard=%d err=%v", r, s, err)
+	if r, err := DecodeTickBinary(EncodeTickBinary(7)); err != nil || r != 7 {
+		t.Fatalf("tick round trip: rounds=%d err=%v", r, err)
 	}
 	if round, err := DecodeTickResponseBinary(EncodeTickResponseBinary(1 << 40)); err != nil || round != 1<<40 {
 		t.Fatalf("tick response round trip: round=%d err=%v", round, err)
 	}
-	if shard, err := DecodeSyncBinary(EncodeSyncBinary(5)); err != nil || shard != 5 {
-		t.Fatalf("sync round trip: shard=%d err=%v", shard, err)
+	round := &RoundRequest{Schema: WireSchema, Shard: 3, Shards: 4, Target: 9}
+	frame, err := AppendRoundBinary(nil, round)
+	if err != nil {
+		t.Fatalf("AppendRoundBinary: %v", err)
+	}
+	if got, err := DecodeRoundBinary(frame); err != nil || !reflect.DeepEqual(roundAsJSON(got), round) {
+		t.Fatalf("round call round trip: got %+v err=%v", got, err)
 	}
 	resp := &SubmitResponse{Schema: WireSchemaV2, Accepted: 42, Round: 99, Backlog: 7}
 	got, err := DecodeSubmitResponseBinary(AppendSubmitResponseBinary(nil, resp))

@@ -80,9 +80,11 @@ func TestBundleAckProtocol(t *testing.T) {
 			t.Fatalf("submit %s/%d: out=%+v err=%v", tenant, id, out, err)
 		}
 	}
-	tick := func(n int) error {
+	round := int64(0)
+	tick := func(n int64) error {
 		t.Helper()
-		_, err := svc.TickShard(0, n)
+		round += n // the shard ticks even when its push then fails
+		_, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: round})
 		return err
 	}
 
@@ -211,7 +213,7 @@ func TestBundleFoldMatchesSender(t *testing.T) {
 				nextID[tn]++
 			}
 		}
-		if _, err := svc.TickShard(0, 1); err != nil {
+		if _, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: int64(r) + 1}); err != nil {
 			t.Fatalf("tick %d: %v", r, err)
 		}
 		folded, m, pool, err = FoldBundle(sink.take(t), pool)

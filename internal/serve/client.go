@@ -70,7 +70,7 @@ func (p RetryPolicy) validate() RetryPolicy {
 	return p
 }
 
-// WireMode selects the codec a client speaks on the submit/tick/sync
+// WireMode selects the codec a client speaks on the submit/tick/round
 // endpoints.
 type WireMode int
 
@@ -388,41 +388,40 @@ func (c *Client) parseSubmitResponse(status int, data []byte, header http.Header
 
 // Tick advances n rounds (virtual-time mode) and returns the new next round.
 func (c *Client) Tick(n int) (int64, error) {
-	return c.tick("tick", "/v1/tick?rounds="+strconv.Itoa(n), EncodeTickBinary(n, -1))
+	if c.wire == WireBinary {
+		return c.postRound("tick", "/v1/tick", EncodeTickBinary(n), ContentTypeBinary)
+	}
+	return c.postRound("tick", "/v1/tick?rounds="+strconv.Itoa(n), []byte{}, "")
 }
 
-// TickShard advances one hosted shard n rounds from its own round counter.
-// ErrMisdirected is returned when the worker no longer holds the shard.
-func (c *Client) TickShard(shard, n int) (int64, error) {
-	return c.tick("tick", "/v1/tick?rounds="+strconv.Itoa(n)+"&shard="+strconv.Itoa(shard), EncodeTickBinary(n, shard))
-}
-
-// SyncShard asks the worker to re-push one hosted shard's checkpoint at its
-// current round, without ticking, and returns that round. ErrMisdirected is
-// returned when the worker no longer holds the shard.
-func (c *Client) SyncShard(shard int) (int64, error) {
-	return c.tick("sync", "/v1/sync?shard="+strconv.Itoa(shard), EncodeSyncBinary(shard))
+// TickShard sends one hosted shard's round call (see Service.TickShard) and
+// returns the shard's round, req.Target on success. A 421 answers
+// ErrMisdirected.
+func (c *Client) TickShard(req *RoundRequest) (int64, error) {
+	if c.wire == WireJSON {
+		body, err := EncodeRound(req)
+		if err != nil {
+			return 0, err
+		}
+		return c.postRound("round", "/v1/round", body, "")
+	}
+	fb := acquireFrameBuf()
+	defer releaseFrameBuf(fb)
+	var err error
+	if fb.b, err = AppendRoundBinary(fb.b[:0], req); err != nil {
+		return 0, err
+	}
+	return c.postRound("round", "/v1/round", fb.b, ContentTypeBinary)
 }
 
 // ErrMisdirected marks a per-shard request sent to a worker that does not
 // hold the shard's lease; callers refresh placement and retry elsewhere.
 var ErrMisdirected = fmt.Errorf("serve: shard is not hosted on this worker")
 
-// tick posts a tick/sync. In binary mode the request carries the frame and
-// the query parameters (the server prefers the frame); the response's
-// Content-Type says which codec came back.
-func (c *Client) tick(op, path string, frame []byte) (int64, error) {
-	var (
-		status int
-		data   []byte
-		header http.Header
-		err    error
-	)
-	if c.wire == WireBinary {
-		status, data, header, err = c.do(http.MethodPost, path, frame, ContentTypeBinary, ContentTypeBinary)
-	} else {
-		status, data, header, err = c.do(http.MethodPost, path, []byte{}, "", "")
-	}
+// postRound posts a tick or round call in the codec contentType names (JSON
+// when empty) and returns the round its response reports.
+func (c *Client) postRound(op, path string, body []byte, contentType string) (int64, error) {
+	status, data, header, err := c.do(http.MethodPost, path, body, contentType, contentType)
 	if err != nil {
 		return 0, fmt.Errorf("serve: %s: %w", op, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"rrsched/internal/stream"
 )
@@ -150,6 +151,66 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(fromBinary, canonical) {
 			t.Fatalf("binary round trip diverges from JSON oracle:\nbinary: %s\njson:   %s", fromBinary, canonical)
+		}
+	})
+}
+
+// FuzzDecodeRoundBinary holds the round frame decoder, where a worker decodes
+// many tenants' batches from one request, to three properties on arbitrary
+// bytes: it never panics, a frame it accepts re-encodes to exactly its own
+// bytes, and the request it decodes to is the one its JSON twin decodes to.
+// JSON carries only UTF-8 names, so the twin is checked for frames whose
+// tenants are UTF-8 (the binary codecs take any bytes but control bytes).
+func FuzzDecodeRoundBinary(f *testing.F) {
+	// Small seeds: the fuzzer minimizes every input that finds new coverage,
+	// and minimizing a large frame stalls a short run.
+	one := []SubmitJob{{ID: 1, Delay: 4}}
+	for _, req := range []*RoundRequest{
+		{Schema: WireSchema, Shard: 0, Shards: 1, Target: 0},
+		{Schema: WireSchema, Shard: 1, Shards: 4, Target: 7, Batches: []SubmitRequest{{Schema: WireSchema, Tenant: "a", Jobs: one}}},
+		{Schema: WireSchema, Shard: 3, Shards: 4, Target: 1 << 40, Batches: []SubmitRequest{
+			{Schema: WireSchema, Tenant: "a", Jobs: []SubmitJob{{ID: 1, Delay: 4}, {ID: 2, Color: 1, Delay: 8}}},
+			{Schema: WireSchema, Tenant: "b", Jobs: one},
+		}},
+	} {
+		frame, err := AppendRoundBinary(nil, req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])                     // truncated
+		f.Add(append(append([]byte(nil), frame...), 0)) // trailing byte
+	}
+	f.Add(validSubmitFrame(f)) // a submit frame is not a round frame
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRoundBinary(data)
+		if err != nil {
+			return
+		}
+		enc, err := AppendRoundBinary(nil, req)
+		if err != nil {
+			t.Fatalf("accepted frame fails to encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted frame re-encodes to other bytes:\nframe: %x\nagain: %x", data, enc)
+		}
+		for _, b := range req.Batches {
+			if !utf8.ValidString(b.Tenant) {
+				return
+			}
+		}
+		twin := roundAsJSON(req)
+		js, err := EncodeRound(twin)
+		if err != nil {
+			t.Fatalf("accepted frame's JSON twin fails to encode: %v", err)
+		}
+		viaJSON, err := DecodeRound(js)
+		if err != nil {
+			t.Fatalf("JSON twin fails to decode: %v\n%s", err, js)
+		}
+		if !reflect.DeepEqual(viaJSON, twin) {
+			t.Fatalf("JSON twin decodes to another request:\nbinary: %+v\njson:   %+v", twin, viaJSON)
 		}
 	})
 }

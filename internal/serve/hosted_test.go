@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"rrsched/internal/ckptstore"
+	"rrsched/internal/obs"
 )
 
 func hostedConfig() Config {
@@ -19,7 +21,8 @@ func hostedConfig() Config {
 
 // TestHostedLifecycle pins the open/close state machine: a closed shard
 // misdirects submissions and skips ticks, an open shard serves, and closing
-// returns a checkpoint that reopens elsewhere with identical state.
+// returns a checkpoint that reopens elsewhere with identical state. It ends
+// with the round call's refusals, each of which leaves the shard as it was.
 func TestHostedLifecycle(t *testing.T) {
 	svc, _, err := New(hostedConfig())
 	if err != nil {
@@ -61,7 +64,7 @@ func TestHostedLifecycle(t *testing.T) {
 	}
 
 	// Close the tenant's shard: the next submission misdirects again, a
-	// per-shard tick reports ErrMisdirected, and the checkpoint carries the
+	// round call reports ErrMisdirected, and the checkpoint carries the
 	// tenant.
 	shard := svc.ShardFor("alpha")
 	data, err := svc.CloseShard(shard)
@@ -75,7 +78,7 @@ func TestHostedLifecycle(t *testing.T) {
 		Jobs: []SubmitJob{{ID: 1, Color: 0, Delay: 4}}}); err != nil || !out.Misdirected {
 		t.Fatalf("submit after close: out=%+v err=%v", out, err)
 	}
-	if _, err := client.TickShard(shard, 1); !errors.Is(err, ErrMisdirected) {
+	if _, err := client.TickShard(&RoundRequest{Schema: WireSchema, Shard: shard, Shards: 2, Target: 4}); !errors.Is(err, ErrMisdirected) {
 		t.Fatalf("TickShard on closed shard: err=%v", err)
 	}
 	if _, err := svc.CloseShard(shard); err == nil {
@@ -95,6 +98,112 @@ func TestHostedLifecycle(t *testing.T) {
 	if len(dr.Decisions) != 3 {
 		t.Fatalf("restored %d recorded decisions, want 3", len(dr.Decisions))
 	}
+
+	// Round-call refusals, on the reopened shard at round 3 and its closed
+	// sibling. A refused call changes nothing: the shard keeps its round,
+	// backlog and tenant set, so no batch was admitted and no round ticked.
+	other := 1 - shard
+	if _, err := svc.CloseShard(other); err != nil {
+		t.Fatalf("CloseShard(%d): %v", other, err)
+	}
+	foreign := ""
+	for i := 0; foreign == ""; i++ {
+		if name := fmt.Sprintf("tenant-%d", i); svc.ShardFor(name) == other {
+			foreign = name
+		}
+	}
+	one := []SubmitJob{{ID: 100, Color: 0, Delay: 4}}
+	flood := make([]SubmitJob, hostedConfig().Watermark+1)
+	for i := range flood {
+		flood[i] = SubmitJob{ID: int64(100 + i), Color: 0, Delay: 4}
+	}
+	frame := func(shards int, target int64, batches ...SubmitRequest) []byte {
+		t.Helper()
+		f, err := AppendRoundBinary(nil, &RoundRequest{Schema: WireSchema, Shard: shard, Shards: shards, Target: target, Batches: batches})
+		if err != nil {
+			t.Fatalf("AppendRoundBinary: %v", err)
+		}
+		return f
+	}
+	alpha := SubmitRequest{Schema: WireSchema, Tenant: "alpha", Jobs: one}
+	valid := frame(2, 4, alpha)
+	closed, err := AppendRoundBinary(nil, &RoundRequest{Schema: WireSchema, Shard: other, Shards: 2, Target: 4})
+	if err != nil {
+		t.Fatalf("AppendRoundBinary: %v", err)
+	}
+	post := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/round", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("building request: %v", err)
+		}
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("POST /v1/round: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	refusals := []struct {
+		name  string
+		shard int
+		body  []byte
+		want  int
+	}{
+		{"malformed frame", shard, valid[:len(valid)-1], http.StatusBadRequest},
+		{"tenant of another shard", shard, frame(2, 4, alpha, SubmitRequest{Schema: WireSchema, Tenant: foreign, Jobs: one}), http.StatusMisdirectedRequest},
+		// The batches map to the shard under the worker's ring too: only the
+		// count shows the round was partitioned for another fleet shape.
+		{"stale shard count", shard, frame(3, 4, alpha), http.StatusMisdirectedRequest},
+		{"batch over the watermark", shard, frame(2, 4, SubmitRequest{Schema: WireSchema, Tenant: "alpha", Jobs: flood}), http.StatusTooManyRequests},
+		{"shard past the target", shard, frame(2, 2, alpha), http.StatusConflict},
+		{"closed shard", other, closed, http.StatusMisdirectedRequest},
+	}
+	for _, row := range refusals {
+		before := svc.Stats().PerShard[row.shard]
+		if got := post(row.body); got != row.want {
+			t.Errorf("%s: status %d, want %d", row.name, got, row.want)
+		}
+		if after := svc.Stats().PerShard[row.shard]; after.Round != before.Round || after.Backlog != before.Backlog ||
+			after.Tenants != before.Tenants || after.Accepted != before.Accepted || after.Open != before.Open {
+			t.Errorf("%s: refused call changed shard %d: %+v -> %+v", row.name, row.shard, before, after)
+		}
+	}
+
+	// An answered call is timed as one submit per batch and one tick, and
+	// counted as one frame of its codec; the JSON twin serves the same call.
+	counts := func() [4]int64 {
+		t.Helper()
+		snap, err := svc.MergedMetrics()
+		if err != nil {
+			t.Fatalf("MergedMetrics: %v", err)
+		}
+		submits, _ := snap.Histogram(MetricSubmitNs)
+		ticks, _ := snap.Histogram(MetricTickNs)
+		bin, _ := snap.Counter(obs.MetricWireFramesBinary)
+		js, _ := snap.Counter(obs.MetricWireFramesJSON)
+		return [4]int64{submits.Count, ticks.Count, bin, js}
+	}
+	before := counts()
+	if got := post(valid); got != http.StatusOK {
+		t.Fatalf("valid round call after the refusals: status %d", got)
+	}
+	if st := svc.Stats().PerShard[shard]; st.Round != 4 || st.Backlog != 0 || st.Accepted == 0 {
+		t.Fatalf("after the valid round call: %+v, want round 4 with the batch admitted and ticked", st)
+	}
+	if got, want := counts(), [4]int64{before[0] + 1, before[1] + 1, before[2] + 1, before[3]}; got != want {
+		t.Errorf("binary round call: submits, ticks, binary and JSON frames = %v, want %v", got, want)
+	}
+	before = counts()
+	next := &RoundRequest{Schema: WireSchema, Shard: shard, Shards: 2, Target: 5,
+		Batches: []SubmitRequest{{Schema: WireSchema, Tenant: "alpha", Jobs: []SubmitJob{{ID: 200, Color: 0, Delay: 4}}}}}
+	if r, err := NewClientWire(srv.URL, SingleShot(), WireJSON).TickShard(next); err != nil || r != 5 {
+		t.Fatalf("JSON round call: r=%d err=%v", r, err)
+	}
+	if got, want := counts(), [4]int64{before[0] + 1, before[1] + 1, before[2], before[3] + 1}; got != want {
+		t.Errorf("JSON round call: submits, ticks, binary and JSON frames = %v, want %v", got, want)
+	}
 }
 
 // TestHostedShardsTickIndependently pins the failover-critical property:
@@ -109,8 +218,8 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 	if _, err := svc.OpenShard(0, nil); err != nil {
 		t.Fatalf("open 0: %v", err)
 	}
-	if r, err := svc.TickShard(0, 5); err != nil || r != 5 {
-		t.Fatalf("TickShard(0,5): r=%d err=%v", r, err)
+	if r, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 2, Target: 5}); err != nil || r != 5 {
+		t.Fatalf("TickShard(0 to 5): r=%d err=%v", r, err)
 	}
 	// Shard 1 opens later (as a migrated shard would) at round 0.
 	if _, err := svc.OpenShard(1, nil); err != nil {
@@ -129,8 +238,8 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 		t.Fatalf("rounds after Tick = %d/%d, want 7/2", st.PerShard[0].Round, st.PerShard[1].Round)
 	}
 	// Realign shard 1.
-	if r, err := svc.TickShard(1, 5); err != nil || r != 7 {
-		t.Fatalf("TickShard(1,5): r=%d err=%v", r, err)
+	if r, err := svc.TickShard(&RoundRequest{Shard: 1, Shards: 2, Target: 7}); err != nil || r != 7 {
+		t.Fatalf("TickShard(1 to 7): r=%d err=%v", r, err)
 	}
 }
 
@@ -263,9 +372,10 @@ func TestHostedTickNoOpenShards(t *testing.T) {
 }
 
 // TestHostedSyncShard pins the checkpoint-repair path: when a tick's hook push
-// fails, the shard has still advanced and has forgotten its acks; SyncShard
-// re-offers the current state to the hook without ticking, as a
-// self-contained bundle that folds to the same state as the close handoff.
+// fails, the shard has still advanced and has forgotten its acks; a round call
+// naming the round the shard reached re-offers the current state to the hook
+// without ticking, as a self-contained bundle that folds to the same state as
+// the close handoff.
 func TestHostedSyncShard(t *testing.T) {
 	var mu sync.Mutex
 	fail := false
@@ -293,8 +403,9 @@ func TestHostedSyncShard(t *testing.T) {
 	defer srv.Close()
 	client := NewClientPolicy(srv.URL, SingleShot())
 
-	// Sync against a closed shard misdirects (classic 421 semantics).
-	if _, err := client.SyncShard(0); !errors.Is(err, ErrMisdirected) {
+	// A round call against a closed shard misdirects (classic 421 semantics).
+	repair := &RoundRequest{Schema: WireSchema, Shard: 0, Shards: 2, Target: 1}
+	if _, err := client.TickShard(repair); !errors.Is(err, ErrMisdirected) {
 		t.Fatalf("sync on closed shard: err=%v", err)
 	}
 	if _, err := svc.OpenShard(0, nil); err != nil {
@@ -305,7 +416,7 @@ func TestHostedSyncShard(t *testing.T) {
 	mu.Lock()
 	fail = true
 	mu.Unlock()
-	if _, err := svc.TickShard(0, 1); err == nil {
+	if _, err := svc.TickShard(repair); err == nil {
 		t.Fatal("tick with failing hook succeeded")
 	}
 	if st := svc.Stats(); st.PerShard[0].Round != 1 {
@@ -319,10 +430,11 @@ func TestHostedSyncShard(t *testing.T) {
 	fail = false
 	mu.Unlock()
 
-	// Sync closes the gap: the hook now holds round 1 without further ticking,
-	// in a bundle that needs nothing the receiver might have dropped.
-	if r, err := client.SyncShard(0); err != nil || r != 1 {
-		t.Fatalf("SyncShard: r=%d err=%v", r, err)
+	// Resending the call closes the gap: the shard is at its target, so the
+	// hook now holds round 1 without further ticking, in a bundle that needs
+	// nothing the receiver might have dropped.
+	if r, err := client.TickShard(repair); err != nil || r != 1 {
+		t.Fatalf("sync: r=%d err=%v", r, err)
 	}
 	mu.Lock()
 	round, bytesGot := gotRound, gotBytes
@@ -333,7 +445,7 @@ func TestHostedSyncShard(t *testing.T) {
 	if st := svc.Stats(); st.PerShard[0].Round != 1 {
 		t.Fatalf("sync ticked the shard: round = %d, want 1", st.PerShard[0].Round)
 	}
-	synced, _, _, err := FoldBundle(bytesGot, nil)
+	resent, _, _, err := FoldBundle(bytesGot, nil)
 	if err != nil {
 		t.Fatalf("sync bundle is not self-contained after a lost push: %v", err)
 	}
@@ -345,18 +457,18 @@ func TestHostedSyncShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FoldBundle(handoff): %v", err)
 	}
-	if !bytes.Equal(direct, synced) {
+	if !bytes.Equal(direct, resent) {
 		t.Fatal("sync checkpoint diverges from the close handoff")
 	}
 
-	// SyncShard is hosted-only.
+	// The round call is hosted-only.
 	classic, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8})
 	if err != nil {
 		t.Fatalf("New classic: %v", err)
 	}
 	defer classic.Close()
-	if _, err := classic.SyncShard(0); err == nil {
-		t.Error("SyncShard accepted on a classic service")
+	if _, err := classic.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: 0}); err == nil {
+		t.Error("round call accepted on a classic service")
 	}
 }
 
@@ -384,7 +496,7 @@ func TestHostedConfigValidation(t *testing.T) {
 	if _, err := svc.CloseShard(0); err == nil {
 		t.Error("CloseShard accepted on a classic service")
 	}
-	if _, err := svc.TickShard(0, 1); err == nil {
+	if _, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: 1}); err == nil {
 		t.Error("TickShard accepted on a classic service")
 	}
 	hosted, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true})

@@ -46,12 +46,11 @@ const maxPlacementRetries = 32
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/jobs       submit one batch for one tenant (wire.go)
-//	POST /v1/tick       advance rounds (virtual-time mode only; ?rounds=n,
-//	                    and in hosted mode ?shard=i ticks one shard from its
-//	                    own round counter)
-//	POST /v1/sync       re-push one hosted shard's checkpoint at its current
-//	                    round without ticking (?shard=i); drivers use it when
-//	                    the dispatcher's stored round lags the shard
+//	POST /v1/tick       advance every shard (virtual-time mode only; ?rounds=n,
+//	                    or a tick frame)
+//	POST /v1/round      one hosted shard's round call (RoundRequest): admit
+//	                    its batches, tick it to a target round, push its
+//	                    checkpoint
 //	POST /v1/reshard    resize the pool under live traffic (ReshardRequest)
 //	GET  /v1/stats      service + per-shard stats (StatsResponse)
 //	GET  /v1/decisions  a tenant's recorded decision stream (?tenant=...)
@@ -62,7 +61,7 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("/v1/tick", s.handleTick)
-	mux.HandleFunc("/v1/sync", s.handleSync)
+	mux.HandleFunc("/v1/round", s.handleRound)
 	mux.HandleFunc("/v1/reshard", s.handleReshard)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/decisions", s.handleDecisions)
@@ -238,60 +237,32 @@ func (s *Service) handleTick(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "service runs a real-time round ticker; /v1/tick is for virtual-time mode")
 		return
 	}
-	nshards := len(s.pl.Load().shards)
 	n := 1
-	shard := -1
-	if v := r.URL.Query().Get("rounds"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 || parsed > 1<<20 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %q (want 1..%d)", v, 1<<20))
-			return
-		}
-		n = parsed
-	}
-	if v := r.URL.Query().Get("shard"); v != "" {
-		parsed, perr := strconv.Atoi(v)
-		if perr != nil || parsed < 0 || parsed >= nshards {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %q (want 0..%d)", v, nshards-1))
-			return
-		}
-		shard = parsed
-	}
-	// A binary tick carries the same parameters as a request frame; the v2
-	// client sends both (query for old servers, frame for new), so the frame
-	// is authoritative here when present.
 	if IsBinaryContent(r.Header.Get("Content-Type")) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 			return
 		}
-		fn, fshard, err := DecodeTickBinary(body)
+		fn, err := DecodeTickBinary(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if fn <= 0 || fn > 1<<20 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %d (want 1..%d)", fn, 1<<20))
+		if fn <= 0 || fn > maxTickRounds {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %d (want 1..%d)", fn, maxTickRounds))
 			return
 		}
-		if fshard != -1 && (fshard < 0 || fshard >= nshards) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %d (want 0..%d)", fshard, nshards-1))
+		n = fn
+	} else if v := r.URL.Query().Get("rounds"); v != "" {
+		parsed, err := strconv.Atoi(v)
+		if err != nil || parsed <= 0 || parsed > maxTickRounds {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %q (want 1..%d)", v, maxTickRounds))
 			return
 		}
-		n, shard = fn, fshard
+		n = parsed
 	}
-	var round int64
-	var err error
-	if shard >= 0 {
-		round, err = s.TickShard(shard, n)
-		if errors.Is(err, errShardClosed) {
-			writeError(w, http.StatusMisdirectedRequest, err.Error())
-			return
-		}
-	} else {
-		round, err = s.Tick(n)
-	}
+	round, err := s.Tick(n)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -309,54 +280,61 @@ type TickResponse struct {
 	Round  int64  `json:"round"`
 }
 
-// handleSync re-pushes one hosted shard's checkpoint at its current round.
-func (s *Service) handleSync(w http.ResponseWriter, r *http.Request) {
+// maxRoundBody caps a round call's body, in either codec, at the frame bound.
+const maxRoundBody = FrameHeaderLen + MaxFramePayload
+
+// handleRound serves one hosted shard's round call (POST /v1/round) in the
+// codecs the headers name. A malformed request is a 400, a refusal carries
+// its own status (Service.TickShard), and a failed push or a draining or
+// classic service is a 503. An answered call counts in the wire counters.
+func (s *Service) handleRound(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	nshards := len(s.pl.Load().shards)
-	shard := -1
-	if v := r.URL.Query().Get("shard"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 || parsed >= nshards {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %q (want 0..%d)", v, nshards-1))
-			return
-		}
-		shard = parsed
-	}
-	// As with tick: a binary sync frame is authoritative when present.
-	if IsBinaryContent(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-			return
-		}
-		fshard, err := DecodeSyncBinary(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		shard = fshard
-	}
-	if shard < 0 || shard >= nshards {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %d (want 0..%d)", shard, nshards-1))
+	binReq := IsBinaryContent(r.Header.Get("Content-Type"))
+	fb := acquireFrameBuf()
+	defer releaseFrameBuf(fb)
+	if err := fb.readFrom(r.Body, maxRoundBody+1); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	round, err := s.SyncShard(shard)
-	if errors.Is(err, errShardClosed) {
-		writeError(w, http.StatusMisdirectedRequest, err.Error())
+	if len(fb.b) > maxRoundBody {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", maxRoundBody))
 		return
 	}
+	decode := DecodeRound
+	if binReq {
+		decode = DecodeRoundBinary
+	}
+	req, err := decode(fb.b)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if acceptsBinary(r.Header.Get("Accept")) {
-		writeBinary(w, http.StatusOK, EncodeTickResponseBinary(round))
+	round, err := s.TickShard(req)
+	if err != nil {
+		status, re := http.StatusServiceUnavailable, (*roundError)(nil)
+		if errors.As(err, &re) {
+			status = re.status
+		}
+		writeError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, TickResponse{Schema: StatsSchema, Round: round})
+	wm := s.pl.Load().shards[req.Shard].met.wire
+	wm.BytesIn.Add(int64(len(fb.b)))
+	if binReq {
+		wm.FramesBinary.Inc()
+	} else {
+		wm.FramesJSON.Inc()
+	}
+	if !acceptsBinary(r.Header.Get("Accept")) {
+		writeJSON(w, http.StatusOK, TickResponse{Schema: StatsSchema, Round: round})
+		return
+	}
+	out := EncodeTickResponseBinary(round)
+	wm.BytesOut.Add(int64(len(out)))
+	writeBinary(w, http.StatusOK, out)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

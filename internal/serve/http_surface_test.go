@@ -53,10 +53,13 @@ func TestHandlerMethodAndInputRefusals(t *testing.T) {
 		{http.MethodPost, "/v1/reshard", []byte("{torn"), http.StatusBadRequest},
 		{http.MethodPost, "/v1/reshard", []byte(`{"schema":"bogus","shards":2}`), http.StatusBadRequest},
 		{http.MethodPost, "/metrics", nil, http.StatusMethodNotAllowed},
-		{http.MethodGet, "/v1/sync", nil, http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/sync?shard=banana", nil, http.StatusBadRequest},
-		{http.MethodPost, "/v1/sync?shard=7", nil, http.StatusBadRequest},
-		{http.MethodPost, "/v1/sync", nil, http.StatusBadRequest}, // no shard named
+		{http.MethodGet, "/v1/round", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/round", []byte("{torn"), http.StatusBadRequest},
+		{http.MethodPost, "/v1/round", nil, http.StatusBadRequest}, // no request at all
+		{http.MethodPost, "/v1/round", []byte(`{"schema":"rrserve/v1","shard":2,"shards":2,"target":1}`), http.StatusBadRequest},
+		{http.MethodPost, "/v1/round", []byte(`{"schema":"rrserve/v1","shard":0,"shards":2,"target":-1}`), http.StatusBadRequest},
+		{http.MethodPost, "/v1/round", []byte(`{"schema":"rrserve/v1","shard":0,"shards":2,"target":1,"batches":[{"schema":"rrserve/v1","tenant":"t","jobs":[]}]}`), http.StatusBadRequest},
+		{http.MethodPost, "/v1/round", []byte(`{"schema":"rrserve/v1","shard":0,"shards":2,"target":1,"batches":[{"schema":"rrserve/v1","tenant":"t","class":"gold","jobs":[{"id":0,"color":0,"delay":4}]}]}`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if got := httpStatus(t, srv, c.method, c.path, c.body); got != c.want {
@@ -65,9 +68,10 @@ func TestHandlerMethodAndInputRefusals(t *testing.T) {
 	}
 }
 
-// TestSyncEndpointRequiresHostedMode pins that a well-formed sync against a
-// classic service surfaces the mode error rather than succeeding vacuously.
-func TestSyncEndpointRequiresHostedMode(t *testing.T) {
+// TestRoundEndpointRequiresHostedMode pins that a well-formed round call
+// against a classic service surfaces the mode error rather than succeeding
+// vacuously.
+func TestRoundEndpointRequiresHostedMode(t *testing.T) {
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -75,8 +79,9 @@ func TestSyncEndpointRequiresHostedMode(t *testing.T) {
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	if got := httpStatus(t, srv, http.MethodPost, "/v1/sync?shard=0", nil); got != http.StatusServiceUnavailable {
-		t.Fatalf("sync on a classic service: status %d, want %d", got, http.StatusServiceUnavailable)
+	body := []byte(`{"schema":"rrserve/v1","shard":0,"shards":1,"target":1}`)
+	if got := httpStatus(t, srv, http.MethodPost, "/v1/round", body); got != http.StatusServiceUnavailable {
+		t.Fatalf("round call on a classic service: status %d, want %d", got, http.StatusServiceUnavailable)
 	}
 }
 

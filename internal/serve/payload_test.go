@@ -93,7 +93,7 @@ func hostedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds in
 				tb.Fatalf("submit round %d: %+v %v", r, res, err)
 			}
 		}
-		if _, err := svc.TickShard(0, 1); err != nil {
+		if _, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: r + 1}); err != nil {
 			tb.Fatal(err)
 		}
 		if !cuts[r] {

@@ -112,7 +112,7 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	if out := submitJobs(t, client, tenant, SubmitJob{ID: 0, Color: 0, Delay: 4}); !out.Accepted {
 		t.Fatalf("submit: %+v", out)
 	}
-	if _, err := svc.TickShard(0, 3); err != nil {
+	if _, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: cfg.Shards, Target: 3}); err != nil {
 		t.Fatalf("TickShard: %v", err)
 	}
 	good, err := svc.CloseShard(0)

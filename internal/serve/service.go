@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -34,7 +35,8 @@ type Config struct {
 	Watermark int
 	// RoundEvery is the real-time duration of one scheduling round. Zero
 	// selects virtual-time mode: rounds advance only via POST /v1/tick (or
-	// Service.Tick), which is what tests and the CI smoke job use.
+	// Service.Tick), which is what tests and the CI smoke job use, or, in
+	// hosted mode, per shard via POST /v1/round.
 	RoundEvery time.Duration
 	// RecordDecisions keeps every tenant's decision stream and serves it at
 	// /v1/decisions. The stream lives in each shard's decision log: the
@@ -75,7 +77,8 @@ type Config struct {
 	// are chunks the manifest names), so history survives a shard migration.
 	Hosted bool
 	// OnShardCheckpoint, if set (hosted mode only), is invoked from the shard
-	// goroutine after every self-tick with a checkpoint bundle of the shard:
+	// goroutine after every self-tick and round call (TickShard), ticking or
+	// not, with a checkpoint bundle of the shard:
 	// its manifest plus the chunks the receiver has not acknowledged yet
 	// (see FoldBundle for the receiving side).
 	// The worker daemon uses it to push state to the dispatcher's checkpoint
@@ -168,7 +171,7 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("serve: hosted mode is incompatible with a state dir (checkpoints travel via OnShardCheckpoint)")
 	}
 	if cfg.Hosted && cfg.RoundEvery != 0 {
-		return fmt.Errorf("serve: hosted mode requires virtual time (rounds advance per shard via /v1/tick)")
+		return fmt.Errorf("serve: hosted mode requires virtual time (rounds advance per shard via /v1/round)")
 	}
 	if cfg.OnShardCheckpoint != nil && !cfg.Hosted {
 		return fmt.Errorf("serve: OnShardCheckpoint requires hosted mode")
@@ -485,20 +488,39 @@ func (s *Service) tickHosted(n int) (int64, error) {
 	return maxRound, nil
 }
 
-// TickShard advances one hosted shard by n rounds from its own round counter.
-// It exists so a placement-following driver can realign shards that diverged
-// during a failover (the dead worker's shards resume at their checkpoint
-// rounds, behind the survivors).
-func (s *Service) TickShard(shard, n int) (int64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("serve: tick count must be positive, got %d", n)
-	}
+// maxTickRounds bounds how many rounds one tick call may advance a shard.
+const maxTickRounds = 1 << 20
+
+// TickShard runs one hosted shard's round call: it admits req's batches
+// through the shard's admission, ticks the shard to req.Target (no rounds when
+// it is already there), and offers the shard's checkpoint to
+// OnShardCheckpoint either way, failing when the hook does. It returns the
+// shard's round. The call is idempotent: a resent batch that already landed
+// counts as landed, and a shard at the target only pushes, which repairs a
+// tick whose push was lost. Refusals carry their HTTP status: 421 for another
+// shard count, a tenant the ring routes elsewhere or a closed shard, and 409
+// for a shard past the target, each changing nothing; a refused batch's own
+// status, with the call's earlier batches admitted and the tick not run.
+func (s *Service) TickShard(req *RoundRequest) (int64, error) {
 	if !s.cfg.Hosted {
 		return 0, fmt.Errorf("serve: per-shard ticks require hosted mode")
 	}
+	if err := validateRoundMeta(req); err != nil {
+		return 0, refuseRound(http.StatusBadRequest, "%v", err)
+	}
 	pl := s.pl.Load()
-	if shard < 0 || shard >= len(pl.shards) {
-		return 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
+	if req.Shards != len(pl.shards) {
+		return 0, refuseRound(http.StatusMisdirectedRequest, "serve: round was partitioned under %d shards, this service has %d", req.Shards, len(pl.shards))
+	}
+	for i := range req.Batches {
+		b := &req.Batches[i]
+		var ck delayChecker
+		if err := validateSubmitBody(b.Tenant, b.Jobs, &ck); err != nil {
+			return 0, refuseRound(http.StatusBadRequest, "%v", err)
+		}
+		if got := pl.ring.ShardOf(b.Tenant); got != req.Shard {
+			return 0, refuseRound(http.StatusMisdirectedRequest, "serve: tenant %q routes to shard %d, not %d", b.Tenant, got, req.Shard)
+		}
 	}
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
@@ -506,33 +528,11 @@ func (s *Service) TickShard(shard, n int) (int64, error) {
 		return 0, fmt.Errorf("serve: service is draining")
 	}
 	reply := make(chan selfTickResult, 1)
-	pl.shards[shard].ch <- shardCmd{selfTick: &selfTickCmd{n: n, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
-	res := <-reply                                                              //lint:ignore lockcheck the shard goroutine always answers a selfTick on the buffered reply channel
-	if res.err != nil {
-		return res.round, res.err
-	}
-	if res.round > s.round.Load() {
+	pl.shards[req.Shard].ch <- shardCmd{round: &roundCmd{req: req, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
+	res := <-reply                                                                //lint:ignore lockcheck the shard goroutine always answers a round call on the buffered reply channel
+	if res.err == nil && res.round > s.round.Load() {
 		s.round.Store(res.round)
 	}
-	return res.round, nil
-}
-
-// SyncShard re-offers a hosted shard's current state to OnShardCheckpoint at
-// its current round, without ticking, and returns that round. Drivers call it
-// when the dispatcher's checkpoint store lags the shard (a tick whose hook
-// push failed): it restores the invariant that a restored shard is never more
-// than one round behind the live one.
-func (s *Service) SyncShard(shard int) (int64, error) {
-	if !s.cfg.Hosted {
-		return 0, fmt.Errorf("serve: SyncShard requires hosted mode")
-	}
-	pl := s.pl.Load()
-	if shard < 0 || shard >= len(pl.shards) {
-		return 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
-	}
-	reply := make(chan selfTickResult, 1)
-	pl.shards[shard].ch <- shardCmd{sync: &syncCmd{reply: reply}}
-	res := <-reply
 	return res.round, res.err
 }
 

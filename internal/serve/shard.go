@@ -208,7 +208,7 @@ type shardCmd struct {
 	submit    *submitCmd
 	tick      *tickCmd
 	selfTick  *selfTickCmd
-	sync      *syncCmd
+	round     *roundCmd
 	openShard *openCmd
 	close     *closeCmd
 	stats     *statsCmd
@@ -256,13 +256,22 @@ type selfTickResult struct {
 	err   error
 }
 
-// syncCmd re-offers a hosted shard's current state to Config.OnShardCheckpoint
-// without ticking. It exists for the failure window where a tick advanced the
-// shard but the hook's push was lost: a placement-following driver that finds
-// the checkpoint store behind the shard uses sync to close the gap before
-// counting the round as durable.
-type syncCmd struct {
+// roundCmd is a round call (Service.TickShard), count and routing checked.
+type roundCmd struct {
+	req   *RoundRequest
 	reply chan selfTickResult
+}
+
+// roundError is a refused round call, with the HTTP status that says why.
+type roundError struct {
+	status int
+	msg    string
+}
+
+func (e *roundError) Error() string { return e.msg }
+
+func refuseRound(status int, format string, args ...any) error {
+	return &roundError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
 // openCmd opens a hosted shard, restoring from a checkpoint bundle when data
@@ -443,8 +452,8 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 		t0 := obs.Now()
 		cmd.selfTick.reply <- sh.handleSelfTick(cmd.selfTick.n)
 		sh.met.tickNs.Observe(obs.Now() - t0)
-	case cmd.sync != nil:
-		cmd.sync.reply <- sh.handleSync()
+	case cmd.round != nil:
+		cmd.round.reply <- sh.handleRound(cmd.round.req)
 	case cmd.openShard != nil:
 		cmd.openShard.reply <- sh.handleOpen(cmd.openShard.data)
 	case cmd.close != nil:
@@ -469,11 +478,11 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 	}
 }
 
-// handleSelfTick ticks a hosted shard n rounds from its own counter and then
-// offers a fresh checkpoint to Config.OnShardCheckpoint. A hook failure does
-// not roll the rounds back — the decisions are made — but it is surfaced so
-// the caller knows the store may be behind the shard; handleSync closes that
-// gap without ticking further.
+// handleSelfTick ticks a hosted shard n rounds (none when n is 0) from its own
+// counter and then offers a fresh checkpoint to Config.OnShardCheckpoint. A
+// hook failure does not roll the rounds back — the decisions are made — but
+// it is surfaced so the caller knows the store may be behind the shard; a
+// round call to the round the shard reached closes that gap.
 func (sh *shard) handleSelfTick(n int) selfTickResult {
 	if !sh.open {
 		return selfTickResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
@@ -487,17 +496,40 @@ func (sh *shard) handleSelfTick(n int) selfTickResult {
 	return selfTickResult{round: sh.round}
 }
 
-// handleSync re-offers the shard's current state to Config.OnShardCheckpoint
-// at its current round, without ticking. No-op (but still a success, echoing
-// the round) when no hook is configured.
-func (sh *shard) handleSync() selfTickResult {
-	if !sh.open {
-		return selfTickResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
+// handleRound runs a round call on the shard: every batch goes through
+// handleSubmit, where a duplicate (409) counts as landed and any other
+// refusal fails the call before the tick, then the shard ticks to the target
+// and pushes. Each admission is timed as a submit and the ticks with their
+// push as a tick, the same work separate submits and ticks timed.
+func (sh *shard) handleRound(req *RoundRequest) selfTickResult {
+	var err error
+	switch {
+	case !sh.open:
+		err = refuseRound(http.StatusMisdirectedRequest, "serve: shard %d is not hosted on this worker", sh.idx)
+	case sh.round > req.Target:
+		err = refuseRound(http.StatusConflict, "serve: shard %d is at round %d, past target %d", sh.idx, sh.round, req.Target)
+	case req.Target-sh.round > maxTickRounds:
+		err = refuseRound(http.StatusBadRequest, "serve: shard %d is at round %d, target %d is over %d rounds ahead", sh.idx, sh.round, req.Target, maxTickRounds)
 	}
-	if err := sh.offerCheckpoint(); err != nil {
+	for i := 0; err == nil && i < len(req.Batches); i++ {
+		t0 := obs.Now()
+		// The call's shard count and ring check stand in for the epoch fence.
+		res := sh.handleSubmit(&req.Batches[i], sh.epoch)
+		sh.met.submitNs.Observe(obs.Now() - t0)
+		if res.status != http.StatusOK && res.status != http.StatusConflict {
+			err = refuseRound(res.status, "serve: shard %d refused batch %d of the round: %s", sh.idx, i, res.err)
+		}
+	}
+	if err != nil {
 		return selfTickResult{round: sh.round, err: err}
 	}
-	return selfTickResult{round: sh.round}
+	ticks := int(req.Target - sh.round)
+	t0 := obs.Now()
+	res := sh.handleSelfTick(ticks)
+	if ticks > 0 {
+		sh.met.tickNs.Observe(obs.Now() - t0)
+	}
+	return res
 }
 
 // handleOpen opens a hosted shard, restoring from a checkpoint bundle when

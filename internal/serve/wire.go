@@ -89,6 +89,68 @@ type SubmitResponse struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
+// RoundRequest is the body of POST /v1/round, a hosted shard's whole round in
+// one call (Service.TickShard). Shards is the shard count the sender
+// partitioned the batches under. In binary frames every batch is a submit
+// frame; in JSON, a submit request with its own schema string.
+type RoundRequest struct {
+	Schema  string          `json:"schema"`
+	Shard   int             `json:"shard"`
+	Shards  int             `json:"shards"`
+	Target  int64           `json:"target"`
+	Batches []SubmitRequest `json:"batches,omitempty"`
+}
+
+// DecodeRound parses and validates a JSON round request.
+func DecodeRound(data []byte) (*RoundRequest, error) {
+	var req RoundRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return nil, fmt.Errorf("serve: decoding round request: %w", err)
+	}
+	if err := validateRound(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// EncodeRound validates and serializes a round request as JSON.
+func EncodeRound(req *RoundRequest) ([]byte, error) {
+	if err := validateRound(req); err != nil {
+		return nil, err
+	}
+	return json.Marshal(req)
+}
+
+// validateRound enforces the JSON codec's invariants: v1 schemas, valid batches.
+func validateRound(req *RoundRequest) error {
+	if req.Schema != WireSchema {
+		return fmt.Errorf("serve: round schema %q, want %q", req.Schema, WireSchema)
+	}
+	for i := range req.Batches {
+		if err := validateSubmit(&req.Batches[i]); err != nil {
+			return fmt.Errorf("serve: round batch %d: %w", i, err)
+		}
+	}
+	return validateRoundMeta(req)
+}
+
+// validateRoundMeta enforces the round call's own fields, shared by both
+// codecs: a shard inside a bounded shard count, a non-negative target, and
+// batches without routing metadata — the shard count is the call's routing
+// assertion, and a tenant's class binds through /v1/jobs.
+func validateRoundMeta(req *RoundRequest) error {
+	if req.Shards < 1 || req.Shards > MaxShards || req.Shard < 0 || req.Shard >= req.Shards || req.Target < 0 {
+		return fmt.Errorf("serve: round names shard %d of %d at target %d (want shard in [0, shards), shards in [1, %d], target >= 0)",
+			req.Shard, req.Shards, req.Target, MaxShards)
+	}
+	for i, b := range req.Batches {
+		if b.Class != "" || b.Epoch != 0 {
+			return fmt.Errorf("serve: round batch %d names class %q and epoch %d; round batches carry neither", i, b.Class, b.Epoch)
+		}
+	}
+	return nil
+}
+
 // ErrCodeEpochSkew is the machine-readable code on a 409 produced by a
 // submit that asserted a placement epoch other than the service's current
 // one. The response's Epoch field carries the current epoch so the client
