@@ -188,21 +188,30 @@ func bundleParts(t *testing.T, shard, shards int, round int64, tenants ...string
 	}
 	chunks := map[uint64][]byte{}
 	for _, name := range tenants {
-		payload := []byte{2} // the payload format byte
-		payload = varint.AppendInt(payload, round)
-		payload = varint.AppendString(payload, name)
-		payload = varint.AppendInt(payload, round) // epoch
-		payload = varint.AppendInt(payload, -1)    // max ID
-		payload = varint.AppendString(payload, "") // default class
-		payload = varint.AppendLen(payload, 0)     // delays
-		payload = varint.AppendLen(payload, 0)     // queued
-		payload = varint.AppendLen(payload, 0)     // inflight
-		payload = varint.AppendBytes(payload, img)
-		enc, id := ckptstore.EncodeFull(payload)
+		enc, id := ckptstore.EncodeFull(minimalPayload(3, name, round, img))
 		chunks[id] = enc
 		m.Tenants = append(m.Tenants, ckptstore.TenantRef{Name: name, Chunk: ckptstore.FormatChunkID(id)})
 	}
 	return m, chunks
+}
+
+// minimalPayload writes a tenant payload field by field in the layout of
+// the given format byte: a tenant born at round (epoch = round) with no jobs
+// and the scheduler image img. Format 3 is the current layout; format 2, now
+// refused, carried an inflight section (here empty) before the image.
+func minimalPayload(format byte, name string, round int64, img []byte) []byte {
+	payload := []byte{format}
+	payload = varint.AppendInt(payload, round)
+	payload = varint.AppendString(payload, name)
+	payload = varint.AppendInt(payload, round) // epoch
+	payload = varint.AppendInt(payload, -1)    // max ID
+	payload = varint.AppendString(payload, "") // default class
+	payload = varint.AppendLen(payload, 0)     // delays
+	payload = varint.AppendLen(payload, 0)     // queued
+	if format == 2 {
+		payload = varint.AppendLen(payload, 0) // inflight
+	}
+	return varint.AppendBytes(payload, img)
 }
 
 func encodeBundle(t *testing.T, m *ckptstore.Manifest, chunks map[uint64][]byte) []byte {

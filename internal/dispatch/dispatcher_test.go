@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rrsched/internal/ckptstore"
+	"rrsched/internal/stream"
 )
 
 // fakeClock drives the dispatcher's failure detector deterministically.
@@ -58,7 +59,7 @@ func heldFromGrants(prev []LeaseInfo, resp *HeartbeatResponse) []LeaseInfo {
 		delete(byShard, shard)
 	}
 	for _, g := range resp.Grants {
-		byShard[g.Shard] = LeaseInfo{Shard: g.Shard, Epoch: g.Epoch, Round: g.Round}
+		byShard[g.Shard] = LeaseInfo{Shard: g.Shard, Epoch: g.Epoch}
 	}
 	out := make([]LeaseInfo, 0, len(byShard))
 	for shard := 0; shard < MaxShards; shard++ {
@@ -355,17 +356,27 @@ func TestStatePersistence(t *testing.T) {
 // through a second path: a bundle carrying an rrckpt/v1 manifest (JSON
 // payloads), an rrckpt/v2 manifest (delta chunks) or an rrckpt/v3 manifest
 // (payloads embedding decision histories), and under a current manifest a
-// JSON tenant chunk, refused by the payload decoder.
+// JSON tenant chunk or a format-2 tenant chunk (payloads with an inflight
+// section), refused by the payload decoder.
 func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
-	payload, err := json.Marshal(map[string]any{
+	jsonPayload, err := json.Marshal(map[string]any{
 		"round":  12,
 		"tenant": map[string]any{"name": "alpha", "epoch": 12},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, id := ckptstore.EncodeFull(payload)
-	write := func(dir, schema string) string {
+	sched, err := stream.New(stream.Config{Delta: 4, Resources: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := sched.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	format2 := minimalPayload(2, "alpha", 12, img)
+	write := func(dir, schema string, payload []byte) string {
+		enc, id := ckptstore.EncodeFull(payload)
 		manifest, err := json.Marshal(ckptstore.Manifest{Schema: schema, Shard: 1, Shards: 4, Round: 12,
 			Tenants: []ckptstore.TenantRef{{Name: "alpha", Chunk: ckptstore.FormatChunkID(id)}}})
 		if err != nil {
@@ -383,16 +394,19 @@ func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 		return path
 	}
 	for _, c := range []struct {
-		schema, want string
+		schema  string
+		payload []byte
+		want    string
 	}{
-		{"rrckpt/v1", "rrckpt/v1"},
-		{"rrckpt/v2", "rrckpt/v2"},
-		{"rrckpt/v3", "rrckpt/v3"},
-		{ckptstore.ManifestSchema, "not a binary tenant payload"},
+		{"rrckpt/v1", jsonPayload, "rrckpt/v1"},
+		{"rrckpt/v2", jsonPayload, "rrckpt/v2"},
+		{"rrckpt/v3", jsonPayload, "rrckpt/v3"},
+		{ckptstore.ManifestSchema, jsonPayload, "not a binary tenant payload"},
+		{ckptstore.ManifestSchema, format2, "format byte 0x02, want 0x03"},
 	} {
 		cfg := testConfig()
 		cfg.StateDir = t.TempDir()
-		path := write(cfg.StateDir, c.schema)
+		path := write(cfg.StateDir, c.schema, c.payload)
 		_, err := newDispatcher(cfg, (&fakeClock{}).now)
 		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s state: err = %v, want a refusal naming %s and %q", c.schema, err, path, c.want)

@@ -94,12 +94,11 @@ type RegisterResponse struct {
 	ConfigEpoch int64 `json:"config_epoch,omitempty"`
 }
 
-// LeaseInfo identifies one held lease in a heartbeat: the shard, the epoch
-// under which it was granted, and the shard's current round.
+// LeaseInfo identifies one held lease in a heartbeat: the shard and the
+// epoch under which it was granted.
 type LeaseInfo struct {
 	Shard int   `json:"shard"`
 	Epoch int64 `json:"epoch"`
-	Round int64 `json:"round"`
 }
 
 // HeartbeatRequest is the body of POST /v1/heartbeat: liveness plus the
@@ -265,9 +264,6 @@ func validateHeartbeat(req *HeartbeatRequest) error {
 		}
 		if l.Epoch < 0 {
 			return fmt.Errorf("dispatch: held lease for shard %d has negative epoch %d", l.Shard, l.Epoch)
-		}
-		if l.Round < 0 {
-			return fmt.Errorf("dispatch: held lease for shard %d has negative round %d", l.Shard, l.Round)
 		}
 	}
 	return nil

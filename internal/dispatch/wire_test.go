@@ -23,8 +23,8 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 
 	hb := &HeartbeatRequest{Schema: WireSchema, Worker: "w1", Held: []LeaseInfo{
-		{Shard: 0, Epoch: 3, Round: 17},
-		{Shard: 2, Epoch: 1, Round: 4},
+		{Shard: 0, Epoch: 3},
+		{Shard: 2, Epoch: 1},
 	}}
 	data, err = EncodeHeartbeat(hb)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestServiceConfigValidation(t *testing.T) {
 // again (round-trip closure).
 func FuzzDecodeDispatch(f *testing.F) {
 	f.Add([]byte(`{"schema":"rrdispatch/v2","worker":"w1","addr":"http://h:1"}`))
-	f.Add([]byte(`{"schema":"rrdispatch/v2","worker":"w1","held":[{"shard":0,"epoch":1,"round":2}]}`))
+	f.Add([]byte(`{"schema":"rrdispatch/v2","worker":"w1","held":[{"shard":0,"epoch":1}]}`))
 	for _, cp := range []*CheckpointPush{
 		{Worker: "w1", Shard: 0, Epoch: 1, Round: 2, Data: []byte("rrcb\x01")},
 		{Worker: "w2", Shard: 3, Epoch: 7, Round: 40, Final: true, Data: bytes.Repeat([]byte{0xff}, 64)},

@@ -42,7 +42,6 @@ type Worker struct {
 	config      ServiceConfig
 	configEpoch int64
 	epochs      map[int]int64 // shard → lease epoch (held shards only)
-	rounds      map[int]int64 // shard → round of its last checkpoint/open
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -125,7 +124,6 @@ func StartWorker(name, dispatcherURL, listenAddr string, logw io.Writer) (*Worke
 		logw:   logw,
 		now:    obs.Now,
 		epochs: map[int]int64{},
-		rounds: map[int]int64{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -193,9 +191,6 @@ func (w *Worker) logf(format string, args ...any) {
 func (w *Worker) pushCheckpoint(shard int, round int64, data []byte) error {
 	w.mu.Lock()
 	epoch, held := w.epochs[shard]
-	if held {
-		w.rounds[shard] = round
-	}
 	w.mu.Unlock()
 	if !held {
 		return fmt.Errorf("dispatch: shard %d ticked without a lease", shard)
@@ -291,7 +286,7 @@ func (w *Worker) heartbeatRequest() *HeartbeatRequest {
 	}
 	sort.Ints(shards)
 	for _, shard := range shards {
-		req.Held = append(req.Held, LeaseInfo{Shard: shard, Epoch: w.epochs[shard], Round: w.rounds[shard]})
+		req.Held = append(req.Held, LeaseInfo{Shard: shard, Epoch: w.epochs[shard]})
 	}
 	return req
 }
@@ -313,7 +308,6 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 		w.mu.Lock()
 		epoch, held := w.epochs[shard]
 		delete(w.epochs, shard)
-		delete(w.rounds, shard)
 		w.mu.Unlock()
 		if !held {
 			// A revoke for a lease this worker never applied: nothing to hand off.
@@ -327,20 +321,15 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 	for _, g := range resp.Grants {
 		w.mu.Lock()
 		w.epochs[g.Shard] = g.Epoch
-		w.rounds[g.Shard] = g.Round
 		w.mu.Unlock()
 		round, err := w.service().OpenShard(g.Shard, g.Checkpoint)
 		if err != nil {
 			w.mu.Lock()
 			delete(w.epochs, g.Shard)
-			delete(w.rounds, g.Shard)
 			w.mu.Unlock()
 			w.logf("rrworker %s: opening shard %d at epoch %d failed: %v", w.name, g.Shard, g.Epoch, err)
 			continue
 		}
-		w.mu.Lock()
-		w.rounds[g.Shard] = round
-		w.mu.Unlock()
 		w.logf("rrworker %s: holding shard %d at round %d (epoch %d)", w.name, g.Shard, round, g.Epoch)
 	}
 }
@@ -354,7 +343,6 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 func (w *Worker) rebuild(cfg ServiceConfig, epoch int64) error {
 	w.mu.Lock()
 	w.epochs = map[int]int64{}
-	w.rounds = map[int]int64{}
 	old := w.svc
 	w.mu.Unlock()
 	scfg := cfg.serveConfig()
@@ -424,7 +412,6 @@ func (w *Worker) selfFence() {
 		shards = append(shards, shard)
 	}
 	w.epochs = map[int]int64{}
-	w.rounds = map[int]int64{}
 	w.mu.Unlock()
 	sort.Ints(shards)
 	for _, shard := range shards {
@@ -447,7 +434,6 @@ func (w *Worker) Close() {
 			held[shard] = epoch
 		}
 		w.epochs = map[int]int64{}
-		w.rounds = map[int]int64{}
 		w.mu.Unlock()
 		shards := make([]int, 0, len(held))
 		for shard := range held {

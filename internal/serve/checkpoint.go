@@ -20,45 +20,41 @@ import (
 //	max-id class
 //	delays:   count, then (color delay)*
 //	queued:   count, then (id color delay)*
-//	inflight: count, then (id color arrival)*
 //	stream:   length, then the stream.Scheduler binary image
 //
 // Integers are zigzag varints, counts and lengths unsigned varints, strings
 // length-prefixed. A payload carries no decision history: recorded
 // decisions live in the shard's decision log (history.go), so recording
-// changes no tenant chunk byte. The round travels inside the payload
-// because a clean tenant keeps its old chunk while the manifest's round
-// advances: the restored scheduler fast-forwards the gap, which is
-// deterministic precisely because a clean tenant's skipped rounds are
-// trivial. Format 1 carried a decision count in the header and the
-// decisions after the stream image; it is refused, not read.
-const tenantPayloadFormat byte = 2
+// changes no tenant chunk byte. Nor does it carry a second copy of the
+// pushed jobs: the stream image holds each pending job's color, arrival and
+// delay, and the scheduler lends the jobs it resolves to the metrics. The
+// round travels inside the payload because a clean tenant keeps its old
+// chunk while the manifest's round advances: the restored scheduler
+// fast-forwards the gap, which is deterministic precisely because a clean
+// tenant's skipped rounds are trivial. Earlier formats are refused, not
+// read: format 1 carried a decision count in the header and the decisions
+// after the stream image, and format 2 an inflight section (id color
+// arrival per pending job) before it.
+const tenantPayloadFormat byte = 3
 
 // tenantImage is a tenant payload in memory: the scheduler's binary image
 // plus the ingest-layer state the stream scheduler does not know about
-// (queued-but-unpushed jobs, the ID high-water mark, and the inflight
-// metadata the metrics layer needs).
+// (queued-but-unpushed jobs and the ID high-water mark).
 type tenantImage struct {
 	round int64 // the shard round the payload was cut at
 	name  string
 	epoch int64
 	maxID int64
 	// class is the tenant's QoS class; empty means the default class.
-	class    string
-	delays   []colorDelay
-	queued   []model.Job // Arrival is stamped at push time, so not carried
-	inflight []inflightJob
-	stream   []byte // stream.Scheduler binary image
+	class  string
+	delays []colorDelay
+	queued []model.Job // Arrival is stamped at push time, so not carried
+	stream []byte      // stream.Scheduler binary image
 }
 
 type colorDelay struct {
 	color model.Color
 	delay int64
-}
-
-type inflightJob struct {
-	id int64
-	jobMeta
 }
 
 // imageOf captures one tenant at the shard's current round.
@@ -82,11 +78,6 @@ func (sh *shard) imageOf(tn *tenant) (*tenantImage, error) {
 	}
 	slices.SortFunc(ti.delays, func(a, b colorDelay) int { return cmp.Compare(a.color, b.color) })
 	slices.SortFunc(ti.queued, func(a, b model.Job) int { return cmp.Compare(a.ID, b.ID) })
-	ti.inflight = make([]inflightJob, 0, len(tn.inflight))
-	for id, meta := range tn.inflight {
-		ti.inflight = append(ti.inflight, inflightJob{id: id, jobMeta: meta})
-	}
-	slices.SortFunc(ti.inflight, func(a, b inflightJob) int { return cmp.Compare(a.id, b.id) })
 	return ti, nil
 }
 
@@ -128,12 +119,6 @@ func (ti *tenantImage) append(b []byte) []byte {
 		b = varint.AppendInt(b, int64(j.Color))
 		b = varint.AppendInt(b, j.Delay)
 	}
-	b = varint.AppendLen(b, len(ti.inflight))
-	for _, f := range ti.inflight {
-		b = varint.AppendInt(b, f.id)
-		b = varint.AppendInt(b, int64(f.Color))
-		b = varint.AppendInt(b, f.Arrival)
-	}
 	return varint.AppendBytes(b, ti.stream)
 }
 
@@ -172,10 +157,6 @@ func readTenantPayload(payload []byte, name string, maxRound int64) (*tenantImag
 	for i := range ti.queued {
 		ti.queued[i] = model.Job{ID: r.Int(), Color: model.Color(r.Int32()), Delay: r.Int()}
 	}
-	ti.inflight = make([]inflightJob, r.Len(3))
-	for i := range ti.inflight {
-		ti.inflight[i] = inflightJob{id: r.Int(), jobMeta: jobMeta{Color: model.Color(r.Int32()), Arrival: r.Int()}}
-	}
 	ti.stream = r.Bytes()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: tenant %q chunk: %w", name, err)
@@ -202,7 +183,6 @@ func (sh *shard) buildTenant(ti *tenantImage) (*tenant, error) {
 		sched:      sched,
 		maxID:      ti.maxID,
 		delays:     make(map[model.Color]int64, len(ti.delays)),
-		inflight:   make(map[int64]jobMeta, len(ti.inflight)),
 		class:      class,
 		lastActive: ti.round,
 	}
@@ -223,15 +203,6 @@ func (sh *shard) buildTenant(ti *tenantImage) (*tenant, error) {
 			return nil, fmt.Errorf("serve: tenant %q queued job %d has unregistered delay %d for color %d", ti.name, q.ID, q.Delay, q.Color)
 		}
 		tn.queued = append(tn.queued, q)
-	}
-	for _, f := range ti.inflight {
-		if _, dup := tn.inflight[f.id]; dup {
-			return nil, fmt.Errorf("serve: tenant %q repeats inflight job %d", ti.name, f.id)
-		}
-		if f.Color < 0 {
-			return nil, fmt.Errorf("serve: tenant %q inflight job %d has negative color", ti.name, f.id)
-		}
-		tn.inflight[f.id] = f.jobMeta
 	}
 	return tn, nil
 }

@@ -163,7 +163,7 @@ func (sh *shard) handleCut() cutResult {
 }
 
 // maybeEvict pages out tenants that have been quiescent for at least
-// Config.EvictAfter rounds. Quiescence means no queued and no inflight work:
+// Config.EvictAfter rounds. Quiescence means no queued and no pending work:
 // such a tenant's future rounds are all trivial until its next submission, so
 // the fast-forward a fault-in performs reproduces the live decision stream
 // byte for byte. Runs at the end of a tick, on the shard goroutine.
@@ -174,7 +174,7 @@ func (sh *shard) maybeEvict() {
 	var victims []string
 	for _, name := range sh.order {
 		tn := sh.tenants[name]
-		if len(tn.queued) == 0 && len(tn.inflight) == 0 && sh.round-tn.lastActive >= sh.cfg.EvictAfter {
+		if len(tn.queued) == 0 && tn.sched.Pending() == 0 && sh.round-tn.lastActive >= sh.cfg.EvictAfter {
 			victims = append(victims, name)
 		}
 	}
@@ -235,7 +235,7 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 	sh.order[i] = name
 	sh.backlog += len(tn.queued)
 	sh.classBacklog[tn.class] += len(tn.queued)
-	sh.inflight += len(tn.inflight)
+	sh.inflight += tn.sched.Pending()
 	sh.setStateGauges()
 	sh.setPagingGauges()
 	sh.met.ckm.FaultIns.Inc()
@@ -326,7 +326,7 @@ func (sh *shard) adoptRefs(refs []ckptstore.TenantRef, round int64, ring hashRin
 		sh.order = append(sh.order, tn.name)
 		sh.backlog += len(tn.queued)
 		sh.classBacklog[tn.class] += len(tn.queued)
-		sh.inflight += len(tn.inflight)
+		sh.inflight += tn.sched.Pending()
 	}
 	sort.Strings(sh.order)
 	sh.setStateGauges()

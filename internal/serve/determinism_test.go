@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rrsched/internal/model"
+	"rrsched/internal/obs"
 	"rrsched/internal/stream"
 	"rrsched/internal/workload"
 )
@@ -194,6 +195,96 @@ func TestServiceDecisionsMatchBareScheduler(t *testing.T) {
 			t.Fatalf("tenant %s: service decisions diverge from bare scheduler\nservice:   %s\nreference: %s",
 				tn.name, excerpt(got, want), excerpt(want, got))
 		}
+	}
+}
+
+// TestServiceMetricsMatchBareScheduler pins the scheduler metrics of a served
+// run against an oracle rather than against the code itself: the determinism
+// fixture goes through /v1/jobs and ticks, and each tenant's arrivals are
+// replayed through a bare stream.Scheduler. The expected per-color drops,
+// pending-age histogram and final queue depth come from the bare decisions,
+// with each job's color and local arrival looked up in the tenant's
+// sequence. The run stops before the last delay bounds expire, so jobs are
+// still pending at the end.
+func TestServiceMetricsMatchBareScheduler(t *testing.T) {
+	cfg := Config{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16}
+	_, client := newTestService(t, cfg)
+	tenants := detFixture(t, 42)
+	const totalRounds = 24
+	driveService(t, client, tenants, totalRounds)
+
+	reg := obs.NewRegistry()
+	oracle, err := obs.NewSchedulerMetrics(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pushedJob struct {
+		color   model.Color
+		arrival int64 // local round
+	}
+	var depth, drops, execs int64
+	for _, tn := range tenants {
+		epoch := epochOf(tn)
+		shift := epoch - tn.startRound
+		jobs := map[int64]pushedJob{}
+		for local := int64(0); local < totalRounds-epoch; local++ {
+			for _, j := range tn.seq.Request(local + shift) {
+				jobs[j.ID] = pushedJob{color: j.Color, arrival: local}
+				depth++
+			}
+		}
+		for _, dec := range referenceDecisions(t, tn, totalRounds, cfg) {
+			for _, id := range dec.Dropped {
+				oracle.Drops.With(jobs[id].color.String()).Inc()
+			}
+			for _, ex := range dec.Executions {
+				oracle.PendingAge.Observe(dec.Round - jobs[ex.JobID].arrival)
+			}
+			drops += int64(len(dec.Dropped))
+			execs += int64(len(dec.Executions))
+		}
+	}
+	depth -= drops + execs
+	if drops == 0 || execs == 0 || depth == 0 {
+		t.Fatalf("fixture resolves %d drops and %d executions and leaves %d pending; the oracle wants all three non-zero", drops, execs, depth)
+	}
+	want := reg.Snapshot()
+	got, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	labels := 0
+	for _, m := range want.Metrics {
+		if m.Name != obs.MetricDrops {
+			continue
+		}
+		labels++
+		if v, ok := got.CounterWith(obs.MetricDrops, m.Label); !ok || v != m.Value {
+			t.Errorf("%s{color=%s} = %d (present %v), oracle %d", obs.MetricDrops, m.Label, v, ok, m.Value)
+		}
+	}
+	for _, m := range got.Metrics {
+		if m.Name == obs.MetricDrops {
+			labels--
+		}
+	}
+	if labels != 0 {
+		t.Errorf("%s: the service and the oracle label different color sets", obs.MetricDrops)
+	}
+	gh, ok := got.Histogram(obs.MetricPendingAge)
+	wh, _ := want.Histogram(obs.MetricPendingAge)
+	if !ok || gh.Count != wh.Count || gh.Sum != wh.Sum || len(gh.Buckets) != len(wh.Buckets) {
+		t.Fatalf("%s: count %d sum %d over %d buckets, oracle count %d sum %d over %d buckets",
+			obs.MetricPendingAge, gh.Count, gh.Sum, len(gh.Buckets), wh.Count, wh.Sum, len(wh.Buckets))
+	}
+	for i := range wh.Buckets {
+		if gh.Buckets[i].Count != wh.Buckets[i].Count {
+			t.Errorf("%s bucket %d: %d, oracle %d", obs.MetricPendingAge, i, gh.Buckets[i].Count, wh.Buckets[i].Count)
+		}
+	}
+	if v, ok := got.Counter(obs.MetricQueueDepth); !ok || v != depth {
+		t.Errorf("%s = %d (present %v), oracle %d", obs.MetricQueueDepth, v, ok, depth)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Queued jobs, inflight jobs and a non-default class survive too.
+	// Queued jobs, pending jobs and a non-default class survive too.
 	sh := testShard(t, 8)
 	sched, err := stream.New(stream.Config{Delta: 4, Resources: 8})
 	if err != nil {
@@ -198,9 +198,8 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 	}
 	sh.round = 9
 	tn := &tenant{name: "queued", epoch: 8, sched: sched, maxID: 5, class: 1,
-		delays:   map[model.Color]int64{3: 8, 1: 4},
-		queued:   []model.Job{{ID: 5, Color: 1, Delay: 4}, {ID: 2, Color: 3, Delay: 8}},
-		inflight: map[int64]jobMeta{0: {Color: 3, Arrival: 0}},
+		delays: map[model.Color]int64{3: 8, 1: 4},
+		queued: []model.Job{{ID: 5, Color: 1, Delay: 4}, {ID: 2, Color: 3, Delay: 8}},
 	}
 	p, err := sh.tenantPayload(tn)
 	if err != nil {
@@ -210,18 +209,20 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, p) {
 		t.Fatal("re-encoded payload differs")
 	}
-	if back.class != 1 || len(back.queued) != 2 || back.queued[0].ID != 2 || len(back.inflight) != 1 || back.maxID != 5 {
+	if back.class != 1 || len(back.queued) != 2 || back.queued[0].ID != 2 || back.sched.Pending() != 1 || back.maxID != 5 {
 		t.Fatalf("rebuilt tenant %+v", back)
 	}
 }
 
 // goldenTenantPayloads pins the payloads a hosted shard writes for one
 // dense tenant of the golden dense input (internal/stream's golden test),
-// cut every 64 rounds. Re-pinned for payload format 2 after checking that
-// every cut equals its format-1 payload with the decision count and the
-// decisions section removed and the format byte set to 2.
+// cut every 64 rounds. Re-pinned for payload format 3 after checking, with a
+// varint parser written apart from this package, that every cut equals its
+// format-2 payload with the inflight section removed and the format byte set
+// to 3 (and, before that, format 2 against format 1 with the decision count
+// and decisions removed).
 var goldenTenantPayloads = map[int64]string{
-	1: "dd7f98b0950f214d6b0f1adc65ce6fc2820323c48f9278ce36a3a2bc2c2f5360",
+	1: "541792d3836f91404560cbe8be839ffb192a31e5b42e99db55febc69d567eb57",
 }
 
 func TestGoldenTenantPayloadDigests(t *testing.T) {
@@ -239,6 +240,22 @@ func TestGoldenTenantPayloadDigests(t *testing.T) {
 			t.Errorf("seed %d: tenant payload digest %s, pinned %s", seed, got, want)
 		}
 	}
+}
+
+// format2Payload rewrites a payload in the retired format-2 layout: the
+// same fields under format byte 2, with an inflight section (here empty)
+// before the stream image.
+func format2Payload(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	ti, err := readTenantPayload(payload, payloadName(payload), math.MaxInt64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tail := varint.AppendBytes(nil, ti.stream)
+	p := ti.append(nil)
+	v2 := append([]byte{2}, p[1:len(p)-len(tail)]...)
+	v2 = varint.AppendLen(v2, 0) // inflight: count, then (id color arrival)*
+	return append(v2, tail...)
 }
 
 // TestReadTenantPayloadRefusals pins the header checks every reader shares
@@ -267,7 +284,8 @@ func TestReadTenantPayloadRefusals(t *testing.T) {
 		{"round past the manifest", good, 10, "chunk round 24 outside [0, 10]"},
 		{"epoch past the round", mutated(func(ti *tenantImage) { ti.epoch = 30 }), 24, "epoch 30 outside [0, 24]"},
 		{"JSON payload", []byte(`{"round":3,"tenant":{"name":"tenant"}}`), 24, "not a binary tenant payload"},
-		{"format-1 payload", append([]byte{1}, good[1:]...), 24, "format byte 0x01, want 0x02"},
+		{"format-1 payload", append([]byte{1}, good[1:]...), 24, "format byte 0x01, want 0x03"},
+		{"format-2 payload", format2Payload(t, good), 24, "format byte 0x02, want 0x03"},
 		{"truncated", good[:len(good)-1], 24, "tenant \"tenant\" chunk"},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), 24, "trailing"},
 		{"empty", nil, 24, "chunk header"},
@@ -325,8 +343,8 @@ func setManifestSchema(t *testing.T, dir, schema string) {
 // second read path: v1 (JSON payloads), v2 (delta chunks) and v3 (payloads
 // embedding decision histories) manifest sets, with resident tenants or
 // with every tenant evicted so boot would open no chunk; a current manifest
-// whose tenant chunk holds a JSON payload or a format-1 payload; and a
-// current manifest naming a chunk of the retired delta kind.
+// whose tenant chunk holds a JSON payload, a format-1 payload or a format-2
+// payload; and a current manifest naming a chunk of the retired delta kind.
 func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
 	for _, schema := range []string{"rrckpt/v1", "rrckpt/v2", "rrckpt/v3"} {
 		cfg, dir := checkpointedStateDir(t)
@@ -383,41 +401,52 @@ func TestJSONPayloadStateDirRefusesBoot(t *testing.T) {
 		t.Fatalf("JSON tenant chunk: New = %v, want a refusal naming the chunk", err)
 	}
 
-	// A current manifest pointing at a format-1 payload: the tenant's payload
+	// A current manifest pointing at a payload of a retired format: format 2,
+	// the tenant's payload with an inflight section, and format 1, the same
 	// as the version embedding decision histories wrote it, with an empty
 	// history.
-	cfg, dir = checkpointedStateDir(t)
-	p = filepath.Join(dir, shardManifestName(0))
-	m = readDiskManifest(t, p)
-	if store, err = ckptstore.Open(filepath.Join(dir, "chunks"), 0); err != nil {
-		t.Fatal(err)
-	}
-	first, err := m.Tenants[0].ChunkID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := store.ReadChunk(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := 1 // format byte, then round, name and epoch
-	_, n := binary.Varint(payload[hdr:])
-	hdr += n
-	nameLen, n := binary.Uvarint(payload[hdr:])
-	hdr += n + int(nameLen)
-	_, n = binary.Varint(payload[hdr:])
-	hdr += n
-	v1 := append(append([]byte{1}, payload[1:hdr]...), 0) // decision count 0
-	v1 = append(v1, payload[hdr:]...)
-	if res, err = store.Put(v1, ckptstore.Ref{}); err != nil {
-		t.Fatal(err)
-	}
-	m.Tenants[0].Chunk = ckptstore.FormatChunkID(res.Ref.ID)
-	writeDiskManifest(t, p, m)
-	_, _, err = New(cfg)
-	if err == nil || !strings.Contains(err.Error(), "format byte 0x01") || !strings.Contains(err.Error(), m.Tenants[0].Name) ||
-		!strings.Contains(err.Error(), m.Tenants[0].Chunk) {
-		t.Fatalf("format-1 tenant chunk: New = %v, want a refusal naming the tenant and the chunk", err)
+	for _, c := range []struct {
+		format string
+		old    func(payload []byte) []byte
+	}{
+		{"0x02", func(payload []byte) []byte { return format2Payload(t, payload) }},
+		{"0x01", func(payload []byte) []byte {
+			v2 := format2Payload(t, payload)
+			hdr := 1 // format byte, then round, name and epoch
+			_, n := binary.Varint(v2[hdr:])
+			hdr += n
+			nameLen, n := binary.Uvarint(v2[hdr:])
+			hdr += n + int(nameLen)
+			_, n = binary.Varint(v2[hdr:])
+			hdr += n
+			v1 := append(append([]byte{1}, v2[1:hdr]...), 0) // decision count 0
+			return append(v1, v2[hdr:]...)
+		}},
+	} {
+		cfg, dir = checkpointedStateDir(t)
+		p = filepath.Join(dir, shardManifestName(0))
+		m = readDiskManifest(t, p)
+		if store, err = ckptstore.Open(filepath.Join(dir, "chunks"), 0); err != nil {
+			t.Fatal(err)
+		}
+		first, err := m.Tenants[0].ChunkID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := store.ReadChunk(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = store.Put(c.old(payload), ckptstore.Ref{}); err != nil {
+			t.Fatal(err)
+		}
+		m.Tenants[0].Chunk = ckptstore.FormatChunkID(res.Ref.ID)
+		writeDiskManifest(t, p, m)
+		_, _, err = New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "format byte "+c.format) || !strings.Contains(err.Error(), m.Tenants[0].Name) ||
+			!strings.Contains(err.Error(), m.Tenants[0].Chunk) {
+			t.Fatalf("format-%s tenant chunk: New = %v, want a refusal naming the tenant and the chunk", c.format, err)
+		}
 	}
 
 	// A current manifest pointing at a kind-1 chunk, a delta against the

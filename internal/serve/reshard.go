@@ -495,7 +495,7 @@ func (sh *shard) handleRemove(names []string) {
 		delete(sh.tenants, name)
 		sh.backlog -= len(tn.queued)
 		sh.classBacklog[tn.class] -= len(tn.queued)
-		sh.inflight -= len(tn.inflight)
+		sh.inflight -= tn.sched.Pending()
 	}
 	if resident == 0 {
 		return

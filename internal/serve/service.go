@@ -54,12 +54,14 @@ type Config struct {
 	// bytes only for tenants that changed since the last one; the decision
 	// log's segments are chunks in the same store. A state dir this version
 	// cannot read refuses to boot, naming the file, rather than start empty
-	// beside it: legacy full-state files (shard-*.json), and rrckpt/v1 (JSON
+	// beside it: legacy full-state files (shard-*.json), rrckpt/v1 (JSON
 	// payloads), rrckpt/v2 (delta chunks) or rrckpt/v3 (payloads embedding
-	// decision histories) manifests.
+	// decision histories) manifests, and tenant chunks of payload format 1
+	// (embedded decisions) or 2 (an inflight section), named with their
+	// tenant.
 	StateDir string
 	// EvictAfter pages quiescent tenants out of memory: a tenant with no
-	// queued or inflight work whose last activity is at least EvictAfter
+	// queued or pending jobs whose last activity is at least EvictAfter
 	// rounds old is serialized into the chunk store and dropped from the
 	// shard, then transparently faulted back in on its next submission.
 	// Requires StateDir (the chunk store is the backing store); zero

@@ -37,10 +37,6 @@ type tenant struct {
 	// inconsistent submission is rejected at admission instead of poisoning
 	// a round's Push.
 	delays map[model.Color]int64
-	// inflight tracks color and local arrival round of jobs pushed into the
-	// scheduler and not yet executed or dropped — the metadata the metrics
-	// layer needs when a decision only carries job IDs.
-	inflight map[int64]jobMeta
 	// class indexes the tenant's QoS class in the shard's class table. A
 	// tenant binds its class on first submit and keeps it for life (including
 	// across checkpoints and migrations).
@@ -58,11 +54,6 @@ type tenant struct {
 	// chunk is the content address of the chunk holding the tenant's last
 	// cut state (zero before the tenant's first cut).
 	chunk uint64
-}
-
-type jobMeta struct {
-	Color   model.Color
-	Arrival int64 // local round
 }
 
 // shardMetrics bundles the per-shard instrument handles: the standard
@@ -745,13 +736,12 @@ func (sh *shard) handleSubmit(req *SubmitRequest, epoch int64) submitResult {
 			return submitResult{status: http.StatusInternalServerError, err: err.Error(), round: sh.round, backlog: sh.backlog}
 		}
 		tn = &tenant{
-			name:     req.Tenant,
-			epoch:    sh.round,
-			sched:    sched,
-			maxID:    -1,
-			delays:   map[model.Color]int64{},
-			inflight: map[int64]jobMeta{},
-			class:    class,
+			name:   req.Tenant,
+			epoch:  sh.round,
+			sched:  sched,
+			maxID:  -1,
+			delays: map[model.Color]int64{},
+			class:  class,
 		}
 		sh.tenants[req.Tenant] = tn
 		i := sort.SearchStrings(sh.order, req.Tenant)
@@ -823,9 +813,6 @@ func (sh *shard) handleTick(round int64) {
 		sh.backlog -= len(jobs)
 		sh.classBacklog[tn.class] -= len(jobs)
 		sh.inflight += len(jobs)
-		for _, j := range jobs {
-			tn.inflight[j.ID] = jobMeta{Color: j.Color, Arrival: local}
-		}
 		sh.observeDecision(tn, dec)
 		if len(jobs) > 0 || len(dec.Reconfigs)+len(dec.Executions)+len(dec.Dropped) > 0 {
 			// Pushed jobs or a non-trivial decision changed scheduler state; a
@@ -844,32 +831,30 @@ func (sh *shard) handleTick(round int64) {
 	sh.maybeEvict()
 }
 
-// observeDecision folds one round's decision into the shard metrics and
-// retires the resolved jobs from the inflight table.
+// observeDecision folds one round's decision into the shard metrics, reading
+// the color of each dropped job and the arrival of each executed one from the
+// jobs the tenant's scheduler resolved in that round.
 func (sh *shard) observeDecision(tn *tenant, dec stream.Decision) {
 	sm := sh.met.sm
 	if n := len(dec.Reconfigs); n > 0 {
 		sm.Reconfigs.Add(int64(n))
 		sm.ReconfigCost.Add(int64(n) * sh.cfg.Delta)
 	}
-	for _, id := range dec.Dropped {
-		meta, ok := tn.inflight[id]
-		if ok {
-			delete(tn.inflight, id)
-			sh.inflight--
-			sm.Drops.With(meta.Color.String()).Inc()
+	dropped, executed := tn.sched.Resolved()
+	if n := len(dropped); n > 0 {
+		for _, j := range dropped {
+			sm.Drops.With(j.Color.String()).Inc()
 		}
-		sm.Dropped.Inc()
-		sm.DropCost.Inc()
+		sm.Dropped.Add(int64(n))
+		sm.DropCost.Add(int64(n))
 	}
-	for _, ex := range dec.Executions {
-		if meta, ok := tn.inflight[ex.JobID]; ok {
-			delete(tn.inflight, ex.JobID)
-			sh.inflight--
-			sm.PendingAge.Observe(dec.Round - meta.Arrival)
+	if n := len(executed); n > 0 {
+		for _, j := range executed {
+			sm.PendingAge.Observe(dec.Round - j.Arrival)
 		}
-		sm.Executed.Inc()
+		sm.Executed.Add(int64(n))
 	}
+	sh.inflight -= len(dropped) + len(executed)
 	sm.QueueDepth.Set(int64(sh.inflight))
 }
 

@@ -244,6 +244,12 @@ func fromImage(cp *checkpoint) (*Scheduler, error) {
 			q.Push(j)
 		}
 	}
+	// Pending counts what the queues hold: a count the queues cannot back
+	// would leave Drain waiting forever for jobs that are not there.
+	if len(s.inflight) != s.Pending() {
+		return nil, fmt.Errorf("stream: checkpoint holds %d pending jobs, its accounting says %d (%d pushed, %d executed, %d dropped)",
+			len(s.inflight), s.Pending(), cp.PushedJobs, cp.Executed, cp.Dropped)
+	}
 	// Release jobs feed the inner simulation at their round, which trusts
 	// them the way Push trusts validated arrivals: each must be a valid job
 	// of its color's registered bound, listed under its own VarBatch release

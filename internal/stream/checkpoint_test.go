@@ -263,6 +263,9 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		{"bad resources", corrupt(func(m map[string]any) { m["resources"] = 3.0 }), "multiple of 4"},
 		{"negative round", corrupt(func(m map[string]any) { m["round"] = -5.0 }), "negative round"},
 		{"accounting", corrupt(func(m map[string]any) { m["executed"] = 100.0 }), "accounting"},
+		// A count the pending queues cannot back would leave Drain waiting
+		// for jobs that are not there.
+		{"pending count", corrupt(func(m map[string]any) { m["pushed_jobs"] = m["pushed_jobs"].(float64) + 1 }), "accounting says"},
 		{"loc mismatch", corrupt(func(m map[string]any) { m["loc_color"] = []any{} }), "locations"},
 		{"no tracker", corrupt(func(m map[string]any) {
 			inner := m["inner"].(map[string]any)

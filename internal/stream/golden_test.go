@@ -86,3 +86,104 @@ func TestGoldenStreamDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestResolvedLendsDecisionJobs pins the in-flight contract on the golden
+// dense input. After every Push, Resolved lends the jobs of the round's
+// Dropped and Executions, in the same order, each with the color, arrival
+// and delay it was pushed with; Pending is pushed minus executed minus
+// dropped and survives Snapshot/Restore and AppendBinary/RestoreBinary; a
+// restored scheduler lends nothing until its first Push, which lends what
+// the uninterrupted scheduler's did.
+func TestResolvedLendsDecisionJobs(t *testing.T) {
+	const rounds, snapEvery = 384, 64
+	seq := denseSequence(t, 1, rounds)
+	s, err := New(Config{Delta: seq.Delta(), Resources: denseResources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed := map[int64]model.Job{}
+	check := func(what string, s *Scheduler, dec Decision) {
+		t.Helper()
+		dropped, executed := s.Resolved()
+		if len(dropped) != len(dec.Dropped) || len(executed) != len(dec.Executions) {
+			t.Fatalf("%s round %d: resolved %d dropped and %d executed, decision has %d and %d",
+				what, dec.Round, len(dropped), len(executed), len(dec.Dropped), len(dec.Executions))
+		}
+		for i, j := range dropped {
+			if j.ID != dec.Dropped[i] || j != pushed[j.ID] {
+				t.Fatalf("%s round %d: dropped job %d is %+v, decision drops %d pushed as %+v",
+					what, dec.Round, i, j, dec.Dropped[i], pushed[dec.Dropped[i]])
+			}
+		}
+		for i, j := range executed {
+			if id := dec.Executions[i].JobID; j.ID != id || j != pushed[id] {
+				t.Fatalf("%s round %d: executed job %d is %+v, decision executes %d pushed as %+v",
+					what, dec.Round, i, j, id, pushed[id])
+			}
+		}
+	}
+	var twins []*Scheduler // restored copies, checked on their first Push
+	want := 0
+	for r := int64(0); r < rounds; r++ {
+		jobs := seq.Request(r)
+		for _, j := range jobs {
+			pushed[j.ID] = j
+		}
+		dec, err := s.Push(r, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("live", s, dec)
+		for _, tw := range twins {
+			if _, err := tw.Push(r, jobs); err != nil {
+				t.Fatal(err)
+			}
+			check("restored", tw, dec)
+		}
+		twins = twins[:0]
+		want += len(jobs) - len(dec.Dropped) - len(dec.Executions)
+		if s.Pending() != want {
+			t.Fatalf("round %d: Pending %d, want %d", r, s.Pending(), want)
+		}
+		if r%snapEvery != snapEvery-1 {
+			continue
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := s.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromJSON, err := Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBinary, err := RestoreBinary(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tw := range []*Scheduler{fromJSON, fromBinary} {
+			if tw.Pending() != want {
+				t.Fatalf("round %d: restored Pending %d, want %d", r, tw.Pending(), want)
+			}
+			if dropped, executed := tw.Resolved(); len(dropped)+len(executed) > 0 {
+				t.Fatalf("round %d: a restored scheduler lends %d dropped and %d executed jobs before its first Push",
+					r, len(dropped), len(executed))
+			}
+		}
+		twins = append(twins, fromJSON, fromBinary)
+	}
+	tail, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tail) == 0 {
+		t.Fatal("the golden input drained no rounds")
+	}
+	check("drain", s, tail[len(tail)-1])
+	if s.Pending() != 0 {
+		t.Fatalf("Pending %d after Drain", s.Pending())
+	}
+}

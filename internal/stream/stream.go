@@ -83,10 +83,12 @@ type Scheduler struct {
 	inflight     map[int64]bool // IDs of accepted jobs not yet executed or dropped
 
 	// Scratch reused across rounds.
-	batchSeen map[int64]bool      // IDs of the batch being validated
-	recs      []model.Reconfigure // this round's reconfigurations, before the caller's copy
-	execs     []model.Execution   // this round's executions, before the caller's copy
-	drops     []int64             // this round's dropped IDs, before the caller's copy
+	batchSeen    map[int64]bool      // IDs of the batch being validated
+	recs         []model.Reconfigure // this round's reconfigurations, before the caller's copy
+	execs        []model.Execution   // this round's executions, before the caller's copy
+	drops        []int64             // this round's dropped IDs, before the caller's copy
+	executedJobs []model.Job         // this round's executed jobs, lent by Resolved
+	droppedJobs  []model.Job         // this round's dropped jobs, lent by Resolved
 }
 
 // colorQueue is one outer color's pending queue.
@@ -130,6 +132,21 @@ func (s *Scheduler) Executed() int { return s.executed }
 
 // Dropped returns the number of jobs dropped so far.
 func (s *Scheduler) Dropped() int { return s.dropped }
+
+// Pending returns the number of accepted jobs not yet executed or dropped:
+// pushed minus executed minus dropped.
+func (s *Scheduler) Pending() int { return s.pushedJobs - s.executed - s.dropped }
+
+// Resolved lends the jobs the last processed round dropped and executed, in
+// the order of that round's Decision.Dropped and Decision.Executions, with
+// the color, arrival and delay bound each was pushed with. The slices are
+// the scheduler's scratch: they stay valid until the next Push or Drain and
+// must not be modified. Rounds a Push fast-forwards report nothing, as their
+// Decisions are discarded, and a restored scheduler reports nothing until
+// its first Push.
+func (s *Scheduler) Resolved() (dropped, executed []model.Job) {
+	return s.droppedJobs, s.executedJobs
+}
 
 // Push advances the scheduler to round r (processing any skipped empty
 // rounds first) and delivers the round's arrivals. Rounds must be pushed in
@@ -198,18 +215,19 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 	// Outer drop phase: drop jobs whose deadline is r. Colors are visited in
 	// ascending order so the decision trace is deterministic (and therefore
 	// reproducible across checkpoint/restore).
-	drops := s.drops[:0]
+	drops, droppedJobs := s.drops[:0], s.droppedJobs[:0]
 	for _, cq := range s.pendingOrder {
 		q := cq.q
 		for q.Len() > 0 && q.Peek().Deadline() <= r {
 			j := q.Pop()
 			delete(s.inflight, j.ID)
 			drops = append(drops, j.ID)
+			droppedJobs = append(droppedJobs, j)
 			s.dropped++
 			s.cost.Drop++
 		}
 	}
-	s.drops = drops
+	s.drops, s.droppedJobs = drops, droppedJobs
 	dec.Dropped = owned(drops)
 
 	// Outer arrival phase: admit jobs, register delay bounds, and schedule
@@ -247,7 +265,7 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 	// uses the job's ORIGINAL window [arrival, deadline): the VarBatch delay
 	// constrains only the inner bookkeeping, and executing an already
 	// arrived job early is always legal and never worse.
-	execs := s.execs[:0]
+	execs, executedJobs := s.execs[:0], s.executedJobs[:0]
 	for loc := 0; loc < s.cfg.Resources; loc++ {
 		c := s.locColor[loc]
 		if c == model.Black {
@@ -260,9 +278,10 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 		j := q.Pop()
 		delete(s.inflight, j.ID)
 		execs = append(execs, model.Execution{Round: r, Resource: loc, JobID: j.ID})
+		executedJobs = append(executedJobs, j)
 		s.executed++
 	}
-	s.execs = execs
+	s.execs, s.executedJobs = execs, executedJobs
 	dec.Executions = owned(execs)
 	return dec, nil
 }

@@ -113,11 +113,22 @@ func TestStreamSkippedRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Push(0, []model.Job{{ID: 0, Color: 0, Arrival: 0, Delay: 4}}); err != nil {
+	dec, err := s.Push(0, []model.Job{{ID: 0, Color: 0, Arrival: 0, Delay: 4}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Push(50, []model.Job{{ID: 1, Color: 0, Arrival: 50, Delay: 4}}); err != nil {
+	if len(dec.Executions)+len(dec.Dropped) != 0 || s.Pending() != 1 {
+		t.Fatalf("round 0 resolved job 0 (%+v); the gap below must", dec)
+	}
+	dec, err = s.Push(50, []model.Job{{ID: 1, Color: 0, Arrival: 50, Delay: 4}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Job 0 was resolved in a fast-forwarded round, whose Decision is
+	// discarded: Resolved lends only round 50's jobs, as its Decision lists.
+	dropped, executed := s.Resolved()
+	if len(dropped) != len(dec.Dropped) || len(executed) != len(dec.Executions) || s.Pending() != 1-len(dropped)-len(executed) {
+		t.Fatalf("after the gap: resolved %v dropped and %v executed, Pending %d, for decision %+v", dropped, executed, s.Pending(), dec)
 	}
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
