@@ -10,10 +10,11 @@
 //	rrdispatch -addr :9090 -shards 8 -n 64 -delta 4 -record-decisions
 //	rrdispatch -addr 127.0.0.1:0 -heartbeat 250ms -miss-budget 3 -state ./cpdir
 //
-// The dispatcher itself is restartable: with -state, accepted checkpoints are
-// persisted per shard (one binary file each, rrdispatch-state/v2) and a
-// restarted dispatcher regrants from them; workers re-register automatically
-// when their heartbeats start answering 404.
+// The dispatcher itself is restartable: with -state, every accepted
+// checkpoint is on disk before the push is acknowledged (two fdatasynced
+// slot files per shard, records of rrdispatch-state/v3) and a restarted
+// dispatcher regrants from them; workers re-register automatically when
+// their heartbeats start answering 404.
 package main
 
 import (

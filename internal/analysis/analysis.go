@@ -24,9 +24,10 @@
 //   - goroleak: every `go` statement is tied to a shutdown path (WaitGroup,
 //     done channel, channel loop, or an http.Server serve loop), and
 //     goroutine launches inside unbounded loops are flagged;
-//   - atomicwrite: os.WriteFile/os.Create on paths that flow from
-//     state/checkpoint vocabulary must go through the sanctioned tmp+rename
-//     helper (internal/atomicio);
+//   - atomicwrite: os.WriteFile/os.Create, and os.OpenFile for writing, on
+//     paths that flow from state/checkpoint vocabulary must go through the
+//     sanctioned internal/atomicio helpers (tmp+rename, or checksummed slot
+//     files);
 //   - fencedwrite: in internal/dispatch, every lease mutation driven by an
 //     epoch-bearing wire request must consult the epoch-fence comparison —
 //     the rule that makes the 409 zombie-rejection protocol real;

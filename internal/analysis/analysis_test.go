@@ -41,7 +41,8 @@ func fixtureAnalyzers(name string) []*Analyzer {
 		return []*Analyzer{GoroLeak()}
 	case "atomicwrite":
 		return []*Analyzer{AtomicWrite(map[string]bool{
-			"fix/atomicwrite.writeFileAtomic": true,
+			"fix/atomicwrite.writeFileAtomic":   true,
+			"fix/atomicwrite.(slotWriter).open": true,
 		})}
 	case "fencedwrite":
 		return []*Analyzer{FencedWrite("fix/fencedwrite", "lease", "epoch")}

@@ -19,12 +19,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// DefaultAtomicWriteSanctioned names the functions allowed to call
-// os.WriteFile/os.Create on state paths directly: the tmp+rename helper
-// itself. Everything else must route state writes through it.
+// DefaultAtomicWriteSanctioned names the functions allowed to write state
+// paths directly (os.WriteFile, os.Create, os.OpenFile for writing): the
+// tmp+rename helper and the slot writer's open. Everything else must route
+// state writes through them.
 func DefaultAtomicWriteSanctioned() map[string]bool {
 	return map[string]bool{
-		"rrsched/internal/atomicio.WriteFile": true,
+		"rrsched/internal/atomicio.WriteFile":          true,
+		"rrsched/internal/atomicio.(Slots).ensureOpen": true,
 	}
 }
 

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
+	"os"
 	"strings"
 )
 
@@ -14,25 +16,28 @@ import (
 var atomicWriteVocab = []string{"state", "checkpoint", "snapshot", "chunk", "manifest"}
 
 // AtomicWrite returns the analyzer that forces state and checkpoint writes
-// through the sanctioned tmp+rename helper (internal/atomicio). A plain
-// os.WriteFile truncates the destination before writing, so a crash between
-// truncate and flush leaves a torn file — and a torn checkpoint is exactly
+// through the sanctioned helpers of internal/atomicio: WriteFile's
+// tmp+rename, and the Slots writer's checksummed records in two slot files
+// written alternately. A plain os.WriteFile truncates the destination
+// before writing, and a file opened for writing is overwritten in place, so
+// a crash mid-write leaves a torn file — and a torn checkpoint is exactly
 // the artifact the dispatcher's failover protocol trusts to restore a shard.
 //
 // The check is a small intra-procedural taint pass: an os.WriteFile or
-// os.Create call is flagged when its path argument mentions state vocabulary
-// ("state", "checkpoint", "snapshot", "chunk", "manifest" — as an
+// os.Create call, or an os.OpenFile call whose flags ask for write access
+// (O_WRONLY or O_RDWR, or flags computed at run time), is flagged when its path argument mentions state
+// vocabulary ("state", "checkpoint", "snapshot", "chunk", "manifest" — as an
 // identifier, a selected field, or a called function's name), when the path
 // flows through local
 // assignments from such an expression (`path := d.statePath(i); tmp := path
 // + ".tmp"`), or when the enclosing function's own name carries the
-// vocabulary. Functions named in sanctioned — the tmp+rename helpers
-// themselves, keyed like the nopanic allowlist ("pkgpath.Func") — are
-// exempt.
+// vocabulary. Functions named in sanctioned — the helpers themselves, keyed
+// like the nopanic allowlist ("pkgpath.Func", "pkgpath.(Type).Method") —
+// are exempt.
 func AtomicWrite(sanctioned map[string]bool) *Analyzer {
 	a := &Analyzer{
 		Name: "atomicwrite",
-		Doc:  "flags os.WriteFile/os.Create on state/checkpoint paths outside the sanctioned tmp+rename helper",
+		Doc:  "flags os.WriteFile/os.Create/os.OpenFile-for-writing on state/checkpoint paths outside the sanctioned atomicio helpers (tmp+rename, checksummed slots)",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
@@ -103,14 +108,15 @@ func checkAtomicWrites(pass *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		if fnNameTainted || exprMentionsVocab(pass, call.Args[0], tainted) {
-			pass.Reportf(call.Pos(), "os.%s writes a state/checkpoint path in place; a crash mid-write leaves a torn file — use the sanctioned tmp+rename helper (atomicio.WriteFile)", writer)
+			pass.Reportf(call.Pos(), "os.%s writes a state/checkpoint path in place; a crash mid-write leaves a torn file — use a sanctioned atomicio helper (WriteFile's tmp+rename, or Slots' checksummed slot records)", writer)
 		}
 		return true
 	})
 }
 
-// osWriteCall returns "WriteFile" or "Create" when the call is the
-// corresponding os function, else "".
+// osWriteCall returns "WriteFile", "Create" or "OpenFile" when the call is
+// the corresponding os function and writes (for OpenFile: its flags ask for
+// write access), else "".
 func osWriteCall(pass *Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -124,10 +130,27 @@ func osWriteCall(pass *Pass, call *ast.CallExpr) string {
 	if !ok || pn.Imported().Path() != "os" {
 		return ""
 	}
-	if sel.Sel.Name == "WriteFile" || sel.Sel.Name == "Create" {
+	switch sel.Sel.Name {
+	case "WriteFile", "Create":
 		return sel.Sel.Name
+	case "OpenFile":
+		if len(call.Args) > 1 && opensForWrite(pass, call.Args[1]) {
+			return sel.Sel.Name
+		}
 	}
 	return ""
+}
+
+// opensForWrite reports whether an os.OpenFile flag expression asks for
+// write access: a constant with O_WRONLY or O_RDWR set. Flags computed at
+// run time are taken to ask for it.
+func opensForWrite(pass *Pass, flags ast.Expr) bool {
+	tv, ok := pass.Pkg.Info.Types[flags]
+	if !ok || tv.Value == nil {
+		return true
+	}
+	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
+	return !exact || v&int64(os.O_WRONLY|os.O_RDWR) != 0
 }
 
 // exprMentionsVocab reports whether an expression mentions state vocabulary

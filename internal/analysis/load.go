@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,7 +18,9 @@ import (
 // Package is one parsed and type-checked package of the module under
 // analysis. Test files (*_test.go) are excluded: the invariants guard
 // library and command code, and tests legitimately use clocks, unseeded
-// randomness, and panics.
+// randomness, and panics. So are files the host's build excludes by their
+// build constraints or their _GOOS/_GOARCH name, as the compiler does: a
+// package with one file per platform type-checks as the host builds it.
 type Package struct {
 	// Path is the import path ("rrsched/internal/sim").
 	Path string
@@ -173,6 +176,13 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) 
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		names = append(names, n)

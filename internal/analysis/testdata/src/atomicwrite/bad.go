@@ -85,3 +85,29 @@ func writeFileAtomic(path string, data []byte) error {
 func Atomic(dir string, data []byte) error {
 	return writeFileAtomic(filepath.Join(dir, "state.json"), data)
 }
+
+// AppendStateLog opens a state path for writing in place: a finding, as an
+// os.WriteFile there would be.
+func AppendStateLog(dir string, data []byte) error {
+	f, err := os.OpenFile(filepath.Join(dir, "state.log"), os.O_WRONLY|os.O_APPEND, 0o644) // want: OpenFile for writing
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	return err
+}
+
+// ReadState opens a state path read-only: clean.
+func ReadState(dir string) (*os.File, error) {
+	return os.OpenFile(filepath.Join(dir, "state.bin"), os.O_RDONLY, 0)
+}
+
+// slotWriter stands for the sanctioned slot writer: its open of a slot
+// file for in-place, checksummed records is exempt by configuration.
+type slotWriter struct {
+	statePath string
+}
+
+func (w *slotWriter) open() (*os.File, error) {
+	return os.OpenFile(w.statePath, os.O_RDWR|os.O_CREATE, 0o644)
+}

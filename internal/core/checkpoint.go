@@ -37,34 +37,55 @@ type ColorCheckpoint struct {
 // not checkpointable (the streaming scheduler, the only user that
 // checkpoints a tracker, never enables it).
 func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
-	if t.super != nil {
-		return nil, fmt.Errorf("core: tracker with super-epoch accounting is not checkpointable")
+	cp, n, err := t.CheckpointHead()
+	if err != nil {
+		return nil, err
 	}
-	cp := &TrackerCheckpoint{
+	if n > 0 {
+		cp.Colors = make([]ColorCheckpoint, n) // an empty tracker encodes "colors": null
+	}
+	for i := range cp.Colors {
+		cc := t.CheckpointColor(i)
+		if len(cc.Wraps) > 0 {
+			cc.Wraps = append([]int64(nil), cc.Wraps...)
+		}
+		cp.Colors[i] = cc
+	}
+	return &cp, nil
+}
+
+// CheckpointHead returns Checkpoint's fields without the colors, and how
+// many colors CheckpointColor serves. The two halves let an encoder write
+// the tracker's state straight out, copying nothing.
+func (t *Tracker) CheckpointHead() (cp TrackerCheckpoint, colors int, err error) {
+	if t.super != nil {
+		return cp, 0, fmt.Errorf("core: tracker with super-epoch accounting is not checkpointable")
+	}
+	cp = TrackerCheckpoint{
 		Delta:           t.delta,
 		TimestampK:      t.tsK,
 		CompletedEpochs: t.completedEpochs,
 		EligibleDrops:   t.eligibleDrops,
 		IneligibleDrops: t.ineligibleDrops,
 	}
-	if len(t.states) > 0 {
-		cp.Colors = make([]ColorCheckpoint, len(t.states)) // an empty tracker encodes "colors": null
+	return cp, len(t.states), nil
+}
+
+// CheckpointColor returns the checkpoint state of the i-th color in
+// ascending color order, 0 <= i < the count CheckpointHead returns. Its
+// Wraps is lent: it aliases the tracker's own, must not be modified, and
+// stays valid only until the tracker next changes.
+func (t *Tracker) CheckpointColor(i int) ColorCheckpoint {
+	cs := &t.states[i]
+	return ColorCheckpoint{
+		Color:    t.colors[i],
+		Delay:    cs.delay,
+		Cnt:      cs.cnt,
+		Deadline: cs.dd,
+		Eligible: cs.eligible,
+		Wraps:    cs.wraps,
+		Seen:     cs.seen,
 	}
-	for i := range t.states {
-		cs := &t.states[i]
-		cp.Colors[i] = ColorCheckpoint{
-			Color:    t.colors[i],
-			Delay:    cs.delay,
-			Cnt:      cs.cnt,
-			Deadline: cs.dd,
-			Eligible: cs.eligible,
-			Seen:     cs.seen,
-		}
-		if len(cs.wraps) > 0 {
-			cp.Colors[i].Wraps = append([]int64(nil), cs.wraps...)
-		}
-	}
-	return cp, nil
 }
 
 // RestoreTracker rebuilds a Tracker from a checkpoint, validating it field by

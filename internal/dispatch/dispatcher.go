@@ -2,12 +2,13 @@ package dispatch
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,11 +31,14 @@ type Config struct {
 	// Workers apply the same budget to fence themselves when they cannot
 	// reach the dispatcher. Default 3.
 	MissBudget int
-	// StateDir, when set, persists every accepted checkpoint to one binary
-	// file per shard (tmp+rename, schema rrdispatch-state/v2), so a restarted
-	// dispatcher regrants shards from the last state it had rather than
-	// starting them empty. A state dir of rrdispatch-state/v1 files
-	// (shard-*.json) is refused. Empty disables durability.
+	// StateDir, when set, persists every accepted checkpoint before the push
+	// is acknowledged: one atomicio slot pair per shard (shard-NNNN.a.state
+	// and shard-NNNN.b.state, records of schema rrdispatch-state/v3, each
+	// synced with fdatasync), so a restarted dispatcher regrants shards from
+	// the last state it acknowledged rather than starting them empty. A state
+	// dir holding files of earlier versions (shard-NNNN.state of
+	// rrdispatch-state/v2, shard-NNNN.json of v1) is refused. Empty disables
+	// durability.
 	StateDir string
 }
 
@@ -109,9 +113,36 @@ type Dispatcher struct {
 	// its hosted service from the fresh config.
 	configEpoch int64
 
+	// filesMu guards files, each shard's slot pair (nil without a state
+	// dir). A commit holds it shared from its write through its sync;
+	// Reshard and Close hold it exclusively, so the table never changes
+	// between a commit's write and its sync. It is taken before a shard
+	// file's lock, which is taken before d.mu. With a state dir, files has
+	// one pair per lease: boot and Reshard install the two tables together,
+	// and only once the new table is on disk.
+	filesMu sync.RWMutex
+	files   []*shardFile
+	// beforeSync, when set, runs in a commit between publishing its round
+	// (d.mu released) and syncing its record: a test seam for landing a
+	// fence while the sync is in flight.
+	beforeSync func(shard int)
+	// afterStateStep, when set, runs after each durable step of
+	// rewriteState (a shard's records written and synced, or a shard's
+	// files removed): a test seam for copying the state dir as a crash at
+	// that point leaves it.
+	afterStateStep func()
+
 	monitorStop chan struct{}
 	monitorDone chan struct{}
 	closeOnce   sync.Once
+}
+
+// shardFile is one shard's state on disk. mu spans each record's write and
+// its sync, so the next record never overwrites a slot before the record
+// in the other slot is durable.
+type shardFile struct {
+	mu    sync.Mutex
+	slots *atomicio.Slots
 }
 
 // New builds a dispatcher and starts its failure monitor. If cfg.StateDir
@@ -151,12 +182,18 @@ func newDispatcher(cfg Config, now func() int64) (*Dispatcher, error) {
 	return d, nil
 }
 
-// Close stops the failure monitor. Workers discover the dispatcher is gone
-// through failed heartbeats and fence themselves.
+// Close stops the failure monitor and closes the state files. Workers
+// discover the dispatcher is gone through failed heartbeats and fence
+// themselves.
 func (d *Dispatcher) Close() {
 	d.closeOnce.Do(func() {
 		close(d.monitorStop)
 		<-d.monitorDone
+		d.filesMu.Lock()
+		defer d.filesMu.Unlock()
+		for _, f := range d.files {
+			_ = f.slots.Close() // every acknowledged record is already synced; a failed close loses none
+		}
 	})
 }
 
@@ -384,11 +421,13 @@ var errBadCheckpoint = fmt.Errorf("dispatch: bad checkpoint")
 // pool (serve.FoldBundle) with d.mu released, so heartbeats,
 // placement reads and other shards' pushes do not wait on the fold; it must
 // agree with the push: same shard, the fleet's shard count, the pushed round.
-// The result is then committed under d.mu, and only if the lease is still the
-// one the fold started from (commitPush). A refused push changes nothing; a
-// bundle referencing a chunk the pool lost (a dispatcher restart) is refused
-// too, and the worker resends every chunk. A final push on a revoking
-// lease completes the graceful handoff and frees the shard for regranting.
+// The result is then committed, and only if the lease is still the one the
+// fold started from (commitPush). With a state dir, it returns only once the
+// push is on disk, so an acknowledged push survives a power loss. A refused
+// push changes nothing; a bundle referencing a chunk the pool lost (a
+// dispatcher restart) is refused too, and the worker resends every chunk. A
+// final push on a revoking lease completes the graceful handoff and frees
+// the shard for regranting.
 func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 	fp, err := d.foldPush(req)
 	if err != nil {
@@ -442,16 +481,44 @@ func (d *Dispatcher) foldPush(req *CheckpointPush) (*foldedPush, error) {
 	return fp, nil
 }
 
-// commitPush stores a folded push. Under d.mu it refuses the push as stale
-// unless the lease is exactly as the fold found it: same worker, same lease
-// epoch, same config epoch (no reshard since), and the same pool (no other
-// push committed since, or the fold's pool would drop that push's chunks).
-// An accepted push is persisted first and published after, so a lease never
-// advertises a round its state file does not hold; a failed write publishes
-// nothing.
+// commitPush stores a folded push. With a state dir it holds the shard
+// file's lock from the record's write through its sync, and publishLocked
+// writes the record under d.mu; only the sync runs after d.mu is released,
+// so heartbeats, placement reads and the other shards' commits do not wait
+// on the disk. The push is acknowledged (nil) only once the sync returned. A
+// failed write or sync fails the push, and the worker resends it.
 func (d *Dispatcher) commitPush(fp *foldedPush) error {
+	d.filesMu.RLock()
+	defer d.filesMu.RUnlock()
+	var sf *shardFile
+	if fp.req.Shard < len(d.files) { // else no state dir, or a shard since merged away, which the fence refuses
+		sf = d.files[fp.req.Shard]
+		sf.mu.Lock()
+		defer sf.mu.Unlock()
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	err := d.publishLocked(fp, sf)
+	d.mu.Unlock()
+	if err != nil || sf == nil {
+		return err
+	}
+	if d.beforeSync != nil {
+		d.beforeSync(fp.req.Shard)
+	}
+	if err := sf.slots.Sync(); err != nil {
+		return fmt.Errorf("dispatch: syncing shard %d state: %w", fp.req.Shard, err)
+	}
+	return nil
+}
+
+// publishLocked refuses a folded push as stale unless the lease is exactly
+// as the fold found it: same worker, same lease epoch, same config epoch (no
+// reshard since), and the same pool (no other push committed since, or the
+// fold's pool would drop that push's chunks). An accepted push is written to
+// the shard's slot file first (sf, nil without a state dir) and published
+// after, so a lease never advertises a round its file does not hold; a
+// failed write publishes nothing. Caller holds d.mu and sf's lock.
+func (d *Dispatcher) publishLocked(fp *foldedPush, sf *shardFile) error {
 	req := fp.req
 	if d.configEpoch != fp.configEpoch {
 		d.met.StaleEpochs.Inc()
@@ -466,8 +533,8 @@ func (d *Dispatcher) commitPush(fp *foldedPush) error {
 		d.met.StaleEpochs.Inc()
 		return fmt.Errorf("%w: shard %d push from %q was overtaken by another push on the same lease", errStaleEpoch, req.Shard, req.Worker)
 	}
-	if d.cfg.StateDir != "" {
-		if err := d.persistLocked(req.Shard, l.epoch, fp.folded); err != nil {
+	if sf != nil {
+		if err := writeState(sf, req.Shard, l.epoch, fp.folded); err != nil {
 			return err
 		}
 	}
@@ -508,6 +575,8 @@ func (d *Dispatcher) staleLocked(req *CheckpointPush, l *lease) error {
 // serve-layer determinism proof needs it to.
 func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 	start := d.now()
+	d.filesMu.Lock()
+	defer d.filesMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	old := len(d.leases)
@@ -552,13 +621,7 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 	// old topology is stale on arrival.
 	maxEpoch := int64(0)
 	for i := range d.leases {
-		if d.leases[i].epoch > maxEpoch {
-			maxEpoch = d.leases[i].epoch
-		}
-		if d.leases[i].worker != "" {
-			d.met.LeaseRevokes.Inc()
-			d.met.ShardsAssigned.Add(-1)
-		}
+		maxEpoch = max(maxEpoch, d.leases[i].epoch)
 	}
 	leases := make([]lease, newShards)
 	for i := range leases {
@@ -567,22 +630,26 @@ func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {
 			leases[i].checkpoint = newData[i]
 		}
 	}
+	// The new table is on disk before it is installed. A failed rewrite
+	// leaves the fleet at the old count with its leases standing; the state
+	// dir may then hold records of both counts until every shard commits
+	// again, which boot refuses rather than guess between.
+	if d.cfg.StateDir != "" {
+		files, err := d.rewriteState(leases)
+		if err != nil {
+			return nil, err
+		}
+		d.files = files
+	}
+	for i := range d.leases {
+		if d.leases[i].worker != "" {
+			d.met.LeaseRevokes.Inc()
+			d.met.ShardsAssigned.Add(-1)
+		}
+	}
 	d.leases = leases
 	d.cfg.Service.Shards = newShards
 	d.configEpoch++
-	if d.cfg.StateDir != "" {
-		for i := range d.leases {
-			if len(d.leases[i].checkpoint) == 0 {
-				continue
-			}
-			if err := d.persistLocked(i, d.leases[i].epoch, d.leases[i].checkpoint); err != nil {
-				return nil, err
-			}
-		}
-		for i := newShards; i < old; i++ {
-			_ = os.Remove(d.statePath(i)) // best-effort: a leftover stale file is re-detected (and refused) at next boot
-		}
-	}
 	d.met.Reshards.Inc()
 	return &serve.ReshardResponse{
 		Schema:        serve.ReshardSchema,
@@ -735,44 +802,131 @@ func (d *Dispatcher) Stats() *StatsResponse {
 // Metrics returns a snapshot of the dispatcher's metric registry.
 func (d *Dispatcher) Metrics() *obs.Snapshot { return d.reg.Snapshot() }
 
-// stateSchema versions the persisted per-shard state file: the schema line,
-// the lease epoch as 8 little-endian bytes, then the shard's folded bundle
-// verbatim. Shard index, shard count, and round live in the bundle's
-// manifest. legacyStateSchema names the JSON wrapper earlier versions wrote
-// to shard-NNNN.json; those files are refused, not read.
+// stateSchema versions the record each shard's slot pair holds: the schema
+// line, the lease epoch as 8 little-endian bytes, then the shard's folded
+// bundle verbatim. Shard index, shard count, and round live in the bundle's
+// manifest. The schemas before it are refused by file name, not read:
+// rrdispatch-state/v2 wrote the same bytes to one shard-NNNN.state file by
+// tmp+rename, and rrdispatch-state/v1 a JSON wrapper to shard-NNNN.json.
 const (
-	stateSchema       = "rrdispatch-state/v2"
-	legacyStateSchema = "rrdispatch-state/v1"
+	stateSchema = "rrdispatch-state/v3"
+	v2Schema    = "rrdispatch-state/v2"
+	v1Schema    = "rrdispatch-state/v1"
 )
 
-func (d *Dispatcher) statePath(shard int) string {
-	return filepath.Join(d.cfg.StateDir, fmt.Sprintf("shard-%04d.state", shard))
+var stateHeader = []byte(stateSchema + "\n")
+
+// slotSuffixes name a shard's two slot files, shard-NNNN.a.state and
+// shard-NNNN.b.state.
+var slotSuffixes = [2]string{".a.state", ".b.state"}
+
+// openShardFile opens shard i's slot pair and reads its newest record.
+func (d *Dispatcher) openShardFile(i int) (*shardFile, atomicio.Record, error) {
+	var paths [2]string
+	for k, suffix := range slotSuffixes {
+		paths[k] = filepath.Join(d.cfg.StateDir, fmt.Sprintf("shard-%04d%s", i, suffix))
+	}
+	slots, rec, err := atomicio.OpenSlots(paths[0], paths[1], 0o644)
+	if err != nil {
+		return nil, rec, fmt.Errorf("dispatch: shard %d state: %w", i, err)
+	}
+	return &shardFile{slots: slots}, rec, nil
 }
 
-// persistLocked writes one shard's checkpoint bundle and lease epoch
-// atomically (tmp+rename), in one binary write: header plus bundle, no
-// re-encoding of the state. Callers write before they publish the bundle on
-// the lease. Caller holds d.mu.
-func (d *Dispatcher) persistLocked(shard int, epoch int64, bundle []byte) error {
-	buf := make([]byte, 0, len(stateSchema)+9+len(bundle))
-	buf = append(buf, stateSchema+"\n"...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(epoch))
-	buf = append(buf, bundle...)
-	path := d.statePath(shard)
-	err := atomicio.WriteFile(path, buf, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		// The state dir is missing: not made yet, or removed at run time.
-		if err = os.MkdirAll(d.cfg.StateDir, 0o755); err == nil {
-			err = atomicio.WriteFile(path, buf, 0o644)
-		}
-	}
-	if err != nil {
+// writeState writes one shard's record, its lease epoch and bundle, into
+// the shard's next slot, unsynced. Caller holds sf's lock.
+func writeState(sf *shardFile, shard int, epoch int64, bundle []byte) error {
+	var e [8]byte
+	binary.LittleEndian.PutUint64(e[:], uint64(epoch))
+	if err := sf.slots.Write(stateHeader, e[:], bundle); err != nil {
 		return fmt.Errorf("dispatch: writing shard %d state: %w", shard, err)
 	}
 	return nil
 }
 
-// shardState is one persisted shard file, decoded and validated.
+// rewriteState puts a new lease table on disk, as a reshard or a boot into
+// a new shard count makes it, and returns the slot pairs that go with it;
+// d.files is left as it is. Every stored checkpoint is written into both of
+// its shard's slots, each synced, so neither slot still holds a record of
+// the old count; then the files of the shards past the new count are
+// removed. It returns once all of it is on disk. The shards are written from
+// the last one down, so shard 0 holds its old record until the end: a crash
+// part way leaves the old set untouched or records of both counts, which
+// boot refuses, and never a set of one count that lacks a shard's tenants.
+// Caller holds filesMu exclusively (no commit is in flight) and, after
+// boot, d.mu.
+func (d *Dispatcher) rewriteState(leases []lease) (files []*shardFile, err error) {
+	if files, err = d.openFiles(len(leases)); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err == nil {
+			return
+		}
+		for i, sf := range files {
+			if i >= len(d.files) || sf != d.files[i] {
+				_ = sf.slots.Close() // the rewrite failed and drops the pairs it opened; its error is the one to report
+			}
+		}
+	}()
+	for i := len(leases) - 1; i >= 0; i-- {
+		l := &leases[i]
+		if len(l.checkpoint) == 0 {
+			continue
+		}
+		for range slotSuffixes {
+			if err := writeState(files[i], i, l.epoch, l.checkpoint); err != nil {
+				return nil, err
+			}
+			if err := files[i].slots.Sync(); err != nil {
+				return nil, fmt.Errorf("dispatch: syncing shard %d state: %w", i, err)
+			}
+		}
+		if d.afterStateStep != nil {
+			d.afterStateStep()
+		}
+	}
+	if err := d.removeFilesPast(len(leases)); err != nil {
+		return nil, err
+	}
+	return files, nil
+}
+
+// openFiles returns a table of n slot pairs: d.files's pairs below n, and a
+// newly opened pair for each shard that has none (its files are created at
+// its first record). d.files is left as it is, so a failed open changes
+// nothing.
+func (d *Dispatcher) openFiles(n int) ([]*shardFile, error) {
+	files := make([]*shardFile, n)
+	copy(files, d.files)
+	for i := range files {
+		if files[i] == nil {
+			sf, _, err := d.openShardFile(i)
+			if err != nil {
+				return nil, err
+			}
+			files[i] = sf
+		}
+	}
+	return files, nil
+}
+
+// removeFilesPast removes the slot files of d.files's shards from n on.
+func (d *Dispatcher) removeFilesPast(n int) error {
+	for i := n; i < len(d.files); i++ {
+		if sf := d.files[i]; sf != nil {
+			if err := sf.slots.Remove(); err != nil {
+				return fmt.Errorf("dispatch: removing shard %d state: %w", i, err)
+			}
+			if d.afterStateStep != nil {
+				d.afterStateStep()
+			}
+		}
+	}
+	return nil
+}
+
+// shardState is one shard's newest record, decoded and validated.
 type shardState struct {
 	epoch    int64
 	bundle   []byte
@@ -780,24 +934,33 @@ type shardState struct {
 }
 
 // loadState seeds the lease table from persisted checkpoints. When the
-// persisted shard count matches the configured one, absent files are fine —
-// shards that never checkpointed start fresh. When the counts differ (the
-// dispatcher was rebooted into a new size), the complete persisted set is
-// split or merged through reshardBundles at boot, exactly like a live
-// reshard: the old epochs are fenced and the migrated set is persisted before
-// any worker registers.
+// persisted shard count matches the configured one, shards without a record
+// are fine — shards that never checkpointed start fresh. When the counts
+// differ (the dispatcher was rebooted into a new size), the complete
+// persisted set is split or merged through reshardBundles at boot, exactly
+// like a live reshard: the old epochs are fenced and the migrated set is
+// persisted before any worker registers.
 func (d *Dispatcher) loadState() error {
 	idxs, err := d.scanStateDir()
 	if err != nil {
 		return err
 	}
-	if len(idxs) == 0 {
-		return nil
-	}
 	states := map[int]*shardState{}
 	diskShards := 0
+	last := -1
 	for _, i := range idxs {
-		st, err := d.readShardState(i)
+		sf, rec, err := d.openShardFile(i)
+		if err != nil {
+			return err
+		}
+		for len(d.files) <= i {
+			d.files = append(d.files, nil)
+		}
+		d.files[i] = sf
+		if rec.Path == "" {
+			continue // the shard never checkpointed, or its first record tore
+		}
+		st, err := readShardState(i, rec)
 		if err != nil {
 			return err
 		}
@@ -807,19 +970,30 @@ func (d *Dispatcher) loadState() error {
 			return fmt.Errorf("dispatch: state files disagree on the shard count (%d vs %d)", diskShards, st.manifest.Shards)
 		}
 		states[i] = st
+		last = i
 	}
-	if last := idxs[len(idxs)-1]; last >= diskShards {
+	if last >= diskShards { // with no record, last is -1 and diskShards 0
 		return fmt.Errorf("dispatch: state file for shard %d exceeds the persisted shard count %d", last, diskShards)
 	}
-	if diskShards == len(d.leases) {
+	if diskShards == 0 || diskShards == len(d.leases) {
 		for i, st := range states {
 			d.leases[i] = lease{epoch: st.epoch, round: st.manifest.Round, checkpoint: st.bundle}
 		}
+		files, err := d.openFiles(len(d.leases))
+		if err != nil {
+			return err
+		}
+		// Files past the count hold no record (last < diskShards), only what
+		// an empty or torn first write left.
+		if err := d.removeFilesPast(len(d.leases)); err != nil {
+			return err
+		}
+		d.files = files
 		return nil
 	}
 	// Shard-count change across a restart: a partial set cannot be resharded
-	// (a missing shard's tenants would silently vanish), so every old file
-	// must be present and at one common round.
+	// (a missing shard's tenants would silently vanish), so every old shard
+	// must hold a record, all at one common round.
 	old := make([][]byte, diskShards)
 	var round, maxEpoch int64
 	for i := 0; i < diskShards; i++ {
@@ -843,21 +1017,21 @@ func (d *Dispatcher) loadState() error {
 	}
 	for i := range d.leases {
 		d.leases[i] = lease{epoch: maxEpoch + 1, round: round, checkpoint: newData[i]}
-		if err := d.persistLocked(i, maxEpoch+1, newData[i]); err != nil {
-			return err
-		}
 	}
-	for i := len(d.leases); i < diskShards; i++ {
-		_ = os.Remove(d.statePath(i)) // stale count; re-detected at next boot if left behind
+	files, err := d.rewriteState(d.leases)
+	if err != nil {
+		return err
 	}
+	d.files = files
 	return nil
 }
 
-// scanStateDir lists the shard indices persisted in the state directory, in
-// increasing order (empty when the directory is absent or holds no state
-// files). A state dir holding rrdispatch-state/v1 files is refused: their
-// checkpoints are in a format this version no longer reads, and booting
-// empty beside them would silently drop every tenant they hold.
+// scanStateDir lists the shards that have slot files in the state
+// directory, in increasing order (empty when the directory is absent or
+// holds none). A state dir holding files of an earlier version is refused,
+// naming the file and its schema: their checkpoints are in a format this
+// version no longer reads, and booting empty beside them would silently drop
+// every tenant they hold.
 func (d *Dispatcher) scanStateDir() ([]int, error) {
 	entries, err := os.ReadDir(d.cfg.StateDir)
 	if os.IsNotExist(err) {
@@ -868,47 +1042,60 @@ func (d *Dispatcher) scanStateDir() ([]int, error) {
 	}
 	var idxs []int
 	for _, e := range entries {
-		var i int
-		if n, err := fmt.Sscanf(e.Name(), "shard-%d.json", &i); err == nil && n == 1 && e.Name() == fmt.Sprintf("shard-%04d.json", i) {
-			return nil, fmt.Errorf("dispatch: state dir %s holds %s, an %s file this version cannot read (it reads %s); move it aside to boot fresh",
-				d.cfg.StateDir, e.Name(), legacyStateSchema, stateSchema)
+		for _, old := range [...]struct{ suffix, schema string }{{".json", v1Schema}, {".state", v2Schema}} {
+			if _, ok := shardFileIndex(e.Name(), old.suffix); ok {
+				return nil, fmt.Errorf("dispatch: state dir %s holds %s, an %s file this version cannot read (it reads %s); move it aside to boot fresh",
+					d.cfg.StateDir, e.Name(), old.schema, stateSchema)
+			}
 		}
-		if n, err := fmt.Sscanf(e.Name(), "shard-%d.state", &i); err != nil || n != 1 {
-			continue
+		for _, suffix := range slotSuffixes {
+			if i, ok := shardFileIndex(e.Name(), suffix); ok {
+				idxs = append(idxs, i)
+			}
 		}
-		if e.Name() != fmt.Sprintf("shard-%04d.state", i) {
-			continue // tmp files and other near-misses are not state
-		}
-		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	return idxs, nil
+	return slices.Compact(idxs), nil
 }
 
-// readShardState reads and validates one persisted shard file: the header,
-// and the bundle through the same fold a push goes through (folding a folded
-// bundle reproduces it), so a corrupt file is refused at boot rather than at
-// the next grant.
-func (d *Dispatcher) readShardState(i int) (*shardState, error) {
-	path := d.statePath(i)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading shard %d state: %w", i, err)
+// shardFileIndex parses a state dir entry named shard-NNNN<suffix>, the
+// index written in four or more digits as the dispatcher writes it. Any
+// other name is not a file of that kind.
+func shardFileIndex(name, suffix string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, "shard-")
+	if !ok {
+		return 0, false
 	}
-	hdr := stateSchema + "\n"
-	if len(data) < len(hdr)+8 || string(data[:len(hdr)]) != hdr {
-		return nil, fmt.Errorf("dispatch: %s is not an %s file", path, stateSchema)
+	num, ok := strings.CutSuffix(rest, suffix)
+	if !ok {
+		return 0, false
 	}
-	epoch := int64(binary.LittleEndian.Uint64(data[len(hdr):]))
+	i, err := strconv.Atoi(num)
+	if err != nil || i < 0 || name != fmt.Sprintf("shard-%04d%s", i, suffix) {
+		return 0, false
+	}
+	return i, true
+}
+
+// readShardState validates shard i's newest record: the header, and the
+// bundle through the same fold a push goes through (folding a folded bundle
+// reproduces it), so a corrupt record is refused at boot, naming its slot
+// file, rather than at the next grant.
+func readShardState(i int, rec atomicio.Record) (*shardState, error) {
+	data := rec.Data
+	if len(data) < len(stateHeader)+8 || string(data[:len(stateHeader)]) != string(stateHeader) {
+		return nil, fmt.Errorf("dispatch: %s does not hold an %s record", rec.Path, stateSchema)
+	}
+	epoch := int64(binary.LittleEndian.Uint64(data[len(stateHeader):]))
 	if epoch < 0 {
-		return nil, fmt.Errorf("dispatch: %s has negative lease epoch %d", path, epoch)
+		return nil, fmt.Errorf("dispatch: %s has negative lease epoch %d", rec.Path, epoch)
 	}
-	bundle, m, _, err := serve.FoldBundle(data[len(hdr)+8:], nil)
+	bundle, m, _, err := serve.FoldBundle(data[len(stateHeader)+8:], nil)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", path, err)
+		return nil, fmt.Errorf("dispatch: %s: %w", rec.Path, err)
 	}
 	if m.Shard != i {
-		return nil, fmt.Errorf("dispatch: %s holds shard %d's checkpoint", path, m.Shard)
+		return nil, fmt.Errorf("dispatch: %s holds shard %d's checkpoint", rec.Path, m.Shard)
 	}
 	return &shardState{epoch: epoch, bundle: bundle, manifest: m}, nil
 }

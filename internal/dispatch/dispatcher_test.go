@@ -2,14 +2,18 @@ package dispatch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"rrsched/internal/atomicio"
 	"rrsched/internal/ckptstore"
 	"rrsched/internal/stream"
 )
@@ -265,8 +269,11 @@ func TestHeartbeatUnknownWorker(t *testing.T) {
 
 // TestStatePersistence pins the dispatcher's own durability: accepted
 // checkpoints survive a dispatcher restart via the state dir and seed
-// regrants, epochs intact; each push costs one binary file holding the stored
-// bundle verbatim; and corrupt or rrdispatch-state/v1 state refuses to load.
+// regrants, epochs intact. A shard's state is its two slot files, the newest
+// record holding the schema, the lease epoch and the stored bundle verbatim;
+// a torn newest slot boots on the older slot's record, the previous push;
+// two torn slots, and an rrdispatch-state/v1 file, refuse to load; and a
+// state dir removed at run time is made again by the next push.
 func TestStatePersistence(t *testing.T) {
 	cfg := testConfig()
 	cfg.StateDir = filepath.Join(t.TempDir(), "state") // the first push makes it
@@ -274,32 +281,38 @@ func TestStatePersistence(t *testing.T) {
 	d.register(&RegisterRequest{Schema: WireSchema, Worker: "w1", Addr: "http://h1"})
 	resp := mustHeartbeat(t, d, &HeartbeatRequest{Schema: WireSchema, Worker: "w1"})
 	held := heldFromGrants(nil, resp)
-	bundle := testBundle(t, held[1].Shard, 4, 12, "alpha")
-	push := &CheckpointPush{Worker: "w1", Shard: held[1].Shard, Epoch: held[1].Epoch, Round: 12, Data: bundle}
-	if err := d.storeCheckpoint(push); err != nil {
-		t.Fatalf("storeCheckpoint: %v", err)
+	shard := held[1].Shard
+	push := func(round int64, bundle []byte) {
+		t.Helper()
+		if err := d.storeCheckpoint(&CheckpointPush{Worker: "w1", Shard: shard, Epoch: held[1].Epoch, Round: round, Data: bundle}); err != nil {
+			t.Fatalf("storeCheckpoint at round %d: %v", round, err)
+		}
 	}
+	push(12, testBundle(t, shard, 4, 12, "alpha"))
 	// A state dir removed at run time is made again by the next push.
 	if err := os.RemoveAll(cfg.StateDir); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeCheckpoint(push); err != nil {
-		t.Fatalf("storeCheckpoint after the state dir was removed: %v", err)
-	}
+	push(12, testBundle(t, shard, 4, 12, "alpha"))
+	bundle := testBundle(t, shard, 4, 13, "alpha")
+	push(13, bundle)
 	d.Close()
 
 	files, err := filepath.Glob(filepath.Join(cfg.StateDir, "*"))
-	if err != nil || len(files) != 1 || filepath.Base(files[0]) != "shard-0001.state" {
-		t.Fatalf("state dir holds %v (err %v), want exactly shard-0001.state", files, err)
+	if err != nil || len(files) != 2 || filepath.Base(files[0]) != "shard-0001.a.state" || filepath.Base(files[1]) != "shard-0001.b.state" {
+		t.Fatalf("state dir holds %v (err %v), want exactly shard-0001.a.state and shard-0001.b.state", files, err)
 	}
-	persisted, err := os.ReadFile(files[0])
+	slots, rec, err := atomicio.OpenSlots(files[0], files[1], 0o644)
 	if err != nil {
-		t.Fatalf("persisted state file: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(persisted, []byte(stateSchema+"\n")) || !bytes.HasSuffix(persisted, bundle) ||
-		len(persisted) != len(stateSchema)+1+8+len(bundle) {
-		t.Fatalf("state file is %d bytes, want the %s header, the epoch, and the %d-byte bundle verbatim",
-			len(persisted), stateSchema, len(bundle))
+	if err := slots.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(stateSchema+"\n"), binary.LittleEndian.AppendUint64(nil, uint64(held[1].Epoch))...)
+	if want = append(want, bundle...); !bytes.Equal(rec.Data, want) {
+		t.Fatalf("newest record is %d bytes, want the %s header, epoch %d and the %d-byte bundle verbatim",
+			len(rec.Data), stateSchema, held[1].Epoch, len(bundle))
 	}
 
 	d2, _ := newTestDispatcher(t, cfg)
@@ -309,34 +322,51 @@ func TestStatePersistence(t *testing.T) {
 		t.Fatalf("post-restart grants: %+v", resp)
 	}
 	for _, g := range resp.Grants {
-		if g.Shard != held[1].Shard {
+		if g.Shard != shard {
 			continue
 		}
-		if g.Round != 12 || len(g.Checkpoint) == 0 {
+		if g.Round != 13 || !bytes.Equal(g.Checkpoint, bundle) {
 			t.Fatalf("restart lost the checkpoint: %+v", g)
 		}
 		if g.Epoch <= held[1].Epoch {
 			t.Fatalf("restart regressed the epoch: grant %d vs pre-restart %d", g.Epoch, held[1].Epoch)
 		}
 	}
+	d2.Close()
 
-	// Corrupt state must refuse to load: a torn bundle, then a file from
-	// another format.
-	torn := filepath.Join(cfg.StateDir, "shard-0000.state")
-	if err := os.WriteFile(torn, persisted[:len(persisted)-5], 0o644); err != nil {
-		t.Fatalf("corrupting state: %v", err)
-	}
-	if _, err := newDispatcher(cfg, (&fakeClock{}).now); err == nil {
-		t.Fatal("dispatcher loaded a torn state file")
-	}
-	if err := os.WriteFile(torn, []byte("{broken"), 0o644); err != nil {
-		t.Fatalf("corrupting state: %v", err)
-	}
-	if _, err := newDispatcher(cfg, (&fakeClock{}).now); err == nil {
-		t.Fatal("dispatcher loaded a corrupt state file")
-	}
-	if err := os.Remove(torn); err != nil {
+	// A torn newest slot: the dispatcher boots on the older slot's record,
+	// which is the previous push.
+	newestBytes, err := os.ReadFile(rec.Path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(rec.Path, newestBytes[:len(newestBytes)-5], 0o644); err != nil {
+		t.Fatalf("tearing the newest slot: %v", err)
+	}
+	d3, _ := newTestDispatcher(t, cfg)
+	if got := d3.Placement().Shards[shard].Round; got != 12 {
+		t.Fatalf("with the newest slot torn the shard boots at round %d, want the previous push's 12", got)
+	}
+	d3.Close()
+	// Both slots torn: boot is refused, naming the files.
+	older := files[0]
+	if older == rec.Path {
+		older = files[1]
+	}
+	olderBytes, err := os.ReadFile(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(older, olderBytes[:len(olderBytes)-5], 0o644); err != nil {
+		t.Fatalf("tearing the older slot: %v", err)
+	}
+	if _, err := newDispatcher(cfg, (&fakeClock{}).now); err == nil || !strings.Contains(err.Error(), rec.Path) || !strings.Contains(err.Error(), older) {
+		t.Fatalf("both slots torn: err = %v, want a refusal naming %s and %s", err, rec.Path, older)
+	}
+	for _, f := range files {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// An rrdispatch-state/v1 file is refused by name and schema, not read
@@ -351,13 +381,42 @@ func TestStatePersistence(t *testing.T) {
 	}
 }
 
+// writeStateRecord writes one shard's rrdispatch-state/v3 record, lease
+// epoch and bundle, into a fresh slot pair in dir (both slots removed
+// first), as the dispatcher writes it. It returns the slot file written.
+func writeStateRecord(t *testing.T, dir string, shard int, epoch int64, bundle []byte) string {
+	t.Helper()
+	var paths [2]string
+	for k, suffix := range slotSuffixes {
+		paths[k] = filepath.Join(dir, fmt.Sprintf("shard-%04d%s", shard, suffix))
+		if err := os.Remove(paths[k]); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+	}
+	slots, _, err := atomicio.OpenSlots(paths[0], paths[1], 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slots.Write([]byte(stateSchema+"\n"), binary.LittleEndian.AppendUint64(nil, uint64(epoch)), bundle); err != nil {
+		t.Fatal(err)
+	}
+	if err := slots.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := slots.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return paths[0]
+}
+
 // TestJSONPayloadStateFileRefusesBoot pins that shard state persisted by
 // earlier versions refuses to load, naming the file, rather than being read
-// through a second path: a bundle carrying an rrckpt/v1 manifest (JSON
-// payloads), an rrckpt/v2 manifest (delta chunks) or an rrckpt/v3 manifest
-// (payloads embedding decision histories), and under a current manifest a
-// JSON tenant chunk or a format-2 tenant chunk (payloads with an inflight
-// section), refused by the payload decoder.
+// through a second path. In a v3 slot record that verifies: a bundle
+// carrying an rrckpt/v1 manifest (JSON payloads), an rrckpt/v2 manifest
+// (delta chunks) or an rrckpt/v3 manifest (payloads embedding decision
+// histories), and under a current manifest a JSON tenant chunk or a
+// format-2 tenant chunk (payloads with an inflight section), refused by the
+// payload decoder. And an rrdispatch-state/v2 file, refused by its name.
 func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 	jsonPayload, err := json.Marshal(map[string]any{
 		"round":  12,
@@ -386,12 +445,7 @@ func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := append([]byte(stateSchema+"\n"), 3, 0, 0, 0, 0, 0, 0, 0) // lease epoch 3
-		path := filepath.Join(dir, "shard-0001.state")
-		if err := os.WriteFile(path, append(data, bundle...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+		return writeStateRecord(t, dir, 1, 3, bundle)
 	}
 	for _, c := range []struct {
 		schema  string
@@ -411,5 +465,15 @@ func TestJSONPayloadStateFileRefusesBoot(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s state: err = %v, want a refusal naming %s and %q", c.schema, err, path, c.want)
 		}
+	}
+	cfg := testConfig()
+	cfg.StateDir = t.TempDir()
+	data := append([]byte("rrdispatch-state/v2\n"), 3, 0, 0, 0, 0, 0, 0, 0) // lease epoch 3, no bundle
+	if err := os.WriteFile(filepath.Join(cfg.StateDir, "shard-0001.state"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = newDispatcher(cfg, (&fakeClock{}).now)
+	if err == nil || !strings.Contains(err.Error(), "shard-0001.state") || !strings.Contains(err.Error(), "rrdispatch-state/v2") {
+		t.Fatalf("v2 state file: err = %v, want a refusal naming shard-0001.state and rrdispatch-state/v2", err)
 	}
 }

@@ -1,12 +1,9 @@
 package dispatch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -247,16 +244,12 @@ func TestDispatcherRestartAcrossShardCounts(t *testing.T) {
 	verifyStreams(t, driver2, tenants, cfg2.Service)
 }
 
-// reshardStateFile writes one persisted shard file holding an empty-tenant
-// bundle, the raw material of the boot-resize refusal tests.
+// reshardStateFile writes one persisted shard record, an empty-tenant
+// bundle, into a fresh slot pair (both slots removed first): the raw
+// material of the boot-resize refusal tests.
 func reshardStateFile(t *testing.T, dir string, shard, shards int, epoch, round int64) {
 	t.Helper()
-	st := append([]byte(stateSchema+"\n"), binary.LittleEndian.AppendUint64(nil, uint64(epoch))...)
-	st = append(st, testBundle(t, shard, shards, round)...)
-	path := filepath.Join(dir, fmt.Sprintf("shard-%04d.state", shard))
-	if err := os.WriteFile(path, st, 0o644); err != nil {
-		t.Fatalf("writing %s: %v", path, err)
-	}
+	writeStateRecord(t, dir, shard, epoch, testBundle(t, shard, shards, round))
 }
 
 // TestDispatcherBootResizeRefusals pins the safety rails of boot-time

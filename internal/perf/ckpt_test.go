@@ -3,6 +3,8 @@ package perf
 import (
 	"strings"
 	"testing"
+
+	"rrsched/internal/serve"
 )
 
 // mustScenario returns the named scenario from the matrix.
@@ -82,5 +84,31 @@ func TestDirtyCutBeatsFullCutAtLowDirty(t *testing.T) {
 	t.Logf("full cut %.1f ns/tenant, dirty cut (1%% dirty) %.1f ns/tenant: %.1fx", full.NsPerRound, dirty.NsPerRound, ratio)
 	if ratio < 5 {
 		t.Fatalf("dirty cut at 1%% dirty is only %.2fx faster than a full cut, want >= 5x", ratio)
+	}
+}
+
+// foldFleetAllocs bounds the allocations of the dispatcher's fold of one
+// fleet push (the ckpt/fold/fleet rung): 56 when it was set, most of them
+// the manifest's JSON decode and re-encode. The tenant images are checked
+// by stream.CheckBinary, which walks them without allocating. Lower it when
+// a change removes allocations; never raise it to let a change through.
+const foldFleetAllocs = 60
+
+// TestFoldFleetAllocs is the allocation ratchet of the fold rung.
+func TestFoldFleetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include sync.Pool's random drops")
+	}
+	push, pool, err := captureFleetPush(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := serve.FoldBundle(push, pool); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > foldFleetAllocs {
+		t.Errorf("the fold of a fleet push allocates %.0f times, bounded at %d", got, foldFleetAllocs)
 	}
 }

@@ -257,6 +257,11 @@ func TestRingMatchesSliceProperty(t *testing.T) {
 			if r.Len() != len(ref) {
 				return false
 			}
+			for i, v := range ref {
+				if r.At(i) != v {
+					return false
+				}
+			}
 		}
 		return true
 	}

@@ -42,6 +42,11 @@ func (r *Ring[T]) Peek() T {
 	return r.buf[r.head]
 }
 
+// At returns the i-th queued item in FIFO order, 0 <= i < Len, without
+// removing it: the checkpoint encoder walks a queue with it instead of
+// copying it out.
+func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+
 // Clear removes all items, retaining capacity.
 func (r *Ring[T]) Clear() {
 	var zero T

@@ -1,6 +1,10 @@
 package stream
 
-import "testing"
+import (
+	"testing"
+
+	"rrsched/internal/workload"
+)
 
 // densePushAllocs is the pinned allocation count of one warmed dense Push.
 // What remains:
@@ -39,5 +43,52 @@ func TestDensePushAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, push); got > densePushAllocs {
 		t.Errorf("a warmed dense Push allocates %.0f times, pinned at %d", got, densePushAllocs)
+	}
+}
+
+// fleetImageAllocs is the pinned allocation count of one image of a warmed
+// fleet-shaped scheduler: AppendBinary into a reused buffer, then
+// CheckBinary on the result. Both write and walk the image straight from
+// and over bytes, so nothing is left to allocate. Lower it when a change
+// removes one; never raise it to let a change through.
+const fleetImageAllocs = 0
+
+// TestFleetImageAllocs is the allocation ratchet of the checkpoint cut and
+// the fold's check: a fleet-shaped scheduler (n=8, Δ=4, 8 colors, delays
+// 4..32, load 0.6) warmed for 256 rounds must not allocate more per image
+// than fleetImageAllocs.
+func TestFleetImageAllocs(t *testing.T) {
+	const warm = 256
+	seq, err := workload.RandomGeneral(workload.RandomConfig{
+		Seed: 1, Delta: 4, Colors: 8, Rounds: warm,
+		MinDelayExp: 2, MaxDelayExp: 5, Load: 0.6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq = seq.Canonical()
+	s, err := New(Config{Delta: seq.Delta(), Resources: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < warm; r++ {
+		if _, err := s.Push(r, seq.Request(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := s.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func() {
+		if img, err = s.AppendBinary(img[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckBinary(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(200, image); got > fleetImageAllocs {
+		t.Errorf("AppendBinary plus CheckBinary allocate %.0f times per fleet image, pinned at %d", got, fleetImageAllocs)
 	}
 }

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rrsched/internal/core"
 	"rrsched/internal/model"
@@ -9,7 +11,7 @@ import (
 )
 
 // The binary image is the checkpoint image of Snapshot written as varints in
-// a fixed field order: the same struct, the same validation on the way back
+// a fixed field order: the same fields, the same validation on the way back
 // in (fromImage), a fraction of the bytes and none of the reflection. It is
 // canonical — equal schedulers yield identical bytes — and carries the
 // checkpoint version first, so a future layout refuses old images instead of
@@ -32,13 +34,136 @@ import (
 
 // AppendBinary appends the scheduler's binary checkpoint image to b.
 // RestoreBinary on the appended bytes resumes the run exactly as Restore on
-// Snapshot does.
+// Snapshot does. It writes the image straight from the scheduler's state,
+// in the order the image struct that Snapshot builds would hold it, and
+// allocates nothing beyond b's growth.
 func (s *Scheduler) AppendBinary(b []byte) ([]byte, error) {
-	cp, err := s.image()
+	tr := s.inner.tracker
+	tcp, trackerColors, err := tr.CheckpointHead()
 	if err != nil {
-		return b, err
+		return b, fmt.Errorf("stream: snapshot: %w", err)
 	}
-	return appendImage(b, cp), nil
+	b = varint.AppendInt(b, checkpointVersion)
+	b = varint.AppendInt(b, s.cfg.Delta)
+	b = varint.AppendInt(b, int64(s.cfg.Resources))
+	b = varint.AppendInt(b, s.round)
+	b = varint.AppendInt(b, s.cost.Reconfig)
+	b = varint.AppendInt(b, s.cost.Drop)
+	b = varint.AppendInt(b, int64(s.executed))
+	b = varint.AppendInt(b, int64(s.dropped))
+	b = varint.AppendInt(b, int64(s.pushedJobs))
+	b = varint.AppendInt(b, s.maxScheduled)
+
+	// The maps are written in key order, sorted in buffers that stay on the
+	// stack for the shapes the service runs.
+	var delayBuf [128]colorDelayCP
+	delays := delayBuf[:0]
+	for c, d := range s.delays {
+		delays = append(delays, colorDelayCP{Color: c, Delay: d})
+	}
+	slices.SortFunc(delays, func(a, b colorDelayCP) int { return cmp.Compare(a.Color, b.Color) })
+	b = varint.AppendLen(b, len(delays))
+	for _, d := range delays {
+		b = varint.AppendInt(b, int64(d.Color))
+		b = varint.AppendInt(b, d.Delay)
+	}
+	queued := 0
+	for _, cq := range s.pendingOrder {
+		if cq.q.Len() > 0 {
+			queued++
+		}
+	}
+	b = varint.AppendLen(b, queued)
+	for _, cq := range s.pendingOrder {
+		if cq.q.Len() == 0 {
+			continue
+		}
+		b = varint.AppendInt(b, int64(cq.color))
+		b = varint.AppendLen(b, cq.q.Len())
+		for i := 0; i < cq.q.Len(); i++ {
+			b = appendJob(b, cq.q.At(i))
+		}
+	}
+	var roundBuf [32]int64
+	rounds := roundBuf[:0]
+	for r := range s.futureReleases {
+		rounds = append(rounds, r)
+	}
+	slices.Sort(rounds)
+	b = varint.AppendLen(b, len(rounds))
+	for _, r := range rounds {
+		b = varint.AppendInt(b, r)
+		jobs := s.futureReleases[r]
+		b = varint.AppendLen(b, len(jobs))
+		for _, j := range jobs {
+			b = appendJob(b, j)
+		}
+	}
+	b = appendColors(b, s.locColor)
+
+	st := s.inner
+	b = varint.AppendInt(b, st.now)
+	b = appendColors(b, st.toOuter)
+	b = varint.AppendLen(b, len(st.toOuter))
+	for ic, outer := range st.toOuter {
+		b = varint.AppendInt(b, int64(outer))
+		b = varint.AppendInt(b, st.buckets[ic])
+		b = varint.AppendInt(b, int64(ic))
+	}
+	queued = 0
+	for c := range st.pending {
+		if st.pending[c].Len() > 0 {
+			queued++
+		}
+	}
+	b = varint.AppendLen(b, queued)
+	for c := range st.pending {
+		q := &st.pending[c]
+		if q.Len() == 0 {
+			continue
+		}
+		b = varint.AppendInt(b, int64(c))
+		b = varint.AppendLen(b, q.Len())
+		for i := 0; i < q.Len(); i++ {
+			b = varint.AppendInt(b, q.At(i))
+		}
+	}
+	b = appendColors(b, st.locColor)
+	cached := 0
+	for _, locs := range st.colorLocs {
+		if len(locs) > 0 {
+			cached++
+		}
+	}
+	b = varint.AppendLen(b, cached)
+	for c, locs := range st.colorLocs {
+		if len(locs) > 0 {
+			b = varint.AppendInt(b, int64(c))
+			b = appendInts(b, locs)
+		}
+	}
+	b = appendInts(b, st.freeLocs)
+
+	b = varint.AppendInt(b, tcp.Delta)
+	b = varint.AppendInt(b, int64(tcp.TimestampK))
+	b = varint.AppendInt(b, tcp.CompletedEpochs)
+	b = varint.AppendInt(b, tcp.EligibleDrops)
+	b = varint.AppendInt(b, tcp.IneligibleDrops)
+	b = varint.AppendLen(b, trackerColors)
+	for i := 0; i < trackerColors; i++ {
+		c := tr.CheckpointColor(i)
+		b = varint.AppendInt(b, int64(c.Color))
+		b = varint.AppendInt(b, c.Delay)
+		b = varint.AppendInt(b, c.Cnt)
+		b = varint.AppendInt(b, c.Deadline)
+		b = varint.AppendBool(b, c.Eligible)
+		b = varint.AppendBool(b, c.Seen)
+		b = varint.AppendLen(b, len(c.Wraps))
+		for _, w := range c.Wraps {
+			b = varint.AppendInt(b, w)
+		}
+	}
+	return b, nil
 }
 
 // RestoreBinary rebuilds a scheduler from an AppendBinary image, with every
@@ -53,96 +178,90 @@ func RestoreBinary(data []byte) (*Scheduler, error) {
 
 // CheckBinary reports whether data parses as a binary image, without
 // validating its contents or building a scheduler: the structural check for
-// a holder that stores images and never runs them.
+// a holder that stores images and never runs them. It reads the fields
+// decodeImage reads, in the same order and with the same bounds, so it
+// accepts exactly what decodeImage accepts, and it allocates nothing unless
+// it refuses.
 func CheckBinary(data []byte) error {
-	_, err := decodeImage(data)
-	return err
-}
+	r := varint.NewReader(data)
+	// version delta resources round cost.reconfig cost.drop executed
+	// dropped pushed_jobs max_scheduled
+	r.IntN()
+	r.Int()
+	r.IntN()
+	for i := 0; i < 3; i++ {
+		r.Int()
+	}
+	for i := 0; i < 3; i++ {
+		r.IntN()
+	}
+	r.Int()
+	// delays, pending, releases, loc_color
+	for n := r.Len(2); n > 0; n-- {
+		r.Int32()
+		r.Int()
+	}
+	for n := r.Len(2); n > 0; n-- {
+		r.Int32()
+		skipJobs(r)
+	}
+	for n := r.Len(2); n > 0; n-- {
+		r.Int()
+		skipJobs(r)
+	}
+	skipColors(r)
 
-func appendImage(b []byte, cp *checkpoint) []byte {
-	b = varint.AppendInt(b, int64(cp.Version))
-	b = varint.AppendInt(b, cp.Delta)
-	b = varint.AppendInt(b, int64(cp.Resources))
-	b = varint.AppendInt(b, cp.Round)
-	b = varint.AppendInt(b, cp.Cost.Reconfig)
-	b = varint.AppendInt(b, cp.Cost.Drop)
-	b = varint.AppendInt(b, int64(cp.Executed))
-	b = varint.AppendInt(b, int64(cp.Dropped))
-	b = varint.AppendInt(b, int64(cp.PushedJobs))
-	b = varint.AppendInt(b, cp.MaxScheduled)
-	b = varint.AppendLen(b, len(cp.Delays))
-	for _, d := range cp.Delays {
-		b = varint.AppendInt(b, int64(d.Color))
-		b = varint.AppendInt(b, d.Delay)
+	// inner: now, to_outer, subcolors, pending, loc_color, color_locs,
+	// free_locs
+	r.Int()
+	skipColors(r)
+	for n := r.Len(3); n > 0; n-- {
+		r.Int32()
+		r.Int()
+		r.Int32()
 	}
-	b = varint.AppendLen(b, len(cp.Pending))
-	for _, p := range cp.Pending {
-		b = varint.AppendInt(b, int64(p.Color))
-		b = appendJobs(b, p.Jobs)
-	}
-	b = varint.AppendLen(b, len(cp.Releases))
-	for _, r := range cp.Releases {
-		b = varint.AppendInt(b, r.Round)
-		b = appendJobs(b, r.Jobs)
-	}
-	b = appendColors(b, cp.LocColor)
-
-	in := &cp.Inner
-	b = varint.AppendInt(b, in.Now)
-	b = appendColors(b, in.ToOuter)
-	b = varint.AppendLen(b, len(in.Subcolors))
-	for _, sc := range in.Subcolors {
-		b = varint.AppendInt(b, int64(sc.Outer))
-		b = varint.AppendInt(b, sc.Bucket)
-		b = varint.AppendInt(b, int64(sc.Inner))
-	}
-	b = varint.AppendLen(b, len(in.Pending))
-	for _, p := range in.Pending {
-		b = varint.AppendInt(b, int64(p.Color))
-		b = varint.AppendLen(b, len(p.Deadlines))
-		for _, d := range p.Deadlines {
-			b = varint.AppendInt(b, d)
+	for n := r.Len(2); n > 0; n-- {
+		r.Int32()
+		for k := r.Len(1); k > 0; k-- {
+			r.Int()
 		}
 	}
-	b = appendColors(b, in.LocColor)
-	b = varint.AppendLen(b, len(in.ColorLocs))
-	for _, cl := range in.ColorLocs {
-		b = varint.AppendInt(b, int64(cl.Color))
-		b = appendInts(b, cl.Locs)
+	skipColors(r)
+	for n := r.Len(2); n > 0; n-- {
+		r.Int32()
+		skipInts(r)
 	}
-	b = appendInts(b, in.FreeLocs)
+	skipInts(r)
 
-	t := in.Tracker
-	b = varint.AppendInt(b, t.Delta)
-	b = varint.AppendInt(b, int64(t.TimestampK))
-	b = varint.AppendInt(b, t.CompletedEpochs)
-	b = varint.AppendInt(b, t.EligibleDrops)
-	b = varint.AppendInt(b, t.IneligibleDrops)
-	b = varint.AppendLen(b, len(t.Colors))
-	for _, c := range t.Colors {
-		b = varint.AppendInt(b, int64(c.Color))
-		b = varint.AppendInt(b, c.Delay)
-		b = varint.AppendInt(b, c.Cnt)
-		b = varint.AppendInt(b, c.Deadline)
-		b = varint.AppendBool(b, c.Eligible)
-		b = varint.AppendBool(b, c.Seen)
-		b = varint.AppendLen(b, len(c.Wraps))
-		for _, w := range c.Wraps {
-			b = varint.AppendInt(b, w)
+	// tracker: delta timestamp_k completed_epochs eligible_drops
+	// ineligible_drops, then its colors
+	r.Int()
+	r.IntN()
+	for i := 0; i < 3; i++ {
+		r.Int()
+	}
+	for n := r.Len(7); n > 0; n-- {
+		r.Int32()
+		for i := 0; i < 3; i++ {
+			r.Int()
+		}
+		r.Bool()
+		r.Bool()
+		for k := r.Len(1); k > 0; k-- {
+			r.Int()
 		}
 	}
-	return b
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("stream: decoding binary checkpoint: %w", err)
+	}
+	return nil
 }
 
-func appendJobs(b []byte, jobs []jobCP) []byte {
-	b = varint.AppendLen(b, len(jobs))
-	for _, j := range jobs {
-		b = varint.AppendInt(b, j.ID)
-		b = varint.AppendInt(b, int64(j.Color))
-		b = varint.AppendInt(b, j.Arrival)
-		b = varint.AppendInt(b, j.Delay)
-	}
-	return b
+func appendJob(b []byte, j model.Job) []byte {
+	b = varint.AppendInt(b, j.ID)
+	b = varint.AppendInt(b, int64(j.Color))
+	b = varint.AppendInt(b, j.Arrival)
+	return varint.AppendInt(b, j.Delay)
 }
 
 func appendColors(b []byte, cs []model.Color) []byte {
@@ -159,6 +278,27 @@ func appendInts(b []byte, vs []int) []byte {
 		b = varint.AppendInt(b, int64(v))
 	}
 	return b
+}
+
+func skipJobs(r *varint.Reader) {
+	for n := r.Len(4); n > 0; n-- {
+		r.Int()
+		r.Int32()
+		r.Int()
+		r.Int()
+	}
+}
+
+func skipColors(r *varint.Reader) {
+	for n := r.Len(1); n > 0; n-- {
+		r.Int32()
+	}
+}
+
+func skipInts(r *varint.Reader) {
+	for n := r.Len(1); n > 0; n-- {
+		r.IntN()
+	}
 }
 
 // decodeImage parses a binary image into the checkpoint struct. It checks

@@ -38,12 +38,20 @@ var imageShapes = []imageShape{
 
 // binaryRoundTrip encodes s, restores the image, and checks the restored
 // scheduler against the source: identical Snapshot JSON (the oracle) and
-// identical bytes when the restored scheduler is encoded again.
+// identical bytes when the restored scheduler is encoded again. The image
+// must also equal the oracle encoding of the struct Snapshot builds.
 func binaryRoundTrip(t *testing.T, what string, s *Scheduler) *Scheduler {
 	t.Helper()
 	img, err := s.AppendBinary(nil)
 	if err != nil {
 		t.Fatalf("%s: AppendBinary: %v", what, err)
+	}
+	cp, err := s.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle := appendImage(nil, cp); !bytes.Equal(img, oracle) {
+		t.Fatalf("%s: AppendBinary wrote %d bytes that differ from the %d-byte oracle encoding of the image struct", what, len(img), len(oracle))
 	}
 	restored, err := RestoreBinary(img)
 	if err != nil {

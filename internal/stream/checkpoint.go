@@ -298,6 +298,9 @@ func fromImage(cp *checkpoint) (*Scheduler, error) {
 	}
 	copy(st.locColor, cp.Inner.LocColor)
 	st.freeLocs = append(st.freeLocs[:0], cp.Inner.FreeLocs...)
+	// Each inner color is one subcolor key, listed once.
+	st.buckets = make([]int64, nInner)
+	seenInner := make([]bool, nInner)
 	for _, sc := range cp.Inner.Subcolors {
 		if !innerColor(sc.Inner) {
 			return nil, fmt.Errorf("stream: checkpoint subcolor %v out of range", sc.Inner)
@@ -310,7 +313,12 @@ func fromImage(cp *checkpoint) (*Scheduler, error) {
 		if _, ok := st.inner[k]; ok {
 			return nil, fmt.Errorf("stream: checkpoint repeats subcolor key (%v,%d)", sc.Outer, sc.Bucket)
 		}
+		if seenInner[sc.Inner] {
+			return nil, fmt.Errorf("stream: checkpoint repeats subcolor %v", sc.Inner)
+		}
+		seenInner[sc.Inner] = true
 		st.inner[k] = sc.Inner
+		st.buckets[sc.Inner] = sc.Bucket
 	}
 	if len(st.inner) != len(st.toOuter) {
 		return nil, fmt.Errorf("stream: checkpoint has %d subcolor keys for %d inner colors", len(st.inner), len(st.toOuter))

@@ -290,6 +290,13 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 			inner := m["inner"].(map[string]any)
 			inner["color_locs"].([]any)[0].(map[string]any)["locs"] = []any{}
 		}), "on no location"},
+		// Each inner color is one subcolor key: a second key for inner
+		// color 0 (inner color 1 then has none) is refused.
+		{"inner color under two subcolor keys", corruptWarm(func(m map[string]any) {
+			subs := m["inner"].(map[string]any)["subcolors"].([]any)
+			first := subs[0].(map[string]any)
+			subs[1] = map[string]any{"outer": first["outer"], "bucket": 5.0, "inner": first["inner"]}
+		}), "repeats subcolor c0"},
 		{"tracker color out of range", corruptWarm(func(m map[string]any) {
 			tr := m["inner"].(map[string]any)["tracker"].(map[string]any)
 			tr["colors"] = append(tr["colors"].([]any), map[string]any{"color": 2e9, "delay": 1.0, "cnt": 0.0, "deadline": 0.0, "eligible": false})

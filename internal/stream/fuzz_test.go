@@ -2,13 +2,17 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 // FuzzRestoreStreamBinary drives the binary image decoder with arbitrary
-// bytes. Property: it never panics, and an image it accepts re-encodes to
-// bytes that decode and re-encode to themselves, with a Snapshot equal to the
-// accepted scheduler's; the accepted scheduler also survives its next round.
+// bytes. Property: it never panics; CheckBinary and decodeImage accept the
+// same inputs and refuse the rest with the same error; and an image
+// RestoreBinary accepts re-encodes to bytes that decode and re-encode to
+// themselves, equal to the oracle encoding of its image struct, with a
+// Snapshot equal to the accepted scheduler's; the accepted scheduler also
+// survives its next round.
 func FuzzRestoreStreamBinary(f *testing.F) {
 	for _, shape := range imageShapes {
 		seq := shape.seq(f, 1)
@@ -41,16 +45,25 @@ func FuzzRestoreStreamBinary(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, decodeErr := decodeImage(data)
+		checkErr := CheckBinary(data)
+		if fmt.Sprint(decodeErr) != fmt.Sprint(checkErr) {
+			t.Fatalf("decodeImage says %v, CheckBinary says %v", decodeErr, checkErr)
+		}
 		s, err := RestoreBinary(data)
 		if err != nil {
 			return // refused gracefully
 		}
-		if err := CheckBinary(data); err != nil {
-			t.Fatalf("RestoreBinary accepted what CheckBinary refuses: %v", err)
-		}
 		enc, err := s.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("accepted image does not re-encode: %v", err)
+		}
+		cp, err := s.image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, appendImage(nil, cp)) {
+			t.Fatal("AppendBinary differs from the oracle encoding of the image struct")
 		}
 		again, err := RestoreBinary(enc)
 		if err != nil {

@@ -22,8 +22,10 @@ type innerState struct {
 
 	tracker *core.Tracker
 
-	// Subcolor mapping, built lazily as batches arrive.
+	// Subcolor mapping, built lazily as batches arrive: inner color ic is
+	// Distribute bucket buckets[ic] of outer color toOuter[ic].
 	toOuter []model.Color
+	buckets []int64
 	inner   map[subKey]model.Color
 
 	pending   []queue.Ring[int64] // inner color -> deadlines
@@ -88,6 +90,7 @@ func (st *innerState) subcolor(outer model.Color, j, h int64) model.Color {
 	ic := model.Color(len(st.toOuter))
 	st.inner[k] = ic
 	st.toOuter = append(st.toOuter, outer)
+	st.buckets = append(st.buckets, j)
 	st.pending = append(st.pending, queue.Ring[int64]{})
 	st.colorLocs = append(st.colorLocs, nil)
 	st.want = append(st.want, false)
