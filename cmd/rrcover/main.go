@@ -10,16 +10,19 @@
 //
 //	go test -coverprofile=cover.out ./...
 //	rrcover -profile cover.out                    # gate against coverage_floor.json
-//	rrcover -profile cover.out -write             # regenerate the floor file
+//	rrcover -profile cover.out -write             # ratchet the floor file up
 //	rrcover -profile cover.out -list              # print per-package coverage
 //
-// The floor file is regenerated with -write, which sets each package's floor
-// one percentage point below its measured coverage (rounded down to 0.1) to
-// absorb run-to-run noise from timing-dependent paths.
+// The floor file is ratcheted with -write, which raises each package's floor
+// to one percentage point below its measured coverage (rounded down to 0.1)
+// to absorb run-to-run noise from timing-dependent paths. It never lowers a
+// floor: a package measured below its floor plus that slack keeps its floor,
+// and so does a floored package the profile does not cover.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		profile   = fs.String("profile", "cover.out", "coverage profile from `go test -coverprofile`")
 		floorPath = fs.String("floor", "coverage_floor.json", "committed floor file")
-		write     = fs.Bool("write", false, "regenerate the floor file from the profile instead of gating")
+		write     = fs.Bool("write", false, "ratchet the floor file up from the profile instead of gating")
 		list      = fs.Bool("list", false, "print per-package coverage and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -209,17 +212,29 @@ func readFloors(path string) (*Floors, error) {
 	return &ff, nil
 }
 
+// writeFloors ratchets the floor file at path (a missing one starts empty):
+// each measured internal package's floor becomes the higher of its committed
+// floor and its coverage minus writeSlack, rounded down to 0.1. Floors of
+// packages the profile does not cover stay as they are.
 func writeFloors(path string, cov map[string]float64) error {
-	ff := Floors{Schema: Schema, Floors: make(map[string]float64, len(cov))}
+	ff, err := readFloors(path)
+	if errors.Is(err, os.ErrNotExist) {
+		ff, err = &Floors{Schema: Schema}, nil
+	}
+	if err != nil {
+		return err
+	}
+	if ff.Floors == nil {
+		ff.Floors = make(map[string]float64, len(cov))
+	}
 	for pkg, c := range cov {
 		if !strings.Contains(pkg, "/internal/") {
 			continue
 		}
-		floor := math.Floor((c-writeSlack)*10) / 10
-		if floor < 0 {
-			floor = 0
+		floor := math.Max(0, math.Floor((c-writeSlack)*10)/10)
+		if old, ok := ff.Floors[pkg]; !ok || floor > old {
+			ff.Floors[pkg] = floor
 		}
-		ff.Floors[pkg] = floor
 	}
 	f, err := os.Create(path)
 	if err != nil {

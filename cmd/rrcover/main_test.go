@@ -134,3 +134,50 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Errorf("list output missing packages: %q", out.String())
 	}
 }
+
+// TestWriteNeverLowersAFloor pins the -write ratchet: a floor rises to one
+// point below a higher measurement, a 100% floor measured at 100 stays 100, a
+// lower measurement keeps the committed floor, and a floored package the
+// profile does not cover keeps its floor.
+func TestWriteNeverLowersAFloor(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cover.out")
+	floor := filepath.Join(dir, "floor.json")
+	// sim 50%, obs 100%, queue 50%.
+	p := sampleProfile +
+		"rrsched/internal/queue/q.go:1.2,2.3 4 1\n" +
+		"rrsched/internal/queue/q.go:3.2,4.3 4 0\n"
+	if err := os.WriteFile(prof, []byte(p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	committed := `{"schema": "` + Schema + `", "floors": {
+		"rrsched/internal/sim": 40,
+		"rrsched/internal/obs": 100,
+		"rrsched/internal/queue": 80,
+		"rrsched/internal/gone": 42}}`
+	if err := os.WriteFile(floor, []byte(committed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-profile", prof, "-floor", floor, "-write"}, &out); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	ff, err := readFloors(floor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"rrsched/internal/sim":   49,  // raised to the measurement minus the slack
+		"rrsched/internal/obs":   100, // measured at 100: not lowered to 99
+		"rrsched/internal/queue": 80,  // measured at 50: the committed floor stays
+		"rrsched/internal/gone":  42,  // not in the profile: the committed floor stays
+	}
+	if len(ff.Floors) != len(want) {
+		t.Errorf("floors = %v, want %v", ff.Floors, want)
+	}
+	for pkg, w := range want {
+		if got, ok := ff.Floors[pkg]; !ok || got != w {
+			t.Errorf("%s floor = %v (present %v), want %v", pkg, got, ok, w)
+		}
+	}
+}

@@ -117,6 +117,35 @@ func batchesAt(tenants []chaosTenant, round int64) []dispatch.Batch {
 	return out
 }
 
+// submitToHolders lands each batch through its holder's /v1/jobs, found
+// through the dispatcher's placement (read again before every resend, while a
+// shard moves), so the admissions live only in the holder's memory. A round
+// call cannot stand in: its push would make them durable.
+func submitToHolders(t *testing.T, dispatcherURL string, batches []dispatch.Batch) {
+	t.Helper()
+	dc := dispatch.NewClient(dispatcherURL)
+	for _, b := range batches {
+		req := &serve.SubmitRequest{Schema: serve.WireSchema, Tenant: b.Tenant, Jobs: b.Jobs}
+		for attempt := 0; ; attempt++ {
+			p, err := dc.Placement()
+			var out serve.SubmitOutcome
+			if err == nil {
+				var ring serve.Ring
+				if ring, err = serve.NewRing(len(p.Shards)); err == nil {
+					out, err = serve.NewClient(p.Shards[ring.ShardOf(b.Tenant)].Addr).Submit(req)
+				}
+			}
+			if err == nil && out.Landed() {
+				break
+			}
+			if attempt == 100 {
+				t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
 // referenceRaw is the uninterrupted single-node truth: the tenant's arrivals
 // through a bare stream.Scheduler, wrapped in the decisions envelope the
 // fleet serves.
@@ -212,11 +241,7 @@ func TestWorkerSIGKILLFailover(t *testing.T) {
 			// worker dies before ticking them — the restored checkpoints
 			// predate the admissions, and only the driver's resubmission
 			// brings them back.
-			for _, b := range batches {
-				if out, err := driver.Submit(b.Tenant, b.Jobs); err != nil || !out.Landed() {
-					t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
-				}
-			}
+			submitToHolders(t, srv.URL, batches)
 			if err := w1.cmd.Process.Kill(); err != nil {
 				t.Fatalf("SIGKILL w1: %v", err)
 			}

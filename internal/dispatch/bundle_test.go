@@ -29,11 +29,7 @@ func TestBundleFailoverPreservesDecisionStreams(t *testing.T) {
 		if r == killRound {
 			// Land this round's batches, then kill a holder before the tick:
 			// its shards hold admissions newer than any pushed bundle.
-			for _, b := range batches {
-				if out, err := driver.Submit(b.Tenant, b.Jobs); err != nil || !out.Landed() {
-					t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
-				}
-			}
+			submitToHolders(t, driver, batches)
 			w1.Kill()
 			w3, err := StartWorker("w3", baseURL, "127.0.0.1:0", io.Discard)
 			if err != nil {

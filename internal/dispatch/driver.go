@@ -176,42 +176,6 @@ func (d *Driver) clientFor(shard int) (*serve.Client, error) {
 	return c, nil
 }
 
-// Submit lands one batch: it retries through placement refreshes until the
-// batch is admitted (fresh or duplicate) or the attempt budget is spent.
-// Backpressure (429) is returned to the caller, not absorbed.
-func (d *Driver) Submit(tenant string, jobs []serve.SubmitJob) (serve.SubmitOutcome, error) {
-	req := &serve.SubmitRequest{Schema: serve.WireSchema, Tenant: tenant, Jobs: jobs}
-	var lastErr error
-	for attempt := 0; attempt < d.cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			d.sleep(d.cfg.RetryEvery)
-			d.refresh()
-		}
-		// Resolved per attempt: a refresh may have rebuilt the ring after a
-		// fleet reshard, moving the tenant to a different shard index.
-		shard := d.ShardOf(tenant)
-		client, err := d.clientFor(shard)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out, err := client.Submit(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch {
-		case out.Landed(), out.Rejected:
-			return out, nil
-		case out.Misdirected, out.Refused:
-			lastErr = fmt.Errorf("dispatch: shard %d moved (misdirected=%v refused=%v)", shard, out.Misdirected, out.Refused)
-		default:
-			lastErr = fmt.Errorf("dispatch: submit for tenant %q: unexpected outcome %+v", tenant, out)
-		}
-	}
-	return serve.SubmitOutcome{}, fmt.Errorf("dispatch: submit for tenant %q failed after %d attempts: %w", tenant, d.cfg.Attempts, lastErr)
-}
-
 // errPlacementChanged signals that the fleet's shard count moved under an
 // in-flight round: the batch partition was computed against a ring that no
 // longer exists and must be rebuilt before anything else is retried.

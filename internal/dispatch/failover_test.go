@@ -75,6 +75,35 @@ func batchesAt(tenants []failoverTenant, round int64) []Batch {
 	return out
 }
 
+// submitToHolders lands each batch through its holder's /v1/jobs, found
+// through the driver's placement table, refreshing it and resending while a
+// shard moves. Tests use it to land a round's batches and then kill a holder
+// before the round ticks, so the shard holds admissions newer than any stored
+// checkpoint. A round call cannot stand in: its push would make them durable.
+func submitToHolders(t *testing.T, driver *Driver, batches []Batch) {
+	t.Helper()
+	for _, b := range batches {
+		req := &serve.SubmitRequest{Schema: serve.WireSchema, Tenant: b.Tenant, Jobs: b.Jobs}
+		for attempt := 0; ; attempt++ {
+			if attempt > 0 {
+				time.Sleep(20 * time.Millisecond)
+				driver.refresh()
+			}
+			client, err := driver.clientFor(driver.ShardOf(b.Tenant))
+			var out serve.SubmitOutcome
+			if err == nil {
+				out, err = client.Submit(req)
+			}
+			if err == nil && out.Landed() {
+				break
+			}
+			if attempt == 100 {
+				t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
+			}
+		}
+	}
+}
+
 // referenceRaw computes the expected /v1/decisions bytes for one tenant: the
 // arrivals replayed through a bare stream.Scheduler at tenant-local rounds,
 // wrapped in the same response envelope the shard produces.
@@ -235,11 +264,7 @@ func TestFailoverPreservesDecisionStreams(t *testing.T) {
 			fi++
 			// Land this round's batches, then kill the victim before the
 			// tick: its shards now hold admissions newer than any checkpoint.
-			for _, b := range batches {
-				if out, err := driver.Submit(b.Tenant, b.Jobs); err != nil || !out.Landed() {
-					t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
-				}
-			}
+			submitToHolders(t, driver, batches)
 			v := f.Victim % len(live)
 			live[v].Kill()
 			live = append(live[:v], live[v+1:]...)

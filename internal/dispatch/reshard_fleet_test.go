@@ -141,11 +141,7 @@ func TestFleetReshardFailoverMidMigration(t *testing.T) {
 		if r == 16 {
 			// The classic worst case, now on migrated shards: land the round's
 			// admissions, then kill the holder before it can tick/checkpoint.
-			for _, b := range batches {
-				if out, err := driver.Submit(b.Tenant, b.Jobs); err != nil || !out.Landed() {
-					t.Fatalf("pre-kill submit %s: out=%+v err=%v", b.Tenant, out, err)
-				}
-			}
+			submitToHolders(t, driver, batches)
 			w1.Kill()
 			w4, err := StartWorker("w4", baseURL, "127.0.0.1:0", io.Discard)
 			if err != nil {

@@ -345,17 +345,17 @@ func ValidateWorker(worker string) error {
 	return nil
 }
 
-// serveConfig expands the wire config into the hosted serve.Config every
-// worker runs. A hosted service that records decisions keeps each shard's
-// decision log in the shard's bundle pool and names it in every pushed
-// manifest, so a migrated shard does not forget its past.
+// serveConfig expands the wire config into the serve.Config every worker
+// runs; the worker makes it hosted by setting OnShardCheckpoint. A hosted
+// service that records decisions keeps each shard's decision log in the
+// shard's bundle pool and names it in every pushed manifest, so a migrated
+// shard does not forget its past.
 func (c ServiceConfig) serveConfig() serve.Config {
 	return serve.Config{
 		Shards:          c.Shards,
 		Resources:       c.Resources,
 		Delta:           c.Delta,
 		Watermark:       c.Watermark,
-		Hosted:          true,
 		RecordDecisions: c.RecordDecisions,
 	}
 }

@@ -120,7 +120,7 @@ func captureFleetPush(record bool) ([]byte, *ckptstore.MemStore, error) {
 		return nil
 	}
 	svc, _, err := serve.New(serve.Config{Shards: 4, Resources: foldN, Delta: foldDelta,
-		Watermark: 1 << 16, Hosted: true, RecordDecisions: record, OnShardCheckpoint: hook})
+		Watermark: 1 << 16, RecordDecisions: record, OnShardCheckpoint: hook})
 	if err != nil {
 		return nil, nil, err
 	}

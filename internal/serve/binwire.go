@@ -324,8 +324,8 @@ func DecodeSubmitResponseBinary(data []byte) (*SubmitResponse, error) {
 	return resp, nil
 }
 
-// EncodeTickBinary encodes a tick request frame: advance every shard rounds
-// rounds in lockstep.
+// EncodeTickBinary encodes a tick request frame: advance every shard of a
+// classic service rounds rounds.
 func EncodeTickBinary(rounds int) []byte {
 	dst := appendFrameHeader(nil, FrameTick)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rounds))

@@ -43,26 +43,13 @@ func (sh *shard) offerCheckpoint() error {
 	return nil
 }
 
-// buildBundle cuts the shard into its in-memory chunk pool (dirty tenants
-// only; clean ones reuse their chunk) and encodes the manifest plus those of
-// its chunks outside acked. With acked nil the bundle is self-contained: the
-// handoff form CloseShard returns. The manifest's chunk set is returned so
-// the caller can ack it once the receiver holds the bundle.
+// buildBundle cuts the shard into its in-memory chunk pool (cutManifest) and
+// encodes the manifest plus those of its chunks outside acked. With acked nil
+// the bundle is self-contained: the handoff form CloseShard returns. The
+// manifest's chunk set is returned so the caller can ack it once the receiver
+// holds the bundle. A hosted shard's placement epoch is always 0.
 func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, error) {
-	m := &ckptstore.Manifest{
-		Schema: ckptstore.ManifestSchema,
-		Shard:  sh.idx,
-		Shards: sh.nshards,
-		Round:  sh.round,
-	}
-	var err error
-	if m.Tenants, err = sh.tenantRefs(nil, sh.cutChunk); err != nil {
-		return nil, nil, err
-	}
-	if err := sh.cutLog(m); err != nil {
-		return nil, nil, err
-	}
-	roots, err := m.Roots()
+	manifest, roots, err := sh.cutManifest()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -73,10 +60,6 @@ func (sh *shard) buildBundle(acked map[uint64]bool) ([]byte, map[uint64]bool, er
 		if !acked[id] {
 			unacked[id] = true
 		}
-	}
-	manifest, err := ckptstore.EncodeManifest(m)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: shard %d manifest: %w", sh.idx, err)
 	}
 	bundle, err := sh.pool.EncodeBundle(manifest, unacked)
 	if err != nil {

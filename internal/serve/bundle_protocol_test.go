@@ -60,7 +60,7 @@ func chunkCount(t *testing.T, data []byte) int {
 func TestBundleAckProtocol(t *testing.T) {
 	sink := &bundleSink{}
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, Hosted: true, OnShardCheckpoint: sink.hook})
+		RecordDecisions: true, OnShardCheckpoint: sink.hook})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestBundleAckProtocol(t *testing.T) {
 func TestBundleFoldMatchesSender(t *testing.T) {
 	sink := &bundleSink{}
 	cfg := Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, Hosted: true}
+		RecordDecisions: true, OnShardCheckpoint: noPush}
 	sender := cfg
 	sender.OnShardCheckpoint = sink.hook
 	svc, _, err := New(sender)

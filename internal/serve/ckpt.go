@@ -127,39 +127,43 @@ func (sh *shard) tenantRefs(keep func(string) bool, chunkOf func(*tenant) (uint6
 	return refs, nil
 }
 
-// handleCut serializes the shard's dirty tenants into the chunk store and
-// builds the manifest that commits the cut, naming the decision log as of
-// the cut. Clean tenants keep their previous chunk reference; evicted
-// tenants commit as stubs. Runs on the shard goroutine, strictly between
-// round ticks.
-func (sh *shard) handleCut() cutResult {
-	if sh.store == nil {
-		return cutResult{err: fmt.Errorf("serve: shard %d has no chunk store", sh.idx)}
-	}
-	refs, err := sh.tenantRefs(nil, sh.cutChunk)
-	if err != nil {
-		return cutResult{err: err}
-	}
+// cutManifest is the one cut of both checkpoint sinks, the state dir's
+// manifests (handleCut) and the hosted push (buildBundle): it serializes the
+// shard's dirty tenants into its chunk store and returns the encoded manifest
+// that commits the cut, naming the decision log as of the cut, with the
+// chunks it references. Clean tenants keep their previous chunk reference;
+// evicted tenants commit as stubs. Runs on the shard goroutine, strictly
+// between round ticks.
+func (sh *shard) cutManifest() (manifest []byte, roots []uint64, err error) {
 	m := &ckptstore.Manifest{
 		Schema:         ckptstore.ManifestSchema,
 		Shard:          sh.idx,
 		Shards:         sh.nshards,
 		Round:          sh.round,
 		PlacementEpoch: sh.epoch,
-		Tenants:        refs,
+	}
+	if m.Tenants, err = sh.tenantRefs(nil, sh.cutChunk); err != nil {
+		return nil, nil, err
 	}
 	if err := sh.cutLog(m); err != nil {
-		return cutResult{err: err}
+		return nil, nil, err
 	}
-	data, err := ckptstore.EncodeManifest(m)
-	if err != nil {
-		return cutResult{err: fmt.Errorf("serve: shard %d manifest: %w", sh.idx, err)}
+	if roots, err = m.Roots(); err != nil {
+		return nil, nil, err
 	}
-	roots, err := m.Roots()
-	if err != nil {
-		return cutResult{err: err}
+	if manifest, err = ckptstore.EncodeManifest(m); err != nil {
+		return nil, nil, fmt.Errorf("serve: shard %d manifest: %w", sh.idx, err)
 	}
-	return cutResult{manifest: data, roots: roots}
+	return manifest, roots, nil
+}
+
+// handleCut cuts a shard of a durable service for Checkpoint.
+func (sh *shard) handleCut() cutResult {
+	if sh.store == nil {
+		return cutResult{err: fmt.Errorf("serve: shard %d has no chunk store", sh.idx)}
+	}
+	manifest, roots, err := sh.cutManifest()
+	return cutResult{manifest: manifest, roots: roots, err: err}
 }
 
 // maybeEvict pages out tenants that have been quiescent for at least
@@ -255,7 +259,7 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		return fmt.Errorf("serve: checkpoint taken with %d shards, shard expects %d", m.Shards, sh.cfg.Shards)
 	}
 	sh.round = m.Round
-	if !sh.cfg.Hosted {
+	if !sh.cfg.hosted() {
 		// A hosted shard's placement is the dispatcher's config epoch, not a
 		// worker-local ring epoch: leave it at zero there.
 		sh.epoch = m.PlacementEpoch

@@ -90,7 +90,21 @@ func sparseReference(t *testing.T, tn sparseTenant, totalRounds int64, cfg Confi
 // hook (when set) before the round's submissions.
 func driveSparseFixture(t *testing.T, client *Client, tenants []sparseTenant, totalRounds int64, hook func(r int64)) {
 	t.Helper()
+	driveSparseRuns(t, client, tenants, totalRounds, nil, hook)
+}
+
+// driveSparseRuns is driveSparseFixture with the rounds ticked as runs says
+// (see tickRuns); the hook runs at every round the service rests at.
+func driveSparseRuns(t *testing.T, client *Client, tenants []sparseTenant, totalRounds int64, runs *tickRuns, hook func(r int64)) {
+	t.Helper()
 	for r := int64(0); r < totalRounds; r++ {
+		submits := false
+		for _, tn := range tenants {
+			submits = submits || len(sparseArrivals(tn, r)) > 0
+		}
+		if runs.owe(t, client, r, submits) {
+			continue
+		}
 		if hook != nil {
 			hook(r)
 		}
@@ -108,6 +122,7 @@ func driveSparseFixture(t *testing.T, client *Client, tenants []sparseTenant, to
 			t.Fatalf("tick at round %d: %v", r, err)
 		}
 	}
+	runs.flush(t, client)
 }
 
 // checkSparseDecisions byte-compares every fixture tenant's /v1/decisions
@@ -143,8 +158,17 @@ func checkSparseDecisions(t *testing.T, client *Client, tenants []sparseTenant, 
 // determinism contract: with aggressive cold-tenant eviction on, every
 // fixture tenant quiesces, pages out to the chunk store mid-run, and is
 // faulted back in by its second burst — and its decision stream must still be
-// byte-identical to a bare scheduler that never saw any of it.
+// byte-identical to a bare scheduler that never saw any of it, whether every
+// round ticks alone or the idle rounds tick as runs, so that tenants evict
+// inside one multi-round round command.
 func TestEvictFaultInDecisionsMatchBareScheduler(t *testing.T) {
+	t.Run("tick-each-round", func(t *testing.T) { testEvictFaultInDecisionsMatchBareScheduler(t, nil) })
+	t.Run("tick-runs", func(t *testing.T) {
+		testEvictFaultInDecisionsMatchBareScheduler(t, &tickRuns{stops: map[int64]bool{14: true}})
+	})
+}
+
+func testEvictFaultInDecisionsMatchBareScheduler(t *testing.T, runs *tickRuns) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16,
 		RecordDecisions: true, StateDir: t.TempDir(), EvictAfter: sparseEvict}
 	svc, _, err := New(cfg)
@@ -158,7 +182,7 @@ func TestEvictFaultInDecisionsMatchBareScheduler(t *testing.T) {
 
 	tenants := sparseFixture()
 	sawEvicted := false
-	driveSparseFixture(t, client, tenants, sparseTotal, func(r int64) {
+	driveSparseRuns(t, client, tenants, sparseTotal, runs, func(r int64) {
 		// Every first burst has resolved and aged out by round 14; the paging
 		// machinery must actually have engaged, or the battery proves nothing.
 		if r == 14 {

@@ -386,7 +386,8 @@ func (c *Client) parseSubmitResponse(status int, data []byte, header http.Header
 	}
 }
 
-// Tick advances n rounds (virtual-time mode) and returns the new next round.
+// Tick advances every shard of a classic service n rounds (virtual-time mode)
+// and returns the new next round; a hosted service refuses it with 503.
 func (c *Client) Tick(n int) (int64, error) {
 	if c.wire == WireBinary {
 		return c.postRound("tick", "/v1/tick", EncodeTickBinary(n), ContentTypeBinary)

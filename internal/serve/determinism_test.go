@@ -63,7 +63,21 @@ func driveService(t *testing.T, client *Client, tenants []detTenant, totalRounds
 // pool mid-run.
 func driveServiceHook(t *testing.T, client *Client, tenants []detTenant, totalRounds int64, hook func(r int64)) {
 	t.Helper()
+	driveServiceRuns(t, client, tenants, totalRounds, nil, hook)
+}
+
+// driveServiceRuns is driveServiceHook with the rounds ticked as runs says
+// (see tickRuns); the hook runs at every round the service rests at.
+func driveServiceRuns(t *testing.T, client *Client, tenants []detTenant, totalRounds int64, runs *tickRuns, hook func(r int64)) {
+	t.Helper()
 	for r := int64(0); r < totalRounds; r++ {
+		submits := false
+		for _, tn := range tenants {
+			submits = submits || (r >= tn.startRound && len(tn.seq.Request(r-tn.startRound)) > 0)
+		}
+		if runs.owe(t, client, r, submits) {
+			continue
+		}
 		if hook != nil {
 			hook(r)
 		}
@@ -107,6 +121,47 @@ func driveServiceHook(t *testing.T, client *Client, tenants []detTenant, totalRo
 			t.Fatalf("Tick at round %d: %v", r, err)
 		}
 	}
+	runs.flush(t, client)
+}
+
+// tickRuns is the determinism batteries' second way to tick: each run of
+// rounds without submissions goes out as one Tick(k), so every shard runs the
+// run's rounds back to back in one round command. A run is cut before each
+// round in stops, so a driver's hook sees the service at that round. A nil
+// *tickRuns ticks every round on its own.
+type tickRuns struct {
+	stops   map[int64]bool
+	owed    int
+	longest int // the most rounds one Tick call advanced
+}
+
+// owe reports whether round r joins a run: it submits nothing and is not a
+// stop, so its tick is owed. Otherwise it ticks the rounds owed, and the
+// service is at round r when the driver goes on.
+func (k *tickRuns) owe(t *testing.T, client *Client, r int64, submits bool) bool {
+	t.Helper()
+	if k == nil {
+		return false
+	}
+	if !submits && !k.stops[r] {
+		k.owed++
+		return true
+	}
+	k.flush(t, client)
+	return false
+}
+
+// flush ticks the rounds owed in one call.
+func (k *tickRuns) flush(t *testing.T, client *Client) {
+	t.Helper()
+	if k == nil || k.owed == 0 {
+		return
+	}
+	if _, err := client.Tick(k.owed); err != nil {
+		t.Fatalf("Tick(%d): %v", k.owed, err)
+	}
+	k.longest = max(k.longest, k.owed)
+	k.owed = 0
 }
 
 // epochOf returns the global round at which the service creates the tenant:
@@ -156,8 +211,15 @@ func referenceDecisions(t *testing.T, tn detTenant, totalRounds int64, cfg Confi
 // property of the service: a seeded multi-tenant workload pushed through a
 // 4-shard rrserve under concurrent, oddly-framed HTTP submissions yields,
 // for every tenant, a decision stream byte-identical to a bare
-// stream.Scheduler fed the same arrivals sequentially.
+// stream.Scheduler fed the same arrivals sequentially — whether every round
+// ticks alone or the rounds without submissions tick as runs, the drain tail
+// in one Tick(20).
 func TestServiceDecisionsMatchBareScheduler(t *testing.T) {
+	t.Run("tick-each-round", func(t *testing.T) { testServiceDecisionsMatchBareScheduler(t, nil) })
+	t.Run("tick-runs", func(t *testing.T) { testServiceDecisionsMatchBareScheduler(t, &tickRuns{}) })
+}
+
+func testServiceDecisionsMatchBareScheduler(t *testing.T, runs *tickRuns) {
 	cfg := Config{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true}
 	svc, _, err := New(cfg)
 	if err != nil {
@@ -172,7 +234,10 @@ func TestServiceDecisionsMatchBareScheduler(t *testing.T) {
 	// Enough rounds past the last arrival for every delay bound (max 2^4) to
 	// expire, so the streams include the drop tail.
 	totalRounds := int64(20 + 5 + 20)
-	driveService(t, client, tenants, totalRounds)
+	driveServiceRuns(t, client, tenants, totalRounds, runs, nil)
+	if runs != nil && runs.longest != 20 {
+		t.Fatalf("the longest run ticked in one call has %d rounds, want the 20-round drain tail", runs.longest)
+	}
 
 	ring := newHashRing(cfg.Shards)
 	for _, tn := range tenants {

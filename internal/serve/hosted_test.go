@@ -14,13 +14,17 @@ import (
 	"rrsched/internal/obs"
 )
 
+// noPush is a checkpoint hook that accepts every push and keeps none: it makes
+// a service hosted for tests that do not look at the pushes.
+func noPush(int, int64, []byte) error { return nil }
+
 func hostedConfig() Config {
 	return Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 10,
-		RecordDecisions: true, Hosted: true}
+		RecordDecisions: true, OnShardCheckpoint: noPush}
 }
 
 // TestHostedLifecycle pins the open/close state machine: a closed shard
-// misdirects submissions and skips ticks, an open shard serves, and closing
+// misdirects submissions and round calls, an open shard serves, and closing
 // returns a checkpoint that reopens elsewhere with identical state. It ends
 // with the round call's refusals, each of which leaves the shard as it was.
 func TestHostedLifecycle(t *testing.T) {
@@ -59,14 +63,14 @@ func TestHostedLifecycle(t *testing.T) {
 	if err != nil || !out.Accepted {
 		t.Fatalf("submit to open shard: out=%+v err=%v", out, err)
 	}
-	if _, err := client.Tick(3); err != nil {
-		t.Fatalf("Tick: %v", err)
+	shard := svc.ShardFor("alpha")
+	if r, err := client.TickShard(&RoundRequest{Schema: WireSchema, Shard: shard, Shards: 2, Target: 3}); err != nil || r != 3 {
+		t.Fatalf("TickShard to 3: r=%d err=%v", r, err)
 	}
 
 	// Close the tenant's shard: the next submission misdirects again, a
 	// round call reports ErrMisdirected, and the checkpoint carries the
 	// tenant.
-	shard := svc.ShardFor("alpha")
 	data, err := svc.CloseShard(shard)
 	if err != nil {
 		t.Fatalf("CloseShard: %v", err)
@@ -229,13 +233,17 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 	if st.PerShard[0].Round != 5 || st.PerShard[1].Round != 0 {
 		t.Fatalf("rounds = %d/%d, want 5/0", st.PerShard[0].Round, st.PerShard[1].Round)
 	}
-	// A service-wide tick advances both from their own counters.
-	if r, err := svc.Tick(2); err != nil || r != 7 {
-		t.Fatalf("Tick(2): r=%d err=%v", r, err)
+	// Each round call advances its shard from its own counter and leaves
+	// the other where it is.
+	if r, err := svc.TickShard(&RoundRequest{Shard: 1, Shards: 2, Target: 2}); err != nil || r != 2 {
+		t.Fatalf("TickShard(1 to 2): r=%d err=%v", r, err)
+	}
+	if r, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 2, Target: 7}); err != nil || r != 7 {
+		t.Fatalf("TickShard(0 to 7): r=%d err=%v", r, err)
 	}
 	st = svc.Stats()
 	if st.PerShard[0].Round != 7 || st.PerShard[1].Round != 2 {
-		t.Fatalf("rounds after Tick = %d/%d, want 7/2", st.PerShard[0].Round, st.PerShard[1].Round)
+		t.Fatalf("rounds after the round calls = %d/%d, want 7/2", st.PerShard[0].Round, st.PerShard[1].Round)
 	}
 	// Realign shard 1.
 	if r, err := svc.TickShard(&RoundRequest{Shard: 1, Shards: 2, Target: 7}); err != nil || r != 7 {
@@ -244,10 +252,9 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 }
 
 // TestHostedCheckpointHook pins the synchronous checkpoint contract: by the
-// time a tick call returns, the hook has observed the post-tick state of
-// every open shard, and the hook's bundles — folded the way the dispatcher
-// folds them — equal the shard's close handoff and restore
-// decision-identically.
+// time a round call returns, the hook has observed the shard's post-tick
+// state, and the hook's bundles — folded the way the dispatcher folds them —
+// equal the shard's close handoff and restore decision-identically.
 func TestHostedCheckpointHook(t *testing.T) {
 	var mu sync.Mutex
 	latest := map[int][]byte{}
@@ -287,17 +294,17 @@ func TestHostedCheckpointHook(t *testing.T) {
 		if err != nil || !out.Accepted {
 			t.Fatalf("submit: out=%+v err=%v", out, err)
 		}
-		if _, err := client.Tick(1); err != nil {
-			t.Fatalf("tick: %v", err)
-		}
-		mu.Lock()
 		for i := 0; i < 2; i++ {
-			if rounds[i] != r+1 {
-				mu.Unlock()
-				t.Fatalf("after tick %d: hook saw shard %d at round %d", r, i, rounds[i])
+			if _, err := client.TickShard(&RoundRequest{Schema: WireSchema, Shard: i, Shards: 2, Target: r + 1}); err != nil {
+				t.Fatalf("round call for shard %d to %d: %v", i, r+1, err)
+			}
+			mu.Lock()
+			got := rounds[i]
+			mu.Unlock()
+			if got != r+1 {
+				t.Fatalf("after the round call to %d: hook saw shard %d at round %d", r+1, i, got)
 			}
 		}
-		mu.Unlock()
 	}
 
 	// The hook's folded state equals the folded close handoff, and restoring
@@ -342,33 +349,39 @@ func TestHostedCheckpointHook(t *testing.T) {
 	}
 }
 
-// TestHostedTickNoOpenShards pins that a service-wide tick with zero leases
-// held is an error and leaves the round counter alone, rather than quietly
-// resetting it to zero.
-func TestHostedTickNoOpenShards(t *testing.T) {
+// TestHostedServiceRefusesTick pins that a hosted service advances only
+// through round calls: Tick fails and POST /v1/tick answers 503, as a classic
+// service answers a round call, with no shard open and with one open ahead
+// of the other, and neither moves the service round or any shard's round.
+func TestHostedServiceRefusesTick(t *testing.T) {
 	svc, _, err := New(hostedConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer svc.Close()
-	if _, err := svc.Tick(1); err == nil {
-		t.Fatal("Tick with no open shards succeeded")
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	refused := func(want [2]int64) {
+		t.Helper()
+		if _, err := svc.Tick(1); err == nil {
+			t.Error("Tick on a hosted service succeeded")
+		}
+		if got := httpStatus(t, srv, http.MethodPost, "/v1/tick", nil); got != http.StatusServiceUnavailable {
+			t.Errorf("POST /v1/tick on a hosted service: status %d, want %d", got, http.StatusServiceUnavailable)
+		}
+		st := svc.Stats()
+		if got := [2]int64{st.PerShard[0].Round, st.PerShard[1].Round}; st.Round != want[0] || got != want {
+			t.Errorf("after the refused ticks: service round %d, shard rounds %v, want %d and %v", st.Round, got, want[0], want)
+		}
 	}
+	refused([2]int64{0, 0})
 	if _, err := svc.OpenShard(0, nil); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if r, err := svc.Tick(3); err != nil || r != 3 {
-		t.Fatalf("Tick(3): r=%d err=%v", r, err)
+	if r, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 2, Target: 3}); err != nil || r != 3 {
+		t.Fatalf("TickShard(0 to 3): r=%d err=%v", r, err)
 	}
-	if _, err := svc.CloseShard(0); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := svc.Tick(1); err == nil {
-		t.Fatal("Tick after closing the last shard succeeded")
-	}
-	if got := svc.Round(); got != 3 {
-		t.Fatalf("round counter reset to %d by a no-op tick, want 3", got)
-	}
+	refused([2]int64{3, 0})
 }
 
 // TestHostedSyncShard pins the checkpoint-repair path: when a tick's hook push
@@ -475,9 +488,8 @@ func TestHostedSyncShard(t *testing.T) {
 // TestHostedConfigValidation pins the config cross-checks.
 func TestHostedConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true, StateDir: "x"},
-		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true, RoundEvery: 1},
-		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, OnShardCheckpoint: func(int, int64, []byte) error { return nil }},
+		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, OnShardCheckpoint: noPush, StateDir: "x"},
+		{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, OnShardCheckpoint: noPush, RoundEvery: 1},
 	}
 	for i, cfg := range bad {
 		if _, _, err := New(cfg); err == nil {
@@ -499,7 +511,7 @@ func TestHostedConfigValidation(t *testing.T) {
 	if _, err := svc.TickShard(&RoundRequest{Shard: 0, Shards: 1, Target: 1}); err == nil {
 		t.Error("TickShard accepted on a classic service")
 	}
-	hosted, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, Hosted: true})
+	hosted, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8, OnShardCheckpoint: noPush})
 	if err != nil {
 		t.Fatalf("New hosted: %v", err)
 	}

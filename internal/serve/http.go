@@ -46,8 +46,9 @@ const maxPlacementRetries = 32
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/jobs       submit one batch for one tenant (wire.go)
-//	POST /v1/tick       advance every shard (virtual-time mode only; ?rounds=n,
-//	                    or a tick frame)
+//	POST /v1/tick       advance every shard of a classic service (virtual-time
+//	                    mode only; ?rounds=n, or a tick frame); a hosted
+//	                    service answers 503
 //	POST /v1/round      one hosted shard's round call (RoundRequest): admit
 //	                    its batches, tick it to a target round, push its
 //	                    checkpoint

@@ -70,7 +70,7 @@ func hostedPayloads(tb testing.TB, resources int, seq *model.Sequence, rounds in
 		return nil
 	}
 	svc, _, err := New(Config{Shards: 1, Resources: resources, Delta: 4, Watermark: 1 << 16,
-		RecordDecisions: record, Hosted: true, OnShardCheckpoint: hook})
+		RecordDecisions: record, OnShardCheckpoint: hook})
 	if err != nil {
 		tb.Fatal(err)
 	}

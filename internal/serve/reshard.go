@@ -94,7 +94,7 @@ var ErrReshardBudget = errors.New("serve: reshard migration exceeds class budget
 // Classic services only — hosted pools reshard through the dispatcher,
 // which owns their placement.
 func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
-	if s.cfg.Hosted {
+	if s.cfg.hosted() {
 		return nil, fmt.Errorf("serve: hosted services reshard via the dispatcher")
 	}
 	if newShards < 1 || newShards > MaxShards {

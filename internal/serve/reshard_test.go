@@ -456,7 +456,7 @@ func TestReshardRefusals(t *testing.T) {
 	}
 	svc.Close()
 
-	hosted := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64, Hosted: true}
+	hosted := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64, OnShardCheckpoint: noPush}
 	hsvc, _, err := New(hosted)
 	if err != nil {
 		t.Fatalf("New(hosted): %v", err)

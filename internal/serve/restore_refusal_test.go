@@ -87,7 +87,7 @@ func TestRestoreRejectsSchemaSkew(t *testing.T) {
 // state, and must leave the shard closed and empty.
 func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64,
-		Hosted: true, RecordDecisions: true}
+		OnShardCheckpoint: noPush, RecordDecisions: true}
 	svc, _, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -35,8 +34,8 @@ type Config struct {
 	Watermark int
 	// RoundEvery is the real-time duration of one scheduling round. Zero
 	// selects virtual-time mode: rounds advance only via POST /v1/tick (or
-	// Service.Tick), which is what tests and the CI smoke job use, or, in
-	// hosted mode, per shard via POST /v1/round.
+	// Service.Tick), which is what tests and the CI smoke job use, or, on a
+	// hosted service, per shard via POST /v1/round.
 	RoundEvery time.Duration
 	// RecordDecisions keeps every tenant's decision stream and serves it at
 	// /v1/decisions. The stream lives in each shard's decision log: the
@@ -67,26 +66,26 @@ type Config struct {
 	// Requires StateDir (the chunk store is the backing store); zero
 	// disables eviction.
 	EvictAfter int64
-	// Hosted switches the service into hosted-shard mode, the worker side of
+	// OnShardCheckpoint, if set, makes the service hosted, the worker side of
 	// the dispatcher/worker tier: shards start closed and are opened and
 	// closed per lease (OpenShard/CloseShard), submissions to closed shards
-	// get 421, and rounds advance per shard rather than in lockstep — a shard
-	// restored from a checkpoint resumes at its own round regardless of what
-	// its new host's other shards are doing. StateDir must be empty: hosted
-	// checkpoints are ckptstore bundles that travel through
-	// OnShardCheckpoint and CloseShard, not local files. With RecordDecisions
-	// on, the shard's decision log rides in the same bundles (its segments
-	// are chunks the manifest names), so history survives a shard migration.
-	Hosted bool
-	// OnShardCheckpoint, if set (hosted mode only), is invoked from the shard
-	// goroutine after every self-tick and round call (TickShard), ticking or
-	// not, with a checkpoint bundle of the shard:
-	// its manifest plus the chunks the receiver has not acknowledged yet
-	// (see FoldBundle for the receiving side).
-	// The worker daemon uses it to push state to the dispatcher's checkpoint
-	// store synchronously: when a tick call returns, the dispatcher already
-	// holds the post-tick state, so a later crash loses at most the
-	// admissions since that tick — which clients resend idempotently.
+	// get 421, and rounds advance per shard through round calls (TickShard)
+	// rather than in lockstep — a shard restored from a checkpoint resumes at
+	// its own round regardless of what its new host's other shards are doing.
+	// StateDir must be empty and RoundEvery zero: hosted checkpoints are
+	// ckptstore bundles that travel through the hook and CloseShard, not
+	// local files. With RecordDecisions on, the shard's decision log rides in
+	// the same bundles (its segments are chunks the manifest names), so
+	// history survives a shard migration.
+	//
+	// The hook is invoked from the shard goroutine after every round call,
+	// ticking or not, with a checkpoint bundle of the shard: its manifest
+	// plus the chunks the receiver has not acknowledged yet (see FoldBundle
+	// for the receiving side). The worker daemon uses it to push state to the
+	// dispatcher's checkpoint store synchronously: when a round call returns,
+	// the dispatcher already holds the post-tick state, so a later crash
+	// loses at most the admissions since that tick — which clients resend
+	// idempotently.
 	OnShardCheckpoint func(shard int, round int64, data []byte) error
 	// Classes are the weighted tenant QoS classes. Each class receives a
 	// slice of every shard's admission watermark proportional to its weight
@@ -150,6 +149,10 @@ func classShares(classes []TenantClass, total int) []int {
 // MaxClassWeight bounds a class weight so share arithmetic cannot overflow.
 const MaxClassWeight = 1 << 20
 
+// hosted reports whether the service is hosted: its shards are leased to it
+// one at a time and push their checkpoints through OnShardCheckpoint.
+func (cfg Config) hosted() bool { return cfg.OnShardCheckpoint != nil }
+
 func (cfg Config) validate() error {
 	if cfg.Shards <= 0 {
 		return fmt.Errorf("serve: need at least one shard, got %d", cfg.Shards)
@@ -169,14 +172,11 @@ func (cfg Config) validate() error {
 	if cfg.RoundEvery < 0 {
 		return fmt.Errorf("serve: negative round duration %v", cfg.RoundEvery)
 	}
-	if cfg.Hosted && cfg.StateDir != "" {
+	if cfg.hosted() && cfg.StateDir != "" {
 		return fmt.Errorf("serve: hosted mode is incompatible with a state dir (checkpoints travel via OnShardCheckpoint)")
 	}
-	if cfg.Hosted && cfg.RoundEvery != 0 {
+	if cfg.hosted() && cfg.RoundEvery != 0 {
 		return fmt.Errorf("serve: hosted mode requires virtual time (rounds advance per shard via /v1/round)")
-	}
-	if cfg.OnShardCheckpoint != nil && !cfg.Hosted {
-		return fmt.Errorf("serve: OnShardCheckpoint requires hosted mode")
 	}
 	if cfg.EvictAfter < 0 {
 		return fmt.Errorf("serve: negative evict-after %d", cfg.EvictAfter)
@@ -221,8 +221,10 @@ type Service struct {
 	// not reentrant).
 	reshardMu sync.Mutex
 
-	// round is the next global round; shards advance in lockstep under
-	// tickMu. Atomic so handlers can read it without joining the tick path.
+	// round is the next global round: every classic shard's between Tick
+	// calls, which run under tickMu, and the highest round a round call
+	// reached on a hosted service. Atomic so handlers can read it without
+	// joining the tick path.
 	round    atomic.Int64
 	tickMu   sync.Mutex
 	draining atomic.Bool
@@ -418,79 +420,50 @@ func (s *Service) Start() {
 	})
 }
 
-// Tick advances all shards by n rounds and returns the new next round. In a
-// classic service shards tick in lockstep (a barrier separates rounds, so
-// every shard's round counter stays aligned); in hosted mode every open shard
-// advances n rounds from its own counter and the returned round is the
-// maximum across open shards.
+// Tick advances every shard of a classic service n rounds and returns the new
+// next round; the real-time ticker and /v1/tick call it. Every shard gets one
+// round command to the same target, all at once, and Tick returns once every
+// shard has answered, so every shard's counter is aligned again. No barrier
+// separates the n rounds: shards share nothing within a round, so each runs
+// its rounds back to back. A hosted service refuses: its shards advance one
+// at a time, through round calls (TickShard).
 func (s *Service) Tick(n int) (int64, error) {
-	if n <= 0 {
-		return s.round.Load(), fmt.Errorf("serve: tick count must be positive, got %d", n)
+	if s.cfg.hosted() {
+		return s.round.Load(), fmt.Errorf("serve: a hosted service ticks per shard, through round calls")
+	}
+	if n <= 0 || n > maxTickRounds {
+		return s.round.Load(), fmt.Errorf("serve: tick count %d out of range (1..%d)", n, maxTickRounds)
 	}
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
 	if s.draining.Load() {
 		return s.round.Load(), fmt.Errorf("serve: service is draining")
 	}
-	if s.cfg.Hosted {
-		return s.tickHosted(n)
-	}
 	// Reshard swaps the placement under tickMu, so the shard set is stable
-	// for the whole multi-round tick.
-	pl := s.pl.Load()
-	for i := 0; i < n; i++ {
-		r := s.round.Load()
-		var wg sync.WaitGroup
-		wg.Add(len(pl.shards))
-		cmd := &tickCmd{round: r, done: &wg}
-		for _, sh := range pl.shards {
-			sh.ch <- shardCmd{tick: cmd} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
-		}
-		wg.Wait()
-		s.round.Store(r + 1)
-	}
-	return s.round.Load(), nil
-}
-
-// tickHosted fans a self-tick to every shard concurrently; closed shards
-// report themselves and are skipped. Caller holds tickMu.
-func (s *Service) tickHosted(n int) (int64, error) {
+	// for the whole tick.
 	shards := s.pl.Load().shards
-	replies := make([]chan selfTickResult, len(shards))
-	for i, sh := range shards {
-		replies[i] = make(chan selfTickResult, 1)
-		sh.ch <- shardCmd{selfTick: &selfTickCmd{n: n, reply: replies[i]}}
+	req := &RoundRequest{Target: s.round.Load() + int64(n)}
+	reply := make(chan roundResult, len(shards))
+	for _, sh := range shards {
+		sh.ch <- shardCmd{round: &roundCmd{req: req, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
 	}
-	maxRound := int64(0)
-	ticked := 0
-	var firstErr error
-	for _, reply := range replies {
-		res := <-reply
-		switch {
-		case res.err == nil:
-			ticked++
-			if res.round > maxRound {
-				maxRound = res.round
-			}
-		case errors.Is(res.err, errShardClosed):
-			// Not hosted here; its owner ticks it.
-		case firstErr == nil:
-			firstErr = res.err
+	var err error
+	for range shards {
+		if res := <-reply; res.err != nil && err == nil { //lint:ignore lockcheck every shard goroutine answers its round command on the buffered reply channel
+			err = res.err
 		}
 	}
-	if firstErr != nil {
-		return maxRound, firstErr
+	if err != nil {
+		// Unreachable: every shard is open and at the service round, and a
+		// classic shard has no hook to fail.
+		return s.round.Load(), err
 	}
-	if ticked == 0 {
-		// No leases held: nothing advanced, and storing the zero maxRound
-		// would reset the service-wide counter. Tell the caller instead.
-		return s.round.Load(), fmt.Errorf("serve: no open shards to tick")
-	}
-	s.round.Store(maxRound)
-	return maxRound, nil
+	s.round.Store(req.Target)
+	return req.Target, nil
 }
 
-// maxTickRounds bounds how many rounds one tick call may advance a shard.
+// maxTickRounds bounds how many rounds one tick or round call may advance a
+// shard.
 const maxTickRounds = 1 << 20
 
 // TickShard runs one hosted shard's round call: it admits req's batches
@@ -504,7 +477,7 @@ const maxTickRounds = 1 << 20
 // for a shard past the target, each changing nothing; a refused batch's own
 // status, with the call's earlier batches admitted and the tick not run.
 func (s *Service) TickShard(req *RoundRequest) (int64, error) {
-	if !s.cfg.Hosted {
+	if !s.cfg.hosted() {
 		return 0, fmt.Errorf("serve: per-shard ticks require hosted mode")
 	}
 	if err := validateRoundMeta(req); err != nil {
@@ -529,7 +502,7 @@ func (s *Service) TickShard(req *RoundRequest) (int64, error) {
 	if s.draining.Load() {
 		return 0, fmt.Errorf("serve: service is draining")
 	}
-	reply := make(chan selfTickResult, 1)
+	reply := make(chan roundResult, 1)
 	pl.shards[req.Shard].ch <- shardCmd{round: &roundCmd{req: req, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
 	res := <-reply                                                                //lint:ignore lockcheck the shard goroutine always answers a round call on the buffered reply channel
 	if res.err == nil && res.round > s.round.Load() {
@@ -544,7 +517,7 @@ func (s *Service) TickShard(req *RoundRequest) (int64, error) {
 // next round. The worker daemon calls this when the dispatcher grants it a
 // lease.
 func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
-	if !s.cfg.Hosted {
+	if !s.cfg.hosted() {
 		return 0, fmt.Errorf("serve: OpenShard requires hosted mode")
 	}
 	pl := s.pl.Load()
@@ -562,7 +535,7 @@ func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 // handoff artifact uploaded to the dispatcher when a lease is revoked
 // gracefully.
 func (s *Service) CloseShard(shard int) ([]byte, error) {
-	if !s.cfg.Hosted {
+	if !s.cfg.hosted() {
 		return nil, fmt.Errorf("serve: CloseShard requires hosted mode")
 	}
 	pl := s.pl.Load()
@@ -599,7 +572,7 @@ func (s *Service) BeginDrain() {
 			<-s.tickerDone
 		}
 	})
-	// Barrier: an in-flight Tick holds tickMu until its round completes, so
+	// Barrier: an in-flight Tick holds tickMu until its rounds complete, so
 	// acquiring and releasing it guarantees the state rests at a round
 	// boundary when BeginDrain returns.
 	s.tickMu.Lock()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -12,11 +11,6 @@ import (
 	"rrsched/internal/obs"
 	"rrsched/internal/stream"
 )
-
-// errShardClosed marks operations against a hosted shard this worker does not
-// currently hold a lease for; Tick skips such shards, submit handlers map it
-// to 421.
-var errShardClosed = errors.New("shard is not hosted on this worker")
 
 // tenant is one tenant's scheduling state inside a shard. All fields are
 // owned by the shard goroutine.
@@ -147,8 +141,9 @@ type shard struct {
 
 	// Everything below is owned by the shard goroutine.
 	// open is whether the shard accepts work. Always true in a classic
-	// service; in hosted mode (Config.Hosted) a shard is closed until the
-	// worker daemon receives a lease for it and calls OpenShard.
+	// service; in a hosted one (Config.OnShardCheckpoint set) a shard is
+	// closed until the worker daemon receives a lease for it and calls
+	// OpenShard.
 	open     bool
 	round    int64 // next round to tick
 	tenants  map[string]*tenant
@@ -197,8 +192,6 @@ const statusWrongPlacement = -1
 // fields is set.
 type shardCmd struct {
 	submit    *submitCmd
-	tick      *tickCmd
-	selfTick  *selfTickCmd
 	round     *roundCmd
 	openShard *openCmd
 	close     *closeCmd
@@ -226,31 +219,17 @@ type submitResult struct {
 	backlog int
 }
 
-type tickCmd struct {
-	round int64
-	done  *sync.WaitGroup
-}
-
-// selfTickCmd advances a hosted shard n rounds from its own round counter
-// (hosted shards tick independently: a restored shard resumes at its
-// checkpoint round regardless of its new host's other shards). After the last
-// round the shard cuts itself and invokes Config.OnShardCheckpoint, so
-// when the tick call returns the caller knows the latest state has been
-// offered to the checkpoint store.
-type selfTickCmd struct {
-	n     int
-	reply chan selfTickResult
-}
-
-type selfTickResult struct {
-	round int64 // next round after ticking
-	err   error
-}
-
-// roundCmd is a round call (Service.TickShard), count and routing checked.
+// roundCmd advances the shard to req.Target, the one command that ticks a
+// shard: a classic Service.Tick sends every shard one, and a hosted round
+// call (Service.TickShard) one shard, count and routing checked.
 type roundCmd struct {
 	req   *RoundRequest
-	reply chan selfTickResult
+	reply chan roundResult
+}
+
+type roundResult struct {
+	round int64 // next round after ticking
+	err   error
 }
 
 // roundError is a refused round call, with the HTTP status that says why.
@@ -363,7 +342,7 @@ func newShard(idx int, cfg Config, store *ckptstore.Store) (*shard, error) {
 		ch:  make(chan shardCmd, 64),
 		met: met,
 		// Hosted shards stay closed until a lease arrives (OpenShard).
-		open:         !cfg.Hosted,
+		open:         !cfg.hosted(),
 		tenants:      map[string]*tenant{},
 		evicted:      map[string]evictedStub{},
 		nshards:      cfg.Shards,
@@ -373,7 +352,7 @@ func newShard(idx int, cfg Config, store *ckptstore.Store) (*shard, error) {
 		classBacklog: make([]int, len(classes)),
 		store:        store,
 	}
-	if !cfg.Hosted {
+	if !cfg.hosted() {
 		if err := sh.openLog(nil); err != nil {
 			return nil, err
 		}
@@ -434,15 +413,6 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 		t0 := obs.Now()
 		cmd.submit.reply <- sh.handleSubmit(cmd.submit.req, cmd.submit.epoch)
 		sh.met.submitNs.Observe(obs.Now() - t0)
-	case cmd.tick != nil:
-		t0 := obs.Now()
-		sh.handleTick(cmd.tick.round)
-		sh.met.tickNs.Observe(obs.Now() - t0)
-		cmd.tick.done.Done()
-	case cmd.selfTick != nil:
-		t0 := obs.Now()
-		cmd.selfTick.reply <- sh.handleSelfTick(cmd.selfTick.n)
-		sh.met.tickNs.Observe(obs.Now() - t0)
 	case cmd.round != nil:
 		cmd.round.reply <- sh.handleRound(cmd.round.req)
 	case cmd.openShard != nil:
@@ -469,30 +439,16 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 	}
 }
 
-// handleSelfTick ticks a hosted shard n rounds (none when n is 0) from its own
-// counter and then offers a fresh checkpoint to Config.OnShardCheckpoint. A
-// hook failure does not roll the rounds back — the decisions are made — but
-// it is surfaced so the caller knows the store may be behind the shard; a
-// round call to the round the shard reached closes that gap.
-func (sh *shard) handleSelfTick(n int) selfTickResult {
-	if !sh.open {
-		return selfTickResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
-	}
-	for i := 0; i < n; i++ {
-		sh.handleTick(sh.round)
-	}
-	if err := sh.offerCheckpoint(); err != nil {
-		return selfTickResult{round: sh.round, err: err}
-	}
-	return selfTickResult{round: sh.round}
-}
-
-// handleRound runs a round call on the shard: every batch goes through
-// handleSubmit, where a duplicate (409) counts as landed and any other
-// refusal fails the call before the tick, then the shard ticks to the target
-// and pushes. Each admission is timed as a submit and the ticks with their
-// push as a tick, the same work separate submits and ticks timed.
-func (sh *shard) handleRound(req *RoundRequest) selfTickResult {
+// handleRound runs a round command: every batch goes through handleSubmit,
+// where a duplicate (409) counts as landed and any other refusal fails the
+// command before the tick, then the shard ticks to the target (no rounds when
+// it is there) and offers its checkpoint to Config.OnShardCheckpoint (a no-op
+// without a hook). A hook failure does not roll the rounds back — the
+// decisions are made — but it fails the command, so the caller knows the
+// store may be behind the shard; a round call to the round the shard reached
+// closes that gap. Each admission is timed as a submit, and the ticks with
+// their push as one tick.
+func (sh *shard) handleRound(req *RoundRequest) roundResult {
 	var err error
 	switch {
 	case !sh.open:
@@ -512,15 +468,18 @@ func (sh *shard) handleRound(req *RoundRequest) selfTickResult {
 		}
 	}
 	if err != nil {
-		return selfTickResult{round: sh.round, err: err}
+		return roundResult{round: sh.round, err: err}
 	}
-	ticks := int(req.Target - sh.round)
+	ticks := sh.round < req.Target
 	t0 := obs.Now()
-	res := sh.handleSelfTick(ticks)
-	if ticks > 0 {
+	for sh.round < req.Target {
+		sh.handleTick()
+	}
+	err = sh.offerCheckpoint()
+	if ticks {
 		sh.met.tickNs.Observe(obs.Now() - t0)
 	}
-	return res
+	return roundResult{round: sh.round, err: err}
 }
 
 // handleOpen opens a hosted shard, restoring from a checkpoint bundle when
@@ -784,13 +743,8 @@ func (sh *shard) resolveClass(tn *tenant, name string) (int, bool) {
 // handleTick advances every tenant one round. Tenants are visited in sorted
 // name order and each tenant's queued jobs are pushed sorted by ID, so the
 // decision streams are independent of submission interleaving.
-func (sh *shard) handleTick(round int64) {
-	if round != sh.round {
-		// The service ticks all shards in lockstep; a mismatch would be a
-		// serve bug, not an input error. Skip rather than corrupt: the next
-		// aligned tick resynchronizes.
-		return
-	}
+func (sh *shard) handleTick() {
+	round := sh.round
 	for _, name := range sh.order {
 		tn := sh.tenants[name]
 		local := round - tn.epoch
