@@ -2,6 +2,7 @@ package ckptstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -243,6 +244,46 @@ func TestManifestValidation(t *testing.T) {
 	}
 	if _, err := DecodeManifest([]byte(`{`)); err == nil {
 		t.Error("DecodeManifest accepted truncated JSON")
+	}
+}
+
+// TestManifestLengthBound pins EncodeManifest and DecodeManifest to one
+// bound: a one-tenant manifest whose name makes its encoding exactly
+// MaxManifestLen bytes encodes and decodes, and with one more name byte both
+// refuse it, so no cut can commit a manifest that its next boot refuses.
+func TestManifestLengthBound(t *testing.T) {
+	withName := func(n int) *Manifest {
+		return &Manifest{
+			Schema: ManifestSchema, Shards: 1,
+			Tenants: []TenantRef{{Name: strings.Repeat("t", n), Chunk: FormatChunkID(1)}},
+		}
+	}
+	small, err := EncodeManifest(withName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := MaxManifestLen - (len(small) - 1)
+	enc, err := EncodeManifest(withName(fit))
+	if err != nil {
+		t.Fatalf("a manifest of exactly the bound: %v", err)
+	}
+	if len(enc) != MaxManifestLen {
+		t.Fatalf("manifest with a %d-byte name encodes to %d bytes, want %d", fit, len(enc), MaxManifestLen)
+	}
+	if _, err := DecodeManifest(enc); err != nil {
+		t.Fatalf("DecodeManifest refused a manifest EncodeManifest wrote: %v", err)
+	}
+	enc = nil // release 64 MiB before encoding a larger manifest
+	over := withName(fit + 1)
+	if enc, err := EncodeManifest(over); err == nil {
+		t.Fatalf("EncodeManifest wrote %d bytes, over the %d-byte bound", len(enc), MaxManifestLen)
+	}
+	raw, err := json.MarshalIndent(over, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeManifest(raw); err == nil {
+		t.Fatalf("DecodeManifest read %d bytes, over the %d-byte bound", len(raw), MaxManifestLen)
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // opened.
 const ManifestSchema = "rrckpt/v4"
 
-// MaxManifestLen bounds one decoded manifest.
+// MaxManifestLen bounds one manifest's encoding. EncodeManifest refuses to
+// write what DecodeManifest would refuse to read, so no cut commits a
+// manifest its next boot cannot open.
 const MaxManifestLen = 64 << 20
 
 // maxManifestTenants bounds the tenant list of one manifest, far above any
@@ -103,21 +105,29 @@ func FormatChunkID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // EncodeManifest validates and serializes a manifest (indented JSON, the
 // repo's canonical state encoding). Tenants are sorted by name first so the
-// encoding is a pure function of the manifest's content.
+// encoding is a pure function of the manifest's content. An encoding over
+// MaxManifestLen is refused.
 func EncodeManifest(m *Manifest) ([]byte, error) {
 	sort.Slice(m.Tenants, func(i, j int) bool { return m.Tenants[i].Name < m.Tenants[j].Name })
 	if err := validateManifest(m); err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(m, "", "  ")
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := checkManifestLen(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // DecodeManifest parses and validates one manifest. It never panics on
 // arbitrary bytes (FuzzDecodeManifest pins that), and anything it accepts
 // re-encodes to the same bytes.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) > MaxManifestLen {
-		return nil, fmt.Errorf("ckptstore: manifest of %d bytes exceeds the %d-byte bound", len(data), MaxManifestLen)
+	if err := checkManifestLen(data); err != nil {
+		return nil, err
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -127,6 +137,13 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return &m, nil
+}
+
+func checkManifestLen(data []byte) error {
+	if len(data) > MaxManifestLen {
+		return fmt.Errorf("ckptstore: manifest of %d bytes exceeds the %d-byte bound", len(data), MaxManifestLen)
+	}
+	return nil
 }
 
 func validateManifest(m *Manifest) error {

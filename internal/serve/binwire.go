@@ -439,8 +439,9 @@ const maxFrameWorkerLen = 512
 
 // CheckpointFrame is the binary form of a shard checkpoint push: routing
 // metadata plus the opaque checkpoint bytes, carried raw instead of embedded
-// in a JSON document. The dispatch layer converts to/from its CheckpointPush
-// and runs its own validation, so the two codecs share one invariant set.
+// in a JSON document. The dispatch layer's CheckpointPush is defined as this
+// type and converts to and from it; it runs its own validation on both sides
+// of the codec.
 type CheckpointFrame struct {
 	Worker string
 	Shard  int

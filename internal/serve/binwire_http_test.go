@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -363,3 +364,65 @@ func TestShardCoalescing(t *testing.T) {
 		t.Fatalf("wakeups %d exceed commands %d", h.Count, h.Sum)
 	}
 }
+
+// submitPathAllocs is the pinned allocation count of one warmed in-process
+// binary submit: the handler's read, decode and routing, the function sent to
+// the shard and its reply, and the binary response. Lower it when a change
+// removes one; never raise it to let a change through.
+const submitPathAllocs = 4
+
+// TestSubmitPathAllocs is the allocation ratchet of the submit path: a
+// one-job binary submit to a warmed tenant through Service.Handler, the
+// shard goroutine and the reply. One request is reused and the response goes
+// to a minimal ResponseWriter, so the count is the service's own, not
+// httptest's.
+func TestSubmitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include sync.Pool's random drops")
+	}
+	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 20})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	var body bytes.Reader
+	req, err := http.NewRequest(http.MethodPost, "/v1/jobs", io.NopCloser(&body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	req.Header.Set("Accept", ContentTypeBinary)
+	w := &discardWriter{header: http.Header{}}
+	sub := &SubmitRequest{Schema: WireSchema, Tenant: "alloc-tenant", Jobs: []SubmitJob{{Color: 0, Delay: 4}}}
+	var frame []byte
+	submit := func() {
+		sub.Jobs[0].ID++
+		if frame, err = AppendSubmitBinary(frame[:0], sub); err != nil {
+			t.Fatal(err)
+		}
+		body.Reset(frame)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("submit %d answered %d", sub.Jobs[0].ID, w.status)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		submit()
+	}
+	if got := testing.AllocsPerRun(200, submit); got > submitPathAllocs {
+		t.Errorf("a warmed binary submit allocates %.0f times, pinned at %d", got, submitPathAllocs)
+	}
+}
+
+// discardWriter is the least http.ResponseWriter: it keeps the status and
+// drops the body.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }

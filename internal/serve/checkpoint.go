@@ -57,7 +57,9 @@ type colorDelay struct {
 	delay int64
 }
 
-// imageOf captures one tenant at the shard's current round.
+// imageOf captures one tenant at the shard's current round. The image's
+// queue aliases the tenant's: it is already in ID order, because admission
+// takes only IDs above the tenant's high-water mark.
 func (sh *shard) imageOf(tn *tenant) (*tenantImage, error) {
 	img, err := tn.sched.AppendBinary(nil)
 	if err != nil {
@@ -69,7 +71,7 @@ func (sh *shard) imageOf(tn *tenant) (*tenantImage, error) {
 		epoch:  tn.epoch,
 		maxID:  tn.maxID,
 		class:  sh.classField(tn.class),
-		queued: slices.Clone(tn.queued),
+		queued: tn.queued,
 		stream: img,
 	}
 	ti.delays = make([]colorDelay, 0, len(tn.delays))
@@ -77,7 +79,6 @@ func (sh *shard) imageOf(tn *tenant) (*tenantImage, error) {
 		ti.delays = append(ti.delays, colorDelay{color: c, delay: d})
 	}
 	slices.SortFunc(ti.delays, func(a, b colorDelay) int { return cmp.Compare(a.color, b.color) })
-	slices.SortFunc(ti.queued, func(a, b model.Job) int { return cmp.Compare(a.ID, b.ID) })
 	return ti, nil
 }
 
@@ -195,9 +196,12 @@ func (sh *shard) buildTenant(ti *tenantImage) (*tenant, error) {
 		}
 		tn.delays[d.color] = d.delay
 	}
-	for _, q := range ti.queued {
+	for i, q := range ti.queued {
 		if q.ID < 0 || q.ID > ti.maxID {
 			return nil, fmt.Errorf("serve: tenant %q queued job id %d outside [0, %d]", ti.name, q.ID, ti.maxID)
+		}
+		if i > 0 && q.ID <= ti.queued[i-1].ID {
+			return nil, fmt.Errorf("serve: tenant %q queued job ids do not rise strictly (%d after %d)", ti.name, q.ID, ti.queued[i-1].ID)
 		}
 		if d, ok := tn.delays[q.Color]; !ok || d != q.Delay {
 			return nil, fmt.Errorf("serve: tenant %q queued job %d has unregistered delay %d for color %d", ti.name, q.ID, q.Delay, q.Color)

@@ -27,12 +27,8 @@ type evictedStub struct {
 	class int
 }
 
-// cutCmd asks the shard to serialize its dirty tenants into the chunk store
-// and return the manifest that commits the cut.
-type cutCmd struct {
-	reply chan cutResult
-}
-
+// cutResult is a shard's cut for Checkpoint: its dirty tenants serialized
+// into the chunk store, and the manifest that commits the cut.
 type cutResult struct {
 	manifest []byte
 	// roots are the manifest's referenced chunk IDs — this shard's

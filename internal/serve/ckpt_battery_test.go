@@ -364,6 +364,70 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	}
 }
 
+// TestFailedCheckpointCommitsNothing pins that a checkpoint whose cut fails on
+// one shard writes no manifest, so the last committed set still boots. Shard
+// 2's tenant is the only dirty one when a plain file stands in for the chunk
+// dir (unlike a read-only mode, that stops root too): a Checkpoint that wrote
+// each manifest right after its shard's cut would leave shards 0 and 1 at
+// round 5 and the others at round 2, a set the next boot refuses.
+func TestFailedCheckpointCommitsNothing(t *testing.T) {
+	cfg := Config{Shards: 4, Resources: 8, Delta: 4, Watermark: 64, StateDir: t.TempDir()}
+	svc, client := newTestService(t, cfg)
+	names := make([]string, cfg.Shards)
+	for i, found := 0, 0; found < cfg.Shards; i++ {
+		name := tenantName(i)
+		if sh := svc.ShardFor(name); names[sh] == "" {
+			names[sh] = name
+			found++
+		}
+	}
+	// Delay 1: every job is resolved by the round after it arrives, so the
+	// rounds after the first checkpoint leave the other tenants clean.
+	for _, name := range names {
+		submitJobs(t, client, name, SubmitJob{ID: 0, Color: 0, Delay: 1})
+	}
+	if _, err := svc.Tick(2); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatalf("first Checkpoint: %v", err)
+	}
+	submitJobs(t, client, names[2], SubmitJob{ID: 1, Color: 0, Delay: 1})
+	if _, err := svc.Tick(3); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	for i, row := range svc.Stats().PerShard {
+		if (row.Dirty > 0) != (i == 2) {
+			t.Fatalf("shard %d has %d dirty tenants; only shard 2's tenant should be dirty", i, row.Dirty)
+		}
+	}
+	chunkDir := filepath.Join(cfg.StateDir, "chunks")
+	if err := os.Rename(chunkDir, chunkDir+".saved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(chunkDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded with a file in place of its chunk dir")
+	}
+	svc.Close()
+	if err := os.Remove(chunkDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(chunkDir+".saved", chunkDir); err != nil {
+		t.Fatal(err)
+	}
+	svc2, restored, err := New(cfg)
+	if err != nil {
+		t.Fatalf("the last committed checkpoint no longer boots: %v", err)
+	}
+	defer svc2.Close()
+	if round := svc2.Stats().Round; restored != cfg.Shards || round != 2 {
+		t.Fatalf("rebooted with %d tenants at round %d, want %d at round 2", restored, round, cfg.Shards)
+	}
+}
+
 // TestDecisionLogCrashLosesOnlyUncut pins the decision log's crash contract:
 // a manifest names exactly the log as of its cut, so a crash loses exactly
 // the records after the last Checkpoint. Records appended past the cut seal

@@ -151,8 +151,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var res submitResult
 	for attempt := 0; ; attempt++ {
+		// The function captures copies: sh, req and pl are reassigned, and a
+		// closure over a reassigned variable moves it to the heap.
+		target, batch, epoch := sh, req, pl.epoch
 		reply := make(chan submitResult, 1)
-		sh.ch <- shardCmd{submit: &submitCmd{req: req, epoch: pl.epoch, reply: reply}}
+		target.ch <- func() { reply <- target.handleSubmit(batch, epoch) }
 		res = <-reply
 		if res.status != statusWrongPlacement {
 			break
@@ -359,9 +362,9 @@ func (s *Service) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	var res decisionsResult
 	pl := s.pl.Load()
 	for attempt := 0; ; attempt++ {
-		sh := pl.shards[pl.ring.ShardOf(tenantID)]
+		sh, epoch := pl.shards[pl.ring.ShardOf(tenantID)], pl.epoch
 		reply := make(chan decisionsResult, 1)
-		sh.ch <- shardCmd{decisions: &decisionsCmd{tenant: tenantID, epoch: pl.epoch, reply: reply}}
+		sh.ch <- func() { reply <- sh.handleDecisions(tenantID, epoch) }
 		res = <-reply
 		if res.status != statusWrongPlacement {
 			break

@@ -199,7 +199,7 @@ func TestTenantPayloadRoundTrip(t *testing.T) {
 	sh.round = 9
 	tn := &tenant{name: "queued", epoch: 8, sched: sched, maxID: 5, class: 1,
 		delays: map[model.Color]int64{3: 8, 1: 4},
-		queued: []model.Job{{ID: 5, Color: 1, Delay: 4}, {ID: 2, Color: 3, Delay: 8}},
+		queued: []model.Job{{ID: 2, Color: 3, Delay: 8}, {ID: 5, Color: 1, Delay: 4}},
 	}
 	p, err := sh.tenantPayload(tn)
 	if err != nil {
@@ -312,6 +312,20 @@ func TestReadTenantPayloadRefusals(t *testing.T) {
 	}
 	if _, err := testShard(t, 8).buildTenant(bt); err == nil {
 		t.Error("buildTenant accepted a torn stream image")
+	}
+	// Admission takes only rising IDs, so a queue out of ID order is refused.
+	c := ti.delays[0]
+	for _, ids := range [][2]int64{{ti.maxID, ti.maxID - 1}, {ti.maxID, ti.maxID}} {
+		bad := mutated(func(ti *tenantImage) {
+			ti.queued = []model.Job{{ID: ids[0], Color: c.color, Delay: c.delay}, {ID: ids[1], Color: c.color, Delay: c.delay}}
+		})
+		bt, err := readTenantPayload(bad, "tenant", 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := testShard(t, 8).buildTenant(bt); err == nil || !strings.Contains(err.Error(), "do not rise strictly") {
+			t.Errorf("queued ids %v: buildTenant = %v, want a refusal", ids, err)
+		}
 	}
 }
 

@@ -239,16 +239,26 @@ func (s *Service) Reshard(newShards int) (*ReshardResponse, error) {
 	}, nil
 }
 
-// fenceShards synchronously installs a placement epoch on every shard.
-func (s *Service) fenceShards(shards []*shard, epoch int64, nshards int) {
-	replies := make([]chan struct{}, len(shards))
+// onEach runs f(i, shards[i]) on the goroutine of every shard of shards at
+// once and returns when every call has run.
+func onEach(shards []*shard, f func(i int, sh *shard)) {
+	done := make(chan struct{}, len(shards))
 	for i, sh := range shards {
-		replies[i] = make(chan struct{}, 1)
-		sh.ch <- shardCmd{place: &placeCmd{epoch: epoch, nshards: nshards, reply: replies[i]}}
+		sh.ch <- func() {
+			f(i, sh)
+			done <- struct{}{}
+		}
 	}
-	for _, r := range replies {
-		<-r
+	for range shards {
+		<-done
 	}
+}
+
+// fenceShards synchronously installs a placement epoch on every shard:
+// submissions routed under any other epoch bounce until the reshard flips
+// routing (or rolls back).
+func (s *Service) fenceShards(shards []*shard, epoch int64, nshards int) {
+	onEach(shards, func(_ int, sh *shard) { sh.epoch, sh.nshards = epoch, nshards })
 }
 
 // reshardPool holds what one reshard's movers need besides their
@@ -315,15 +325,11 @@ func (p *reshardPool) read(id uint64) ([]byte, error) {
 // a manifest of the old placement at round: the complete set
 // ReshardManifests routes.
 func (s *Service) cutMovers(old *placement, ring hashRing, round int64, pool *reshardPool) ([]*ckptstore.Manifest, error) {
-	replies := make([]chan planResult, len(old.shards))
-	for i, sh := range old.shards {
-		replies[i] = make(chan planResult, 1)
-		sh.ch <- shardCmd{plan: &planCmd{ring: ring, pool: pool, reply: replies[i]}}
-	}
+	plans := make([]planResult, len(old.shards))
+	onEach(old.shards, func(i int, sh *shard) { plans[i] = sh.handlePlan(ring, pool) })
 	cuts := make([]*ckptstore.Manifest, len(old.shards))
 	var firstErr error
-	for i, r := range replies {
-		res := <-r
+	for i, res := range plans {
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
@@ -366,35 +372,32 @@ func (s *Service) checkReshardBudget(classBytes []int64) error {
 // on its own goroutine and all at once, and returns the first error once
 // every target has answered.
 func (s *Service) injectMoves(shards []*shard, byTarget []*ckptstore.Manifest, ring hashRing, pool *reshardPool) error {
-	replies := make([]chan error, len(byTarget))
-	for t, m := range byTarget {
-		replies[t] = make(chan error, 1)
-		shards[t].ch <- shardCmd{inject: &injectCmd{m: m, ring: ring, pool: pool, reply: replies[t]}}
-	}
-	var first error
-	for _, r := range replies {
-		if err := <-r; err != nil && first == nil {
-			first = err
+	errs := make([]error, len(byTarget))
+	onEach(shards[:len(byTarget)], func(t int, sh *shard) { errs[t] = sh.adoptMovers(byTarget[t], ring, pool) })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
 
 // removeMoved drops the tenants ms[i] names from shards[i], on every shard
 // at once.
 func (s *Service) removeMoved(shards []*shard, ms []*ckptstore.Manifest) {
-	replies := make([]chan struct{}, len(ms))
-	for i, m := range ms {
-		names := make([]string, len(m.Tenants))
-		for k, ref := range m.Tenants {
+	onEach(shards[:len(ms)], func(i int, sh *shard) {
+		names := make([]string, len(ms[i].Tenants))
+		for k, ref := range ms[i].Tenants {
 			names[k] = ref.Name
 		}
-		replies[i] = make(chan struct{}, 1)
-		shards[i].ch <- shardCmd{remove: &removeCmd{tenants: names, reply: replies[i]}}
-	}
-	for _, r := range replies {
-		<-r
-	}
+		sh.handleRemove(names)
+	})
+}
+
+type planResult struct {
+	refs []ckptstore.TenantRef
+	log  []string // the movers' decision-log segments, in the pool
+	err  error
 }
 
 // handlePlan cuts this shard's movers, the tenants the target ring routes
@@ -404,11 +407,11 @@ func (s *Service) removeMoved(shards []*shard, ms []*ckptstore.Manifest) {
 // shard's decision log collects every mover's records into a log in the
 // pool, which the cut names, so /v1/decisions is seamless across the move.
 // Runs on the shard goroutine.
-func (sh *shard) handlePlan(cmd *planCmd) planResult {
+func (sh *shard) handlePlan(ring hashRing, pool *reshardPool) planResult {
 	if sh.declogErr != nil {
 		return planResult{err: fmt.Errorf("serve: shard %d decision log failed earlier: %w", sh.idx, sh.declogErr)}
 	}
-	moves := func(name string) bool { return cmd.ring.ShardOf(name) != sh.idx }
+	moves := func(name string) bool { return ring.ShardOf(name) != sh.idx }
 	refs, err := sh.tenantRefs(moves, func(tn *tenant) (uint64, error) {
 		if !tn.dirty && tn.chunk != 0 {
 			return tn.chunk, nil
@@ -417,7 +420,7 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 		if err != nil {
 			return 0, err
 		}
-		id, err := cmd.pool.put(tn.class, payload)
+		id, err := pool.put(tn.class, payload)
 		if err != nil {
 			return 0, fmt.Errorf("serve: shard %d migrating tenant %q: %w", sh.idx, tn.name, err)
 		}
@@ -426,7 +429,7 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 	if err != nil || sh.declog == nil {
 		return planResult{refs: refs, err: err}
 	}
-	movers := ckptstore.NewDecLog(cmd.pool)
+	movers := ckptstore.NewDecLog(pool)
 	if err := sh.declog.Walk(func(tenant string, round int64, payload []byte) error {
 		if !moves(tenant) {
 			return nil
@@ -439,27 +442,27 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 	return planResult{refs: refs, log: log, err: err}
 }
 
-// adoptMovers adopts the movers a reshard routed to this shard through
-// adoptRefs, reading their chunks from the reshard's pool, then appends
-// their decision-log records to this shard's log. Runs on the shard
-// goroutine.
-func (sh *shard) adoptMovers(cmd *injectCmd) error {
-	if err := sh.adoptRefs(cmd.m.Tenants, cmd.m.Round, cmd.ring, cmd.pool.read); err != nil {
+// adoptMovers adopts the movers a reshard routed to this shard, m being this
+// shard's manifest of the ReshardManifests output, through adoptRefs,
+// reading their chunks from the reshard's pool, then appends their
+// decision-log records to this shard's log. Runs on the shard goroutine.
+func (sh *shard) adoptMovers(m *ckptstore.Manifest, ring hashRing, pool *reshardPool) error {
+	if err := sh.adoptRefs(m.Tenants, m.Round, ring, pool.read); err != nil {
 		return err
 	}
 	if sh.store == nil {
 		// The in-memory pool dies with this reshard, so its chunks back
 		// nothing: a later reshard writes the tenants afresh.
-		for _, ref := range cmd.m.Tenants {
+		for _, ref := range m.Tenants {
 			sh.tenants[ref.Name].chunk = 0
 		}
 	}
 	if sh.declog == nil {
 		return nil
 	}
-	ids, err := cmd.m.LogIDs()
+	ids, err := m.LogIDs()
 	if err == nil {
-		err = ckptstore.WalkLog(cmd.pool, ids, sh.declog.Append)
+		err = ckptstore.WalkLog(pool, ids, sh.declog.Append)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: shard %d adopting movers' decisions: %w", sh.idx, err)

@@ -445,7 +445,7 @@ func (s *Service) Tick(n int) (int64, error) {
 	req := &RoundRequest{Target: s.round.Load() + int64(n)}
 	reply := make(chan roundResult, len(shards))
 	for _, sh := range shards {
-		sh.ch <- shardCmd{round: &roundCmd{req: req, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
+		sh.ch <- func() { reply <- sh.handleRound(req) } //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
 	}
 	var err error
 	for range shards {
@@ -502,9 +502,10 @@ func (s *Service) TickShard(req *RoundRequest) (int64, error) {
 	if s.draining.Load() {
 		return 0, fmt.Errorf("serve: service is draining")
 	}
+	sh := pl.shards[req.Shard]
 	reply := make(chan roundResult, 1)
-	pl.shards[req.Shard].ch <- shardCmd{round: &roundCmd{req: req, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
-	res := <-reply                                                                //lint:ignore lockcheck the shard goroutine always answers a round call on the buffered reply channel
+	sh.ch <- func() { reply <- sh.handleRound(req) } //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
+	res := <-reply                                   //lint:ignore lockcheck the shard goroutine always answers a round call on the buffered reply channel
 	if res.err == nil && res.round > s.round.Load() {
 		s.round.Store(res.round)
 	}
@@ -524,8 +525,9 @@ func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 	if shard < 0 || shard >= len(pl.shards) {
 		return 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
 	}
+	sh := pl.shards[shard]
 	reply := make(chan openResult, 1)
-	pl.shards[shard].ch <- shardCmd{openShard: &openCmd{data: data, reply: reply}}
+	sh.ch <- func() { reply <- sh.handleOpen(data) }
 	res := <-reply
 	return res.round, res.err
 }
@@ -542,8 +544,9 @@ func (s *Service) CloseShard(shard int) ([]byte, error) {
 	if shard < 0 || shard >= len(pl.shards) {
 		return nil, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
 	}
+	sh := pl.shards[shard]
 	reply := make(chan closeResult, 1)
-	pl.shards[shard].ch <- shardCmd{close: &closeCmd{reply: reply}}
+	sh.ch <- func() { reply <- sh.handleClose() }
 	res := <-reply
 	return res.data, res.err
 }
@@ -584,9 +587,11 @@ func (s *Service) BeginDrain() {
 // manifest (written atomically via rename). Clean tenants reuse their prior
 // chunk references and evicted tenants commit as stubs, so a steady-state cut
 // costs bytes proportional to what changed, not to the tenant population.
-// After the manifests commit, stale manifests and orphan chunks (the
-// strandings of any earlier crash) are removed. Safe to call live: the round
-// barrier is held for the whole cut, so it lands exactly between rounds.
+// Every shard is cut before any manifest is written, so a cut that fails on
+// one shard commits nothing and the last committed set still boots. After the
+// manifests commit, stale manifests and orphan chunks (the strandings of any
+// earlier crash) are removed. Safe to call live: the round barrier is held
+// for the whole cut, so it lands exactly between rounds.
 func (s *Service) Checkpoint() error {
 	if s.cfg.StateDir == "" {
 		return fmt.Errorf("serve: no state dir configured")
@@ -599,18 +604,22 @@ func (s *Service) Checkpoint() error {
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
 	pl := s.pl.Load()
+	manifests := make([][]byte, len(pl.shards))
 	var roots []uint64
 	for i, sh := range pl.shards {
 		reply := make(chan cutResult, 1)
-		sh.ch <- shardCmd{cut: &cutCmd{reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
-		res := <-reply                                //lint:ignore lockcheck the shard goroutine always answers a cut on the buffered reply channel
+		sh.ch <- func() { reply <- sh.handleCut() } //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
+		res := <-reply                              //lint:ignore lockcheck the shard goroutine always answers a cut on the buffered reply channel
 		if res.err != nil {
 			return res.err
 		}
-		if err := atomicio.WriteFile(s.shardManifestPath(i), res.manifest, 0o644); err != nil {
+		manifests[i] = res.manifest
+		roots = append(roots, res.roots...)
+	}
+	for i, m := range manifests {
+		if err := atomicio.WriteFile(s.shardManifestPath(i), m, 0o644); err != nil {
 			return fmt.Errorf("serve: writing shard %d manifest: %w", i, err)
 		}
-		roots = append(roots, res.roots...)
 	}
 	// The manifests are committed; remove manifests of shards a merge
 	// removed.
@@ -681,7 +690,7 @@ func (s *Service) Stats() *StatsResponse {
 	var classOrder []string
 	for _, sh := range pl.shards {
 		reply := make(chan ShardStats, 1)
-		sh.ch <- shardCmd{stats: &statsCmd{reply: reply}}
+		sh.ch <- func() { reply <- sh.stats() }
 		st := <-reply
 		resp.PerShard = append(resp.PerShard, st)
 		resp.Totals.add(st)

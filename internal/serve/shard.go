@@ -131,10 +131,12 @@ func newShardMetrics() (*shardMetrics, error) {
 // shard owns a subset of tenants. A single goroutine (run) serializes every
 // state mutation — submissions, round ticks, checkpoints — so scheduling
 // decisions are reproducible no matter how requests interleave on the wire.
+// A caller hands the goroutine a function on ch that calls one handler and
+// answers on the caller's own reply channel; run calls each in channel order.
 type shard struct {
 	idx int
 	cfg Config
-	ch  chan shardCmd
+	ch  chan func()
 	wg  sync.WaitGroup
 
 	met *shardMetrics
@@ -183,48 +185,16 @@ type shard struct {
 	acked      map[uint64]bool
 }
 
-// statusWrongPlacement is the internal submitResult status for a command
+// statusWrongPlacement is the internal submitResult status for a request
 // routed under a stale placement epoch. Never surfaces on the wire: the HTTP
 // handler reloads the placement and resends.
 const statusWrongPlacement = -1
-
-// shardCmd is the message type of the shard goroutine. Exactly one of the
-// fields is set.
-type shardCmd struct {
-	submit    *submitCmd
-	round     *roundCmd
-	openShard *openCmd
-	close     *closeCmd
-	stats     *statsCmd
-	decisions *decisionsCmd
-	place     *placeCmd
-	plan      *planCmd
-	remove    *removeCmd
-	inject    *injectCmd
-	cut       *cutCmd
-}
-
-type submitCmd struct {
-	req *SubmitRequest
-	// epoch is the placement epoch the HTTP handler routed under; the shard
-	// bounces the command when it disagrees with its own epoch.
-	epoch int64
-	reply chan submitResult
-}
 
 type submitResult struct {
 	status  int // http status: 200, 429, or 400
 	err     string
 	round   int64
 	backlog int
-}
-
-// roundCmd advances the shard to req.Target, the one command that ticks a
-// shard: a classic Service.Tick sends every shard one, and a hosted round
-// call (Service.TickShard) one shard, count and routing checked.
-type roundCmd struct {
-	req   *RoundRequest
-	reply chan roundResult
 }
 
 type roundResult struct {
@@ -244,77 +214,14 @@ func refuseRound(status int, format string, args ...any) error {
 	return &roundError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// openCmd opens a hosted shard, restoring from a checkpoint bundle when data
-// is non-empty.
-type openCmd struct {
-	data  []byte
-	reply chan openResult
-}
-
 type openResult struct {
 	round int64
 	err   error
 }
 
-// closeCmd cuts a hosted shard into a self-contained bundle, drops its state,
-// and marks it closed.
-type closeCmd struct {
-	reply chan closeResult
-}
-
 type closeResult struct {
 	data []byte
 	err  error
-}
-
-type statsCmd struct {
-	reply chan ShardStats
-}
-
-type decisionsCmd struct {
-	tenant string
-	epoch  int64
-	reply  chan decisionsResult
-}
-
-// placeCmd fences the shard onto a placement epoch: submissions routed under
-// any other epoch bounce until the reshard flips routing (or rolls back).
-type placeCmd struct {
-	epoch   int64
-	nshards int
-	reply   chan struct{}
-}
-
-// planCmd asks the shard to cut every tenant the target ring routes
-// elsewhere (its movers) into manifest references, without removing them
-// yet; the chunks the references need and the movers' log records go to
-// pool.
-type planCmd struct {
-	ring  hashRing
-	pool  *reshardPool
-	reply chan planResult
-}
-
-type planResult struct {
-	refs []ckptstore.TenantRef
-	log  []string // the movers' decision-log segments, in the pool
-	err  error
-}
-
-// removeCmd drops the named tenants from the shard (their state has been
-// handed to their new shard).
-type removeCmd struct {
-	tenants []string
-	reply   chan struct{}
-}
-
-// injectCmd adopts the movers a reshard routed to this shard: m is this
-// shard's manifest of the ReshardManifests output, read through pool.
-type injectCmd struct {
-	m     *ckptstore.Manifest
-	ring  hashRing
-	pool  *reshardPool
-	reply chan error
 }
 
 type decisionsResult struct {
@@ -339,7 +246,9 @@ func newShard(idx int, cfg Config, store *ckptstore.Store) (*shard, error) {
 	sh := &shard{
 		idx: idx,
 		cfg: cfg,
-		ch:  make(chan shardCmd, 64),
+		// Buffered so a burst of requests queues for run's coalescing drain
+		// instead of each sender waiting for the shard goroutine.
+		ch:  make(chan func(), 64),
 		met: met,
 		// Hosted shards stay closed until a lease arrives (OpenShard).
 		open:         !cfg.hosted(),
@@ -366,7 +275,7 @@ func (sh *shard) start() {
 	go sh.run()
 }
 
-// stop closes the command channel and waits for the goroutine to exit. The
+// stop closes the shard's channel and waits for the goroutine to exit. The
 // caller guarantees no further sends (the service only stops shards after the
 // HTTP server has shut down and the ticker has stopped).
 func (sh *shard) stop() {
@@ -383,59 +292,26 @@ func (sh *shard) stop() {
 func (sh *shard) run() {
 	defer sh.wg.Done()
 	for {
-		cmd, ok := <-sh.ch
+		f, ok := <-sh.ch
 		if !ok {
 			return
 		}
 		batch := int64(1)
-		sh.handleCmd(cmd)
+		f()
 		for drained := false; !drained; {
 			select {
-			case cmd, ok := <-sh.ch:
+			case f, ok := <-sh.ch:
 				if !ok {
 					sh.met.wire.Coalesced.Observe(batch)
 					return
 				}
-				sh.handleCmd(cmd)
+				f()
 				batch++
 			default:
 				drained = true
 			}
 		}
 		sh.met.wire.Coalesced.Observe(batch)
-	}
-}
-
-// handleCmd dispatches one shard command. Exactly one field of cmd is set.
-func (sh *shard) handleCmd(cmd shardCmd) {
-	switch {
-	case cmd.submit != nil:
-		t0 := obs.Now()
-		cmd.submit.reply <- sh.handleSubmit(cmd.submit.req, cmd.submit.epoch)
-		sh.met.submitNs.Observe(obs.Now() - t0)
-	case cmd.round != nil:
-		cmd.round.reply <- sh.handleRound(cmd.round.req)
-	case cmd.openShard != nil:
-		cmd.openShard.reply <- sh.handleOpen(cmd.openShard.data)
-	case cmd.close != nil:
-		cmd.close.reply <- sh.handleClose()
-	case cmd.stats != nil:
-		cmd.stats.reply <- sh.stats()
-	case cmd.decisions != nil:
-		cmd.decisions.reply <- sh.handleDecisions(cmd.decisions.tenant, cmd.decisions.epoch)
-	case cmd.place != nil:
-		sh.epoch = cmd.place.epoch
-		sh.nshards = cmd.place.nshards
-		cmd.place.reply <- struct{}{}
-	case cmd.plan != nil:
-		cmd.plan.reply <- sh.handlePlan(cmd.plan)
-	case cmd.remove != nil:
-		sh.handleRemove(cmd.remove.tenants)
-		cmd.remove.reply <- struct{}{}
-	case cmd.inject != nil:
-		cmd.inject.reply <- sh.adoptMovers(cmd.inject)
-	case cmd.cut != nil:
-		cmd.cut.reply <- sh.handleCut()
 	}
 }
 
@@ -446,8 +322,8 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 // without a hook). A hook failure does not roll the rounds back — the
 // decisions are made — but it fails the command, so the caller knows the
 // store may be behind the shard; a round call to the round the shard reached
-// closes that gap. Each admission is timed as a submit, and the ticks with
-// their push as one tick.
+// closes that gap. Each admission is timed as a submit (by handleSubmit),
+// and the ticks with their push as one tick.
 func (sh *shard) handleRound(req *RoundRequest) roundResult {
 	var err error
 	switch {
@@ -459,10 +335,8 @@ func (sh *shard) handleRound(req *RoundRequest) roundResult {
 		err = refuseRound(http.StatusBadRequest, "serve: shard %d is at round %d, target %d is over %d rounds ahead", sh.idx, sh.round, req.Target, maxTickRounds)
 	}
 	for i := 0; err == nil && i < len(req.Batches); i++ {
-		t0 := obs.Now()
 		// The call's shard count and ring check stand in for the epoch fence.
 		res := sh.handleSubmit(&req.Batches[i], sh.epoch)
-		sh.met.submitNs.Observe(obs.Now() - t0)
 		if res.status != http.StatusOK && res.status != http.StatusConflict {
 			err = refuseRound(res.status, "serve: shard %d refused batch %d of the round: %s", sh.idx, i, res.err)
 		}
@@ -544,12 +418,13 @@ func (sh *shard) clear() {
 	sh.setPagingGauges()
 }
 
-// handleSubmit admits or rejects one batch. Admission is all-or-nothing:
-// every job is validated against the tenant's registered state before any is
-// queued. epoch is the placement epoch the handler routed under; a mismatch
-// bounces the command back for re-routing instead of admitting under a stale
-// placement.
+// handleSubmit admits or rejects one batch, timed as serve_submit_ns.
+// Admission is all-or-nothing: every job is validated against the tenant's
+// registered state before any is queued. epoch is the placement epoch the
+// handler routed under; a mismatch bounces the batch back for re-routing
+// instead of admitting under a stale placement.
 func (sh *shard) handleSubmit(req *SubmitRequest, epoch int64) submitResult {
+	defer func(t0 int64) { sh.met.submitNs.Observe(obs.Now() - t0) }(obs.Now())
 	n := len(req.Jobs)
 	if epoch != sh.epoch {
 		// Routed under a placement this shard no longer (or does not yet)
@@ -741,8 +616,9 @@ func (sh *shard) resolveClass(tn *tenant, name string) (int, bool) {
 }
 
 // handleTick advances every tenant one round. Tenants are visited in sorted
-// name order and each tenant's queued jobs are pushed sorted by ID, so the
-// decision streams are independent of submission interleaving.
+// name order and each tenant's queued jobs are pushed in ID order (the order
+// admission takes them in), so the decision streams are independent of
+// submission interleaving.
 func (sh *shard) handleTick() {
 	round := sh.round
 	for _, name := range sh.order {
@@ -753,7 +629,6 @@ func (sh *shard) handleTick() {
 		for i := range jobs {
 			jobs[i].Arrival = local
 		}
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 		dec, err := tn.sched.Push(local, jobs)
 		if err != nil {
 			// Unreachable by construction: admission validated every job
